@@ -69,6 +69,12 @@ class GameGraph:
     def min_index(self) -> dict:
         return {v: i for i, v in enumerate(self.min_vertices)}
 
+    @cached_property
+    def absorption_table(self) -> "AbsorptionTable":
+        """Exact absorption table, solved once per graph after validation."""
+        require_valid(self)
+        return AbsorptionTable(_absorption_rows(self))
+
     @property
     def n(self) -> int:
         return len(self.min_vertices)
@@ -78,12 +84,6 @@ class GameGraph:
 
     def next_edge_id(self) -> int:
         return max((e.id for e in self.edges), default=0) + 1
-
-    def edge_by_id(self, edge_id: int) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(f"no edge with id {edge_id}")
 
     def to_json(self) -> dict:
         return {
@@ -164,6 +164,9 @@ def validate_graph(g: GameGraph) -> ValidationReport:
     ids = list(g.min_vertices) + list(g.max_vertices) + list(g.random_vertices)
     if len(set(ids)) != len(ids):
         failures.append(("disjoint", "vertex classes are not disjoint"))
+    edge_ids = [e.id for e in g.edges]
+    if len(set(edge_ids)) != len(edge_ids):
+        failures.append(("edge-ids", "edge ids are not unique"))
     if not g.min_vertices or not g.max_vertices:
         failures.append(("nonempty-classes", "Min and Max vertex sets must be nonempty"))
 
@@ -266,18 +269,9 @@ def _absorption_rows(g: GameGraph) -> dict:
     return rows
 
 
-_ABSORPTION_CACHE: dict = {}
-
-
 def absorption(g: GameGraph) -> AbsorptionTable:
-    """Absorption table for a validated graph (cached per graph object)."""
-    key = id(g)
-    entry = _ABSORPTION_CACHE.get(key)
-    if entry is None or entry[0] is not g:
-        require_valid(g)
-        entry = (g, AbsorptionTable(_absorption_rows(g)))
-        _ABSORPTION_CACHE[key] = entry
-    return entry[1]
+    """Absorption table for a valid graph (computed once per graph object)."""
+    return g.absorption_table
 
 
 def max_vertex_value(g: GameGraph, table: AbsorptionTable, w: int, x: Vector) -> Fraction:

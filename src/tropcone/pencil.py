@@ -109,8 +109,13 @@ class MetzlerPencil:
     @classmethod
     def from_json(cls, obj: dict) -> "MetzlerPencil":
         m, n = int(obj["m"]), int(obj["n"])
+        matrices = obj["matrices"]
+        if len(matrices) != n + 1:
+            raise ValueError(f"{len(matrices)} matrices, expected n + 1 = {n + 1}")
+        if any(len(mat) != m or any(len(row) != m for row in mat) for mat in matrices):
+            raise ValueError(f"every matrix must be {m}x{m}")
         entries: dict = {}
-        for k, mat in enumerate(obj["matrices"]):
+        for k, mat in enumerate(matrices):
             for i in range(m):
                 for j in range(i, m):
                     c = SignedTrop.from_json(mat[i][j])

@@ -74,7 +74,7 @@ class Trop:
     def from_str(cls, s: str) -> "Trop":
         if s == "-inf":
             return NEG_INF
-        return cls(Fraction(s))
+        return cls(rational_from_str(s))
 
 
 NEG_INF = Trop()
@@ -236,5 +236,12 @@ def rational_to_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
+def rational_from_str(s) -> Fraction:
+    """A rational from JSON: a string such as "-7/3" or an integer. Floats
+    (and booleans) are rejected, since they are rarely the value meant."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ValueError(f"expected a rational string or an integer, got {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc

@@ -12,64 +12,71 @@ vertices flip fair coins between two Max vertices:
 * `second_transformation`: splits one Random-to-Random edge with a fresh
   Max/Min pair.
 
-`pipeline` composes the three and returns a composed witness map relating
-the two subfixed sets.
+`pipeline` runs the first two stages and then splits every Random-to-Random
+edge in one pass that reads a single absorption table. It returns a witness map
+relating the two subfixed sets; a witness map is data, a list of rows that
+each define one new coordinate, so composing two is concatenation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from operator import attrgetter
+from typing import Optional
 
-from .errors import PreconditionViolated
+from .errors import DimensionMismatch, PreconditionViolated
 from .graph import (
     Edge,
     GameGraph,
     absorption,
-    max_vertex_value,
     require_valid,
     validate_graph,
 )
 
 HALF = Fraction(1, 2)
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class WitnessMap:
-    """Explicit lift from source coordinates to target coordinates.
+    """Explicit lift from source coordinates to target coordinates, stored
+    as data.
 
-    `lift` is total on finite source points; `project` drops the auxiliary
+    Each row defines one new coordinate, appended in order, as the sum of
+    p * max over (c, i) of (c + y[i]) over its (p, terms) pairs, where y is
+    the source point followed by the new coordinates computed so far.
+    Composing two maps concatenates their rows. `project` drops the new
     coordinates, so project(lift(x)) == x.
     """
 
     kind: str
     source_dim: int
-    target_dim: int
-    lift: Callable
+    rows: tuple = ()
     new_coords: tuple = ()
+
+    @property
+    def target_dim(self) -> int:
+        return self.source_dim + len(self.rows)
+
+    def lift(self, x) -> tuple:
+        y = [Fraction(v) for v in x]
+        if len(y) != self.source_dim:
+            raise DimensionMismatch(
+                f"point of length {len(y)}, witness expects {self.source_dim}"
+            )
+        for row in self.rows:
+            val = ZERO
+            for p, terms in row:
+                val += p * max(c + y[i] for c, i in terms)
+            y.append(val)
+        return tuple(y)
 
     def project(self, xp):
         return tuple(xp[: self.source_dim])
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "new_coords": list(self.new_coords)}
-
-
-def identity_witness(n: int, kind: str = "pipeline") -> WitnessMap:
-    return WitnessMap(kind=kind, source_dim=n, target_dim=n, lift=lambda x: tuple(x))
-
-
-def compose_witnesses(first: WitnessMap, second: WitnessMap, kind: str = "pipeline") -> WitnessMap:
-    if first.target_dim != second.source_dim:
-        raise PreconditionViolated("witness maps do not compose")
-    return WitnessMap(
-        kind=kind,
-        source_dim=first.source_dim,
-        target_dim=second.target_dim,
-        lift=lambda x: second.lift(first.lift(x)),
-        new_coords=first.new_coords + second.new_coords,
-    )
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ def _lower_degrees(b: _Builder) -> None:
                 break
         if victim is None:
             return
-        es = sorted(b.out(victim), key=lambda e: e.id)
+        es = sorted(b.out(victim), key=attrgetter("id"))
         e1, rest = es[0], es[1:]
         q1 = e1.prob
         u = b.fresh_vertex()
@@ -162,7 +169,7 @@ def _bits(value: int, r: int):
 
 
 def _install_gadget(b: _Builder, v: int) -> Optional[GadgetRecord]:
-    es = sorted(b.out(v), key=lambda e: e.id)
+    es = sorted(b.out(v), key=attrgetter("id"))
     e1, e2 = es
     q = e1.prob
     if q == HALF:
@@ -215,7 +222,6 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     in-edges. The new Min coordinates are indexed by the Max out-edges, in
     edge order, and the witness sets each to the expected value of the
     source coordinates under the absorption distribution."""
-    require_valid(g)
     table = absorption(g)
     max_out = [e for e in g.edges if g.kind[e.tail] == "max"]
     min_headed = [e for e in g.edges if g.kind[e.head] == "min"]
@@ -230,21 +236,20 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
         kappa[f.id] = b.fresh_vertex()
         b.max_vertices.append(kappa[f.id])
 
-    zero = Fraction(0)
     new_edges = []
     for f in g.edges:
         if f.id in mu:
             # Max out-edge: tail -> mu -> (kappa ->) head.
             inner_head = kappa[f.id] if f.id in kappa else f.head
             new_edges.append((f.tail, f.head, f.payoff, None, "to-mu", f.id))
-            new_edges.append((mu[f.id], inner_head, zero, None, None, None))
+            new_edges.append((mu[f.id], inner_head, ZERO, None, None, None))
         elif f.id in kappa:
             # Random edge into a Min vertex: tail -> kappa -> head.
             new_edges.append((f.tail, kappa[f.id], None, f.prob, None, None))
         else:
             new_edges.append((f.tail, f.head, f.payoff, f.prob, None, None))
         if f.id in kappa:
-            new_edges.append((kappa[f.id], f.head, zero, None, None, None))
+            new_edges.append((kappa[f.id], f.head, ZERO, None, None, None))
 
     b.edges = []
     for tail, head, payoff, prob, tag, eid in new_edges:
@@ -256,78 +261,68 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     out = b.freeze()
     require_valid(out)
 
-    n = g.n
     idx = g.min_index
-    rows = [list(table.row(e.id).items()) for e in max_out]
-
-    def lift(x):
-        x = tuple(x)
-        extra = []
-        for row in rows:
-            extra.append(sum((p * x[idx[v]] for v, p in row), Fraction(0)))
-        return x + tuple(extra)
-
-    witness = WitnessMap(
-        kind="t1",
-        source_dim=n,
-        target_dim=n + len(max_out),
-        lift=lift,
-        new_coords=tuple(f"t1:{e.id}" for e in max_out),
+    rows = tuple(
+        tuple((p, ((ZERO, idx[v]),)) for v, p in table.row(e.id).items()) for e in max_out
     )
+    witness = WitnessMap("t1", g.n, rows, tuple(f"t1:{e.id}" for e in max_out))
     return out, witness
 
 
-def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, WitnessMap]:
-    """Split the Random-to-Random edge `edge_id` with a fresh Max/Min pair."""
-    require_valid(g)
-    e_star = g.edge_by_id(edge_id)
-    if g.kind[e_star.tail] != "random" or g.kind[e_star.head] != "random":
-        raise PreconditionViolated(f"edge {edge_id} does not join two Random vertices")
+def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
+    """Split each listed Random-to-Random edge with a fresh Max/Min pair, in
+    the order given.
+
+    The new coordinate of a split edge is the expected Max-vertex value seen
+    from its head, read off the absorption table of `g`. This is a fixed
+    point of the new coordinate of the target operator even when random
+    cycles pass through the split edge, and it equals what splitting the
+    edges one at a time would give, since a split never creates a
+    Random-to-Random edge."""
+    table = absorption(g)
+    edges = {e.id: e for e in g.edges}
+    for edge_id in edge_ids:
+        e = edges.get(edge_id)
+        if e is None:
+            raise PreconditionViolated(f"no edge with id {edge_id}")
+        if g.kind[e.tail] != "random" or g.kind[e.head] != "random":
+            raise PreconditionViolated(f"edge {edge_id} does not join two Random vertices")
     for e in g.edges:
         if g.kind[e.tail] == "max" and g.kind[e.head] != "min":
             raise PreconditionViolated(
                 f"Max out-edge {e.id} does not head a Min vertex"
             )
 
+    idx = g.min_index
+    # Every Max out-edge heads a Min vertex, so a Max vertex's value is a
+    # maximum of payoff + one coordinate.
+    terms = {w: ((ZERO, i),) for w, i in idx.items()}
+    for w in g.max_vertices:
+        terms[w] = tuple((e.payoff, idx[e.head]) for e in g.out_edges[w])
+
     b = _Builder(g)
-    new_max = b.fresh_vertex()
-    new_min = b.fresh_vertex()
-    b.max_vertices.append(new_max)
-    b.min_vertices.append(new_min)
-    b.edges = [f for f in b.edges if f.id != edge_id]
-    b.add_edge(e_star.tail, new_max, prob=e_star.prob)
-    b.add_edge(new_max, new_min, payoff=Fraction(0))
-    b.add_edge(new_min, e_star.head, payoff=Fraction(0))
+    split = set(edge_ids)
+    b.edges = [f for f in b.edges if f.id not in split]
+    rows, new_coords = [], []
+    for edge_id in edge_ids:
+        e = edges[edge_id]
+        new_max = b.fresh_vertex()
+        new_min = b.fresh_vertex()
+        b.max_vertices.append(new_max)
+        b.min_vertices.append(new_min)
+        b.add_edge(e.tail, new_max, prob=e.prob)
+        b.add_edge(new_max, new_min, payoff=ZERO)
+        b.add_edge(new_min, e.head, payoff=ZERO)
+        rows.append(tuple((p, terms[w]) for w, p in table.row(edge_id).items()))
+        new_coords.append(f"t2:{new_min}")
     out = b.freeze()
     require_valid(out)
+    return out, WitnessMap("t2", g.n, tuple(rows), tuple(new_coords))
 
-    # The new coordinate is the expected Max-vertex value seen from the head
-    # of the split edge, taken in the source graph. This is a fixed point of
-    # the new coordinate of the target operator even when random cycles pass
-    # through the split edge.
-    n = g.n
-    idx = g.min_index
-    table = absorption(g)
-    row = list(table.row(edge_id).items())
 
-    def lift(x):
-        x = tuple(Fraction(v) for v in x)
-        val = Fraction(0)
-        for w, p in row:
-            if g.kind[w] == "min":
-                val += p * x[idx[w]]
-            else:
-                val += p * max_vertex_value(g, table, w, x)
-        return x + (val,)
-
-    witness = WitnessMap(
-        kind="t2",
-        source_dim=n,
-        target_dim=n + 1,
-        lift=lift,
-        new_coords=(f"t2:{new_min}",),
-    )
-    return out, witness
+def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, WitnessMap]:
+    """Split the Random-to-Random edge `edge_id` with a fresh Max/Min pair."""
+    return _split(g, [edge_id])
 
 
 def is_compliant(g: GameGraph) -> bool:
@@ -346,26 +341,16 @@ def is_compliant(g: GameGraph) -> bool:
 
 
 def pipeline(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
-    """Zwick-Paterson, then the first transformation, then the second
-    transformation on every Random-to-Random edge."""
+    """Zwick-Paterson, then the first transformation, then one pass that
+    splits every Random-to-Random edge, in id order."""
     require_valid(g)
     if is_compliant(g):
-        return g, identity_witness(g.n)
+        return g, WitnessMap("pipeline", g.n)
 
-    current = zwick_paterson(g)
-    witness = identity_witness(g.n, kind="zp")
-    current, w1 = first_transformation(current)
-    witness = compose_witnesses(witness, w1)
-    while True:
-        candidate = None
-        for e in sorted(current.edges, key=lambda e: e.id):
-            if current.kind[e.tail] == "random" and current.kind[e.head] == "random":
-                candidate = e
-                break
-        if candidate is None:
-            break
-        current, w2 = second_transformation(current, candidate.id)
-        witness = compose_witnesses(witness, w2)
-
-    assert is_compliant(current)
-    return current, witness
+    t1, w1 = first_transformation(zwick_paterson(g))
+    kind = t1.kind
+    out, w2 = _split(
+        t1, sorted(e.id for e in t1.edges if kind[e.tail] == kind[e.head] == "random")
+    )
+    assert is_compliant(out)
+    return out, WitnessMap("pipeline", g.n, w1.rows + w2.rows, w1.new_coords + w2.new_coords)

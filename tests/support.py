@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths under test: hull
-membership by brute-force subset search, and linear programming by
-exhaustive vertex enumeration over exact square solves.
+membership by brute-force subset search, linear programming by exhaustive
+vertex enumeration over exact square solves, and the one-pass edge split of
+`pipeline` by splitting one edge at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from tropcone.errors import SingularSystem
 from tropcone.exactlin import solve_rational
 from tropcone.graph import Edge, GameGraph, MinMaxOperator, graph_from_minmax, require_valid
 from tropcone.scalars import Trop
+from tropcone.transforms import (
+    first_transformation,
+    is_compliant,
+    second_transformation,
+    zwick_paterson,
+)
 
 
 def small_rational(rng: random.Random, box: int = 6, denom: int = 12) -> Fraction:
@@ -157,3 +164,31 @@ def lp_max_oracle(a, b, x, k):
             if best is None or y[k] > best:
                 best = y[k]
     return best
+
+
+def sequential_pipeline(g):
+    """The pipeline split by split: Zwick-Paterson, the first
+    transformation, then `second_transformation` on the smallest
+    Random-to-Random edge id until none is left, each split reading a fresh
+    absorption table. Returns the target graph and the composed lift as a
+    plain function."""
+    if is_compliant(g):
+        return g, lambda x: tuple(Fraction(v) for v in x)
+    current, witness = first_transformation(zwick_paterson(g))
+    lifts = [witness.lift]
+    while True:
+        rr = [
+            e.id for e in current.edges
+            if current.kind[e.tail] == "random" and current.kind[e.head] == "random"
+        ]
+        if not rr:
+            break
+        current, witness = second_transformation(current, min(rr))
+        lifts.append(witness.lift)
+
+    def lift(x):
+        for step in lifts:
+            x = step(x)
+        return x
+
+    return current, lift

@@ -13,6 +13,7 @@ from tropcone.scalars import rational_to_str
 from tropcone.transforms import pipeline
 
 F = Fraction
+ZERO = {"sign": 0, "abs": "-inf"}
 
 
 @pytest.fixture
@@ -72,6 +73,40 @@ class TestExitCodes:
     def test_t2_requires_edge(self, capsys, graph_file):
         code, _ = run(capsys, "transform", "t2", graph_file)
         assert code == 2
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/0"])
+    def test_non_rational_json_exits_two(self, capsys, tmp_path, value):
+        obj = example_graph().to_json()
+        obj["edges"][3]["payoff"] = value
+        path = tmp_path / "bad_value.json"
+        path.write_text(json.dumps(obj))
+        code, _ = run(capsys, "validate", str(path))
+        assert code == 2
+
+    def test_integer_json_accepted(self, capsys, tmp_path):
+        obj = example_graph().to_json()
+        obj["edges"][3]["payoff"] = 1
+        path = tmp_path / "int_value.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, "validate", str(path))
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "matrices, n",
+        [
+            ([], 3),
+            ([[[ZERO, ZERO], [ZERO, ZERO]], [[ZERO, ZERO]]], 1),
+            ([[[ZERO, ZERO], [ZERO, ZERO]], [[ZERO, ZERO], [ZERO, {"sign": 1, "abs": 0.5}]]], 1),
+        ],
+    )
+    def test_malformed_pencil_exits_two(self, capsys, tmp_path, matrices, n):
+        # No matrices, a 1x2 matrix, and a float entry.
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"m": 2, "n": n, "matrices": matrices}))
+        code, out = run(capsys, "member", str(path), "--point", ",".join(["0"] * n))
+        assert code == 2
+        assert out == ""
 
     def test_domain_error_exits_one(self, capsys, graph_file):
         # Edge 1 is not a Random-to-Random edge.

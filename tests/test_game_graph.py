@@ -1,6 +1,9 @@
 """Game graphs, validation, absorption probabilities, and the encoded
 operator, cross-checked against the min-max stochastic form."""
 
+import gc
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -79,8 +82,26 @@ class TestValidation:
         )
         assert any(code == "max-max-path" for code, _ in validate_graph(g).failures)
 
+    def test_duplicate_edge_ids_fail(self):
+        # Giving Max out-edge 5 the id of its sibling 4 would silently change
+        # F_1(0, 0, 5) from 6 to 14/3, since absorption rows are keyed by id.
+        g = example_graph()
+        edges = tuple(replace(e, id=4) if e.id == 5 else e for e in g.edges)
+        dup = GameGraph(g.min_vertices, g.max_vertices, g.random_vertices, edges)
+        assert [code for code, _ in validate_graph(dup).failures] == ["edge-ids"]
+        with pytest.raises(ValidationFailed):
+            eval_operator(dup, (F(0), F(0), F(5)))
+
 
 class TestAbsorption:
+    def test_table_does_not_outlive_its_graph(self):
+        g = example_graph()
+        absorption(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
     def test_edge_into_absorbing_vertex(self):
         g = example_graph()
         table = absorption(g)

@@ -1,14 +1,25 @@
 """Structural transformations: coin-flip normalization, the two
 witness-carrying transformations, and the composed pipeline."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from support import gadget_exit_probability, random_valid_graph
-from tropcone.errors import PreconditionViolated
+from support import gadget_exit_probability, random_valid_graph, sequential_pipeline
+from tropcone import graph as graph_module
+from tropcone.errors import DimensionMismatch, PreconditionViolated
 from tropcone.fixtures import example_graph
-from tropcone.graph import Edge, GameGraph, absorption, eval_operator, subfixed, validate_graph
+from tropcone.graph import (
+    Edge,
+    GameGraph,
+    MinMaxOperator,
+    absorption,
+    eval_operator,
+    graph_from_minmax,
+    subfixed,
+    validate_graph,
+)
 from tropcone.sampling import rng_for, sample_vector
 from tropcone.transforms import (
     first_transformation,
@@ -34,6 +45,21 @@ def third_graph():
             Edge(4, 2, 1, payoff=F(1)),
             Edge(5, 4, 1, payoff=F(0)),
         ),
+    )
+
+
+def denominator_five_graph():
+    """Three coordinates, stochastic rows over 5; 39 Random-to-Random edges
+    after the first transformation."""
+    a1 = ((F(1, 5), F(2, 5), F(2, 5)), (F(3, 5), F(0), F(2, 5)), (F(1, 5), F(1, 5), F(3, 5)))
+    a2 = ((F(4, 5), F(1, 5), F(0)), (F(2, 5), F(2, 5), F(1, 5)), (F(0), F(3, 5), F(2, 5)))
+    return graph_from_minmax(
+        MinMaxOperator(
+            n=3,
+            matrices=(a1, a2),
+            offsets=((F(1), F(-1, 2), F(0)), (F(3, 4), F(2), F(-1))),
+            subsets=(((0, 1),), ((0,),), ((1,),)),
+        )
     )
 
 
@@ -189,6 +215,10 @@ class TestSecondTransformation:
             assert witness.project(lifted) == tuple(x)
             assert subfixed(g, x) == subfixed(out, lifted)
 
+    def test_unknown_edge(self):
+        with pytest.raises(PreconditionViolated):
+            second_transformation(self._prepared(), 10**6)
+
     def test_target_subfixed_projects_back(self):
         g = self._prepared()
         rr = next(
@@ -248,3 +278,46 @@ class TestPipeline:
             for i in range(50):
                 x = sample_vector(rng_for(127 + trial, i), g.n, 5, 6)
                 assert subfixed(g, x) == subfixed(out, witness.lift(x))
+
+    def test_lift_checks_dimension(self):
+        _, witness = pipeline(example_graph())
+        for x in ((F(0),) * 2, (F(0),) * 4):
+            with pytest.raises(DimensionMismatch):
+                witness.lift(x)
+
+
+class TestOnePassSplit:
+    """`pipeline` splits every Random-to-Random edge in one pass; splitting
+    them one at a time must give the same graph and the same lift."""
+
+    def _check(self, g, seed):
+        out, witness = pipeline(g)
+        ref, ref_lift = sequential_pipeline(g)
+        assert json.dumps(out.to_json()) == json.dumps(ref.to_json())
+        assert witness.target_dim == ref.n
+        for i in range(10):
+            x = sample_vector(rng_for(seed, i), g.n, 5, 6)
+            assert witness.lift(x) == ref_lift(x)
+
+    def test_example(self):
+        self._check(example_graph(), 151)
+
+    def test_random_graphs(self):
+        for trial in range(10):
+            self._check(random_valid_graph(rng_for(157, trial)), 163 + trial)
+
+    def test_denominator_five_graph(self):
+        self._check(denominator_five_graph(), 173)
+
+    def test_at_most_two_absorption_solves(self, monkeypatch):
+        calls = []
+        solve = graph_module._absorption_rows
+
+        def counting(g):
+            calls.append(g)
+            return solve(g)
+
+        monkeypatch.setattr(graph_module, "_absorption_rows", counting)
+        out, _ = pipeline(example_graph())
+        assert is_compliant(out)
+        assert len(calls) <= 2
