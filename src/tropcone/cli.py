@@ -21,6 +21,11 @@ from .transforms import first_transformation, pipeline, second_transformation, z
 from .verify import verify_graph
 
 
+# `section` refuses larger grids: a million cells of the example already take
+# minutes, and the tick count is computed before any tick is built.
+SECTION_MAX_CELLS = 1_000_000
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
@@ -169,11 +174,12 @@ def cmd_section(args) -> int:
     if step <= 0 or hi < lo:
         raise MalformedInput("need --step > 0 and --hi >= --lo")
 
-    ticks = []
-    v = lo
-    while v <= hi:
-        ticks.append(v)
-        v += step
+    count = (hi - lo) // step + 1
+    if count ** len(free) > SECTION_MAX_CELLS:
+        raise MalformedInput(
+            f"section grid of {count}^{len(free)} cells exceeds {SECTION_MAX_CELLS}"
+        )
+    ticks = [lo + t * step for t in range(count)] if free else []
 
     col_axis = free[0] if free else None
     row_axis = free[1] if len(free) > 1 else None

@@ -22,7 +22,7 @@ from .errors import (
     ValidationFailed,
 )
 from .exactlin import solve_rational
-from .scalars import rational_from_str, rational_to_str
+from .scalars import int_from_json, rational_from_str, rational_to_str
 
 Vector = tuple[Fraction, ...]
 
@@ -106,18 +106,18 @@ class GameGraph:
     def from_json(cls, obj: dict) -> "GameGraph":
         edges = tuple(
             Edge(
-                id=int(e["id"]),
-                tail=int(e["tail"]),
-                head=int(e["head"]),
+                id=int_from_json(e["id"]),
+                tail=int_from_json(e["tail"]),
+                head=int_from_json(e["head"]),
                 payoff=None if e.get("payoff") is None else rational_from_str(e["payoff"]),
                 prob=None if e.get("prob") is None else rational_from_str(e["prob"]),
             )
             for e in obj["edges"]
         )
         return cls(
-            tuple(int(v) for v in obj["min"]),
-            tuple(int(v) for v in obj["max"]),
-            tuple(int(v) for v in obj["random"]),
+            tuple(int_from_json(v) for v in obj["min"]),
+            tuple(int_from_json(v) for v in obj["max"]),
+            tuple(int_from_json(v) for v in obj["random"]),
             edges,
         )
 
@@ -340,14 +340,15 @@ class MinMaxOperator:
     @classmethod
     def from_json(cls, obj: dict) -> "MinMaxOperator":
         return cls(
-            n=int(obj["n"]),
+            n=int_from_json(obj["n"]),
             matrices=tuple(
                 tuple(tuple(rational_from_str(v) for v in row) for row in mat)
                 for mat in obj["matrices"]
             ),
             offsets=tuple(tuple(rational_from_str(v) for v in b) for b in obj["offsets"]),
             subsets=tuple(
-                tuple(tuple(int(i) for i in s) for s in per_k) for per_k in obj["subsets"]
+                tuple(tuple(int_from_json(i) for i in s) for s in per_k)
+                for per_k in obj["subsets"]
             ),
         )
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, EmptyBelow
 from .sampling import rng_for, sample_rational, sample_vector
-from .scalars import rational_from_str, rational_to_str
+from .scalars import int_from_json, rational_from_str, rational_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -58,7 +58,7 @@ class PolyhedralUnion:
             )
             for piece in obj["pieces"]
         )
-        return cls(int(obj["n"]), pieces)
+        return cls(int_from_json(obj["n"]), pieces)
 
 
 class _Unbounded(Exception):

@@ -27,7 +27,7 @@ from .errors import (
     SupportMismatch,
 )
 from .graph import GameGraph
-from .scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
+from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, tadd, tmul
 from .transforms import is_compliant
 
 Entry = dict  # variable index (0 = constant) -> SignedTrop
@@ -95,33 +95,67 @@ class MetzlerPencil:
         return all(0 not in entry for entry in self.entries.values())
 
     def to_json(self) -> dict:
-        matrices = []
-        for k in range(self.n + 1):
-            mat = [[SignedTrop.zero().to_json() for _ in range(self.m)] for _ in range(self.m)]
-            for (i, j), entry in self.entries.items():
-                c = entry.get(k)
-                if c is not None:
-                    mat[i][j] = c.to_json()
-                    mat[j][i] = c.to_json()
-            matrices.append(mat)
-        return {"m": self.m, "n": self.n, "matrices": matrices}
+        """The file form: one [i, j, k, sign, "abs"] per nonzero coefficient
+        of the upper triangle, sorted by (i, j, k)."""
+        cells = sorted(
+            [i, j, k, c.sign, c.modulus.to_str()]
+            for (i, j), entry in self.entries.items()
+            for k, c in entry.items()
+        )
+        return {"m": self.m, "n": self.n, "entries": cells}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MetzlerPencil":
-        m, n = int(obj["m"]), int(obj["n"])
-        matrices = obj["matrices"]
-        if len(matrices) != n + 1:
-            raise ValueError(f"{len(matrices)} matrices, expected n + 1 = {n + 1}")
-        if any(len(mat) != m or any(len(row) != m for row in mat) for mat in matrices):
-            raise ValueError(f"every matrix must be {m}x{m}")
+        """Read the sparse "entries" form, or the dense "matrices" form of
+        earlier versions. The file is outside input: a bad size, index, sign
+        or modulus, or a repeated coefficient, raises ValueError."""
+        m, n = int_from_json(obj["m"]), int_from_json(obj["n"])
+        if m < 0 or n < 0:
+            raise ValueError(f"negative pencil size m = {m}, n = {n}")
+        if ("entries" in obj) == ("matrices" in obj):
+            raise ValueError('a pencil needs exactly one of "entries" and "matrices"')
+        if "entries" in obj:
+            cells = _sparse_cells(obj["entries"])
+        else:
+            cells = _dense_cells(obj["matrices"], m, n)
         entries: dict = {}
-        for k, mat in enumerate(matrices):
-            for i in range(m):
-                for j in range(i, m):
-                    c = SignedTrop.from_json(mat[i][j])
-                    if not c.is_zero:
-                        _merge_coeff(entries.setdefault((i, j), {}), k, c)
+        for i, j, k, c in cells:
+            entry = entries.setdefault((i, j), {})
+            if k in entry:
+                raise ValueError(f"coefficient ({i},{j},{k}) given twice")
+            entry[k] = c
         return cls(m, n, entries)
+
+
+def _sparse_cells(items):
+    """(i, j, k, coefficient) per sparse entry; the pencil checks ranges."""
+    for item in items:
+        if not isinstance(item, list) or len(item) != 5:
+            raise ValueError(f"pencil entry {item!r} is not [i, j, k, sign, abs]")
+        i, j, k, sign, modulus = item
+        if int_from_json(sign) not in (-1, 1):
+            raise ValueError(f"pencil entry sign {sign!r} is not -1 or 1")
+        if not isinstance(modulus, str):
+            raise ValueError(f"pencil entry modulus {modulus!r} is not a rational string")
+        c = SignedTrop(sign, Trop.from_str(modulus))
+        yield int_from_json(i), int_from_json(j), int_from_json(k), c
+
+
+def _dense_cells(matrices, m: int, n: int):
+    """(i, j, k, coefficient) per nonzero upper-triangle cell of n + 1
+    symmetric m x m matrices."""
+    if len(matrices) != n + 1:
+        raise ValueError(f"{len(matrices)} matrices, expected n + 1 = {n + 1}")
+    if any(len(mat) != m or any(len(row) != m for row in mat) for mat in matrices):
+        raise ValueError(f"every matrix must be {m}x{m}")
+    for k, mat in enumerate(matrices):
+        for i in range(m):
+            for j in range(i, m):
+                c = SignedTrop.from_json(mat[i][j])
+                if j > i and SignedTrop.from_json(mat[j][i]) != c:
+                    raise ValueError(f"matrix {k} is not symmetric at ({i},{j})")
+                if not c.is_zero:
+                    yield i, j, k, c
 
 
 def to_trop_vector(x) -> Point:

@@ -15,6 +15,29 @@ from .errors import ArityMismatch, MixedSigns
 RationalLike = Union[int, Fraction]
 
 
+def rational_to_str(r: Fraction) -> str:
+    return f"{r.numerator}/{r.denominator}"
+
+
+def rational_from_str(s) -> Fraction:
+    """A rational from JSON: a string such as "-7/3" or an integer. Floats
+    (and booleans) are rejected, since they are rarely the value meant."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ValueError(f"expected a rational string or an integer, got {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc
+
+
+def int_from_json(v) -> int:
+    """An integer from JSON, such as an id, an index or a size. Floats,
+    numeric strings and booleans are rejected rather than truncated."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
 class Trop:
     """An element of R union {-inf} with max as addition and + as product."""
 
@@ -116,7 +139,7 @@ class SignedTrop:
     __slots__ = ("sign", "modulus")
 
     def __init__(self, sign: int, modulus: Trop):
-        if sign not in (-1, 0, 1):
+        if int_from_json(sign) not in (-1, 0, 1):
             raise ValueError(f"invalid sign {sign!r}")
         if (sign == 0) != modulus.is_neg_inf:
             raise ValueError("sign 0 iff modulus is -inf")
@@ -230,18 +253,3 @@ class TropPolynomial:
 
 def poly_eval_pm(poly: TropPolynomial, x) -> tuple[Trop, Trop]:
     return poly.eval_pm(x)
-
-
-def rational_to_str(r: Fraction) -> str:
-    return f"{r.numerator}/{r.denominator}"
-
-
-def rational_from_str(s) -> Fraction:
-    """A rational from JSON: a string such as "-7/3" or an integer. Floats
-    (and booleans) are rejected, since they are rarely the value meant."""
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise ValueError(f"expected a rational string or an integer, got {s!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {s!r}") from exc

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the code paths under test: hull
 membership by brute-force subset search, linear programming by exhaustive
-vertex enumeration over exact square solves, and the one-pass edge split of
-`pipeline` by splitting one edge at a time.
+vertex enumeration over exact square solves, the one-pass edge split of
+`pipeline` by splitting one edge at a time, and the sparse pencil file by
+the dense matrix form that earlier versions wrote.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from tropcone.convex import TropPointSet, cone_member
 from tropcone.errors import SingularSystem
 from tropcone.exactlin import solve_rational
 from tropcone.graph import Edge, GameGraph, MinMaxOperator, graph_from_minmax, require_valid
-from tropcone.scalars import Trop
+from tropcone.scalars import SignedTrop, Trop
 from tropcone.transforms import (
     first_transformation,
     is_compliant,
@@ -192,3 +193,18 @@ def sequential_pipeline(g):
         return x
 
     return current, lift
+
+
+def dense_pencil_json(pencil) -> dict:
+    """The dense pencil file of earlier versions: n + 1 symmetric m x m
+    matrices of signed entries, -inf cells included."""
+    matrices = []
+    for k in range(pencil.n + 1):
+        mat = [[SignedTrop.zero().to_json() for _ in range(pencil.m)] for _ in range(pencil.m)]
+        for (i, j), entry in pencil.entries.items():
+            c = entry.get(k)
+            if c is not None:
+                mat[i][j] = c.to_json()
+                mat[j][i] = c.to_json()
+        matrices.append(mat)
+    return {"m": pencil.m, "n": pencil.n, "matrices": matrices}

@@ -1,19 +1,31 @@
 """Command-line surface: exit codes, JSON output, and determinism."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from tropcone.cli import main
+from tropcone import cli
+from tropcone.cli import SECTION_MAX_CELLS, main
 from tropcone.fixtures import TWO_PI, example_graph
 from tropcone.graph import Edge, GameGraph
-from tropcone.pencil import synthesize_cone
+from tropcone.pencil import MetzlerPencil, synthesize_cone
 from tropcone.scalars import rational_to_str
 from tropcone.transforms import pipeline
 
 F = Fraction
 ZERO = {"sign": 0, "abs": "-inf"}
+NEG = {"sign": -1, "abs": "0/1"}
+Z2 = [[ZERO, ZERO], [ZERO, ZERO]]
+
+
+def dense(*matrices):
+    return {"m": 2, "n": len(matrices) - 1, "matrices": list(matrices)}
+
+
+def sparse(*cells):
+    return {"m": 2, "n": 1, "entries": list(cells)}
 
 
 @pytest.fixture
@@ -93,18 +105,55 @@ class TestExitCodes:
         assert json.loads(out)["ok"] is True
 
     @pytest.mark.parametrize(
-        "matrices, n",
+        "pencil",
         [
-            ([], 3),
-            ([[[ZERO, ZERO], [ZERO, ZERO]], [[ZERO, ZERO]]], 1),
-            ([[[ZERO, ZERO], [ZERO, ZERO]], [[ZERO, ZERO], [ZERO, {"sign": 1, "abs": 0.5}]]], 1),
+            # Dense form: no matrices, a 1x2 matrix, a float entry, and a
+            # lower triangle that differs from the upper.
+            pytest.param({"m": 2, "n": 3, "matrices": []}, id="matrices0-3"),
+            pytest.param(dense(Z2, [[ZERO, ZERO]]), id="matrices1-1"),
+            pytest.param(
+                dense(Z2, [[ZERO, ZERO], [ZERO, {"sign": 1, "abs": 0.5}]]), id="matrices2-1"
+            ),
+            pytest.param(
+                dense([[ZERO, NEG], [ZERO, ZERO]], [[ZERO, ZERO], [ZERO, ZERO]]),
+                id="dense-asymmetric",
+            ),
+            # Sparse form.
+            pytest.param(sparse([0, 2, 1, 1, "0"]), id="sparse-index-out-of-range"),
+            pytest.param(sparse([0, 0, 2, 1, "0"]), id="sparse-variable-out-of-range"),
+            pytest.param(sparse([1, 0, 1, -1, "0"]), id="sparse-i-above-j"),
+            pytest.param(sparse([0, 0, 1, 1, "0"], [0, 0, 1, 1, "1"]), id="sparse-duplicate"),
+            pytest.param(sparse([0, 0, 1, 1, 0.5]), id="sparse-float-modulus"),
+            pytest.param(sparse([0, 0, 1, True, "0"]), id="sparse-bool-sign"),
+            pytest.param(sparse([0, 0, 1.0, 1, "0"]), id="sparse-float-index"),
+            pytest.param(sparse([0, 1, 1, 1, "0"]), id="sparse-positive-off-diagonal"),
+            pytest.param(sparse([0, 0, 1, 1, "-inf"]), id="sparse-inf-modulus"),
+            pytest.param(sparse([0, 0, 1, 1]), id="sparse-short-entry"),
+            pytest.param(
+                {**sparse([0, 0, 1, 1, "0"]), "matrices": [Z2, Z2]}, id="both-keys"
+            ),
+            pytest.param({"m": 2, "n": 1}, id="neither-key"),
+            pytest.param({**sparse(), "m": "2"}, id="string-size"),
         ],
     )
-    def test_malformed_pencil_exits_two(self, capsys, tmp_path, matrices, n):
-        # No matrices, a 1x2 matrix, and a float entry.
+    def test_malformed_pencil_exits_two(self, capsys, tmp_path, pencil):
         path = tmp_path / "pencil.json"
-        path.write_text(json.dumps({"m": 2, "n": n, "matrices": matrices}))
-        code, out = run(capsys, "member", str(path), "--point", ",".join(["0"] * n))
+        path.write_text(json.dumps(pencil))
+        point = ",".join(["0"] * pencil["n"])
+        code, out = run(capsys, "member", str(path), "--point", point)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("value", [1.7, "2", True])
+    def test_non_integer_id_exits_two(self, capsys, tmp_path, value):
+        # Each value is put where int() would read it as an id the graph
+        # already has, so only a strict reader tells it apart.
+        obj = example_graph().to_json()
+        edge = next(e for e in obj["edges"] if e["id"] == int(value))
+        edge["id"] = value
+        path = tmp_path / "bad_id.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, "validate", str(path))
         assert code == 2
         assert out == ""
 
@@ -147,7 +196,8 @@ class TestCommands:
         expected = synthesize_cone(pipeline(example_graph())[0])
         assert obj["m"] == expected.m
         assert obj["n"] == expected.n
-        assert obj["matrices"] == expected.to_json()["matrices"]
+        assert obj["entries"] == expected.to_json()["entries"]
+        assert MetzlerPencil.from_json(obj).entries == expected.entries
 
     def test_member(self, capsys, tmp_path):
         pencil = synthesize_cone(pipeline(example_graph())[0])
@@ -245,6 +295,25 @@ class TestSectionCommand:
             "--fix", "zebra", "--lo", "0", "--hi", "1", "--step", "1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "fix, hi, step",
+        [
+            (["3=0"], str(math.isqrt(SECTION_MAX_CELLS)), "1"),
+            (["2=0", "3=0"], "1000", "1/1000"),
+        ],
+    )
+    def test_oversized_grid_exits_two(self, capsys, graph_file, monkeypatch, fix, hi, step):
+        # One tick past the cell bound; no cell may be evaluated.
+        def no_cells(*_):
+            raise AssertionError("section evaluated a cell")
+
+        monkeypatch.setattr(cli, "subfixed", no_cells)
+        fixes = [arg for value in fix for arg in ("--fix", value)]
+        code, out = run(capsys, "section", graph_file, *fixes,
+                        "--lo", "0", "--hi", hi, "--step", step)
+        assert code == 2
+        assert out == ""
 
     def test_too_many_free_coordinates(self, capsys, graph_file):
         code, _ = run(capsys, "section", graph_file, "--lo", "0", "--hi", "1", "--step", "1")

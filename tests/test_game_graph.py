@@ -292,3 +292,12 @@ class TestSerialization:
         op = example_minmax()
         back = MinMaxOperator.from_json(op.to_json())
         assert back.to_json() == op.to_json()
+
+    def test_minmax_sizes_and_indices_are_integers(self):
+        obj = example_minmax().to_json()
+        with pytest.raises(ValueError):
+            MinMaxOperator.from_json({**obj, "n": float(obj["n"])})
+        subsets = [[list(s) for s in per_k] for per_k in obj["subsets"]]
+        subsets[0][0][0] = str(subsets[0][0][0])
+        with pytest.raises(ValueError):
+            MinMaxOperator.from_json({**obj, "subsets": subsets})

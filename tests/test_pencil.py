@@ -1,11 +1,12 @@
 """Metzler pencils: membership, synthesis from compliant graphs, the
 homogenization combinators, unions, and stratum assembly."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from support import random_compliant_graph
+from support import dense_pencil_json, random_compliant_graph
 from tropcone.convex import TropPointSet, hull_member
 from tropcone.errors import (
     DimensionMismatch,
@@ -87,6 +88,59 @@ class TestMembership:
         for i in range(20):
             x = sample_trop_vector(rng_for(131, i), p.n, 5, 6)
             assert pencil_member(back, x) == pencil_member(p, x)
+
+
+def _example_cone():
+    return synthesize_cone(pipeline(example_graph())[0])
+
+
+def _two_axis_strata():
+    line1 = pencil_from_generators(TropPointSet(1, ((T(0),), (T(3),))))
+    line2 = pencil_from_generators(TropPointSet(1, ((T(-1),), (T(2),))))
+    return assemble_strata(2, [((0,), line1), ((1,), line2)]).pencil
+
+
+PENCILS = {
+    "synthesize_cone": _example_cone,
+    "random_compliant": lambda: synthesize_cone(random_compliant_graph(rng_for(149, 0))),
+    "affine_envelope": lambda: affine_envelope(_example_cone()),
+    "union_pencil": lambda: union_pencil(
+        pencil_from_point((Z, T(1))), pencil_from_point((T(2), NEG_INF))
+    ).pencil,
+    "assemble_strata": _two_axis_strata,
+}
+
+
+class TestPencilFile:
+    @pytest.mark.parametrize("name", sorted(PENCILS))
+    def test_dense_and_sparse_forms_agree(self, name):
+        p = PENCILS[name]()
+        sparse = MetzlerPencil.from_json(p.to_json())
+        dense = MetzlerPencil.from_json(dense_pencil_json(p))
+        assert (sparse.m, sparse.n) == (dense.m, dense.n) == (p.m, p.n)
+        assert sparse.entries == dense.entries == p.entries
+
+    @pytest.mark.parametrize("name", sorted(PENCILS))
+    def test_round_trip_is_exact(self, name):
+        p = PENCILS[name]()
+        obj = json.loads(json.dumps(p.to_json()))
+        back = MetzlerPencil.from_json(obj)
+        assert (back.m, back.n, back.entries) == (p.m, p.n, p.entries)
+        assert back.to_json() == obj
+
+    def test_only_nonzero_cells_sorted(self):
+        p = _example_cone()
+        cells = p.to_json()["entries"]
+        assert len(cells) == sum(len(entry) for entry in p.entries.values())
+        keys = [tuple(cell[:3]) for cell in cells]
+        assert keys == sorted(set(keys))
+        assert all(cell[3] in (-1, 1) for cell in cells)
+
+    def test_dense_asymmetric_rejected(self):
+        obj = dense_pencil_json(halfspace_pencil())
+        obj["matrices"][0][1][0] = SignedTrop.neg(5).to_json()
+        with pytest.raises(ValueError, match="not symmetric"):
+            MetzlerPencil.from_json(obj)
 
 
 class TestSynthesis:

@@ -149,6 +149,11 @@ class TestSerialization:
         back = PolyhedralUnion.from_json(u.to_json())
         assert back.to_json() == u.to_json()
 
+    def test_dimension_is_an_integer(self):
+        obj = example_union().to_json()
+        with pytest.raises(ValueError):
+            PolyhedralUnion.from_json({**obj, "n": float(obj["n"])})
+
     def test_needs_a_piece(self):
         with pytest.raises(ValueError):
             PolyhedralUnion(2, ())

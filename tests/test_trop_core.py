@@ -107,6 +107,11 @@ class TestSignedTrop:
         with pytest.raises(ValueError):
             SignedTrop(1, NEG_INF)
 
+    @pytest.mark.parametrize("sign", [True, 1.0, "1"])
+    def test_sign_must_be_an_integer(self, sign):
+        with pytest.raises(ValueError):
+            SignedTrop(sign, Trop(1))
+
     def test_json_round_trip(self):
         for s in (SignedTrop.zero(), SignedTrop.pos(Fraction(2, 7)), SignedTrop.neg(-1)):
             assert SignedTrop.from_json(s.to_json()) == s
