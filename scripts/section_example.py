@@ -8,24 +8,25 @@ from low to high), ready for plotting with any external tool.
 import argparse
 from fractions import Fraction
 
+from tropcone.cli import section_ticks
+from tropcone.errors import MalformedInput
 from tropcone.fixtures import example_graph
 from tropcone.graph import subfixed
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lo", type=Fraction, default=Fraction(-9, 2))
     parser.add_argument("--hi", type=Fraction, default=Fraction(5, 2))
     parser.add_argument("--step", type=Fraction, default=Fraction(1, 4))
     parser.add_argument("--x3", type=Fraction, default=Fraction(0))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        ticks = section_ticks(args.lo, args.hi, args.step, 2)
+    except MalformedInput as exc:
+        parser.error(str(exc))
 
     g = example_graph()
-    ticks = []
-    v = args.lo
-    while v <= args.hi:
-        ticks.append(v)
-        v += args.step
     for y in reversed(ticks):
         print(",".join("1" if subfixed(g, (x, y, args.x3)) else "0" for x in ticks))
 

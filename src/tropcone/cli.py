@@ -154,6 +154,19 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def section_ticks(lo: Fraction, hi: Fraction, step: Fraction, axes: int) -> list:
+    """The ticks lo, lo + step, ... up to hi of a grid with `axes` free axes,
+    checked against SECTION_MAX_CELLS before any tick is built."""
+    if step <= 0 or hi < lo:
+        raise MalformedInput("need --step > 0 and --hi >= --lo")
+    count = (hi - lo) // step + 1
+    if count ** axes > SECTION_MAX_CELLS:
+        raise MalformedInput(
+            f"section grid of {count}^{axes} cells exceeds {SECTION_MAX_CELLS}"
+        )
+    return [lo + t * step for t in range(count)] if axes else []
+
+
 def cmd_section(args) -> int:
     g = _load_graph(args.graph)
     n = g.n
@@ -171,15 +184,7 @@ def cmd_section(args) -> int:
         lo, hi, step = Fraction(args.lo), Fraction(args.hi), Fraction(args.step)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput("bad --lo/--hi/--step") from exc
-    if step <= 0 or hi < lo:
-        raise MalformedInput("need --step > 0 and --hi >= --lo")
-
-    count = (hi - lo) // step + 1
-    if count ** len(free) > SECTION_MAX_CELLS:
-        raise MalformedInput(
-            f"section grid of {count}^{len(free)} cells exceeds {SECTION_MAX_CELLS}"
-        )
-    ticks = [lo + t * step for t in range(count)] if free else []
+    ticks = section_ticks(lo, hi, step, len(free))
 
     col_axis = free[0] if free else None
     row_axis = free[1] if len(free) > 1 else None

@@ -2,8 +2,12 @@
 
 A closed semilinear real tropical cone given as U = union of {x : Ax <= b}
 has the canonical operator F_k(x) = max over pieces of max{y_k : Ay <= b,
-y <= x}. The inner maximum is solved exactly with a two-phase rational
-simplex (Bland's rule, no cycling).
+y <= x}. The inner maximum is solved exactly by a rational simplex with
+Bland's rule (no cycling), whose reduced costs ride in the tableau as an
+objective row that every pivot updates. Phase 1 runs once per (piece,
+point) and phase 2 once per coordinate on a copy of its basis; the
+operator skips coordinates that already reach x_k and stops going through
+pieces once F(x) = x.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ class PolyhedralUnion:
     pieces: tuple[tuple[Matrix, Vector], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a polyhedral union needs dimension at least 1, not {self.n}")
         if not self.pieces:
             raise ValueError("a polyhedral union needs at least one piece")
         for a, b in self.pieces:
@@ -61,94 +67,87 @@ class PolyhedralUnion:
         return cls(int_from_json(obj["n"]), pieces)
 
 
-class _Unbounded(Exception):
-    pass
-
-
 def _pivot(tableau, basis, row, col):
+    """Pivot on (row, col) in every row, an objective row included; rows
+    are replaced, never mutated, so tableau copies may share them."""
     piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
+    pivot_row = tableau[row] = [v / piv for v in tableau[row]]
     for i, line in enumerate(tableau):
-        if i != row and line[col] != 0:
-            f = line[col]
-            tableau[i] = [a - f * b for a, b in zip(line, tableau[row])]
+        f = line[col]
+        if i != row and f:
+            tableau[i] = [a - f * b if b else a for a, b in zip(line, pivot_row)]
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, costs, ncols):
-    m = len(tableau)
+def _simplex(tableau, basis, ncols):
+    """Bland's rule: the lowest column below ncols with a negative reduced
+    cost enters; the minimum ratio leaves, ties to the smaller basis index.
+    Both objectives here are bounded below by 0, so a ratio always exists."""
     while True:
-        reduced = [
-            costs[j] - sum(costs[basis[i]] * tableau[i][j] for i in range(m))
-            for j in range(ncols)
-        ]
-        enter = next((j for j in range(ncols) if reduced[j] < 0), None)
+        enter = next((j for j in range(ncols) if tableau[-1][j] < 0), None)
         if enter is None:
             return
-        candidates = [
-            (tableau[i][-1] / tableau[i][enter], basis[i], i)
-            for i in range(m)
-            if tableau[i][enter] > 0
-        ]
-        if not candidates:
-            raise _Unbounded
-        _, _, leave = min(candidates)
+        _, _, leave = min(
+            (line[-1] / line[enter], basis[i], i)
+            for i, line in enumerate(tableau[:-1])
+            if line[enter] > 0
+        )
         _pivot(tableau, basis, leave, enter)
 
 
-def _solve_min(c: Sequence[Fraction], g_rows, h) -> Optional[tuple[Fraction, list]]:
-    """min c.s subject to G s <= h, s >= 0; returns (value, s) or None if
-    infeasible; raises _Unbounded if the minimum is unbounded below."""
-    n = len(c)
-    m = len(g_rows)
+def _phase1(a: Matrix, b: Vector, x: Vector):
+    """A feasible basis of -A s <= b - Ax, s >= 0, which is {Ay <= b, y <= x}
+    under y = x - s: (constraint rows over s and the slacks, basis), or
+    None if the piece has no point below x. Rows with h_i < 0 are negated
+    and start on an artificial variable; phase 1 minimises their sum."""
+    n, m = len(x), len(a)
+    h = [bi - sum(av * xv for av, xv in zip(row, x)) for row, bi in zip(a, b)]
     neg_rows = [i for i in range(m) if h[i] < 0]
-    n_art = len(neg_rows)
-    ncols = n + m + n_art
-    art_index = {i: n + m + t for t, i in enumerate(neg_rows)}
-
-    tableau = []
-    basis = []
+    ncols = n + m + len(neg_rows)
+    tableau, basis = [], []
     for i in range(m):
         row = [Fraction(0)] * (ncols + 1)
         sign = -1 if h[i] < 0 else 1
         for j in range(n):
-            row[j] = sign * g_rows[i][j]
+            row[j] = -sign * a[i][j]
         row[n + i] = Fraction(sign)
         row[-1] = sign * h[i]
-        if h[i] < 0:
-            row[art_index[i]] = Fraction(1)
-            basis.append(art_index[i])
-        else:
-            basis.append(n + i)
+        basis.append(n + i)
         tableau.append(row)
-
-    if n_art:
-        phase1 = [Fraction(0)] * ncols
-        for i in neg_rows:
-            phase1[art_index[i]] = Fraction(1)
-        _run_simplex(tableau, basis, phase1, ncols)
-        value = sum(phase1[basis[i]] * tableau[i][-1] for i in range(m))
-        if value > 0:
+    # Reduced costs of "minimise the artificials": 1 on each artificial
+    # column minus the sum of the rows they start on.
+    objective = [Fraction(0)] * (ncols + 1)
+    for t, i in enumerate(neg_rows):
+        tableau[i][n + m + t] = Fraction(1)
+        basis[i] = n + m + t
+        objective = [o - v for o, v in zip(objective, tableau[i])]
+        objective[n + m + t] += 1
+    if neg_rows:
+        tableau.append(objective)
+        _simplex(tableau, basis, ncols)
+        if tableau.pop()[-1] != 0:
             return None
+        # An artificial still basic sits at zero; pivot it out on any real
+        # column, or leave it on its redundant, all-zero row.
         for i in range(m):
             if basis[i] >= n + m:
-                col = next(
-                    (j for j in range(n + m) if tableau[i][j] != 0), None
-                )
+                col = next((j for j in range(n + m) if tableau[i][j] != 0), None)
                 if col is not None:
                     _pivot(tableau, basis, i, col)
+    return [row[: n + m] + row[-1:] for row in tableau], basis
 
-    phase2 = list(c) + [Fraction(0)] * (ncols - n)
-    for t in range(n + m, ncols):
-        phase2[t] = Fraction(0)
-    _run_simplex(tableau, basis, phase2, n + m)
 
-    solution = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            solution[basis[i]] = tableau[i][-1]
-    value = sum(ci * si for ci, si in zip(c, solution))
-    return value, solution
+def _phase2(start, x: Vector, k: int) -> Fraction:
+    """max y_k = x_k - min s_k from a feasible basis of _phase1, solved on a
+    copy so that the basis serves every coordinate."""
+    rows, basis = start
+    objective = [Fraction(0)] * (len(x) + len(rows) + 1)
+    objective[k] = Fraction(1)
+    if k in basis:
+        objective = [o - v for o, v in zip(objective, rows[basis.index(k)])]
+    tableau = rows + [objective]
+    _simplex(tableau, list(basis), len(objective) - 1)
+    return x[k] + tableau[-1][-1]
 
 
 def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Fraction]:
@@ -160,21 +159,13 @@ def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Frac
     n = len(x)
     if any(len(row) != n for row in a):
         raise DimensionMismatch("matrix width does not match the point")
+    if len(a) != len(b):
+        raise DimensionMismatch("matrix and vector of different heights")
     if not 0 <= k < n:
         raise DimensionMismatch(f"coordinate {k} out of range")
     x = tuple(Fraction(v) for v in x)
-    g_rows = [tuple(-v for v in row) for row in a]
-    h = [bi - sum(av * xv for av, xv in zip(row, x)) for row, bi in zip(a, b)]
-    c = [Fraction(0)] * n
-    c[k] = Fraction(1)
-    try:
-        res = _solve_min(c, g_rows, h)
-    except _Unbounded:  # pragma: no cover - impossible by construction
-        raise AssertionError("objective bounded below by 0 cannot be unbounded")
-    if res is None:
-        return None
-    value, _ = res
-    return x[k] - value
+    start = _phase1(a, b, x)
+    return None if start is None else _phase2(start, x, k)
 
 
 def union_member(u: PolyhedralUnion, x: Sequence[Fraction]) -> bool:
@@ -194,17 +185,23 @@ def eval_F_from_polyhedra(u: PolyhedralUnion, x: Sequence[Fraction]) -> Vector:
     x = tuple(Fraction(v) for v in x)
     if len(x) != u.n:
         raise DimensionMismatch(f"point of length {len(x)} in dimension {u.n}")
-    result = []
-    for k in range(u.n):
-        best = None
-        for a, b in u.pieces:
-            opt = lp_max(a, b, x, k)
-            if opt is not None and (best is None or opt > best):
-                best = opt
-        if best is None:
-            raise EmptyBelow(f"no point of the union lies below {x}")
-        result.append(best)
-    return tuple(result)
+    best = None
+    for a, b in u.pieces:
+        start = _phase1(a, b, x)
+        if start is None:
+            continue
+        # No LP value exceeds x_k, so a coordinate already at x_k is final.
+        best = [
+            _phase2(start, x, k) if best is None
+            else best[k] if best[k] == x[k]
+            else max(best[k], _phase2(start, x, k))
+            for k in range(u.n)
+        ]
+        if best == list(x):
+            break
+    if best is None:
+        raise EmptyBelow(f"no point of the union lies below {x}")
+    return tuple(best)
 
 
 def tropical_convexity_falsifier(

@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, JSON output, and determinism."""
 
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +320,40 @@ class TestSectionCommand:
     def test_too_many_free_coordinates(self, capsys, graph_file):
         code, _ = run(capsys, "section", graph_file, "--lo", "0", "--hi", "1", "--step", "1")
         assert code == 2
+
+
+def load_section_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "section_example.py"
+    spec = importlib.util.spec_from_file_location("section_example", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSectionScript:
+    def test_default_grid(self, capsys):
+        load_section_script().main([])
+        rows = capsys.readouterr().out.strip().split("\n")
+        assert len(rows) == 29 and all(len(row.split(",")) == 29 for row in rows)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--step", "0"],
+            ["--step", "-1/4"],
+            ["--lo", "1", "--hi", "0"],
+            ["--lo", "0", "--hi", str(math.isqrt(SECTION_MAX_CELLS)), "--step", "1"],
+        ],
+    )
+    def test_bad_grid_exits_two(self, capsys, monkeypatch, args):
+        # The ticks are checked before any is built; no cell may be evaluated.
+        script = load_section_script()
+
+        def no_cells(*_):
+            raise AssertionError("section script evaluated a cell")
+
+        monkeypatch.setattr(script, "subfixed", no_cells)
+        with pytest.raises(SystemExit) as exc:
+            script.main(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""

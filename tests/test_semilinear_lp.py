@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from support import lp_max_oracle, small_rational
+from tropcone import lp as lp_module
 from tropcone.errors import DimensionMismatch, EmptyBelow
 from tropcone.fixtures import example_graph, example_union
 from tropcone.graph import subfixed
@@ -47,6 +48,8 @@ class TestLpMax:
             lp_max(((F(1),),), (F(0),), (F(1), F(2)), 0)
         with pytest.raises(DimensionMismatch):
             lp_max((), (), (F(1),), 3)
+        with pytest.raises(DimensionMismatch):
+            lp_max(((F(1),),), (F(0), F(-5)), (F(1),), 0)
 
     def test_matches_vertex_enumeration_oracle(self):
         for trial in range(30):
@@ -119,6 +122,83 @@ class TestEvalF:
             assert union_member(u, x) == all(a <= b for a, b in zip(x, fx))
 
 
+def random_piece(rng, n, x):
+    """A piece of 1-4 random rows, or of none. Half the time a row that x
+    violates is repeated, as is or doubled, so phase 1 starts degenerate;
+    three times in ten a row y_0 >= x_0 + 1 makes the piece infeasible
+    below x."""
+    if rng.random() < 0.15:
+        return (), ()
+    a = [tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+    b = [small_rational(rng, 5, 4) for _ in a]
+    violated = [i for i, (row, bi) in enumerate(zip(a, b))
+                if sum(av * xv for av, xv in zip(row, x)) > bi]
+    if violated and rng.random() < 0.5:
+        i = rng.choice(violated)
+        scale = rng.choice((1, 2))
+        a.append(tuple(scale * v for v in a[i]))
+        b.append(scale * b[i])
+    if rng.random() < 0.3:
+        a.append(tuple(F(-int(j == 0)) for j in range(n)))
+        b.append(-x[0] - 1)
+    return tuple(a), tuple(b)
+
+
+def column_maxima(pieces, x, solve):
+    """Per coordinate, the largest `solve(a, b, x, k)` over the pieces;
+    None where every piece is infeasible."""
+    best = []
+    for k in range(len(x)):
+        values = [v for a, b in pieces if (v := solve(a, b, x, k)) is not None]
+        best.append(max(values) if values else None)
+    return tuple(best)
+
+
+class TestDifferential:
+    """eval_F against the per-coordinate maxima of separate LPs, on seeded
+    unions with degenerate, empty and infeasible pieces."""
+
+    def test_matches_lp_max_and_oracle(self):
+        kinds = {"empty": 0, "no rows": 0, "degenerate": 0}
+        for trial in range(60):
+            rng = rng_for(283, trial)
+            n = rng.randint(1, 4)
+            x = sample_vector(rng, n, 5, 4)
+            pieces = tuple(random_piece(rng, n, x) for _ in range(rng.randint(1, 3)))
+            by_lp = column_maxima(pieces, x, lp_max)
+            assert by_lp == column_maxima(pieces, x, lp_max_oracle)
+            try:
+                fx = eval_F_from_polyhedra(PolyhedralUnion(n, pieces), x)
+            except EmptyBelow:
+                kinds["empty"] += 1
+                assert by_lp == (None,) * n
+            else:
+                assert fx == by_lp
+            kinds["no rows"] += any(not a for a, _ in pieces)
+            kinds["degenerate"] += any(len(set(a)) < len(a) for a, _ in pieces)
+        assert all(kinds.values()), kinds
+
+    def test_one_phase_one_per_piece(self, monkeypatch):
+        calls = []
+        phase1 = lp_module._phase1
+
+        def counting(a, b, x):
+            calls.append((a, b))
+            return phase1(a, b, x)
+
+        monkeypatch.setattr(lp_module, "_phase1", counting)
+        for u in (example_union(), halfplane()):
+            for i in range(20):
+                x = sample_vector(rng_for(293, i), u.n, 4, 4)
+                calls.clear()
+                try:
+                    eval_F_from_polyhedra(u, x)
+                except EmptyBelow:
+                    pass
+                assert 1 <= len(calls) <= len(u.pieces)
+                assert len(set(calls)) == len(calls)
+
+
 class TestFalsifier:
     def test_tropically_convex_set_passes(self):
         assert tropical_convexity_falsifier(halfplane(), trials=200, seed=7) is None
@@ -157,3 +237,16 @@ class TestSerialization:
     def test_needs_a_piece(self):
         with pytest.raises(ValueError):
             PolyhedralUnion(2, ())
+
+    @pytest.mark.parametrize("n", [0, -1, -2])
+    def test_dimension_is_positive(self, n):
+        with pytest.raises(ValueError):
+            PolyhedralUnion(n, (((), ()),))
+        with pytest.raises(ValueError):
+            PolyhedralUnion.from_json({"n": n, "pieces": [{"A": [], "b": []}]})
+
+    def test_zero_dimension_rejected(self):
+        # In dimension 0 the piece {() <= -1} holds no point, yet the only
+        # vector below x = () is (), so F cannot tell it from a member.
+        with pytest.raises(ValueError):
+            PolyhedralUnion(0, ((((),), (F(-1),)),))
