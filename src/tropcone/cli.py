@@ -174,9 +174,12 @@ def cmd_section(args) -> int:
     for item in args.fix or []:
         try:
             coord, value = item.split("=", 1)
-            fixed[int(coord) - 1] = Fraction(value)
+            k, value = int(coord) - 1, Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"bad --fix value {item!r}") from exc
+        if not 0 <= k < n or k in fixed:
+            raise MalformedInput(f"--fix {item!r}: coordinate not in 1..{n} or fixed twice")
+        fixed[k] = value
     free = [k for k in range(n) if k not in fixed]
     if len(free) > 2:
         raise MalformedInput("section needs all but at most two coordinates fixed")

@@ -70,6 +70,11 @@ class GameGraph:
         return {v: i for i, v in enumerate(self.min_vertices)}
 
     @cached_property
+    def validation(self) -> "ValidationReport":
+        """The `validate_graph` report, computed once per graph."""
+        return validate_graph(self)
+
+    @cached_property
     def absorption_table(self) -> "AbsorptionTable":
         """Exact absorption table, solved once per graph after validation."""
         require_valid(self)
@@ -78,12 +83,6 @@ class GameGraph:
     @property
     def n(self) -> int:
         return len(self.min_vertices)
-
-    def next_vertex_id(self) -> int:
-        return max(self.kind, default=0) + 1
-
-    def next_edge_id(self) -> int:
-        return max((e.id for e in self.edges), default=0) + 1
 
     def to_json(self) -> dict:
         return {
@@ -210,9 +209,43 @@ def validate_graph(g: GameGraph) -> ValidationReport:
 
 
 def require_valid(g: GameGraph) -> None:
-    report = validate_graph(g)
-    if not report.ok:
-        raise ValidationFailed(report)
+    if not g.validation.ok:
+        raise ValidationFailed(g.validation)
+
+
+class _Builder:
+    """Mutable scratch copy of a graph with deterministic id allocation:
+    fresh vertex and edge ids count up from the largest ids of the copy."""
+
+    def __init__(self, g: GameGraph):
+        self.min_vertices = list(g.min_vertices)
+        self.max_vertices = list(g.max_vertices)
+        self.random_vertices = list(g.random_vertices)
+        self.edges = list(g.edges)
+        self._next_vertex = max(g.kind, default=0) + 1
+        self._next_edge = max((e.id for e in g.edges), default=0) + 1
+
+    def fresh_vertex(self) -> int:
+        v = self._next_vertex
+        self._next_vertex += 1
+        return v
+
+    def add_edge(self, tail, head, payoff=None, prob=None) -> Edge:
+        e = Edge(self._next_edge, tail, head, payoff=payoff, prob=prob)
+        self._next_edge += 1
+        self.edges.append(e)
+        return e
+
+    def out(self, v):
+        return [e for e in self.edges if e.tail == v]
+
+    def freeze(self) -> GameGraph:
+        return GameGraph(
+            tuple(self.min_vertices),
+            tuple(self.max_vertices),
+            tuple(self.random_vertices),
+            tuple(self.edges),
+        )
 
 
 class AbsorptionTable:
@@ -327,6 +360,30 @@ class MinMaxOperator:
     offsets: tuple[Vector, ...]
     subsets: tuple[tuple[tuple[int, ...], ...], ...]
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a min-max operator needs arity at least 1, not {self.n}")
+        if len(self.offsets) != len(self.matrices):
+            raise DimensionMismatch(
+                f"{len(self.matrices)} matrices but {len(self.offsets)} offset vectors"
+            )
+        for mat, b in zip(self.matrices, self.offsets):
+            if len(mat) != self.n or len(b) != self.n:
+                raise DimensionMismatch(
+                    f"matrix of {len(mat)} rows and {len(b)} offsets in arity {self.n}"
+                )
+            for row in mat:
+                if len(row) != self.n:
+                    raise DimensionMismatch(f"row of length {len(row)} in arity {self.n}")
+        if len(self.subsets) != self.n:
+            raise DimensionMismatch(f"{len(self.subsets)} min-term lists for arity {self.n}")
+        bad = [
+            s for per_k in self.subsets for s_ki in per_k for s in s_ki
+            if not 0 <= s < len(self.matrices)
+        ]
+        if bad:
+            raise ValueError(f"subset index {bad[0]} outside 0..{len(self.matrices) - 1}")
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -410,34 +467,21 @@ def graph_from_minmax(op: MinMaxOperator) -> GameGraph:
     if not report.ok:
         raise NonStochastic("; ".join(report.failures))
 
-    n = op.n
-    min_ids = list(range(1, n + 1))
-    max_ids = []
-    random_ids = []
-    edges = []
-    next_vertex = n + 1
-    next_edge = 1
-
-    for k in range(n):
-        for i, s_ki in enumerate(op.subsets[k]):
-            max_id = next_vertex
-            next_vertex += 1
-            max_ids.append(max_id)
-            edges.append(Edge(next_edge, min_ids[k], max_id, payoff=Fraction(0)))
-            next_edge += 1
+    # Min vertex k + 1 is coordinate k; fresh ids count up from n + 1.
+    b = _Builder(GameGraph(tuple(range(1, op.n + 1)), (), (), ()))
+    for k in range(op.n):
+        for s_ki in op.subsets[k]:
+            max_id = b.fresh_vertex()
+            b.max_vertices.append(max_id)
+            b.add_edge(k + 1, max_id, payoff=Fraction(0))
             for s in s_ki:
-                rand_id = next_vertex
-                next_vertex += 1
-                random_ids.append(rand_id)
-                edges.append(Edge(next_edge, max_id, rand_id, payoff=op.offsets[s][k]))
-                next_edge += 1
-                for l in range(n):
-                    if op.matrices[s][k][l] > 0:
-                        edges.append(
-                            Edge(next_edge, rand_id, min_ids[l], prob=op.matrices[s][k][l])
-                        )
-                        next_edge += 1
+                rand_id = b.fresh_vertex()
+                b.random_vertices.append(rand_id)
+                b.add_edge(max_id, rand_id, payoff=op.offsets[s][k])
+                for l, p in enumerate(op.matrices[s][k]):
+                    if p > 0:
+                        b.add_edge(rand_id, l + 1, prob=p)
 
-    g = GameGraph(tuple(min_ids), tuple(max_ids), tuple(random_ids), tuple(edges))
+    g = b.freeze()
     require_valid(g)
     return g

@@ -201,7 +201,6 @@ class ProjectedPencil:
     pencil: MetzlerPencil
     visible: int
     witness: Optional[Callable] = None
-    kind: str = "projection"
     gens: Optional[TropPointSet] = None
 
     def member(self, x) -> bool:
@@ -216,12 +215,6 @@ class ProjectedPencil:
             return pencil_member(self.pencil, x)
         lifted = self.witness(x)
         return lifted is not None and pencil_member(self.pencil, lifted)
-
-    def to_json(self) -> dict:
-        obj = self.pencil.to_json()
-        obj["visible"] = self.visible
-        obj["witness"] = None if self.witness is None else {"kind": self.kind}
-        return obj
 
 
 def _compliant_pairs(g: GameGraph):
@@ -387,7 +380,7 @@ def homogenize_projected(pp: ProjectedPencil) -> ProjectedPencil:
     if pp.gens is not None:
         zero = Trop(0)
         gens = TropPointSet(n_vis + 1, tuple((zero,) + tuple(g) for g in pp.gens.points))
-    return ProjectedPencil(pencil, n_vis + 1, witness, kind="homogenization", gens=gens)
+    return ProjectedPencil(pencil, n_vis + 1, witness, gens=gens)
 
 
 def union_pencil(pp1: ProjectedPencil, pp2: ProjectedPencil) -> ProjectedPencil:
@@ -454,7 +447,7 @@ def union_pencil(pp1: ProjectedPencil, pp2: ProjectedPencil) -> ProjectedPencil:
     gens = None
     if gens1 is not None and gens2 is not None:
         gens = TropPointSet(n, tuple(gens1) + tuple(gens2))
-    return ProjectedPencil(pencil, n, witness, kind="union", gens=gens)
+    return ProjectedPencil(pencil, n, witness, gens=gens)
 
 
 def pencil_from_point(g) -> ProjectedPencil:
@@ -473,17 +466,14 @@ def pencil_from_point(g) -> ProjectedPencil:
             row += 2
     pencil = MetzlerPencil(row, n, entries)
     return ProjectedPencil(
-        pencil, n, witness=lambda x: to_trop_vector(x), kind="point",
-        gens=TropPointSet(n, (g,)),
+        pencil, n, witness=lambda x: to_trop_vector(x), gens=TropPointSet(n, (g,))
     )
 
 
 def empty_pencil(n: int) -> ProjectedPencil:
     """The empty subset of T^n, via the single condition -inf >= 0."""
     pencil = MetzlerPencil(1, n, {(0, 0): {0: SignedTrop.neg(0)}})
-    return ProjectedPencil(
-        pencil, n, witness=lambda x: None, kind="empty", gens=TropPointSet(n, ())
-    )
+    return ProjectedPencil(pencil, n, witness=lambda x: None, gens=TropPointSet(n, ()))
 
 
 def pencil_from_generators(gens: TropPointSet) -> ProjectedPencil:
@@ -577,4 +567,4 @@ def _extend_to_support(n: int, support, pp: ProjectedPencil) -> ProjectedPencil:
                 point[k] = g[i]
             embedded.append(tuple(point))
         gens = TropPointSet(n, tuple(embedded))
-    return ProjectedPencil(pencil, n, witness, kind="stratum", gens=gens)
+    return ProjectedPencil(pencil, n, witness, gens=gens)

@@ -4,8 +4,10 @@ Three stages turn an arbitrary valid game graph into one whose Random
 vertices flip fair coins between two Max vertices:
 
 * `zwick_paterson`: replaces arbitrary rational distributions by chains of
-  fair coin flips (degree-one removal, degree lowering, binary gadget);
-  preserves the encoded operator exactly.
+  fair coin flips; preserves the encoded operator exactly. Each stage is
+  one pass over the Random vertices: degree-one removal bypasses them all
+  at once, degree lowering walks the growing vertex list, and each biased
+  vertex gets one binary gadget.
 * `first_transformation`: inserts a Min vertex after every Max out-edge and
   a Max vertex before every Min in-edge; the subfixed set of the input is
   the projection of the output's.
@@ -16,23 +18,22 @@ vertices flip fair coins between two Max vertices:
 edge in one pass that reads a single absorption table. It returns a witness map
 relating the two subfixed sets; a witness map is data, a list of rows that
 each define one new coordinate, so composing two is concatenation.
+
+Every stage builds its output with `graph._Builder` and checks it once; a
+graph's validation report and absorption table are cached on the graph, so
+no stage repeats them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Optional
 
 from .errors import DimensionMismatch, PreconditionViolated
-from .graph import (
-    Edge,
-    GameGraph,
-    absorption,
-    require_valid,
-    validate_graph,
-)
+from .graph import Edge, GameGraph, _Builder, absorption, require_valid
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -91,75 +92,44 @@ class GadgetRecord:
     new_vertices: tuple[int, ...]
 
 
-class _Builder:
-    """Mutable scratch copy of a graph with deterministic id allocation."""
-
-    def __init__(self, g: GameGraph):
-        self.min_vertices = list(g.min_vertices)
-        self.max_vertices = list(g.max_vertices)
-        self.random_vertices = list(g.random_vertices)
-        self.edges = list(g.edges)
-        self._next_vertex = g.next_vertex_id()
-        self._next_edge = g.next_edge_id()
-
-    def fresh_vertex(self) -> int:
-        v = self._next_vertex
-        self._next_vertex += 1
-        return v
-
-    def add_edge(self, tail, head, payoff=None, prob=None) -> Edge:
-        e = Edge(self._next_edge, tail, head, payoff=payoff, prob=prob)
-        self._next_edge += 1
-        self.edges.append(e)
-        return e
-
-    def out(self, v):
-        return [e for e in self.edges if e.tail == v]
-
-    def freeze(self) -> GameGraph:
-        return GameGraph(
-            tuple(self.min_vertices),
-            tuple(self.max_vertices),
-            tuple(self.random_vertices),
-            tuple(self.edges),
-        )
-
-
 def _remove_degree_one_randoms(b: _Builder) -> None:
-    while True:
-        victim = None
-        for v in b.random_vertices:
-            if len(b.out(v)) == 1:
-                victim = v
-                break
-        if victim is None:
-            return
-        (e,) = b.out(victim)
-        b.random_vertices.remove(victim)
-        b.edges = [
-            f if f.head != victim else Edge(f.id, f.tail, e.head, f.payoff, f.prob)
-            for f in b.edges
-            if f.id != e.id
-        ]
+    """Bypass every Random vertex of out-degree one. Bypassing one leaves
+    every other out-degree unchanged, so they are all found in one pass;
+    an edge into a chain of them is sent to the chain's first kept vertex,
+    which exists because every Random vertex of a valid graph reaches a
+    Min or Max vertex."""
+    degree = Counter(e.tail for e in b.edges)
+    randoms = set(b.random_vertices)
+    sole = {e.tail: e.head for e in b.edges if e.tail in randoms and degree[e.tail] == 1}
+    target = {}
+    for v, head in sole.items():
+        while head in sole:
+            head = sole[head]
+        target[v] = head
+    b.random_vertices = [v for v in b.random_vertices if v not in sole]
+    b.edges = [
+        f if f.head not in target else Edge(f.id, f.tail, target[f.head], f.payoff, f.prob)
+        for f in b.edges
+        if f.tail not in sole
+    ]
 
 
 def _lower_degrees(b: _Builder) -> None:
-    while True:
-        victim = None
-        for v in b.random_vertices:
-            if len(b.out(v)) > 2:
-                victim = v
-                break
-        if victim is None:
-            return
-        es = sorted(b.out(victim), key=attrgetter("id"))
-        e1, rest = es[0], es[1:]
+    """Split every Random vertex of out-degree above two into a first edge
+    and a fresh Random vertex that takes the rest. The loop runs over the
+    growing vertex list, so a fresh vertex with more than two out-edges is
+    split in its turn."""
+    for v in b.random_vertices:
+        es = b.out(v)
+        if len(es) <= 2:
+            continue
+        e1, *rest = sorted(es, key=attrgetter("id"))
         q1 = e1.prob
         u = b.fresh_vertex()
         b.random_vertices.append(u)
-        b.edges = [f for f in b.edges if f.tail != victim]
-        b.add_edge(victim, e1.head, prob=q1)
-        b.add_edge(victim, u, prob=1 - q1)
+        b.edges = [f for f in b.edges if f.tail != v]
+        b.add_edge(v, e1.head, prob=q1)
+        b.add_edge(v, u, prob=1 - q1)
         for e in rest:
             b.add_edge(u, e.head, prob=e.prob / (1 - q1))
 
@@ -236,27 +206,19 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
         kappa[f.id] = b.fresh_vertex()
         b.max_vertices.append(kappa[f.id])
 
-    new_edges = []
+    b.edges = []
     for f in g.edges:
         if f.id in mu:
             # Max out-edge: tail -> mu -> (kappa ->) head.
-            inner_head = kappa[f.id] if f.id in kappa else f.head
-            new_edges.append((f.tail, f.head, f.payoff, None, "to-mu", f.id))
-            new_edges.append((mu[f.id], inner_head, ZERO, None, None, None))
+            b.add_edge(f.tail, mu[f.id], payoff=f.payoff)
+            b.add_edge(mu[f.id], kappa.get(f.id, f.head), payoff=ZERO)
         elif f.id in kappa:
             # Random edge into a Min vertex: tail -> kappa -> head.
-            new_edges.append((f.tail, kappa[f.id], None, f.prob, None, None))
+            b.add_edge(f.tail, kappa[f.id], prob=f.prob)
         else:
-            new_edges.append((f.tail, f.head, f.payoff, f.prob, None, None))
+            b.add_edge(f.tail, f.head, payoff=f.payoff, prob=f.prob)
         if f.id in kappa:
-            new_edges.append((kappa[f.id], f.head, ZERO, None, None, None))
-
-    b.edges = []
-    for tail, head, payoff, prob, tag, eid in new_edges:
-        if tag == "to-mu":
-            b.add_edge(tail, mu[eid], payoff=payoff)
-        else:
-            b.add_edge(tail, head, payoff=payoff, prob=prob)
+            b.add_edge(kappa[f.id], f.head, payoff=ZERO)
 
     out = b.freeze()
     require_valid(out)
@@ -327,7 +289,7 @@ def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, Witnes
 
 def is_compliant(g: GameGraph) -> bool:
     """Every Random vertex flips a fair coin between two Max vertices."""
-    if not validate_graph(g).ok:
+    if not g.validation.ok:
         return False
     for v in g.random_vertices:
         out = g.out_edges[v]

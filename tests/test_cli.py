@@ -299,6 +299,18 @@ class TestSectionCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "fix",
+        [["3=0", "4=1"], ["3=0", "0=5"], ["3=0", "3=1"]],
+        ids=["above-n", "zero", "twice"],
+    )
+    def test_fix_outside_coordinates_exits_two(self, capsys, graph_file, fix):
+        fixes = [arg for value in fix for arg in ("--fix", value)]
+        code, out = run(capsys, "section", graph_file, *fixes,
+                        "--lo", "0", "--hi", "1", "--step", "1")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "fix, hi, step",
         [
             (["3=0"], str(math.isqrt(SECTION_MAX_CELLS)), "1"),

@@ -271,6 +271,35 @@ class TestMinMax:
             assert eval_operator(g, x) == want
             assert eval_operator(fixture, x) == want
 
+    @pytest.mark.parametrize("index", [-1, 2, 5])
+    def test_subset_index_out_of_range(self, index):
+        # -1 used to pick the last matrix, changing F_1(0,0,5) from 6 to 14/3.
+        op = example_minmax()
+        subsets = (((index,),),) + op.subsets[1:]
+        with pytest.raises(ValueError):
+            replace(op, subsets=subsets)
+        obj = op.to_json()
+        obj["subsets"][0][0] = [index]
+        with pytest.raises(ValueError):
+            MinMaxOperator.from_json(obj)
+
+    def test_shapes_checked(self):
+        op = example_minmax()
+        a1, a2 = op.matrices
+        with pytest.raises(ValueError):
+            replace(op, n=0)
+        bad_shapes = [
+            {"offsets": op.offsets[:1]},
+            {"matrices": (a1, a2[:2])},
+            {"matrices": (a1, (a2[0][:2],) + a2[1:])},
+            {"offsets": (op.offsets[0], op.offsets[1][:2])},
+            {"subsets": op.subsets[:2]},
+            {"n": 2},
+        ]
+        for change in bad_shapes:
+            with pytest.raises(DimensionMismatch):
+                replace(op, **change)
+
     def test_random_instances_agree(self):
         for trial in range(5):
             rng = rng_for(59, trial)

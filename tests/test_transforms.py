@@ -1,6 +1,7 @@
 """Structural transformations: coin-flip normalization, the two
 witness-carrying transformations, and the composed pipeline."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -60,6 +61,48 @@ def denominator_five_graph():
             offsets=((F(1), F(-1, 2), F(0)), (F(3, 4), F(2), F(-1))),
             subsets=(((0, 1),), ((0,),), ((1,),)),
         )
+    )
+
+
+def chain_graph():
+    """Degree-one Random chains: 5 -> 6 -> Min 1, and 8 -> 7, where 7 flips
+    (1/3, 2/3) between Min 1 and the middle of the first chain."""
+    return GameGraph(
+        (1, 2), (3, 4), (6, 8, 5, 7),
+        (
+            Edge(1, 1, 3, payoff=F(0)),
+            Edge(2, 2, 4, payoff=F(1)),
+            Edge(3, 3, 5, payoff=F(2)),
+            Edge(4, 3, 2, payoff=F(-1)),
+            Edge(5, 5, 6, prob=F(1)),
+            Edge(6, 6, 1, prob=F(1)),
+            Edge(7, 4, 8, payoff=F(0)),
+            Edge(8, 8, 7, prob=F(1)),
+            Edge(9, 7, 1, prob=F(1, 3)),
+            Edge(10, 7, 6, prob=F(2, 3)),
+        ),
+    )
+
+
+def fan_graph():
+    """Random vertex 5 has out-degree four, listed out of id order, so the
+    vertex split off it has three out-edges and is split again."""
+    return GameGraph(
+        (1, 2), (3, 4), (5, 6),
+        (
+            Edge(1, 1, 3, payoff=F(0)),
+            Edge(2, 2, 4, payoff=HALF),
+            Edge(3, 2, 3, payoff=F(-1)),
+            Edge(4, 3, 5, payoff=F(1)),
+            Edge(5, 4, 5, payoff=F(0)),
+            Edge(6, 4, 6, payoff=F(-2)),
+            Edge(9, 5, 6, prob=F(1, 5)),
+            Edge(7, 5, 1, prob=F(1, 5)),
+            Edge(10, 5, 2, prob=F(1, 5)),
+            Edge(8, 5, 2, prob=F(2, 5)),
+            Edge(11, 6, 1, prob=F(3, 7)),
+            Edge(12, 6, 2, prob=F(4, 7)),
+        ),
     )
 
 
@@ -124,6 +167,36 @@ class TestZwickPaterson:
         for i in range(50):
             x = sample_vector(rng_for(79, i), 1, 6, 8)
             assert eval_operator(out, x) == eval_operator(g, x)
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (chain_graph, "819c5d17a7a9d243d2fd41c1b02585047ba48e0f0999fab002da849f6b1bf5cb"),
+            (fan_graph, "df7c417778203407cc46494a137f1036143e3fc1c9a9079aa9b6b0afa2f5cf64"),
+        ],
+        ids=["chain", "fan"],
+    )
+    def test_hand_built_stages(self, build, digest):
+        # Digests of the output JSON, recorded before the stages became
+        # single-pass: the ids and the edge order must not move.
+        g = build()
+        out = zwick_paterson(g)
+        text = json.dumps(out.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        for v in out.random_vertices:
+            assert [e.prob for e in out.out_edges[v]] == [HALF, HALF]
+        for i in range(50):
+            x = sample_vector(rng_for(89, i), g.n, 6, 8)
+            assert eval_operator(out, x) == eval_operator(g, x)
+
+    def test_chain_bypassed_to_first_kept_vertex(self):
+        out = zwick_paterson(chain_graph())
+        edges = {e.id: e for e in out.edges}
+        # Vertices 5, 6 and 8 are bypassed, and so their sole out-edges
+        # 5, 6 and 8 are gone; edges into the chains head Min 1 and vertex 7.
+        assert not {5, 6, 8} & set(out.random_vertices)
+        assert not {5, 6, 8} & set(edges)
+        assert (edges[3].head, edges[7].head) == (1, 7)
 
     def test_random_graphs_preserved_with_exact_gadget_probabilities(self):
         for trial in range(6):
@@ -321,3 +394,18 @@ class TestOnePassSplit:
         out, _ = pipeline(example_graph())
         assert is_compliant(out)
         assert len(calls) <= 2
+
+    def test_each_graph_validated_once(self, monkeypatch):
+        # The input, the Zwick-Paterson graph, the t1 graph and the output.
+        calls = []
+        validate = graph_module.validate_graph
+
+        def counting(g):
+            calls.append(g)
+            return validate(g)
+
+        monkeypatch.setattr(graph_module, "validate_graph", counting)
+        out, _ = pipeline(example_graph())
+        assert is_compliant(out)
+        assert len(calls) <= 4
+        assert len({id(g) for g in calls}) == len(calls)
