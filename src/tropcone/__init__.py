@@ -2,7 +2,7 @@
 spectrahedra: game-graph operators, structural transformations, pencil
 synthesis, and polyhedral frontends."""
 
-from .convex import TropPointSet, cone_member, hull_member, union_hull_member
+from .convex import TropPointSet, cone_member, hull_member
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -18,7 +18,6 @@ from .errors import (
     ValidationFailed,
 )
 from .graph import (
-    AbsorptionTable,
     Edge,
     GameGraph,
     MinMaxOperator,
@@ -44,7 +43,6 @@ from .pencil import (
     assemble_strata,
     dehomogenize,
     formal_homogenize,
-    homogenize_projected,
     pencil_from_generators,
     pencil_from_point,
     pencil_member,

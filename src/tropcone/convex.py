@@ -94,10 +94,3 @@ def hull_member(y: Point, generators: TropPointSet) -> bool:
     cone = TropPointSet(generators.dimension + 1, _homogenize(generators.points))
     return cone_member((Trop(0),) + tuple(y), cone)
 
-
-def union_hull_member(y: Point, g1: TropPointSet, g2: TropPointSet) -> bool:
-    """Is y in tconv(G1 union G2)?"""
-    if g1.dimension != g2.dimension:
-        raise DimensionMismatch("generator sets of different dimensions")
-    combined = TropPointSet(g1.dimension, g1.points + g2.points)
-    return hull_member(y, combined)

@@ -75,10 +75,13 @@ class GameGraph:
         return validate_graph(self)
 
     @cached_property
-    def absorption_table(self) -> "AbsorptionTable":
-        """Exact absorption table, solved once per graph after validation."""
+    def absorption_table(self) -> dict:
+        """Exact absorption probabilities {edge id: {vertex: p}}: p is the
+        probability that the chain started at the head of the edge is
+        absorbed in the Min/Max vertex. Solved once per graph after
+        validation; vertices of probability 0 are left out."""
         require_valid(self)
-        return AbsorptionTable(_absorption_rows(self))
+        return _absorption_rows(self)
 
     @property
     def n(self) -> int:
@@ -248,20 +251,6 @@ class _Builder:
         )
 
 
-class AbsorptionTable:
-    """Exact absorption probabilities p[e][v]: probability that the chain
-    started at the head of edge e is absorbed in Min/Max vertex v."""
-
-    def __init__(self, rows: dict):
-        self._rows = rows  # edge id -> {vertex id: Fraction}
-
-    def prob(self, edge_id: int, vertex: int) -> Fraction:
-        return self._rows[edge_id].get(vertex, Fraction(0))
-
-    def row(self, edge_id: int) -> dict:
-        return self._rows[edge_id]
-
-
 def _absorption_rows(g: GameGraph) -> dict:
     absorbing = list(g.min_vertices) + list(g.max_vertices)
     randoms = list(g.random_vertices)
@@ -302,18 +291,18 @@ def _absorption_rows(g: GameGraph) -> dict:
     return rows
 
 
-def absorption(g: GameGraph) -> AbsorptionTable:
-    """Absorption table for a valid graph (computed once per graph object)."""
+def absorption(g: GameGraph) -> dict:
+    """Absorption rows of a valid graph (computed once per graph object)."""
     return g.absorption_table
 
 
-def max_vertex_value(g: GameGraph, table: AbsorptionTable, w: int, x: Vector) -> Fraction:
+def max_vertex_value(g: GameGraph, rows: dict, w: int, x: Vector) -> Fraction:
     """max over Out(w) of (payoff + expected Min coordinate)."""
     idx = g.min_index
     best = None
     for e in g.out_edges[w]:
         val = e.payoff
-        for u, p in table.row(e.id).items():
+        for u, p in rows[e.id].items():
             val += p * x[idx[u]]
         if best is None or val > best:
             best = val
@@ -325,14 +314,14 @@ def eval_operator(g: GameGraph, x: Sequence[Fraction]) -> Vector:
     if len(x) != g.n:
         raise DimensionMismatch(f"point of length {len(x)}, graph has {g.n} Min vertices")
     x = tuple(Fraction(v) for v in x)
-    table = absorption(g)
-    max_vals = {w: max_vertex_value(g, table, w, x) for w in g.max_vertices}
+    rows = absorption(g)
+    max_vals = {w: max_vertex_value(g, rows, w, x) for w in g.max_vertices}
     result = []
     for v in g.min_vertices:
         best = None
         for e in g.out_edges[v]:
             val = e.payoff
-            for w, p in table.row(e.id).items():
+            for w, p in rows[e.id].items():
                 val += p * max_vals[w]
             if best is None or val < best:
                 best = val

@@ -7,8 +7,12 @@ Q_ii+(x) (.) Q_jj+(x) >= Q_ij(x)^2 for every pair of rows, where
 Q_ij(X) = Q^(0)_ij (+) Q^(1)_ij (.) X_1 (+) ... (+) Q^(n)_ij (.) X_n.
 
 The module provides membership, synthesis of a cone pencil from a compliant
-game graph, homogenization and dehomogenization, a union combinator for
-tropical convex hulls, and stratum assembly. Entries are stored sparsely as
+game graph, homogenization and dehomogenization, and the tropical convex hull
+of a union as one n-ary tropical sum: each summand is homogenized once into
+its own block of variables, tied to the visible coordinates by one diagonal
+row per coordinate. Finite generator sets, unions and strata are all built
+by that sum. A projected pencil keeps its summands as data and lifts a
+visible point by one residuation per summand. Entries are stored sparsely as
 {variable index: signed coefficient} with index 0 reserved for the constant
 matrix Q^(0).
 """
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from operator import attrgetter
+from typing import Optional, Sequence
 
 from .convex import TropPointSet, residual_combination
 from .errors import (
@@ -170,51 +175,91 @@ def pencil_member(pencil: MetzlerPencil, x) -> bool:
     x = to_trop_vector(x)
     if len(x) != pencil.n:
         raise DimensionMismatch(f"point of length {len(x)}, pencil has {pencil.n} variables")
-    plus_cache = {}
-
-    def plus(i):
-        if i not in plus_cache:
-            plus_cache[i] = pencil.diag_pm(i, x)
-        return plus_cache[i]
-
+    plus = []
     for i in range(pencil.m):
-        p, m_ = plus(i)
+        p, m_ = pencil.diag_pm(i, x)
         if not p >= m_:
             return False
+        plus.append(p)
     for (i, j) in pencil.entries:
         if i == j:
             continue
         v = pencil.offdiag_modulus(i, j, x)
         if v.is_neg_inf:
             continue
-        if not tmul(plus(i)[0], plus(j)[0]) >= tmul(v, v):
+        if not tmul(plus[i], plus[j]) >= tmul(v, v):
             return False
     return True
 
 
 @dataclass(frozen=True)
 class ProjectedPencil:
-    """A pencil together with a visible-coordinate count, an optional lift
-    from visible points to full members, and optional hull generators of the
-    projected set (used to decide membership of unions)."""
+    """A pencil whose first `visible` variables project onto tconv(gens).
+
+    A pencil built by a tropical sum keeps one (support, summand, first
+    variable) part per summand; the summand's homogenized block starts at
+    that pencil variable. A pencil with no hidden variables, a singleton,
+    is its own lift.
+    """
 
     pencil: MetzlerPencil
-    visible: int
-    witness: Optional[Callable] = None
-    gens: Optional[TropPointSet] = None
+    gens: TropPointSet
+    parts: tuple = ()
+
+    @property
+    def visible(self) -> int:
+        return self.gens.dimension
 
     def member(self, x) -> bool:
+        lifted = self.lift(x)
+        return lifted is not None and pencil_member(self.pencil, lifted)
+
+    def lift(self, x) -> Optional[Point]:
+        """A full point of the pencil over the visible point x, or None when
+        x is outside tconv(gens).
+
+        One residuation of (0, x) per summand, over that summand's homogenized
+        generators on its support; the combinations must reproduce (0, x), and
+        each one is lifted through its summand's own parts.
+        """
         x = to_trop_vector(x)
         if len(x) != self.visible:
             raise DimensionMismatch(
                 f"point of length {len(x)}, {self.visible} visible coordinates"
             )
-        if self.witness is None:
-            if self.pencil.n != self.visible:
-                raise PreconditionViolated("no witness for a strict projection")
-            return pencil_member(self.pencil, x)
-        lifted = self.witness(x)
-        return lifted is not None and pencil_member(self.pencil, lifted)
+        if self.pencil.n == len(x):
+            return x
+        p = (Trop(0),) + x
+        covered = [NEG_INF] * len(p)
+        combos = []
+        for support, summand, _ in self.parts:
+            coords = (0,) + tuple(k + 1 for k in support)
+            hgens = tuple((Trop(0),) + g for g in summand.gens.points)
+            _, combo = residual_combination(tuple(p[c] for c in coords), hgens)
+            for c, u in zip(coords, combo):
+                covered[c] = tadd(covered[c], u)
+            combos.append(combo)
+        if tuple(covered) != p:
+            return None
+        out = list(x) + [NEG_INF] * (self.pencil.n - len(x))
+        out[len(x)] = Trop(0)
+        for (_, summand, first), combo in zip(self.parts, combos):
+            block = summand._homogenized_lift(combo)
+            out[first - 1 : first - 1 + len(block)] = block
+        return tuple(out)
+
+    def _homogenized_lift(self, u: Point) -> Point:
+        """The block (u_0, u_vis, hidden, zeta) of the homogenization over a
+        point u = (u_0, u_vis) of its hull cone; u_0 = -inf gives the all
+        -inf block. u_vis - u_0 is in tconv(gens), so its lift exists."""
+        u0, ux = u[0], u[1:]
+        if u0.is_neg_inf:
+            return (NEG_INF,) * (1 + self.pencil.n + len(ux))
+        down = Trop(-u0.finite)
+        inner = self.lift(tuple(tmul(c, down) for c in ux))
+        hidden = tuple(tmul(c, u0) for c in inner[len(ux):])
+        zetas = tuple(tmul(tmul(c, c), down) for c in ux)
+        return (u0,) + ux + hidden + zetas
 
 
 def _compliant_pairs(g: GameGraph):
@@ -226,7 +271,7 @@ def _compliant_pairs(g: GameGraph):
             if g.kind[h] == "max":
                 pairs.append((v, e, h, h))
             else:
-                left, right = sorted(g.out_edges[h], key=lambda f: f.id)
+                left, right = sorted(g.out_edges[h], key=attrgetter("id"))
                 pairs.append((v, e, left.head, right.head))
     return pairs
 
@@ -328,128 +373,6 @@ def dehomogenize(pencil: MetzlerPencil) -> MetzlerPencil:
     return MetzlerPencil(pencil.m + 2, pencil.n, entries)
 
 
-def _neg_shift(p: Point, x0: Trop) -> Point:
-    return tuple(
-        NEG_INF if c.is_neg_inf else Trop(c.finite - x0.finite) for c in p
-    )
-
-
-def homogenize_projected(pp: ProjectedPencil) -> ProjectedPencil:
-    """Projected pencil for the homogenization S^h = {(x0, x0 + x)}.
-
-    Formally homogenizes the pencil and adds, for each visible k, a block
-    encoding x0 + z_k >= 2 x_k with a fresh variable z_k. Visible
-    coordinates of the result are (x0, x).
-    """
-    base = formal_homogenize(pp.pencil)
-    n_vis = pp.visible
-    total_inner = base.n  # 1 + visible + hidden
-    entries = {key: dict(entry) for key, entry in base.entries.items()}
-    row = base.m
-    for k in range(1, n_vis + 1):
-        z_var = total_inner + k
-        i, j = row, row + 1
-        row += 2
-        entries[(i, i)] = {1: SignedTrop.pos(0)}
-        entries[(j, j)] = {z_var: SignedTrop.pos(0)}
-        entries[(i, j)] = {1 + k: SignedTrop.neg(0)}
-    pencil = MetzlerPencil(row, total_inner + n_vis, entries)
-
-    inner_witness = pp.witness
-    total = pencil.n
-
-    def witness(p):
-        p = to_trop_vector(p)
-        x0, x = p[0], p[1:]
-        if x0.is_neg_inf:
-            return tuple(NEG_INF for _ in range(total))
-        dehom = _neg_shift(x, x0)
-        if inner_witness is None:
-            inner = dehom
-        else:
-            inner = inner_witness(dehom)
-            if inner is None:
-                return None
-        hidden = tuple(tmul(c, x0) for c in inner[n_vis:])
-        zs = tuple(
-            NEG_INF if xk.is_neg_inf else Trop(2 * xk.finite - x0.finite) for xk in x
-        )
-        return (x0,) + tuple(x) + hidden + zs
-
-    gens = None
-    if pp.gens is not None:
-        zero = Trop(0)
-        gens = TropPointSet(n_vis + 1, tuple((zero,) + tuple(g) for g in pp.gens.points))
-    return ProjectedPencil(pencil, n_vis + 1, witness, gens=gens)
-
-
-def union_pencil(pp1: ProjectedPencil, pp2: ProjectedPencil) -> ProjectedPencil:
-    """Projected pencil for tconv(S1 u S2).
-
-    Realizes S^h = S1^h (+) S2^h with hidden copies u, w of the homogenized
-    coordinates, coupled by z_i >= u_i, z_i >= w_i, and u_i (+) w_i >= z_i,
-    then pins the homogenizing coordinate z_0 to 0. Membership of a visible
-    point is decided by residuation over the stored hull generators.
-    """
-    if pp1.visible != pp2.visible:
-        raise DimensionMismatch("union of pencils with different visible dimensions")
-    n = pp1.visible
-    h1 = homogenize_projected(pp1)
-    h2 = homogenize_projected(pp2)
-    v1, v2 = h1.pencil.n, h2.pencil.n
-    # Variable layout: z_1..z_n | z0 | u-copy (v1 vars) | w-copy (v2 vars).
-    z0 = n + 1
-    off1 = n + 1
-    off2 = n + 1 + v1
-
-    entries: dict = {}
-    row = 0
-    for h, off in ((h1, off1), (h2, off2)):
-        for (i, j), entry in h.pencil.entries.items():
-            entries[(row + i, row + j)] = {k + off: c for k, c in entry.items()}
-        row += h.pencil.m
-
-    pos0, neg0 = SignedTrop.pos(0), SignedTrop.neg(0)
-    for i in range(n + 1):
-        z_var = z0 if i == 0 else i
-        u_var = off1 + 1 + i
-        w_var = off2 + 1 + i
-        entries[(row, row)] = {z_var: pos0, u_var: neg0}
-        entries[(row + 1, row + 1)] = {z_var: pos0, w_var: neg0}
-        entries[(row + 2, row + 2)] = {u_var: pos0, w_var: pos0, z_var: neg0}
-        row += 3
-    entries[(row, row)] = {z0: pos0, 0: neg0}
-    entries[(row + 1, row + 1)] = {0: pos0, z0: neg0}
-    row += 2
-
-    pencil = MetzlerPencil(row, n + 1 + v1 + v2, entries)
-
-    gens1 = pp1.gens.points if pp1.gens is not None else None
-    gens2 = pp2.gens.points if pp2.gens is not None else None
-
-    def witness(z):
-        if gens1 is None or gens2 is None:
-            return None
-        z = to_trop_vector(z)
-        p = (Trop(0),) + z
-        hgens1 = tuple((Trop(0),) + tuple(g) for g in gens1)
-        hgens2 = tuple((Trop(0),) + tuple(g) for g in gens2)
-        _, u_star = residual_combination(p, hgens1)
-        _, w_star = residual_combination(p, hgens2)
-        if tuple(tadd(a, b) for a, b in zip(u_star, w_star)) != p:
-            return None
-        f1 = h1.witness(u_star)
-        f2 = h2.witness(w_star)
-        if f1 is None or f2 is None:
-            return None
-        return z + (Trop(0),) + f1 + f2
-
-    gens = None
-    if gens1 is not None and gens2 is not None:
-        gens = TropPointSet(n, tuple(gens1) + tuple(gens2))
-    return ProjectedPencil(pencil, n, witness, gens=gens)
-
-
 def pencil_from_point(g) -> ProjectedPencil:
     """The singleton {g} as a projected pencil (no hidden coordinates)."""
     g = to_trop_vector(g)
@@ -464,26 +387,95 @@ def pencil_from_point(g) -> ProjectedPencil:
             entries[(row, row)] = {k: SignedTrop.pos(0), 0: SignedTrop.neg(c.finite)}
             entries[(row + 1, row + 1)] = {0: SignedTrop.pos(c.finite), k: SignedTrop.neg(0)}
             row += 2
-    pencil = MetzlerPencil(row, n, entries)
-    return ProjectedPencil(
-        pencil, n, witness=lambda x: to_trop_vector(x), gens=TropPointSet(n, (g,))
-    )
+    return ProjectedPencil(MetzlerPencil(row, n, entries), TropPointSet(n, (g,)))
+
+
+def _tropical_sum(n: int, summands) -> ProjectedPencil:
+    """tconv of the union of the summands' sets, as one projected pencil over T^n.
+
+    Each summand (K, pp) places the set of pp on the coordinates K of T^n, a
+    strictly increasing tuple, with -inf elsewhere. The result realizes
+    S_1^h (+) ... (+) S_k^h with the homogenizing coordinate z_0 pinned to 0.
+    Variables: z_1..z_n, then z_0, then one block per summand holding its
+    homogenization u^(j): u_0, the summand's own variables with its constant
+    moved to u_0, and one zeta_t per visible u_t with u_0 + zeta_t >= 2 u_t, so
+    u_0 = -inf forces every visible u_t to -inf. Rows z_i >= u^(j)_i tie each
+    block to z, and one diagonal row u^(1)_i (+) ... (+) u^(k)_i >= z_i per
+    coordinate closes the sum (the bare row -inf >= z_i where no summand
+    covers i).
+    """
+    pos0, neg0 = SignedTrop.pos(0), SignedTrop.neg(0)
+    z0 = n + 1
+    entries: dict = {}
+    cover = [{} for _ in range(n + 1)]  # coordinate i -> {u^(j)_i: pos0}
+    parts, points = [], []
+    row, first = 0, n + 2
+    for support, pp in summands:
+        support = tuple(support)
+        if len(support) != pp.visible:
+            raise SupportMismatch(
+                f"support {support} does not match {pp.visible} visible coordinates"
+            )
+        if any(not 0 <= k < n for k in support) or any(
+            a >= b for a, b in zip(support, support[1:])
+        ):
+            raise SupportMismatch(
+                f"support {support} is not a strictly increasing subset of 0..{n - 1}"
+            )
+        if not pp.gens.points:
+            raise PreconditionViolated("a summand of a tropical sum has no generators")
+        for (i, j), entry in pp.pencil.entries.items():
+            entries[(row + i, row + j)] = {first + k: c for k, c in entry.items()}
+        row += pp.pencil.m
+        for t, k in enumerate(support, start=1):
+            # u_0 + zeta_t >= 2 u_t, then z_k >= u_t.
+            entries[(row, row)] = {first: pos0}
+            entries[(row + 1, row + 1)] = {first + pp.pencil.n + t: pos0}
+            entries[(row, row + 1)] = {first + t: neg0}
+            entries[(row + 2, row + 2)] = {k + 1: pos0, first + t: neg0}
+            cover[k + 1][first + t] = pos0
+            row += 3
+        entries[(row, row)] = {z0: pos0, first: neg0}
+        cover[0][first] = pos0
+        row += 1
+        parts.append((support, pp, first))
+        for g in pp.gens.points:
+            point = [NEG_INF] * n
+            for t, k in enumerate(support):
+                point[k] = g[t]
+            points.append(tuple(point))
+        first += 1 + pp.pencil.n + len(support)
+    for i, covering in enumerate(cover):
+        entries[(row, row)] = {**covering, (z0 if i == 0 else i): neg0}
+        row += 1
+    entries[(row, row)] = {z0: pos0, 0: neg0}
+    entries[(row + 1, row + 1)] = {0: pos0, z0: neg0}
+    pencil = MetzlerPencil(row + 2, first - 1, entries)
+    return ProjectedPencil(pencil, TropPointSet(n, tuple(points)), tuple(parts))
 
 
 def empty_pencil(n: int) -> ProjectedPencil:
-    """The empty subset of T^n, via the single condition -inf >= 0."""
-    pencil = MetzlerPencil(1, n, {(0, 0): {0: SignedTrop.neg(0)}})
-    return ProjectedPencil(pencil, n, witness=lambda x: None, gens=TropPointSet(n, ()))
+    """The empty subset of T^n: the sum of no summands, whose rows force
+    z_0 = -inf against the pin z_0 = 0."""
+    return _tropical_sum(n, ())
 
 
 def pencil_from_generators(gens: TropPointSet) -> ProjectedPencil:
-    """tconv of finitely many points, folded out of singletons and unions."""
-    if not gens.points:
-        return empty_pencil(gens.dimension)
-    acc = pencil_from_point(gens.points[0])
-    for g in gens.points[1:]:
-        acc = union_pencil(acc, pencil_from_point(g))
-    return acc
+    """tconv of finitely many points: one tropical sum of singletons."""
+    full = tuple(range(gens.dimension))
+    return _tropical_sum(gens.dimension, [(full, pencil_from_point(g)) for g in gens.points])
+
+
+def union_pencil(*pps: ProjectedPencil) -> ProjectedPencil:
+    """tconv(S_1 u ... u S_k) of projected pencils over the same T^n, as one
+    tropical sum. Each S_j needs at least one generator."""
+    if not pps:
+        raise PreconditionViolated("a union needs at least one pencil")
+    n = pps[0].visible
+    if any(pp.visible != n for pp in pps):
+        raise DimensionMismatch("union of pencils with different visible dimensions")
+    full = tuple(range(n))
+    return _tropical_sum(n, [(full, pp) for pp in pps])
 
 
 def assemble_strata(
@@ -493,78 +485,14 @@ def assemble_strata(
 ) -> ProjectedPencil:
     """Combine per-support projected pencils into one over T^n.
 
-    Each piece (K, pp) realizes a subset of R^K; it is extended to T^n by
-    rows forcing -inf >= x_k for k outside K, and the extended pieces are
-    folded with union_pencil in lexicographic support order.
+    Each piece (K, pp) realizes a subset of R^K placed on the coordinates K
+    (strictly increasing) with -inf elsewhere; the pieces, plus the all -inf
+    point when include_bottom is set, form one tropical sum.
     """
-    seen = set()
-    extended = []
-    for support, pp in pieces:
-        support = tuple(support)
-        if support in seen:
-            raise SupportMismatch(f"duplicate support {support}")
-        seen.add(support)
-        if len(support) != pp.visible:
-            raise SupportMismatch(
-                f"support {support} does not match {pp.visible} visible coordinates"
-            )
-        if any(not 0 <= k < n for k in support) or sorted(support) != list(support):
-            raise SupportMismatch(f"support {support} is not a sorted subset of 0..{n - 1}")
-        extended.append((support, _extend_to_support(n, support, pp)))
-    extended.sort(key=lambda item: item[0])
-
-    parts = [pp for _, pp in extended]
+    supports = [tuple(support) for support, _ in pieces]
+    if len(set(supports)) != len(supports):
+        raise SupportMismatch(f"duplicate support among {supports}")
+    summands = list(pieces)
     if include_bottom:
-        parts.append(pencil_from_point(tuple(NEG_INF for _ in range(n))))
-    if not parts:
-        return empty_pencil(n)
-    acc = parts[0]
-    for pp in parts[1:]:
-        acc = union_pencil(acc, pp)
-    return acc
-
-
-def _extend_to_support(n: int, support, pp: ProjectedPencil) -> ProjectedPencil:
-    k_count = len(support)
-    hidden = pp.pencil.n - pp.visible
-    var_map = {i + 1: support[i] + 1 for i in range(k_count)}
-    for t in range(hidden):
-        var_map[k_count + 1 + t] = n + 1 + t
-    var_map[0] = 0
-    entries = {
-        key: {var_map[k]: c for k, c in entry.items()}
-        for key, entry in pp.pencil.entries.items()
-    }
-    row = pp.pencil.m
-    for k in range(n):
-        if k not in support:
-            entries[(row, row)] = {k + 1: SignedTrop.neg(0)}
-            row += 1
-    pencil = MetzlerPencil(row, n + hidden, entries)
-
-    support_set = frozenset(support)
-    inner = pp.witness
-
-    def witness(x):
-        x = to_trop_vector(x)
-        if any(not x[k].is_neg_inf for k in range(n) if k not in support_set):
-            return None
-        sub = tuple(x[k] for k in support)
-        if inner is None:
-            lifted = sub
-        else:
-            lifted = inner(sub)
-            if lifted is None:
-                return None
-        return tuple(x) + tuple(lifted[k_count:])
-
-    gens = None
-    if pp.gens is not None:
-        embedded = []
-        for g in pp.gens.points:
-            point = [NEG_INF] * n
-            for i, k in enumerate(support):
-                point[k] = g[i]
-            embedded.append(tuple(point))
-        gens = TropPointSet(n, tuple(embedded))
-    return ProjectedPencil(pencil, n, witness, gens=gens)
+        summands.append(((), pencil_from_point(())))
+    return _tropical_sum(n, summands)

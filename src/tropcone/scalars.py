@@ -176,9 +176,6 @@ class SignedTrop:
         mark = "-" if self.sign < 0 else "+"
         return f"SignedTrop({mark}{self.modulus.to_str()})"
 
-    def to_json(self) -> dict:
-        return {"sign": self.sign, "abs": self.modulus.to_str()}
-
     @classmethod
     def from_json(cls, obj: dict) -> "SignedTrop":
         return cls(obj["sign"], Trop.from_str(obj["abs"]))

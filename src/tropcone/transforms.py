@@ -192,7 +192,7 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     in-edges. The new Min coordinates are indexed by the Max out-edges, in
     edge order, and the witness sets each to the expected value of the
     source coordinates under the absorption distribution."""
-    table = absorption(g)
+    absorbed = absorption(g)
     max_out = [e for e in g.edges if g.kind[e.tail] == "max"]
     min_headed = [e for e in g.edges if g.kind[e.head] == "min"]
 
@@ -225,7 +225,7 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
 
     idx = g.min_index
     rows = tuple(
-        tuple((p, ((ZERO, idx[v]),)) for v, p in table.row(e.id).items()) for e in max_out
+        tuple((p, ((ZERO, idx[v]),)) for v, p in absorbed[e.id].items()) for e in max_out
     )
     witness = WitnessMap("t1", g.n, rows, tuple(f"t1:{e.id}" for e in max_out))
     return out, witness
@@ -236,12 +236,12 @@ def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
     the order given.
 
     The new coordinate of a split edge is the expected Max-vertex value seen
-    from its head, read off the absorption table of `g`. This is a fixed
+    from its head, read off the absorption rows of `g`. This is a fixed
     point of the new coordinate of the target operator even when random
     cycles pass through the split edge, and it equals what splitting the
     edges one at a time would give, since a split never creates a
     Random-to-Random edge."""
-    table = absorption(g)
+    absorbed = absorption(g)
     edges = {e.id: e for e in g.edges}
     for edge_id in edge_ids:
         e = edges.get(edge_id)
@@ -275,7 +275,7 @@ def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
         b.add_edge(e.tail, new_max, prob=e.prob)
         b.add_edge(new_max, new_min, payoff=ZERO)
         b.add_edge(new_min, e.head, payoff=ZERO)
-        rows.append(tuple((p, terms[w]) for w, p in table.row(edge_id).items()))
+        rows.append(tuple((p, terms[w]) for w, p in absorbed[edge_id].items()))
         new_coords.append(f"t2:{new_min}")
     out = b.freeze()
     require_valid(out)

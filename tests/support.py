@@ -195,16 +195,21 @@ def sequential_pipeline(g):
     return current, lift
 
 
+def signed_json(c: SignedTrop) -> dict:
+    """A signed entry of the dense pencil file: {"sign": s, "abs": "q"}."""
+    return {"sign": c.sign, "abs": c.modulus.to_str()}
+
+
 def dense_pencil_json(pencil) -> dict:
     """The dense pencil file of earlier versions: n + 1 symmetric m x m
     matrices of signed entries, -inf cells included."""
     matrices = []
     for k in range(pencil.n + 1):
-        mat = [[SignedTrop.zero().to_json() for _ in range(pencil.m)] for _ in range(pencil.m)]
+        mat = [[signed_json(SignedTrop.zero()) for _ in range(pencil.m)] for _ in range(pencil.m)]
         for (i, j), entry in pencil.entries.items():
             c = entry.get(k)
             if c is not None:
-                mat[i][j] = c.to_json()
-                mat[j][i] = c.to_json()
+                mat[i][j] = signed_json(c)
+                mat[j][i] = signed_json(c)
         matrices.append(mat)
     return {"m": pencil.m, "n": pencil.n, "matrices": matrices}

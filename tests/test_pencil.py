@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from support import dense_pencil_json, random_compliant_graph
+from support import (
+    dense_pencil_json,
+    hull_member_bruteforce,
+    random_compliant_graph,
+    signed_json,
+)
 from tropcone.convex import TropPointSet, hull_member
 from tropcone.errors import (
     DimensionMismatch,
@@ -24,7 +29,6 @@ from tropcone.pencil import (
     empty_pencil,
     eval_compliant_operator,
     formal_homogenize,
-    homogenize_projected,
     pencil_from_generators,
     pencil_from_point,
     pencil_member,
@@ -138,7 +142,7 @@ class TestPencilFile:
 
     def test_dense_asymmetric_rejected(self):
         obj = dense_pencil_json(halfspace_pencil())
-        obj["matrices"][0][1][0] = SignedTrop.neg(5).to_json()
+        obj["matrices"][0][1][0] = signed_json(SignedTrop.neg(5))
         with pytest.raises(ValueError, match="not symmetric"):
             MetzlerPencil.from_json(obj)
 
@@ -266,39 +270,6 @@ class TestHomogenization:
             assert pencil_member(d, (Z,) + x) == pencil_member(p, x)
 
 
-class TestProjectedHomogenization:
-    def test_forward_members(self):
-        pp = pencil_from_generators(TropPointSet(2, ((T(1), T(2)), (T(0), T(-1)))))
-        h = homogenize_projected(pp)
-        for i in range(40):
-            rng = rng_for(199, i)
-            x0 = F(rng.randint(-12, 12), rng.randint(1, 4))
-            base = pp.gens.points[rng.randrange(2)]
-            shifted = (T(x0),) + tuple(tmul(T(x0), c) for c in base)
-            assert h.member(shifted)
-
-    def test_all_minus_inf_is_member(self):
-        pp = pencil_from_generators(TropPointSet(2, ((T(1), T(2)),)))
-        h = homogenize_projected(pp)
-        assert h.member((NEG_INF, NEG_INF, NEG_INF))
-
-    def test_converse_dehomogenizes(self):
-        gens = TropPointSet(2, ((T(1), T(2)), (T(0), T(-1))))
-        pp = pencil_from_generators(gens)
-        h = homogenize_projected(pp)
-        checked = 0
-        for i in range(200):
-            rng = rng_for(211, i)
-            p = sample_trop_vector(rng, 3, 4, 4, 0.2)
-            if h.member(p) and not p[0].is_neg_inf:
-                checked += 1
-                dehom = tuple(
-                    NEG_INF if c.is_neg_inf else T(c.finite - p[0].finite) for c in p[1:]
-                )
-                assert pp.member(dehom)
-        assert checked > 0
-
-
 class TestUnion:
     def test_two_singletons(self):
         u = union_pencil(pencil_from_point((Z, Z)), pencil_from_point((T(2), T(2))))
@@ -306,11 +277,10 @@ class TestUnion:
         assert not u.member((Z, T(2)))
 
     def test_union_with_empty_side(self):
+        # A summand must bring its hull generators; an empty one has none.
         s1 = pencil_from_generators(TropPointSet(2, ((T(1), T(0)), (T(0), T(2)))))
-        u = union_pencil(s1, empty_pencil(2))
-        for i in range(60):
-            y = sample_trop_vector(rng_for(223, i), 2, 5, 6, 0.3)
-            assert u.member(y) == s1.member(y)
+        with pytest.raises(PreconditionViolated):
+            union_pencil(s1, empty_pencil(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -388,3 +358,115 @@ class TestStrata:
             assemble_strata(2, [((0, 1), pp)])
         with pytest.raises(SupportMismatch):
             assemble_strata(1, [((2,), pp)])
+        # A repeated index would map two summand coordinates onto one.
+        pp2 = pencil_from_generators(TropPointSet(2, ((T(1), T(0)),)))
+        with pytest.raises(SupportMismatch):
+            assemble_strata(2, [((0, 0), pp2)])
+
+
+def _generator_case(count):
+    def build():
+        rng = rng_for(257, count)
+        n = 2 + count % 2
+        gens = TropPointSet(n, tuple(sample_trop_vector(rng, n, 4, 4, 0.25) for _ in range(count)))
+        return pencil_from_generators(gens), gens
+
+    return build
+
+
+def _union_case(seed):
+    def build():
+        rng = rng_for(263, seed)
+        sets = [
+            tuple(sample_trop_vector(rng, 3, 4, 4, 0.25) for _ in range(rng.randint(1, 4)))
+            for _ in range(3)
+        ]
+        pp = union_pencil(*(pencil_from_generators(TropPointSet(3, pts)) for pts in sets))
+        return pp, TropPointSet(3, sum(sets, ()))
+
+    return build
+
+
+def _strata_case(include_bottom):
+    def build():
+        rng = rng_for(269, int(include_bottom))
+        pieces, embedded = [], []
+        for support in ((0,), (1, 2), (0, 2)):
+            pts = tuple(sample_trop_vector(rng, len(support), 4, 4, 0) for _ in range(rng.randint(1, 3)))
+            pieces.append((support, pencil_from_generators(TropPointSet(len(support), pts))))
+            for g in pts:
+                point = [NEG_INF] * 3
+                for k, c in zip(support, g):
+                    point[k] = c
+                embedded.append(tuple(point))
+        if include_bottom:
+            embedded.append((NEG_INF,) * 3)
+        pp = assemble_strata(3, pieces, include_bottom=include_bottom)
+        return pp, TropPointSet(3, tuple(embedded))
+
+    return build
+
+
+SUMS = {
+    **{f"generators-{k}": _generator_case(k) for k in (1, 2, 4, 5, 8, 12)},
+    **{f"union-{seed}": _union_case(seed) for seed in range(2)},
+    "strata": _strata_case(False),
+    "strata-bottom": _strata_case(True),
+}
+
+
+def _hull_points(rng, gens, count):
+    """Tropical convex combinations of the generators, the largest weight 0."""
+    out = []
+    for _ in range(count):
+        lams = [
+            T(-F(rng.randint(0, 12), rng.randint(1, 4))) if rng.random() < 0.7 else NEG_INF
+            for _ in gens.points
+        ]
+        lams[rng.randrange(len(lams))] = Z
+        y = [NEG_INF] * gens.dimension
+        for lam, g in zip(lams, gens.points):
+            y = [tadd(a, tmul(lam, b)) for a, b in zip(y, g)]
+        out.append(tuple(y))
+    return out
+
+
+class TestTropicalSum:
+    @pytest.mark.parametrize("name", sorted(SUMS))
+    def test_member_matches_hull(self, name):
+        pp, gens = SUMS[name]()
+        rng = rng_for(271, len(name))
+        points = _hull_points(rng, gens, 30)
+        points += [sample_trop_vector(rng, gens.dimension, 4, 4, 0.3) for _ in range(60)]
+        inside = 0
+        for y in points:
+            want = hull_member(y, gens)
+            inside += want
+            assert pp.member(y) == want
+            if len(gens.points) <= 5:
+                assert hull_member_bruteforce(y, gens) == want
+        assert inside >= 30
+
+    @pytest.mark.parametrize("name", sorted(SUMS))
+    def test_lift_is_a_pencil_point(self, name):
+        pp, gens = SUMS[name]()
+        for y in _hull_points(rng_for(277, len(name)), gens, 30):
+            lifted = pp.lift(y)
+            assert lifted[: len(y)] == y
+            assert pencil_member(pp.pencil, lifted)
+            finite = [i for i, c in enumerate(y) if not c.is_neg_inf]
+            if finite:
+                # The diagonal row of that coordinate now fails, whatever the
+                # residuation says.
+                raised = list(lifted)
+                raised[finite[0]] = tmul(raised[finite[0]], T(F(1, 7)))
+                assert not pencil_member(pp.pencil, raised)
+
+    def test_five_hundred_points_on_a_line(self):
+        gens = TropPointSet(3, tuple((T(F(i, 7)), T(F(2 * i, 7)), T(F(-i, 7))) for i in range(500)))
+        pp = pencil_from_generators(gens)
+        assert pp.pencil.m <= 20 * 500 + 10
+        assert pp.member(gens.points[0])
+        assert pp.member(gens.points[499])
+        for y in ((T(0), T(1), T(0)), (T(0), T(1), T(-1)), (T(1), NEG_INF, T(-1))):
+            assert pp.member(y) == hull_member(y, gens)

@@ -12,7 +12,6 @@ from tropcone.convex import (
     cone_member,
     hull_member,
     residual_coefficient,
-    union_hull_member,
 )
 from tropcone.errors import DimensionMismatch
 from tropcone.sampling import rng_for, sample_trop_vector
@@ -72,10 +71,10 @@ class TestHull:
         assert not hull_member((Z, T(2)), pts((0, 0), (2, 2)))
 
     def test_union_wrapper(self):
-        g1, g2 = pts((0, 0)), pts((2, 2))
-        assert union_hull_member((T(1), T(1)), g1, g2)
-        assert not union_hull_member((Z, T(2)), g1, g2)
-        assert union_hull_member((Z, Z), pts((0, None)), pts((None, 0)))
+        # The hull of a union is the hull of the concatenated generators.
+        assert hull_member((T(1), T(1)), pts((0, 0), (2, 2)))
+        assert not hull_member((Z, T(2)), pts((0, 0), (2, 2)))
+        assert hull_member((Z, Z), pts((0, None), (None, 0)))
 
     def test_closure_under_combinations(self):
         g = pts((0, 3, -1), (2, 0, 0), (None, 1, 4))
