@@ -79,7 +79,9 @@ class GameGraph:
         """Exact absorption probabilities {edge id: {vertex: p}}: p is the
         probability that the chain started at the head of the edge is
         absorbed in the Min/Max vertex. Solved once per graph after
-        validation; vertices of probability 0 are left out."""
+        validation, one exact solve per strongly connected component of the
+        Random vertices; vertices of probability 0 are left out and the
+        rest keep Min-then-Max vertex order."""
         require_valid(self)
         return _absorption_rows(self)
 
@@ -251,40 +253,78 @@ class _Builder:
         )
 
 
-def _absorption_rows(g: GameGraph) -> dict:
-    absorbing = list(g.min_vertices) + list(g.max_vertices)
-    randoms = list(g.random_vertices)
-    r_index = {v: i for i, v in enumerate(randoms)}
+def _random_components(g: GameGraph) -> list:
+    """Strongly connected components of the Random-to-Random edges, each
+    listed after every component it has an edge into: Tarjan (1972) with an
+    explicit stack, so no recursion depth grows with the graph."""
+    heads = {
+        v: iter([e.head for e in g.out_edges[v] if g.kind.get(e.head) == "random"])
+        for v in g.random_vertices
+    }
+    index, low, stack, on_stack, comps = {}, {}, [], set(), []
+    for root in g.random_vertices:
+        if root in index:
+            continue
+        work = [root]
+        while work:
+            v = work[-1]
+            if v not in index:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+            for w in heads[v]:
+                if w not in index:
+                    work.append(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[v])
+                if low[v] == index[v]:
+                    comps.append([])
+                    while v in on_stack:
+                        comps[-1].append(stack.pop())
+                        on_stack.discard(comps[-1][-1])
+    return comps
 
-    # Hitting distribution from each random vertex, by one exact solve of
-    # (I - Q) H = R over the random block.
+
+def _absorption_rows(g: GameGraph) -> dict:
+    # Hitting distribution from each Random vertex: one exact solve of
+    # (I - Q_C) H_C = R_C per strongly connected component C of the Random
+    # block, components below C first, so R_C holds C's direct exits to
+    # Min/Max vertices and prob * H[head] for its edges into solved ones.
+    # Columns and row keys follow min_vertices + max_vertices order.
+    order = {v: i for i, v in enumerate(g.min_vertices + g.max_vertices)}
     hit = {}
-    if randoms:
-        k = len(randoms)
-        matrix = [[Fraction(0)] * k for _ in range(k)]
-        rhs = [[Fraction(0)] * len(absorbing) for _ in range(k)]
-        a_index = {v: i for i, v in enumerate(absorbing)}
-        for v in randoms:
-            i = r_index[v]
+    for comp in _random_components(g):
+        c_index = {v: i for i, v in enumerate(comp)}
+        matrix = [[Fraction(0)] * len(comp) for _ in comp]
+        exits = [{} for _ in comp]
+        for v, i in c_index.items():
             matrix[i][i] += 1
             for e in g.out_edges[v]:
-                if e.head in r_index:
-                    matrix[i][r_index[e.head]] -= e.prob
-                else:
-                    rhs[i][a_index[e.head]] += e.prob
+                if e.head in c_index:
+                    matrix[i][c_index[e.head]] -= e.prob
+                    continue
+                for w, p in hit.get(e.head, {e.head: 1}).items():
+                    exits[i][w] = exits[i].get(w, 0) + e.prob * p
+        cols = sorted(set().union(*exits), key=order.__getitem__)
         try:
-            sol = solve_rational(matrix, rhs)
+            # A closed component has no columns and a singular matrix.
+            sol = solve_rational(matrix, [[ex.get(w, Fraction(0)) for w in cols] for ex in exits])
         except SingularSystem as exc:
             raise SingularSystem(
                 "absorption system is singular; a Random vertex cannot reach "
                 "a Min or Max vertex"
             ) from exc
-        for v in randoms:
-            hit[v] = {w: sol[r_index[v]][j] for j, w in enumerate(absorbing) if sol[r_index[v]][j] != 0}
+        for v, i in c_index.items():
+            hit[v] = {w: x for w, x in zip(cols, sol[i]) if x != 0}
 
     rows = {}
     for e in g.edges:
-        if e.head in r_index:
+        if e.head in hit:
             rows[e.id] = dict(hit[e.head])
         else:
             rows[e.id] = {e.head: Fraction(1)}

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the code paths under test: hull
 membership by brute-force subset search, linear programming by exhaustive
 vertex enumeration over exact square solves, the one-pass edge split of
-`pipeline` by splitting one edge at a time, and the sparse pencil file by
-the dense matrix form that earlier versions wrote.
+`pipeline` by splitting one edge at a time, absorption probabilities by one
+dense solve over every Random vertex, and the sparse pencil file by the
+dense matrix form that earlier versions wrote.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ def stochastic_row(rng: random.Random, n: int, denom: int = 12):
     return tuple(parts)
 
 
-def random_minmax(rng: random.Random) -> MinMaxOperator:
-    n = rng.randint(2, 3)
+def random_minmax(rng: random.Random, n: int | None = None, denom: int = 12) -> MinMaxOperator:
+    """A random stochastic min-max form of arity `n` (2 or 3 when None) with
+    row denominators <= `denom`."""
+    if n is None:
+        n = rng.randint(2, 3)
     p = 2
     matrices = tuple(
-        tuple(stochastic_row(rng, n) for _ in range(n)) for _ in range(p)
+        tuple(stochastic_row(rng, n, denom) for _ in range(n)) for _ in range(p)
     )
     offsets = tuple(tuple(small_rational(rng) for _ in range(n)) for _ in range(p))
     subsets = []
@@ -56,6 +60,22 @@ def random_minmax(rng: random.Random) -> MinMaxOperator:
         choice = rng.choice([((0,),), ((1,),), ((0, 1),), ((0,), (1,))])
         subsets.append(choice)
     return MinMaxOperator(n=n, matrices=matrices, offsets=offsets, subsets=tuple(subsets))
+
+
+def denominator_five_graph():
+    """Three coordinates, stochastic rows over 5; 39 Random-to-Random edges
+    after the first transformation."""
+    F = Fraction
+    a1 = ((F(1, 5), F(2, 5), F(2, 5)), (F(3, 5), F(0), F(2, 5)), (F(1, 5), F(1, 5), F(3, 5)))
+    a2 = ((F(4, 5), F(1, 5), F(0)), (F(2, 5), F(2, 5), F(1, 5)), (F(0), F(3, 5), F(2, 5)))
+    return graph_from_minmax(
+        MinMaxOperator(
+            n=3,
+            matrices=(a1, a2),
+            offsets=((F(1), F(-1, 2), F(0)), (F(3, 4), F(2), F(-1))),
+            subsets=(((0, 1),), ((0,),), ((1,),)),
+        )
+    )
 
 
 def random_valid_graph(rng: random.Random) -> GameGraph:
@@ -101,6 +121,35 @@ def random_compliant_graph(rng: random.Random) -> GameGraph:
     g = GameGraph(mins, maxs, tuple(randoms), tuple(edges))
     require_valid(g)
     return g
+
+
+def dense_absorption_rows(g: GameGraph) -> dict:
+    """Absorption rows {edge id: {vertex: p}} by one dense exact solve of
+    (I - Q) H = R over the whole Random block, keys in Min-then-Max order."""
+    absorbing = list(g.min_vertices) + list(g.max_vertices)
+    randoms = list(g.random_vertices)
+    r_index = {v: i for i, v in enumerate(randoms)}
+    a_index = {v: i for i, v in enumerate(absorbing)}
+    hit = {}
+    if randoms:
+        k = len(randoms)
+        matrix = [[Fraction(0)] * k for _ in range(k)]
+        rhs = [[Fraction(0)] * len(absorbing) for _ in range(k)]
+        for v in randoms:
+            i = r_index[v]
+            matrix[i][i] += 1
+            for e in g.out_edges[v]:
+                if e.head in r_index:
+                    matrix[i][r_index[e.head]] -= e.prob
+                else:
+                    rhs[i][a_index[e.head]] += e.prob
+        sol = solve_rational(matrix, rhs)
+        for v in randoms:
+            hit[v] = {w: sol[r_index[v]][j] for j, w in enumerate(absorbing) if sol[r_index[v]][j] != 0}
+    return {
+        e.id: dict(hit[e.head]) if e.head in r_index else {e.head: Fraction(1)}
+        for e in g.edges
+    }
 
 
 def hull_member_bruteforce(y, gens: TropPointSet) -> bool:

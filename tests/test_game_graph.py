@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import random_minmax, random_valid_graph, small_rational
-from tropcone.errors import DimensionMismatch, NonStochastic, ValidationFailed
+from support import (
+    dense_absorption_rows,
+    denominator_five_graph,
+    random_minmax,
+    random_valid_graph,
+    small_rational,
+)
+from tropcone import graph as graph_module
+from tropcone.errors import DimensionMismatch, NonStochastic, SingularSystem, ValidationFailed
 from tropcone.fixtures import TWO_PI, example_graph, example_minmax
 from tropcone.graph import (
     Edge,
@@ -27,6 +34,7 @@ from tropcone.graph import (
     validate_graph,
 )
 from tropcone.sampling import rng_for, sample_vector
+from tropcone.transforms import first_transformation, zwick_paterson
 
 F = Fraction
 
@@ -132,6 +140,83 @@ class TestAbsorption:
                     assert set(row) <= maxs
                 elif g.kind[e.tail] == "max":
                     assert set(row) <= mins
+
+    @staticmethod
+    def _assert_matches_dense(g, rows):
+        # Same edges, vertices and values, in the same order at both levels.
+        expected = dense_absorption_rows(g)
+        assert [(e, list(r.items())) for e, r in rows.items()] == [
+            (e, list(r.items())) for e, r in expected.items()
+        ]
+
+    def _check_with_stages(self, g):
+        zp = zwick_paterson(g)
+        t1, _ = first_transformation(zp)
+        for h in (g, zp, t1):
+            self._assert_matches_dense(h, h.absorption_table)
+
+    def test_matches_dense_solve_on_fixtures(self):
+        self._check_with_stages(example_graph())
+        self._check_with_stages(denominator_five_graph())
+
+    def test_matches_dense_solve_on_random_graphs(self):
+        for trial in range(400):
+            self._check_with_stages(random_valid_graph(rng_for(211, trial)))
+
+    def test_closed_component_raises(self):
+        # Random 3 <-> 4 is a closed 2-cycle: no Min or Max vertex is reachable.
+        closed = GameGraph(
+            (1,), (2,), (3, 4),
+            (
+                Edge(1, 1, 2, payoff=F(0)),
+                Edge(2, 2, 1, payoff=F(0)),
+                Edge(3, 2, 3, payoff=F(0)),
+                Edge(4, 3, 4, prob=F(1)),
+                Edge(5, 4, 3, prob=F(1)),
+            ),
+        )
+        with pytest.raises(SingularSystem, match="cannot reach a Min or Max vertex"):
+            graph_module._absorption_rows(closed)
+
+    def test_component_exiting_only_into_another(self):
+        # {3, 4} leaves only through 5, whose component {5, 6} exits to the
+        # Max vertices 7 and 2, listed in that order.
+        g = GameGraph(
+            (1,), (7, 2), (3, 4, 5, 6),
+            (
+                Edge(1, 1, 3, payoff=F(0)),
+                Edge(2, 1, 2, payoff=F(1)),
+                Edge(3, 2, 1, payoff=F(0)),
+                Edge(4, 7, 1, payoff=F(0)),
+                Edge(5, 3, 4, prob=F(1, 2)),
+                Edge(6, 3, 5, prob=F(1, 2)),
+                Edge(7, 4, 3, prob=F(1)),
+                Edge(8, 5, 6, prob=F(1, 2)),
+                Edge(9, 5, 2, prob=F(1, 2)),
+                Edge(10, 6, 5, prob=F(1, 3)),
+                Edge(11, 6, 7, prob=F(2, 3)),
+            ),
+        )
+        assert validate_graph(g).ok
+        rows = graph_module._absorption_rows(g)
+        self._assert_matches_dense(g, rows)
+        assert list(rows[1]) == [7, 2]
+        assert rows[1] == rows[6] == {7: F(2, 5), 2: F(3, 5)}
+
+    def test_long_chain_needs_no_recursion(self):
+        # Random i steps on with 1/2 and stops at Max 2 with 1/2; the last
+        # stops with 1. Validation is skipped: it is quadratic at this size.
+        k = 3000
+        randoms = tuple(range(3, 3 + k))
+        edges = [Edge(1, 1, 3, payoff=F(0)), Edge(2, 2, 1, payoff=F(0))]
+        for v in randoms[:-1]:
+            edges.append(Edge(len(edges) + 1, v, v + 1, prob=F(1, 2)))
+            edges.append(Edge(len(edges) + 1, v, 2, prob=F(1, 2)))
+        edges.append(Edge(len(edges) + 1, randoms[-1], 2, prob=F(1)))
+        g = GameGraph((1,), (2,), randoms, tuple(edges))
+        rows = graph_module._absorption_rows(g)
+        assert len(rows) == len(edges)
+        assert all(rows[e.id] == {2: F(1)} for e in edges if e.head in randoms)
 
 
 class TestOperator:

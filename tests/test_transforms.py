@@ -7,17 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from support import gadget_exit_probability, random_valid_graph, sequential_pipeline
+from support import (
+    denominator_five_graph,
+    gadget_exit_probability,
+    random_valid_graph,
+    sequential_pipeline,
+)
 from tropcone import graph as graph_module
 from tropcone.errors import DimensionMismatch, PreconditionViolated
 from tropcone.fixtures import example_graph
 from tropcone.graph import (
     Edge,
     GameGraph,
-    MinMaxOperator,
     absorption,
     eval_operator,
-    graph_from_minmax,
     subfixed,
     validate_graph,
 )
@@ -46,21 +49,6 @@ def third_graph():
             Edge(4, 2, 1, payoff=F(1)),
             Edge(5, 4, 1, payoff=F(0)),
         ),
-    )
-
-
-def denominator_five_graph():
-    """Three coordinates, stochastic rows over 5; 39 Random-to-Random edges
-    after the first transformation."""
-    a1 = ((F(1, 5), F(2, 5), F(2, 5)), (F(3, 5), F(0), F(2, 5)), (F(1, 5), F(1, 5), F(3, 5)))
-    a2 = ((F(4, 5), F(1, 5), F(0)), (F(2, 5), F(2, 5), F(1, 5)), (F(0), F(3, 5), F(2, 5)))
-    return graph_from_minmax(
-        MinMaxOperator(
-            n=3,
-            matrices=(a1, a2),
-            offsets=((F(1), F(-1, 2), F(0)), (F(3, 4), F(2), F(-1))),
-            subsets=(((0, 1),), ((0,),), ((1,),)),
-        )
     )
 
 

@@ -3,9 +3,9 @@
 from dataclasses import replace
 from fractions import Fraction
 
-from support import random_valid_graph
+from support import random_minmax, random_valid_graph
 from tropcone.fixtures import example_graph
-from tropcone.graph import Edge, GameGraph
+from tropcone.graph import Edge, GameGraph, graph_from_minmax
 from tropcone.pencil import affine_envelope, synthesize_cone
 from tropcone.sampling import rng_for
 from tropcone.transforms import pipeline
@@ -27,6 +27,14 @@ def test_random_graphs_verify():
     for trial in range(3):
         g = random_valid_graph(rng_for(283, trial))
         report = verify_graph(g, samples=60, seed=trial, instance=f"random-{trial}")
+        assert report.ok, report.to_json()
+
+
+def test_arity_four_denominator_64_graphs_verify():
+    # Zwick-Paterson turns these into about a hundred Random vertices.
+    for trial in range(2):
+        g = graph_from_minmax(random_minmax(rng_for(293, trial), n=4, denom=64))
+        report = verify_graph(g, samples=20)
         assert report.ok, report.to_json()
 
 
