@@ -141,6 +141,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 0 or args.box < 0 or args.denom < 1:
+        raise MalformedInput("need --samples >= 0, --box >= 0 and --denom >= 1")
     g = _load_graph(args.graph)
     report = verify_graph(
         g,

@@ -146,18 +146,16 @@ class ValidationReport:
         }
 
 
-def _random_reachable(g: GameGraph, start: int):
-    """Vertices reachable from `start` by traversing edges whose tails are
-    Random vertices (start's own out-edges are followed regardless)."""
+def _reaching_randoms(into: dict, targets) -> set:
+    """Random vertices with a path into `targets` along Random-tail edges,
+    by one reverse search over `into`, {head: [Random tails]}."""
     seen = set()
-    stack = [e.head for e in g.out_edges[start]]
+    stack = list(targets)
     while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        if g.kind.get(v) == "random":
-            stack.extend(e.head for e in g.out_edges[v])
+        for u in into.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
     return seen
 
 
@@ -197,17 +195,23 @@ def validate_graph(g: GameGraph) -> ValidationReport:
             failures.append(("prob-sum", f"probabilities out of {v} sum to {total}"))
 
     if not failures:
+        # A Max-free path from a Min vertex leaves by an out-edge into a Min
+        # vertex or into a Random vertex that reaches one through Random
+        # vertices only; Max vertices likewise.
+        into = {}
+        for e in g.edges:
+            if g.kind[e.tail] == "random":
+                into.setdefault(e.head, []).append(e.tail)
+        to_min = _reaching_randoms(into, g.min_vertices)
+        to_max = _reaching_randoms(into, g.max_vertices)
         for v in g.min_vertices:
-            reach = _random_reachable(g, v)
-            if any(g.kind[w] == "min" for w in reach):
+            if any(e.head in to_min or g.kind[e.head] == "min" for e in g.out_edges[v]):
                 failures.append(("min-min-path", f"a Max-free path joins Min vertex {v} to a Min vertex"))
         for v in g.max_vertices:
-            reach = _random_reachable(g, v)
-            if any(g.kind[w] == "max" for w in reach):
+            if any(e.head in to_max or g.kind[e.head] == "max" for e in g.out_edges[v]):
                 failures.append(("max-max-path", f"a Min-free path joins Max vertex {v} to a Max vertex"))
         for v in g.random_vertices:
-            reach = _random_reachable(g, v)
-            if not any(g.kind[w] in ("min", "max") for w in reach):
+            if v not in to_min and v not in to_max:
                 failures.append(("random-reach", f"no Min or Max vertex reachable from Random vertex {v}"))
 
     return ValidationReport(tuple(failures))

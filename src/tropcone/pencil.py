@@ -6,6 +6,13 @@ set of points x satisfying Q_ii+(x) >= Q_ii-(x) for every row and
 Q_ii+(x) (.) Q_jj+(x) >= Q_ij(x)^2 for every pair of rows, where
 Q_ij(X) = Q^(0)_ij (+) Q^(1)_ij (.) X_1 (+) ... (+) Q^(n)_ij (.) X_n.
 
+Membership is decided in exact integer arithmetic. The first
+`pencil_member` call on a pencil builds its plan and keeps it on the
+pencil: the lcm L of every modulus denominator, and every coefficient as an
+integer over L, diagonal terms split by sign. A query scales the point to
+integers over D = lcm(L, its denominators); max-plus comparisons do not
+change when every value is multiplied by D.
+
 The module provides membership, synthesis of a cone pencil from a compliant
 game graph, homogenization and dehomogenization, and the tropical convex hull
 of a union as one n-ary tropical sum: each summand is homogenized once into
@@ -21,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -51,10 +60,18 @@ def _merge_coeff(entry: Entry, k: int, coeff: SignedTrop) -> None:
         entry[k] = SignedTrop(old.sign, tadd(old.modulus, coeff.modulus))
 
 
+def _scaled_terms(entry: Entry, sign: int, scale: int) -> tuple:
+    """(variable, modulus * scale) for each coefficient of the given sign;
+    scale is a multiple of every modulus denominator."""
+    return tuple(
+        (k, c.modulus.finite.numerator * (scale // c.modulus.finite.denominator))
+        for k, c in entry.items()
+        if c.sign == sign
+    )
+
+
 class MetzlerPencil:
     """Immutable sparse tropical Metzler pencil with m rows and n variables."""
-
-    __slots__ = ("m", "n", "entries")
 
     def __init__(self, m: int, n: int, entries):
         self.m = m
@@ -76,24 +93,25 @@ class MetzlerPencil:
             cleaned[(i, j)] = entry
         self.entries = cleaned
 
-    def _value_at(self, x, k: int) -> Trop:
-        return Trop(0) if k == 0 else x[k - 1]
-
-    def diag_pm(self, i: int, x) -> tuple[Trop, Trop]:
-        plus, minus = NEG_INF, NEG_INF
-        for k, c in self.entries.get((i, i), {}).items():
-            term = tmul(c.modulus, self._value_at(x, k))
-            if c.sign > 0:
-                plus = tadd(plus, term)
-            else:
-                minus = tadd(minus, term)
-        return plus, minus
-
-    def offdiag_modulus(self, i: int, j: int, x) -> Trop:
-        acc = NEG_INF
-        for k, c in self.entries.get((min(i, j), max(i, j)), {}).items():
-            acc = tadd(acc, tmul(c.modulus, self._value_at(x, k)))
-        return acc
+    @cached_property
+    def _plan(self) -> tuple:
+        """The integer form `pencil_member` evaluates, built on its first
+        call: L, the lcm of every modulus denominator; per diagonal row its
+        (variable, modulus * L) terms split into plus and minus; per
+        off-diagonal entry (i, j, terms)."""
+        scale = lcm(
+            *(c.modulus.finite.denominator for entry in self.entries.values() for c in entry.values())
+        )
+        diag = []
+        for i in range(self.m):
+            entry = self.entries.get((i, i), {})
+            diag.append((_scaled_terms(entry, 1, scale), _scaled_terms(entry, -1, scale)))
+        offdiag = tuple(
+            (i, j, _scaled_terms(entry, -1, scale))
+            for (i, j), entry in self.entries.items()
+            if i != j
+        )
+        return scale, tuple(diag), offdiag
 
     @property
     def is_cone(self) -> bool:
@@ -170,24 +188,49 @@ def to_trop_vector(x) -> Point:
     return tuple(out)
 
 
+def _rational_or_none(v) -> Optional[Fraction]:
+    """A coordinate as a Fraction, or None for -inf (a -inf Trop or None)."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, Trop):
+        return None if v.is_neg_inf else v.finite
+    return None if v is None else Fraction(v)
+
+
+def _top(terms, y: list, r: int) -> Optional[int]:
+    """max over (k, c) in terms of c * r + y[k], None for -inf."""
+    best = None
+    for k, c in terms:
+        v = y[k]
+        if v is not None:
+            v += c * r
+            if best is None or v > best:
+                best = v
+    return best
+
+
 def pencil_member(pencil: MetzlerPencil, x) -> bool:
-    """Decide membership of x in the tropical Metzler spectrahedron."""
-    x = to_trop_vector(x)
-    if len(x) != pencil.n:
-        raise DimensionMismatch(f"point of length {len(x)}, pencil has {pencil.n} variables")
+    """Decide membership of x in the tropical Metzler spectrahedron, with
+    every value an integer over D = lcm(L, x's denominators), None for -inf
+    and the constant slot 0 pinned to 0."""
+    vals = [_rational_or_none(v) for v in x]
+    if len(vals) != pencil.n:
+        raise DimensionMismatch(f"point of length {len(vals)}, pencil has {pencil.n} variables")
+    scale, diag, offdiag = pencil._plan
+    d = lcm(scale, *(v.denominator for v in vals if v is not None))
+    r = d // scale
+    y = [0] + [None if v is None else v.numerator * (d // v.denominator) for v in vals]
     plus = []
-    for i in range(pencil.m):
-        p, m_ = pencil.diag_pm(i, x)
-        if not p >= m_:
+    for pos, neg in diag:
+        p, m_ = _top(pos, y, r), _top(neg, y, r)
+        if m_ is not None and (p is None or p < m_):
             return False
         plus.append(p)
-    for (i, j) in pencil.entries:
-        if i == j:
+    for i, j, terms in offdiag:
+        v = _top(terms, y, r)
+        if v is None:
             continue
-        v = pencil.offdiag_modulus(i, j, x)
-        if v.is_neg_inf:
-            continue
-        if not tmul(plus[i], plus[j]) >= tmul(v, v):
+        if plus[i] is None or plus[j] is None or plus[i] + plus[j] < 2 * v:
             return False
     return True
 

@@ -17,7 +17,11 @@ vertices flip fair coins between two Max vertices:
 `pipeline` runs the first two stages and then splits every Random-to-Random
 edge in one pass that reads a single absorption table. It returns a witness map
 relating the two subfixed sets; a witness map is data, a list of rows that
-each define one new coordinate, so composing two is concatenation.
+each define one new coordinate, so composing two is concatenation. The first
+`lift` on a map builds its integer plan and keeps it on the map: every
+constant over their common denominator, every row's probabilities over the
+lcm of theirs. A lift then holds the point as integers over one running
+denominator, multiplied up only when a row's value needs it.
 
 Every stage builds its output with `graph._Builder` and checks it once; a
 graph's validation report and absorption table are cached on the graph, so
@@ -29,6 +33,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Optional
 
@@ -60,18 +66,52 @@ class WitnessMap:
     def target_dim(self) -> int:
         return self.source_dim + len(self.rows)
 
-    def lift(self, x) -> tuple:
-        y = [Fraction(v) for v in x]
-        if len(y) != self.source_dim:
-            raise DimensionMismatch(
-                f"point of length {len(y)}, witness expects {self.source_dim}"
-            )
+    @cached_property
+    def _plan(self) -> tuple:
+        """The integer form `lift` evaluates, built on its first call: C,
+        the lcm of every constant's denominator, and per row (P, the lcm of
+        its probability denominators, ((p * P, ((c * C, i), ...)), ...))."""
+        scale = lcm(*(c.denominator for row in self.rows for _, terms in row for c, _ in terms))
+        rows = []
         for row in self.rows:
-            val = ZERO
+            den = lcm(*(p.denominator for p, _ in row))
+            pairs = tuple(
+                (
+                    p.numerator * (den // p.denominator),
+                    tuple((c.numerator * (scale // c.denominator), i) for c, i in terms),
+                )
+                for p, terms in row
+            )
+            rows.append((den, pairs))
+        return scale, tuple(rows)
+
+    def lift(self, x) -> tuple:
+        """The source point x followed by every new coordinate, as Fractions.
+
+        y is held as integers over a running denominator D, which starts as
+        the lcm of C and x's denominators. A row gives N / P over D; when P
+        does not divide N, D and every y so far are multiplied by
+        P / gcd(N, P)."""
+        xs = [Fraction(v) for v in x]
+        if len(xs) != self.source_dim:
+            raise DimensionMismatch(
+                f"point of length {len(xs)}, witness expects {self.source_dim}"
+            )
+        scale, rows = self._plan
+        d = lcm(scale, *(v.denominator for v in xs))
+        r = d // scale
+        y = [v.numerator * (d // v.denominator) for v in xs]
+        for den, row in rows:
+            total = 0
             for p, terms in row:
-                val += p * max(c + y[i] for c, i in terms)
-            y.append(val)
-        return tuple(y)
+                total += p * max(c * r + y[i] for c, i in terms)
+            g = gcd(total, den)
+            if g != den:
+                f = den // g
+                d, r = d * f, r * f
+                y = [v * f for v in y]
+            y.append(total // g)
+        return tuple(Fraction(v, d) for v in y)
 
     def project(self, xp):
         return tuple(xp[: self.source_dim])

@@ -4,8 +4,10 @@ The oracles here deliberately avoid the code paths under test: hull
 membership by brute-force subset search, linear programming by exhaustive
 vertex enumeration over exact square solves, the one-pass edge split of
 `pipeline` by splitting one edge at a time, absorption probabilities by one
-dense solve over every Random vertex, and the sparse pencil file by the
-dense matrix form that earlier versions wrote.
+dense solve over every Random vertex, the sparse pencil file by the
+dense matrix form that earlier versions wrote, pencil membership and witness
+lifts by boxed `Trop` and `Fraction` arithmetic in place of the integer
+plans, and the path checks of graph validation by one walk per vertex.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from tropcone.convex import TropPointSet, cone_member
 from tropcone.errors import SingularSystem
 from tropcone.exactlin import solve_rational
 from tropcone.graph import Edge, GameGraph, MinMaxOperator, graph_from_minmax, require_valid
-from tropcone.scalars import SignedTrop, Trop
+from tropcone.pencil import eval_compliant_operator
+from tropcone.scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
 from tropcone.transforms import (
     first_transformation,
     is_compliant,
@@ -262,3 +265,109 @@ def dense_pencil_json(pencil) -> dict:
                 mat[j][i] = signed_json(c)
         matrices.append(mat)
     return {"m": pencil.m, "n": pencil.n, "matrices": matrices}
+
+
+def trop_pencil_member(pencil, x) -> bool:
+    """Pencil membership evaluated in boxed `Trop` values: each diagonal
+    row's plus and minus parts, then each off-diagonal square against the
+    product of its two plus parts."""
+    x = tuple(v if isinstance(v, Trop) else Trop(v) for v in x)
+    assert len(x) == pencil.n
+
+    def value(k):
+        return Trop(0) if k == 0 else x[k - 1]
+
+    plus = []
+    for i in range(pencil.m):
+        p, m = NEG_INF, NEG_INF
+        for k, c in pencil.entries.get((i, i), {}).items():
+            term = tmul(c.modulus, value(k))
+            if c.sign > 0:
+                p = tadd(p, term)
+            else:
+                m = tadd(m, term)
+        if not p >= m:
+            return False
+        plus.append(p)
+    for (i, j), entry in pencil.entries.items():
+        if i == j:
+            continue
+        v = NEG_INF
+        for k, c in entry.items():
+            v = tadd(v, tmul(c.modulus, value(k)))
+        if not v.is_neg_inf and not tmul(plus[i], plus[j]) >= tmul(v, v):
+            return False
+    return True
+
+
+def fraction_lift(witness, x) -> tuple:
+    """A witness lift row by row in `Fraction` arithmetic."""
+    y = [Fraction(v) for v in x]
+    assert len(y) == witness.source_dim
+    for row in witness.rows:
+        y.append(sum((p * max(c + y[i] for c, i in terms) for p, terms in row), Fraction(0)))
+    return tuple(y)
+
+
+def _random_reachable(g: GameGraph, start: int) -> set:
+    """Vertices reachable from `start` along edges with Random tails (the
+    out-edges of `start` itself are followed whatever its class)."""
+    seen = set()
+    stack = [e.head for e in g.out_edges[start]]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        if g.kind.get(v) == "random":
+            stack.extend(e.head for e in g.out_edges[v])
+    return seen
+
+
+def walk_path_failures(g: GameGraph) -> list:
+    """The min-min-path, max-max-path and random-reach failures of a
+    structurally sound graph, by one reachability walk per vertex."""
+    failures = []
+    for v in g.min_vertices:
+        if any(g.kind[w] == "min" for w in _random_reachable(g, v)):
+            failures.append(("min-min-path", f"a Max-free path joins Min vertex {v} to a Min vertex"))
+    for v in g.max_vertices:
+        if any(g.kind[w] == "max" for w in _random_reachable(g, v)):
+            failures.append(("max-max-path", f"a Min-free path joins Max vertex {v} to a Max vertex"))
+    for v in g.random_vertices:
+        if not any(g.kind[w] in ("min", "max") for w in _random_reachable(g, v)):
+            failures.append(("random-reach", f"no Min or Max vertex reachable from Random vertex {v}"))
+    return failures
+
+
+def random_sound_graph(rng: random.Random) -> GameGraph:
+    """A graph that passes every structural check of validation (classes,
+    labels, out-degrees, probability sums) but whose edges are otherwise
+    arbitrary, so any of the path checks may fail."""
+    sizes = [rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 5)]
+    ids = rng.sample(range(1, 40), sum(sizes))
+    mins, maxs = ids[: sizes[0]], ids[sizes[0] : sizes[0] + sizes[1]]
+    randoms = ids[sizes[0] + sizes[1] :]
+    edges = []
+    for v in ids:
+        heads = [rng.choice(ids) for _ in range(rng.randint(1, 3))]
+        probs = stochastic_row(rng, len(heads), 6)
+        if v in randoms and 0 in probs:
+            probs = tuple(Fraction(1, len(heads)) for _ in heads)
+        for head, p in zip(heads, probs):
+            payoff = None if v in randoms else small_rational(rng)
+            edges.append(Edge(len(edges) + 1, v, head, payoff=payoff, prob=p if v in randoms else None))
+    return GameGraph(tuple(mins), tuple(maxs), tuple(randoms), tuple(edges))
+
+
+def inside_closure(target: GameGraph, p) -> tuple:
+    """Lower to -inf every coordinate above its operator value until none
+    is; the result lies in the extended subfixed set of the target."""
+    p = [v if isinstance(v, Trop) else Trop(v) for v in p]
+    while True:
+        fx = eval_compliant_operator(target, p)
+        bad = [k for k, (a, b) in enumerate(zip(p, fx)) if not a <= b]
+        if not bad:
+            return tuple(p)
+        for k in bad:
+            p[k] = NEG_INF

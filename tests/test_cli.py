@@ -88,6 +88,16 @@ class TestExitCodes:
         code, _ = run(capsys, "transform", "t2", graph_file)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--samples", "-3"), ("--denom", "0"), ("--denom", "-4"), ("--box", "-1")]
+    )
+    def test_bad_sampling_arguments_exit_two(self, capsys, graph_file, flag, value):
+        code = main(["verify", graph_file, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/0"])
     def test_non_rational_json_exits_two(self, capsys, tmp_path, value):
         obj = example_graph().to_json()

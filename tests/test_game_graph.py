@@ -14,8 +14,10 @@ from support import (
     dense_absorption_rows,
     denominator_five_graph,
     random_minmax,
+    random_sound_graph,
     random_valid_graph,
     small_rational,
+    walk_path_failures,
 )
 from tropcone import graph as graph_module
 from tropcone.errors import DimensionMismatch, NonStochastic, SingularSystem, ValidationFailed
@@ -99,6 +101,33 @@ class TestValidation:
         assert [code for code, _ in validate_graph(dup).failures] == ["edge-ids"]
         with pytest.raises(ValidationFailed):
             eval_operator(dup, (F(0), F(0), F(5)))
+
+
+    def test_path_checks_match_per_vertex_walks(self):
+        codes = set()
+        for trial in range(1500):
+            g = random_sound_graph(rng_for(229, trial))
+            failures = validate_graph(g).failures
+            assert list(failures) == walk_path_failures(g)
+            codes.update(code for code, _ in failures)
+        assert codes == {"min-min-path", "max-max-path", "random-reach"}
+
+    def test_long_chain(self):
+        # One reverse search per vertex class: about 5 s at this size with
+        # one walk per vertex, a few milliseconds now.
+        assert validate_graph(long_chain_graph(3000)).ok
+
+
+def long_chain_graph(k):
+    """Min 1 -> Random 3 -> ... -> Random k + 2, each Random vertex moving on
+    with 1/2 and stopping at Max 2 with 1/2; the last stops with 1."""
+    randoms = tuple(range(3, 3 + k))
+    edges = [Edge(1, 1, 3, payoff=F(0)), Edge(2, 2, 1, payoff=F(0))]
+    for v in randoms[:-1]:
+        edges.append(Edge(len(edges) + 1, v, v + 1, prob=F(1, 2)))
+        edges.append(Edge(len(edges) + 1, v, 2, prob=F(1, 2)))
+    edges.append(Edge(len(edges) + 1, randoms[-1], 2, prob=F(1)))
+    return GameGraph((1,), (2,), randoms, tuple(edges))
 
 
 class TestAbsorption:
@@ -204,19 +233,10 @@ class TestAbsorption:
         assert rows[1] == rows[6] == {7: F(2, 5), 2: F(3, 5)}
 
     def test_long_chain_needs_no_recursion(self):
-        # Random i steps on with 1/2 and stops at Max 2 with 1/2; the last
-        # stops with 1. Validation is skipped: it is quadratic at this size.
-        k = 3000
-        randoms = tuple(range(3, 3 + k))
-        edges = [Edge(1, 1, 3, payoff=F(0)), Edge(2, 2, 1, payoff=F(0))]
-        for v in randoms[:-1]:
-            edges.append(Edge(len(edges) + 1, v, v + 1, prob=F(1, 2)))
-            edges.append(Edge(len(edges) + 1, v, 2, prob=F(1, 2)))
-        edges.append(Edge(len(edges) + 1, randoms[-1], 2, prob=F(1)))
-        g = GameGraph((1,), (2,), randoms, tuple(edges))
+        g = long_chain_graph(3000)
         rows = graph_module._absorption_rows(g)
-        assert len(rows) == len(edges)
-        assert all(rows[e.id] == {2: F(1)} for e in edges if e.head in randoms)
+        assert len(rows) == len(g.edges)
+        assert all(rows[e.id] == {2: F(1)} for e in g.edges if e.head in g.random_vertices)
 
 
 class TestOperator:

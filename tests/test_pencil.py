@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from support import (
+    denominator_five_graph,
     dense_pencil_json,
     hull_member_bruteforce,
     random_compliant_graph,
     signed_json,
+    trop_pencil_member,
 )
 from tropcone.convex import TropPointSet, hull_member
 from tropcone.errors import (
@@ -78,8 +80,9 @@ class TestMembership:
         assert not pencil_member(p, (NEG_INF, T(5)))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            pencil_member(halfspace_pencil(), (Z,))
+        for x in ((Z,), (Z, Z, Z)):
+            with pytest.raises(DimensionMismatch):
+                pencil_member(halfspace_pencil(), x)
 
     def test_off_diagonal_sign_enforced(self):
         with pytest.raises(ValueError):
@@ -193,6 +196,118 @@ class TestSynthesis:
         g = one_edge_graph(F(2))
         assert eval_compliant_operator(g, (NEG_INF,)) == (NEG_INF,)
         assert eval_compliant_operator(g, (T(1),)) == (T(3),)
+
+
+def _pipeline_points(g, seed):
+    """Lifts through the pipeline of g of ten subfixed and ten other sampled
+    source points: its cone pencil, its envelope, and each lift as a cone
+    point and an envelope point. Lifts of subfixed points are tight: a pencil
+    row holds with equality."""
+    target, witness = pipeline(g)
+    cone = synthesize_cone(target)
+    env = affine_envelope(cone)
+    chosen = {True: [], False: []}
+    for i in range(4000):
+        x = sample_vector(rng_for(seed, i), g.n, 5, 8)
+        side = chosen[subfixed(g, x)]
+        if len(side) < 10:
+            side.append(x)
+    lifts = [witness.lift(x) for x in chosen[True] + chosen[False]]
+    return cone, env, lifts, [y + tuple(-v for v in y) for y in lifts]
+
+
+def _variants(point, k):
+    """point, coordinate k raised by 1/7, coordinate k at -inf, and the
+    point with int, Fraction and Trop coordinates mixed."""
+    point = tuple(c.finite if isinstance(c, Trop) and not c.is_neg_inf else c for c in point)
+    raised, lowered = list(point), list(point)
+    if raised[k] is not NEG_INF:
+        raised[k] += F(1, 7)
+    lowered[k] = NEG_INF
+    mixed = [
+        c if c is NEG_INF
+        else T(c) if t % 3 == 0
+        else int(c) if c.denominator == 1
+        else c
+        for t, c in enumerate(point)
+    ]
+    return [point, tuple(raised), tuple(lowered), tuple(mixed)]
+
+
+def _kernel_cases():
+    cases = {}
+    for name, g in (("example", example_graph()), ("denominator_five", denominator_five_graph())):
+        cone, env, lifts, doubled = _pipeline_points(g, 181)
+        cases[f"{name}_cone"] = (cone, lifts)
+        cases[f"{name}_envelope"] = (env, doubled)
+    cone, env, _, doubled = _pipeline_points(example_graph(), 191)
+    (i, j), entry = next((key, e) for key, e in env.entries.items() if key[0] == key[1])
+    k, c = next(iter(entry.items()))
+    corrupted = dict(env.entries)
+    corrupted[(i, j)] = {**entry, k: SignedTrop(c.sign, tmul(c.modulus, T(F(1, 3))))}
+    cases["corrupted_envelope"] = (MetzlerPencil(env.m, env.n, corrupted), doubled)
+    point = pencil_from_point((T(F(3, 4)), NEG_INF, T(-2)))
+    cases["pencil_from_point"] = (
+        point.pencil,
+        [(T(F(3, 4)), NEG_INF, T(-2)), (T(1), NEG_INF, T(-2)), (T(0), T(0), T(0))],
+    )
+    for name, pp in (
+        ("union_pencil", union_pencil(
+            pencil_from_point((Z, T(F(1, 5)))), pencil_from_point((T(2), NEG_INF))
+        )),
+        ("assemble_strata", assemble_strata(2, [
+            ((0,), pencil_from_generators(TropPointSet(1, ((T(0),), (T(F(7, 3)),))))),
+            ((1,), pencil_from_generators(TropPointSet(1, ((T(-1),), (T(2),))))),
+        ], include_bottom=True)),
+    ):
+        visible = [sample_trop_vector(rng_for(197, i), 2, 3, 6, 0.3) for i in range(40)]
+        visible += list(pp.gens.points)
+        lifts = [pp.lift(y) for y in visible]
+        cases[name] = (pp.pencil, [y for y in lifts if y is not None])
+    return cases
+
+
+KERNEL_CASE_NAMES = (
+    "assemble_strata",
+    "corrupted_envelope",
+    "denominator_five_cone",
+    "denominator_five_envelope",
+    "example_cone",
+    "example_envelope",
+    "pencil_from_point",
+    "union_pencil",
+)
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    cases = _kernel_cases()
+    assert sorted(cases) == list(KERNEL_CASE_NAMES)
+    return cases
+
+
+class TestIntegerKernel:
+    """pencil_member's integer plan against boxed Trop evaluation."""
+
+    @pytest.mark.parametrize("name", KERNEL_CASE_NAMES)
+    def test_matches_trop_evaluation(self, kernel_cases, name):
+        pencil, points = kernel_cases[name]
+        answers = set()
+        for t, point in enumerate(points):
+            for x in _variants(point, t % len(point)):
+                want = trop_pencil_member(pencil, x)
+                assert pencil_member(pencil, x) == want, x
+                answers.add(want)
+        assert answers == {True, False}
+
+    def test_plan_is_built_once_per_pencil(self, kernel_cases):
+        pencil, points = kernel_cases["example_envelope"]
+        fresh = MetzlerPencil(pencil.m, pencil.n, pencil.entries)
+        assert "_plan" not in vars(fresh)
+        pencil_member(fresh, points[0])
+        plan = fresh._plan
+        pencil_member(fresh, points[1])
+        assert fresh._plan is plan
 
 
 class TestEnvelope:

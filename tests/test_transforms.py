@@ -9,7 +9,9 @@ import pytest
 
 from support import (
     denominator_five_graph,
+    fraction_lift,
     gadget_exit_probability,
+    random_minmax,
     random_valid_graph,
     sequential_pipeline,
 )
@@ -21,11 +23,13 @@ from tropcone.graph import (
     GameGraph,
     absorption,
     eval_operator,
+    graph_from_minmax,
     subfixed,
     validate_graph,
 )
 from tropcone.sampling import rng_for, sample_vector
 from tropcone.transforms import (
+    WitnessMap,
     first_transformation,
     is_compliant,
     pipeline,
@@ -345,6 +349,37 @@ class TestPipeline:
         for x in ((F(0),) * 2, (F(0),) * 4):
             with pytest.raises(DimensionMismatch):
                 witness.lift(x)
+
+
+class TestIntegerLift:
+    """WitnessMap.lift's integer plan against row-by-row Fraction arithmetic."""
+
+    @pytest.mark.parametrize("den", [1, 7, 64])
+    def test_matches_fraction_lift(self, den):
+        graphs = [example_graph(), denominator_five_graph()]
+        graphs += [graph_from_minmax(random_minmax(rng_for(211, t), n=3, denom=64)) for t in range(2)]
+        for g in graphs:
+            _, witness = pipeline(g)
+            for i in range(20):
+                rng = rng_for(223 + den, i)
+                x = tuple(F(rng.randint(-6 * den, 6 * den), den) for _ in range(g.n))
+                lifted = witness.lift(x)
+                assert lifted == fraction_lift(witness, x)
+                assert all(type(v) is F for v in lifted)
+
+    def test_denominator_grows(self):
+        # y2 = x0 / 3 + 2/3 max(x0 + 1/2, x1 - 4) and
+        # y3 = (y2 + 1/2) / 5 + 4/5 (y2 - 1): at 0 the running denominator
+        # goes from 2 to 6 to 30. Integer and Fraction inputs mix.
+        witness = WitnessMap("test", 2, (
+            ((F(1, 3), ((F(0), 0),)), (F(2, 3), ((F(1, 2), 0), (F(-4), 1)))),
+            ((F(1, 5), ((F(1, 2), 2),)), (F(4, 5), ((F(-1), 2),))),
+        ))
+        for x in ((0, 0), (F(5, 4), 3), (-7, F(-1, 9))):
+            lifted = witness.lift(x)
+            assert lifted == fraction_lift(witness, x)
+            assert all(type(v) is F for v in lifted)
+        assert witness.lift((0, 0)) == (0, 0, F(1, 3), F(-11, 30))
 
 
 class TestOnePassSplit:

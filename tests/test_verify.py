@@ -1,15 +1,22 @@
-"""The sampled end-to-end verification harness."""
+"""The sampled end-to-end verification harness, and a differential
+property test of the whole construction."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
-from support import random_minmax, random_valid_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from support import inside_closure, random_minmax, random_valid_graph
 from tropcone.fixtures import example_graph
-from tropcone.graph import Edge, GameGraph, graph_from_minmax
-from tropcone.pencil import affine_envelope, synthesize_cone
+from tropcone.graph import Edge, GameGraph, graph_from_minmax, subfixed
+from tropcone.pencil import affine_envelope, pencil_member, subfixed_extended, synthesize_cone
 from tropcone.sampling import rng_for
+from tropcone.scalars import NEG_INF, Trop
 from tropcone.transforms import pipeline
-from tropcone.verify import verify_graph
+from tropcone.verify import envelope_lift, verify_graph
 
 F = Fraction
 
@@ -59,3 +66,36 @@ def test_corrupted_pencil_is_caught():
     report = verify_graph(g, samples=200, seed=1, pencil_override=wrong)
     assert not report.ok
     assert report.counterexample is not None
+
+
+def test_pipeline_pencils_match_operator_on_random_graphs():
+    """Random min-max graphs with n <= 5 and row denominators <= 6: at
+    drawn rational points, subfixed equals envelope membership of the lift;
+    at lifts with a quarter of the coordinates -inf, half of them pulled
+    into the extended subfixed set, subfixed_extended equals cone
+    membership. Both answers must occur in both comparisons."""
+    seen = Counter()
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6), st.data())
+    def check(seed, n, denom, data):
+        rng = random.Random(seed)
+        g = graph_from_minmax(random_minmax(rng, n, denom))
+        target, witness = pipeline(g)
+        cone = synthesize_cone(target)
+        envelope = affine_envelope(cone)
+        for j in range(4):
+            x = tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+            inside = subfixed(g, x)
+            assert pencil_member(envelope, envelope_lift(witness, x)) == inside
+            seen["finite", inside] += 1
+            p = tuple(NEG_INF if rng.random() < 0.25 else Trop(v) for v in witness.lift(x))
+            if j % 2:
+                p = inside_closure(target, p)
+            inside = subfixed_extended(target, p)
+            assert pencil_member(cone, p) == inside
+            seen["-inf", inside] += 1
+
+    check()
+    assert all(seen[kind, answer] for kind in ("finite", "-inf") for answer in (True, False)), seen
