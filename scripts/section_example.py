@@ -12,14 +12,15 @@ from tropcone.cli import section_ticks
 from tropcone.errors import MalformedInput
 from tropcone.fixtures import example_graph
 from tropcone.graph import subfixed
+from tropcone.scalars import rational_from_str
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--lo", type=Fraction, default=Fraction(-9, 2))
-    parser.add_argument("--hi", type=Fraction, default=Fraction(5, 2))
-    parser.add_argument("--step", type=Fraction, default=Fraction(1, 4))
-    parser.add_argument("--x3", type=Fraction, default=Fraction(0))
+    parser.add_argument("--lo", type=rational_from_str, default=Fraction(-9, 2))
+    parser.add_argument("--hi", type=rational_from_str, default=Fraction(5, 2))
+    parser.add_argument("--step", type=rational_from_str, default=Fraction(1, 4))
+    parser.add_argument("--x3", type=rational_from_str, default=Fraction(0))
     args = parser.parse_args(argv)
     try:
         ticks = section_ticks(args.lo, args.hi, args.step, 2)

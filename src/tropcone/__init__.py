@@ -4,11 +4,9 @@ synthesis, and polyhedral frontends."""
 
 from .convex import TropPointSet, cone_member, hull_member
 from .errors import (
-    ArityMismatch,
     DimensionMismatch,
     EmptyBelow,
     MalformedInput,
-    MixedSigns,
     NonStochastic,
     NotCompliant,
     PreconditionViolated,
@@ -41,15 +39,13 @@ from .pencil import (
     ProjectedPencil,
     affine_envelope,
     assemble_strata,
-    dehomogenize,
-    formal_homogenize,
     pencil_from_generators,
     pencil_from_point,
     pencil_member,
     synthesize_cone,
     union_pencil,
 )
-from .scalars import NEG_INF, SignedTrop, Trop, TropPolynomial, sadd, smul, tadd, tmul
+from .scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
 from .transforms import (
     WitnessMap,
     first_transformation,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import MalformedInput, TropconeError
 from .graph import GameGraph, eval_operator, subfixed, validate_graph
 from .pencil import MetzlerPencil, pencil_member, synthesize_cone
-from .scalars import Trop, rational_to_str
+from .scalars import Trop, rational_from_str, rational_to_str
 from .transforms import first_transformation, pipeline, second_transformation, zwick_paterson
 from .verify import verify_graph
 
@@ -48,18 +48,11 @@ def _load_pencil(path: str) -> MetzlerPencil:
         raise MalformedInput(f"bad pencil JSON in {path}: {exc}") from exc
 
 
-def _parse_rationals(text: str):
+def _parse_vector(text: str, parse=rational_from_str, kind: str = "rational"):
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInput(f"bad rational vector {text!r}") from exc
-
-
-def _parse_trops(text: str):
-    try:
-        return tuple(Trop.from_str(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInput(f"bad tropical vector {text!r}") from exc
+        return tuple(parse(part.strip()) for part in text.split(","))
+    except ValueError as exc:
+        raise MalformedInput(f"bad {kind} vector {text!r}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -82,14 +75,14 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     g = _load_graph(args.graph)
-    value = eval_operator(g, _parse_rationals(args.point))
+    value = eval_operator(g, _parse_vector(args.point))
     _emit_json([rational_to_str(v) for v in value], args.out)
     return 0
 
 
 def cmd_subfixed(args) -> int:
     g = _load_graph(args.graph)
-    _emit_json({"subfixed": subfixed(g, _parse_rationals(args.point))}, args.out)
+    _emit_json({"subfixed": subfixed(g, _parse_vector(args.point))}, args.out)
     return 0
 
 
@@ -128,14 +121,15 @@ def cmd_synthesize(args) -> int:
 
 def cmd_member(args) -> int:
     pencil = _load_pencil(args.pencil)
-    _emit_json({"member": pencil_member(pencil, _parse_trops(args.point))}, args.out)
+    point = _parse_vector(args.point, Trop.from_str, "tropical")
+    _emit_json({"member": pencil_member(pencil, point)}, args.out)
     return 0
 
 
 def cmd_lift(args) -> int:
     g = _load_graph(args.graph)
     _, witness = pipeline(g)
-    lifted = witness.lift(_parse_rationals(args.point))
+    lifted = witness.lift(_parse_vector(args.point))
     _emit_json([rational_to_str(v) for v in lifted], args.out)
     return 0
 
@@ -176,9 +170,9 @@ def cmd_section(args) -> int:
     for item in args.fix or []:
         try:
             coord, value = item.split("=", 1)
-            k, value = int(coord) - 1, Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInput(f"bad --fix value {item!r}") from exc
+            k, value = int(coord) - 1, rational_from_str(value)
+        except ValueError as exc:
+            raise MalformedInput(f"bad --fix value {item!r}: {exc}") from exc
         if not 0 <= k < n or k in fixed:
             raise MalformedInput(f"--fix {item!r}: coordinate not in 1..{n} or fixed twice")
         fixed[k] = value
@@ -186,9 +180,9 @@ def cmd_section(args) -> int:
     if len(free) > 2:
         raise MalformedInput("section needs all but at most two coordinates fixed")
     try:
-        lo, hi, step = Fraction(args.lo), Fraction(args.hi), Fraction(args.step)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInput("bad --lo/--hi/--step") from exc
+        lo, hi, step = (rational_from_str(v) for v in (args.lo, args.hi, args.step))
+    except ValueError as exc:
+        raise MalformedInput(f"bad --lo/--hi/--step: {exc}") from exc
     ticks = section_ticks(lo, hi, step, len(free))
 
     col_axis = free[0] if free else None

@@ -9,14 +9,6 @@ class DimensionMismatch(TropconeError):
     pass
 
 
-class ArityMismatch(TropconeError):
-    pass
-
-
-class MixedSigns(TropconeError):
-    """Raised when adding signed tropical numbers of opposite signs."""
-
-
 class ValidationFailed(TropconeError):
     """A game graph failed validation; carries the report."""
 

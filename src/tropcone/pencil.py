@@ -14,14 +14,13 @@ integers over D = lcm(L, its denominators); max-plus comparisons do not
 change when every value is multiplied by D.
 
 The module provides membership, synthesis of a cone pencil from a compliant
-game graph, homogenization and dehomogenization, and the tropical convex hull
-of a union as one n-ary tropical sum: each summand is homogenized once into
-its own block of variables, tied to the visible coordinates by one diagonal
-row per coordinate. Finite generator sets, unions and strata are all built
-by that sum. A projected pencil keeps its summands as data and lifts a
-visible point by one residuation per summand. Entries are stored sparsely as
-{variable index: signed coefficient} with index 0 reserved for the constant
-matrix Q^(0).
+game graph, and the tropical convex hull of a union as one n-ary tropical
+sum: each summand is homogenized once into its own block of variables, tied
+to the visible coordinates by one diagonal row per coordinate. Finite
+generator sets, unions and strata are all built by that sum. A projected
+pencil keeps its summands as data and lifts a visible point by one
+residuation per summand. Entries are stored sparsely as {variable index:
+signed coefficient} with index 0 reserved for the constant matrix Q^(0).
 """
 
 from __future__ import annotations
@@ -399,23 +398,6 @@ def affine_envelope(pencil: MetzlerPencil) -> MetzlerPencil:
     return MetzlerPencil(row, 2 * n, entries)
 
 
-def formal_homogenize(pencil: MetzlerPencil) -> MetzlerPencil:
-    """Move the constant matrix into a fresh first variable slot X_0."""
-    entries = {
-        key: {k + 1: c for k, c in entry.items()} for key, entry in pencil.entries.items()
-    }
-    return MetzlerPencil(pencil.m, pencil.n + 1, entries)
-
-
-def dehomogenize(pencil: MetzlerPencil) -> MetzlerPencil:
-    """Pin the first variable to 0 by two extra diagonal rows."""
-    entries = {key: dict(entry) for key, entry in pencil.entries.items()}
-    i, j = pencil.m, pencil.m + 1
-    entries[(i, i)] = {1: SignedTrop.pos(0), 0: SignedTrop.neg(0)}
-    entries[(j, j)] = {0: SignedTrop.pos(0), 1: SignedTrop.neg(0)}
-    return MetzlerPencil(pencil.m + 2, pencil.n, entries)
-
-
 def pencil_from_point(g) -> ProjectedPencil:
     """The singleton {g} as a projected pencil (no hidden coordinates)."""
     g = to_trop_vector(g)
@@ -495,12 +477,6 @@ def _tropical_sum(n: int, summands) -> ProjectedPencil:
     entries[(row + 1, row + 1)] = {0: pos0, z0: neg0}
     pencil = MetzlerPencil(row + 2, first - 1, entries)
     return ProjectedPencil(pencil, TropPointSet(n, tuple(points)), tuple(parts))
-
-
-def empty_pencil(n: int) -> ProjectedPencil:
-    """The empty subset of T^n: the sum of no summands, whose rows force
-    z_0 = -inf against the pin z_0 = 0."""
-    return _tropical_sum(n, ())
 
 
 def pencil_from_generators(gens: TropPointSet) -> ProjectedPencil:

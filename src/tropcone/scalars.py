@@ -8,11 +8,6 @@ not a numeric sentinel.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
-
-from .errors import ArityMismatch, MixedSigns
-
-RationalLike = Union[int, Fraction]
 
 
 def rational_to_str(r: Fraction) -> str:
@@ -20,10 +15,14 @@ def rational_to_str(r: Fraction) -> str:
 
 
 def rational_from_str(s) -> Fraction:
-    """A rational from JSON: a string such as "-7/3" or an integer. Floats
-    (and booleans) are rejected, since they are rarely the value meant."""
+    """A rational from JSON or the command line: a string such as "-7/3" or
+    an integer. Floats (and booleans) are rejected, since they are rarely the
+    value meant, and so is exponent notation: "1e10000000" is ten characters
+    but a 33-million-bit integer."""
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValueError(f"expected a rational string or an integer, got {s!r}")
+    if isinstance(s, str) and "e" in s.lower():
+        raise ValueError(f"exponent notation is not accepted: {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError as exc:
@@ -115,21 +114,6 @@ def tmul(a: Trop, b: Trop) -> Trop:
     return Trop(a.finite + b.finite)
 
 
-def tsum(items: Iterable[Trop]) -> Trop:
-    """Tropical sum (max) of an iterable; empty sum is -inf."""
-    acc = NEG_INF
-    for x in items:
-        acc = tadd(acc, x)
-    return acc
-
-
-def tscale(a: Trop, n: int) -> Trop:
-    """Tropical n-th power: n * a."""
-    if a.is_neg_inf:
-        return NEG_INF if n > 0 else Trop(0)
-    return Trop(a.finite * n)
-
-
 class SignedTrop:
     """A signed tropical number: a sign in {-1, 0, +1} and a modulus.
 
@@ -154,10 +138,6 @@ class SignedTrop:
     def neg(cls, value) -> "SignedTrop":
         return cls(-1, Trop(value))
 
-    @classmethod
-    def zero(cls) -> "SignedTrop":
-        return SZERO
-
     @property
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -180,73 +160,3 @@ class SignedTrop:
     def from_json(cls, obj: dict) -> "SignedTrop":
         return cls(obj["sign"], Trop.from_str(obj["abs"]))
 
-
-SZERO = SignedTrop(0, NEG_INF)
-
-
-def smul(a: SignedTrop, b: SignedTrop) -> SignedTrop:
-    """Signed tropical multiplication with the usual sign rules."""
-    sign = a.sign * b.sign
-    if sign == 0:
-        return SZERO
-    return SignedTrop(sign, tmul(a.modulus, b.modulus))
-
-
-def sadd(a: SignedTrop, b: SignedTrop) -> SignedTrop:
-    """Signed tropical addition; defined only when signs do not clash."""
-    if a.sign * b.sign == -1:
-        raise MixedSigns(f"cannot add {a!r} and {b!r}")
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    return SignedTrop(a.sign, tadd(a.modulus, b.modulus))
-
-
-class TropPolynomial:
-    """A signed tropical polynomial in n variables.
-
-    Monomials are keyed by (exponent vector, sign); same-key duplicates are
-    merged by tropical addition of their moduli.
-    """
-
-    __slots__ = ("arity", "monomials")
-
-    def __init__(self, arity: int, monomials=()):
-        self.arity = arity
-        merged: dict = {}
-        for exps, coeff in monomials:
-            exps = tuple(exps)
-            if len(exps) != arity:
-                raise ArityMismatch(f"exponent vector {exps} has wrong length")
-            if any(e < 0 for e in exps):
-                raise ValueError("exponents must be nonnegative")
-            if coeff.is_zero:
-                continue
-            key = (exps, coeff.sign)
-            if key in merged:
-                merged[key] = tadd(merged[key], coeff.modulus)
-            else:
-                merged[key] = coeff.modulus
-        self.monomials = merged
-
-    def eval_pm(self, x) -> tuple[Trop, Trop]:
-        """Evaluate the positive and negative parts at x in T^n."""
-        if len(x) != self.arity:
-            raise ArityMismatch(f"point has length {len(x)}, arity {self.arity}")
-        plus = NEG_INF
-        minus = NEG_INF
-        for (exps, sign), modulus in self.monomials.items():
-            term = modulus
-            for e, xi in zip(exps, x):
-                if e:
-                    term = tmul(term, tscale(xi, e))
-            if sign > 0:
-                plus = tadd(plus, term)
-            else:
-                minus = tadd(minus, term)
-        return plus, minus
-
-
-def poly_eval_pm(poly: TropPolynomial, x) -> tuple[Trop, Trop]:
-    return poly.eval_pm(x)

@@ -257,7 +257,7 @@ def dense_pencil_json(pencil) -> dict:
     matrices of signed entries, -inf cells included."""
     matrices = []
     for k in range(pencil.n + 1):
-        mat = [[signed_json(SignedTrop.zero()) for _ in range(pencil.m)] for _ in range(pencil.m)]
+        mat = [[{"sign": 0, "abs": "-inf"} for _ in range(pencil.m)] for _ in range(pencil.m)]
         for (i, j), entry in pencil.entries.items():
             c = entry.get(k)
             if c is not None:

@@ -98,14 +98,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/0"])
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/0", "1e100000"])
     def test_non_rational_json_exits_two(self, capsys, tmp_path, value):
         obj = example_graph().to_json()
         obj["edges"][3]["payoff"] = value
         path = tmp_path / "bad_value.json"
         path.write_text(json.dumps(obj))
-        code, _ = run(capsys, "validate", str(path))
+        code, out = run(capsys, "validate", str(path))
         assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "--point", "1e100000,0,0"],
+            ["subfixed", "--point", "0,1E5,0"],
+            ["lift", "--point", "0,0,2.5e-3"],
+            ["section", "--fix", "3=1e100000", "--lo", "0", "--hi", "1", "--step", "1"],
+            ["section", "--fix", "3=0", "--lo", "0", "--hi", "1", "--step", "1e-1"],
+        ],
+    )
+    def test_exponent_notation_exits_two(self, capsys, graph_file, args):
+        # Fraction("1e10000000") alone takes seconds and builds a
+        # 33-million-bit integer, so no rational is read in this notation.
+        code, out = run(capsys, args[0], graph_file, *args[1:])
+        assert code == 2
+        assert out == ""
 
     def test_integer_json_accepted(self, capsys, tmp_path):
         obj = example_graph().to_json()
@@ -353,10 +371,15 @@ def load_section_script():
 
 
 class TestSectionScript:
-    def test_default_grid(self, capsys):
+    def test_default_grid(self, capsys, graph_file):
         load_section_script().main([])
-        rows = capsys.readouterr().out.strip().split("\n")
+        script_out = capsys.readouterr().out
+        rows = script_out.strip().split("\n")
         assert len(rows) == 29 and all(len(row.split(",")) == 29 for row in rows)
+        args = ["--fix", "3=0", "--lo=-9/2", "--hi", "5/2", "--step", "1/4"]
+        code, cli_out = run(capsys, "section", graph_file, *args)
+        assert code == 0
+        assert cli_out == script_out
 
     @pytest.mark.parametrize(
         "args",
@@ -365,6 +388,7 @@ class TestSectionScript:
             ["--step", "-1/4"],
             ["--lo", "1", "--hi", "0"],
             ["--lo", "0", "--hi", str(math.isqrt(SECTION_MAX_CELLS)), "--step", "1"],
+            ["--step", "1e-1"],
         ],
     )
     def test_bad_grid_exits_two(self, capsys, monkeypatch, args):

@@ -1,5 +1,5 @@
-"""Metzler pencils: membership, synthesis from compliant graphs, the
-homogenization combinators, unions, and stratum assembly."""
+"""Metzler pencils: membership, synthesis from compliant graphs, unions,
+and stratum assembly."""
 
 import json
 from fractions import Fraction
@@ -25,12 +25,10 @@ from tropcone.fixtures import example_graph
 from tropcone.graph import Edge, GameGraph, subfixed
 from tropcone.pencil import (
     MetzlerPencil,
+    ProjectedPencil,
     affine_envelope,
     assemble_strata,
-    dehomogenize,
-    empty_pencil,
     eval_compliant_operator,
-    formal_homogenize,
     pencil_from_generators,
     pencil_from_point,
     pencil_member,
@@ -173,6 +171,29 @@ class TestSynthesis:
             lam = F(rng.randint(-30, 30), rng.randint(1, 6))
             shifted = tuple(v + lam for v in x)
             assert pencil_member(p, x) == pencil_member(p, shifted)
+
+    @pytest.mark.parametrize("name", ["example", "denominator_five"])
+    def test_lift_membership_shift_invariant(self, name):
+        # The cone pencil is homogeneous: shifting a lift by lam keeps its
+        # answer, and both answers are subfixed's at the source point. Twenty
+        # points on each side; the denominator-five set is thin, about one
+        # sample in a hundred.
+        g = example_graph() if name == "example" else denominator_five_graph()
+        target, witness = pipeline(g)
+        p = synthesize_cone(target)
+        counts = {True: 0, False: 0}
+        for i in range(4000):
+            rng = rng_for(199, i)
+            x = sample_vector(rng, g.n, 5, 8)
+            want = subfixed(g, x)
+            if counts[want] == 20:
+                continue
+            counts[want] += 1
+            y = witness.lift(x)
+            lam = F(rng.randint(-30, 30), rng.randint(1, 6))
+            assert pencil_member(p, y) == want
+            assert pencil_member(p, tuple(v + lam for v in y)) == want
+        assert counts == {True: 20, False: 20}
 
     def test_matches_subfixed_on_random_compliant_graphs(self):
         for trial in range(6):
@@ -339,52 +360,6 @@ class TestEnvelope:
             assert not pencil_member(env, x)
 
 
-class TestHomogenization:
-    def test_formal_homogenize_slices_back(self):
-        p = halfspace_pencil()
-        h = formal_homogenize(p)
-        assert h.is_cone
-        for i in range(50):
-            x = sample_trop_vector(rng_for(179, i), 2, 5, 6)
-            assert pencil_member(h, (Z,) + x) == pencil_member(p, x)
-
-    def test_homogenized_members_scale(self):
-        h = formal_homogenize(halfspace_pencil())
-        for i in range(50):
-            rng = rng_for(181, i)
-            x = (Z,) + sample_trop_vector(rng, 2, 5, 6)
-            lam = T(F(rng.randint(-20, 20), rng.randint(1, 6)))
-            scaled = tuple(tmul(lam, v) for v in x)
-            assert pencil_member(h, x) == pencil_member(h, scaled)
-
-    def test_cone_input_gains_inert_variable(self):
-        p = synthesize_cone(one_edge_graph(F(1)))
-        h = formal_homogenize(p)
-        assert h.n == p.n + 1
-        for i in range(20):
-            rng = rng_for(191, i)
-            x0 = sample_trop_vector(rng, 1, 5, 6)[0]
-            x = sample_trop_vector(rng, 1, 5, 6)
-            assert pencil_member(h, (x0,) + x) == pencil_member(p, x)
-
-    def test_dehomogenize_pins_first_variable(self):
-        h = formal_homogenize(halfspace_pencil())
-        d = dehomogenize(h)
-        assert pencil_member(d, (Z, T(2), T(-1)))
-        assert not pencil_member(d, (T(1), T(2), T(-1)))
-        assert not pencil_member(d, (NEG_INF, T(2), T(-1)))
-        for i in range(40):
-            x = sample_trop_vector(rng_for(193, i), 2, 5, 6)
-            assert pencil_member(d, (Z,) + x) == pencil_member(h, (Z,) + x)
-
-    def test_round_trip_through_homogenization(self):
-        p = halfspace_pencil()
-        d = dehomogenize(formal_homogenize(p))
-        for i in range(50):
-            x = sample_trop_vector(rng_for(197, i), 2, 5, 6)
-            assert pencil_member(d, (Z,) + x) == pencil_member(p, x)
-
-
 class TestUnion:
     def test_two_singletons(self):
         u = union_pencil(pencil_from_point((Z, Z)), pencil_from_point((T(2), T(2))))
@@ -394,8 +369,9 @@ class TestUnion:
     def test_union_with_empty_side(self):
         # A summand must bring its hull generators; an empty one has none.
         s1 = pencil_from_generators(TropPointSet(2, ((T(1), T(0)), (T(0), T(2)))))
+        empty = ProjectedPencil(MetzlerPencil(0, 2, {}), TropPointSet(2, ()))
         with pytest.raises(PreconditionViolated):
-            union_pencil(s1, empty_pencil(2))
+            union_pencil(s1, empty)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -1,0 +1,71 @@
+"""The public surface: retired names stay gone, and every name that the
+benchmark and the scripts import from tropcone still resolves."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Signed tropical polynomials, the signed-scalar algebra and the standalone
+# homogenization helpers: no path in the package, the benchmark or the
+# scripts used them.
+RETIRED = {
+    "tropcone.scalars": [
+        "TropPolynomial", "poly_eval_pm", "tsum", "tscale", "sadd", "smul", "SZERO",
+    ],
+    "tropcone.errors": ["ArityMismatch", "MixedSigns"],
+    "tropcone.pencil": ["formal_homogenize", "dehomogenize", "empty_pencil"],
+}
+
+
+@pytest.mark.parametrize("module", ["tropcone", *RETIRED])
+def test_retired_names_are_gone(module):
+    names = RETIRED.get(module) or [n for names in RETIRED.values() for n in names]
+    mod = importlib.import_module(module)
+    assert [name for name in names if hasattr(mod, name)] == []
+
+
+def test_signed_trop_has_no_zero_constructor():
+    from tropcone.scalars import SignedTrop
+
+    assert not hasattr(SignedTrop, "zero")
+
+
+def tropcone_imports(path: Path) -> list:
+    """(module, name) for each `from tropcone... import name` in the file,
+    at any depth."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and node.module
+        and node.module.split(".")[0] == "tropcone"
+        for alias in node.names
+    ]
+
+
+CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def test_callers_import_tropcone():
+    # Guards the guard: an empty list would pass the next test vacuously.
+    assert any(tropcone_imports(path) for path in CALLERS if path.parent.name == "perfbench")
+    assert any(tropcone_imports(path) for path in CALLERS if path.parent.name == "scripts")
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_caller_imports_resolve(path):
+    missing = []
+    for module, name in tropcone_imports(path):
+        mod = importlib.import_module(module)
+        if name != "*" and not hasattr(mod, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                missing.append(f"{module}.{name}")
+    assert missing == []
