@@ -2,8 +2,8 @@
 
 Subcommands: validate, eval, subfixed, transform {zp|t1|t2|pipeline},
 synthesize, member, lift, verify, section. Inputs and outputs are JSON
-(CSV for section). Exit codes: 0 success, 1 domain error, 2 malformed
-input or arguments.
+(CSV for section). Exit codes: 0 success, 1 domain error or a failed
+`validate` or `verify` report, 2 malformed input or arguments.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
         instance=args.graph,
     )
     _emit_json(report.to_json(), args.out)
-    return 0
+    return 0 if report.ok else 1
 
 
 def section_ticks(lo: Fraction, hi: Fraction, step: Fraction, axes: int) -> list:

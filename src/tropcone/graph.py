@@ -6,6 +6,13 @@ carry rational payoffs; edges out of Random vertices carry positive rational
 probabilities summing to one per vertex. The encoded operator is computed
 from exact absorption probabilities of the induced Markov chain in which
 every Min and Max vertex is absorbing.
+
+The operator is evaluated in exact integers, from plans built on a graph's
+first evaluation and kept on it next to the absorption table
+(`GameGraph.operator_plan`, and `GameGraph.compliant_plan` for the operator
+of a compliant graph extended to -inf coordinates): a point is scaled to
+integers over D = lcm(C, its denominators), C the lcm of the payoff
+denominators, and every payoff and probability is an integer over its lcm.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -22,7 +31,7 @@ from .errors import (
     ValidationFailed,
 )
 from .exactlin import solve_rational
-from .scalars import int_from_json, rational_from_str, rational_to_str
+from .scalars import int_from_json, integers_over, rational_from_str, rational_to_str
 
 Vector = tuple[Fraction, ...]
 
@@ -84,6 +93,30 @@ class GameGraph:
         rest keep Min-then-Max vertex order."""
         require_valid(self)
         return _absorption_rows(self)
+
+    @cached_property
+    def operator_plan(self) -> tuple:
+        """The integer form of the encoded operator, built on the first
+        `eval_operator` or `subfixed` call: (C, P1, P2, max terms, min
+        terms). C is the lcm of the Min/Max payoff denominators, P1 and P2
+        the lcm of the probability denominators in the absorption rows of
+        the Max and of the Min out-edges. Per Max vertex, one (payoff * C *
+        P1, ((p * P1, Min index), ...)) per out-edge; per Min vertex, one
+        (payoff * C * P1 * P2, ((p * P2, Max index), ...)) per out-edge.
+        Max values are then integers over D * P1 and Min values over
+        D * P1 * P2, for a point scaled to integers over D."""
+        return _operator_plan(self)
+
+    @cached_property
+    def compliant_plan(self) -> tuple:
+        """The integer form of a compliant graph's operator extended to
+        T^n, built on the first `eval_compliant_operator` or
+        `subfixed_extended` call: (C, max terms, min terms). Per Max vertex,
+        one (Min index, payoff * C) per out-edge; per Min vertex, one
+        (2 * payoff * C, w, w') per out-edge, w and w' the Max indices of the
+        pair absorbing its head. Values are integers over 2D, None for
+        -inf."""
+        return _compliant_plan(self)
 
     @property
     def n(self) -> int:
@@ -340,44 +373,113 @@ def absorption(g: GameGraph) -> dict:
     return g.absorption_table
 
 
-def max_vertex_value(g: GameGraph, rows: dict, w: int, x: Vector) -> Fraction:
-    """max over Out(w) of (payoff + expected Min coordinate)."""
+def _compliant_pairs(g: GameGraph):
+    """For each Min out-edge e of a compliant graph, (v, e, w_e, w'_e): its
+    tail and the Max pair absorbing the head of e."""
+    pairs = []
+    for v in g.min_vertices:
+        for e in g.out_edges[v]:
+            h = e.head
+            if g.kind[h] == "max":
+                pairs.append((v, e, h, h))
+            else:
+                left, right = sorted(g.out_edges[h], key=attrgetter("id"))
+                pairs.append((v, e, left.head, right.head))
+    return pairs
+
+
+def _times(q: Fraction, m: int) -> int:
+    """q * m for an m that q's denominator divides."""
+    return q.numerator * (m // q.denominator)
+
+
+def _payoff_scale(g: GameGraph) -> int:
+    """C, the lcm of every Min/Max payoff denominator."""
+    return lcm(*(e.payoff.denominator for e in g.edges if e.payoff is not None))
+
+
+def _edge_terms(g: GameGraph, rows: dict, tails, pay: int, prob: int, index: dict) -> tuple:
+    """Per tail, one (payoff * pay, ((p * prob, index[u]), ...)) per
+    out-edge, over the edge's absorption row {u: p}."""
+    return tuple(
+        tuple(
+            (_times(e.payoff, pay), tuple((_times(p, prob), index[u]) for u, p in rows[e.id].items()))
+            for e in g.out_edges[v]
+        )
+        for v in tails
+    )
+
+
+def _operator_plan(g: GameGraph) -> tuple:
+    rows = g.absorption_table
+    scale = _payoff_scale(g)
+    p1, p2 = (
+        lcm(*(p.denominator for v in tails for e in g.out_edges[v] for p in rows[e.id].values()))
+        for tails in (g.max_vertices, g.min_vertices)
+    )
+    widx = {w: i for i, w in enumerate(g.max_vertices)}
+    max_terms = _edge_terms(g, rows, g.max_vertices, scale * p1, p1, g.min_index)
+    min_terms = _edge_terms(g, rows, g.min_vertices, scale * p1 * p2, p2, widx)
+    return scale, p1, p2, max_terms, min_terms
+
+
+def _compliant_plan(g: GameGraph) -> tuple:
+    require_valid(g)
+    scale = _payoff_scale(g)
     idx = g.min_index
-    best = None
-    for e in g.out_edges[w]:
-        val = e.payoff
-        for u, p in rows[e.id].items():
-            val += p * x[idx[u]]
-        if best is None or val > best:
-            best = val
-    return best
+    widx = {w: i for i, w in enumerate(g.max_vertices)}
+    max_terms = tuple(
+        tuple((idx[f.head], _times(f.payoff, scale)) for f in g.out_edges[w])
+        for w in g.max_vertices
+    )
+    by_min = {v: [] for v in g.min_vertices}
+    for v, e, w, w2 in _compliant_pairs(g):
+        by_min[v].append((_times(e.payoff, 2 * scale), widx[w], widx[w2]))
+    return scale, max_terms, tuple(tuple(pairs) for pairs in by_min.values())
+
+
+def _max_values(g: GameGraph, x) -> tuple:
+    """A finite point x and the Max vertex values in integers: (D, r, y,
+    values) with D = lcm(C, x's denominators), r = D / C, y = x * D, and
+    each value an integer over D * P1."""
+    xs = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
+    if len(xs) != g.n:
+        raise DimensionMismatch(f"point of length {len(xs)}, graph has {g.n} Min vertices")
+    scale, _, _, max_terms, _ = g.operator_plan
+    d, y = integers_over(xs, scale)
+    r = d // scale
+    values = [
+        max(a * r + sum(q * y[i] for q, i in terms) for a, terms in edges)
+        for edges in max_terms
+    ]
+    return d, r, y, values
 
 
 def eval_operator(g: GameGraph, x: Sequence[Fraction]) -> Vector:
-    """The encoded operator F at a finite point x."""
-    if len(x) != g.n:
-        raise DimensionMismatch(f"point of length {len(x)}, graph has {g.n} Min vertices")
-    x = tuple(Fraction(v) for v in x)
-    rows = absorption(g)
-    max_vals = {w: max_vertex_value(g, rows, w, x) for w in g.max_vertices}
-    result = []
-    for v in g.min_vertices:
-        best = None
-        for e in g.out_edges[v]:
-            val = e.payoff
-            for w, p in rows[e.id].items():
-                val += p * max_vals[w]
-            if best is None or val < best:
-                best = val
-        result.append(best)
-    return tuple(result)
+    """The encoded operator F at a finite point x, computed as integers over
+    D * P1 * P2 (see `GameGraph.operator_plan`)."""
+    d, r, _, mx = _max_values(g, x)
+    _, p1, p2, _, min_terms = g.operator_plan
+    den = d * p1 * p2
+    return tuple(
+        Fraction(min(b * r + sum(q * mx[i] for q, i in terms) for b, terms in edges), den)
+        for edges in min_terms
+    )
 
 
 def subfixed(g: GameGraph, x: Sequence[Fraction]) -> bool:
-    """Does x <= F(x) hold coordinatewise?"""
-    x = tuple(Fraction(v) for v in x)
-    fx = eval_operator(g, x)
-    return all(a <= b for a, b in zip(x, fx))
+    """Does x <= F(x) hold coordinatewise? X_k * P1 * P2 is compared with
+    the value of each out-edge of Min vertex k, stopping at the first that
+    is smaller."""
+    _, r, y, mx = _max_values(g, x)
+    _, p1, p2, _, min_terms = g.operator_plan
+    p12 = p1 * p2
+    for yk, edges in zip(y, min_terms):
+        target = yk * p12
+        for b, terms in edges:
+            if target > b * r + sum(q * mx[i] for q, i in terms):
+                return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter
 from typing import Optional, Sequence
 
 from .convex import TropPointSet, residual_combination
@@ -39,8 +38,17 @@ from .errors import (
     PreconditionViolated,
     SupportMismatch,
 )
-from .graph import GameGraph
-from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, tadd, tmul
+from .graph import GameGraph, _compliant_pairs
+from .scalars import (
+    NEG_INF,
+    SignedTrop,
+    Trop,
+    int_from_json,
+    integers_over,
+    rational_or_none,
+    tadd,
+    tmul,
+)
 from .transforms import is_compliant
 
 Entry = dict  # variable index (0 = constant) -> SignedTrop
@@ -187,15 +195,6 @@ def to_trop_vector(x) -> Point:
     return tuple(out)
 
 
-def _rational_or_none(v) -> Optional[Fraction]:
-    """A coordinate as a Fraction, or None for -inf (a -inf Trop or None)."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, Trop):
-        return None if v.is_neg_inf else v.finite
-    return None if v is None else Fraction(v)
-
-
 def _top(terms, y: list, r: int) -> Optional[int]:
     """max over (k, c) in terms of c * r + y[k], None for -inf."""
     best = None
@@ -212,13 +211,13 @@ def pencil_member(pencil: MetzlerPencil, x) -> bool:
     """Decide membership of x in the tropical Metzler spectrahedron, with
     every value an integer over D = lcm(L, x's denominators), None for -inf
     and the constant slot 0 pinned to 0."""
-    vals = [_rational_or_none(v) for v in x]
+    vals = [rational_or_none(v) for v in x]
     if len(vals) != pencil.n:
         raise DimensionMismatch(f"point of length {len(vals)}, pencil has {pencil.n} variables")
     scale, diag, offdiag = pencil._plan
-    d = lcm(scale, *(v.denominator for v in vals if v is not None))
+    d, y = integers_over(vals, scale)
     r = d // scale
-    y = [0] + [None if v is None else v.numerator * (d // v.denominator) for v in vals]
+    y.insert(0, 0)
     plus = []
     for pos, neg in diag:
         p, m_ = _top(pos, y, r), _top(neg, y, r)
@@ -304,20 +303,6 @@ class ProjectedPencil:
         return (u0,) + ux + hidden + zetas
 
 
-def _compliant_pairs(g: GameGraph):
-    """For each Min out-edge e, the absorbing Max pair (w_e, w'_e)."""
-    pairs = []
-    for v in g.min_vertices:
-        for e in g.out_edges[v]:
-            h = e.head
-            if g.kind[h] == "max":
-                pairs.append((v, e, h, h))
-            else:
-                left, right = sorted(g.out_edges[h], key=attrgetter("id"))
-                pairs.append((v, e, left.head, right.head))
-    return pairs
-
-
 def synthesize_cone(g: GameGraph) -> MetzlerPencil:
     """Cone pencil over the Min coordinates of a compliant graph whose
     members are exactly the subfixed points, over all of T^n.
@@ -343,40 +328,53 @@ def synthesize_cone(g: GameGraph) -> MetzlerPencil:
     return MetzlerPencil(row, g.n, entries)
 
 
+def _compliant_max_values(g: GameGraph, x) -> tuple:
+    """(D, r, y, values): y is the point as integers over D = lcm(C, x's
+    denominators), r = D / C, and each Max vertex value is an integer over
+    D; None stands for -inf."""
+    vals = [rational_or_none(v) for v in x]
+    if len(vals) != g.n:
+        raise DimensionMismatch(f"point of length {len(vals)}, graph has {g.n} Min vertices")
+    scale, max_terms, _ = g.compliant_plan
+    d, y = integers_over(vals, scale)
+    r = d // scale
+    return d, r, y, [_top(terms, y, r) for terms in max_terms]
+
+
 def eval_compliant_operator(g: GameGraph, x) -> Point:
     """The encoded operator of a compliant graph, extended to T^n by the
-    min / half-sum / max formula with -inf absorbing."""
-    x = to_trop_vector(x)
-    if len(x) != g.n:
-        raise DimensionMismatch(f"point of length {len(x)}, graph has {g.n} Min vertices")
-    idx = g.min_index
-    max_val = {}
-    for w in g.max_vertices:
-        acc = NEG_INF
-        for f in g.out_edges[w]:
-            acc = tadd(acc, tmul(Trop(f.payoff), x[idx[f.head]]))
-        max_val[w] = acc
-    by_min = {v: [] for v in g.min_vertices}
-    for v, e, w, w2 in _compliant_pairs(g):
-        by_min[v].append((e, w, w2))
+    min / half-sum / max formula with -inf absorbing, computed as integers
+    over 2D (see `GameGraph.compliant_plan`)."""
+    d, r, _, mx = _compliant_max_values(g, x)
     result = []
-    for v in g.min_vertices:
+    for pairs in g.compliant_plan[2]:
         best = None
-        for e, w, w2 in by_min[v]:
-            a, b = max_val[w], max_val[w2]
-            if a.is_neg_inf or b.is_neg_inf:
-                val = NEG_INF
-            else:
-                val = Trop(e.payoff + (a.finite + b.finite) / 2)
-            best = val if best is None else (val if val < best else best)
-        result.append(best)
+        for c, w, w2 in pairs:
+            a, b = mx[w], mx[w2]
+            if a is None or b is None:
+                best = None
+                break
+            v = c * r + a + b
+            if best is None or v < best:
+                best = v
+        result.append(NEG_INF if best is None else Trop(Fraction(best, 2 * d)))
     return tuple(result)
 
 
 def subfixed_extended(g: GameGraph, x) -> bool:
-    x = to_trop_vector(x)
-    fx = eval_compliant_operator(g, x)
-    return all(a <= b for a, b in zip(x, fx))
+    """Does x <= F(x) hold on T^n? A -inf coordinate always does; a finite
+    2 X_k is compared with each pair value of Min vertex k, stopping at the
+    first that is smaller or -inf."""
+    _, r, y, mx = _compliant_max_values(g, x)
+    for yk, pairs in zip(y, g.compliant_plan[2]):
+        if yk is None:
+            continue
+        target = 2 * yk
+        for c, w, w2 in pairs:
+            a, b = mx[w], mx[w2]
+            if a is None or b is None or target > c * r + a + b:
+                return False
+    return True
 
 
 def affine_envelope(pencil: MetzlerPencil) -> MetzlerPencil:

@@ -8,6 +8,8 @@ not a numeric sentinel.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Optional
 
 
 def rational_to_str(r: Fraction) -> str:
@@ -100,6 +102,24 @@ class Trop:
 
 
 NEG_INF = Trop()
+
+
+def rational_or_none(v) -> Optional[Fraction]:
+    """A coordinate as a Fraction, or None for -inf (a -inf Trop or None)."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, Trop):
+        return None if v.is_neg_inf else v.finite
+    return None if v is None else Fraction(v)
+
+
+def integers_over(vals, scale: int) -> tuple:
+    """(D, [v * D for v in vals]) for D = lcm(scale, every denominator in
+    vals), so each rational becomes an integer over D; None (-inf) stays
+    None. Max-plus comparisons do not change when every value is multiplied
+    by D."""
+    d = lcm(scale, *(v.denominator for v in vals if v is not None))
+    return d, [None if v is None else v.numerator * (d // v.denominator) for v in vals]
 
 
 def tadd(a: Trop, b: Trop) -> Trop:

@@ -40,6 +40,7 @@ from typing import Optional
 
 from .errors import DimensionMismatch, PreconditionViolated
 from .graph import Edge, GameGraph, _Builder, absorption, require_valid
+from .scalars import integers_over
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -61,10 +62,6 @@ class WitnessMap:
     source_dim: int
     rows: tuple = ()
     new_coords: tuple = ()
-
-    @property
-    def target_dim(self) -> int:
-        return self.source_dim + len(self.rows)
 
     @cached_property
     def _plan(self) -> tuple:
@@ -98,9 +95,8 @@ class WitnessMap:
                 f"point of length {len(xs)}, witness expects {self.source_dim}"
             )
         scale, rows = self._plan
-        d = lcm(scale, *(v.denominator for v in xs))
+        d, y = integers_over(xs, scale)
         r = d // scale
-        y = [v.numerator * (d // v.denominator) for v in xs]
         for den, row in rows:
             total = 0
             for p, terms in row:

@@ -5,9 +5,10 @@ membership by brute-force subset search, linear programming by exhaustive
 vertex enumeration over exact square solves, the one-pass edge split of
 `pipeline` by splitting one edge at a time, absorption probabilities by one
 dense solve over every Random vertex, the sparse pencil file by the
-dense matrix form that earlier versions wrote, pencil membership and witness
-lifts by boxed `Trop` and `Fraction` arithmetic in place of the integer
-plans, and the path checks of graph validation by one walk per vertex.
+dense matrix form that earlier versions wrote, pencil membership, witness
+lifts and both encoded operators by boxed `Trop` and `Fraction` arithmetic
+in place of the integer plans, and the path checks of graph validation by
+one walk per vertex.
 """
 
 from __future__ import annotations
@@ -153,6 +154,71 @@ def dense_absorption_rows(g: GameGraph) -> dict:
         e.id: dict(hit[e.head]) if e.head in r_index else {e.head: Fraction(1)}
         for e in g.edges
     }
+
+
+def max_vertex_value(g: GameGraph, rows: dict, w: int, x) -> Fraction:
+    """max over Out(w) of (payoff + expected Min coordinate)."""
+    idx = g.min_index
+    best = None
+    for e in g.out_edges[w]:
+        val = e.payoff
+        for u, p in rows[e.id].items():
+            val += p * x[idx[u]]
+        if best is None or val > best:
+            best = val
+    return best
+
+
+def fraction_eval_operator(g: GameGraph, x) -> tuple:
+    """The encoded operator at a finite point in `Fraction` arithmetic: each
+    Min vertex's minimum over its out-edges of payoff plus the expected Max
+    value, read off the absorption rows."""
+    x = tuple(Fraction(v) for v in x)
+    assert len(x) == g.n
+    rows = g.absorption_table
+    max_vals = {w: max_vertex_value(g, rows, w, x) for w in g.max_vertices}
+    result = []
+    for v in g.min_vertices:
+        best = None
+        for e in g.out_edges[v]:
+            val = e.payoff
+            for w, p in rows[e.id].items():
+                val += p * max_vals[w]
+            if best is None or val < best:
+                best = val
+        result.append(best)
+    return tuple(result)
+
+
+def trop_eval_compliant_operator(g: GameGraph, x) -> tuple:
+    """The operator of a compliant graph extended to T^n in boxed `Trop`
+    values: per Min out-edge e, payoff plus the half-sum of the two Max
+    values absorbing its head (-inf if either is), minimized per Min
+    vertex. The Max pair of a Random head is its two out-edges' heads."""
+    x = tuple(v if isinstance(v, Trop) else Trop(v) for v in x)
+    assert len(x) == g.n
+    idx = g.min_index
+    max_val = {}
+    for w in g.max_vertices:
+        acc = NEG_INF
+        for f in g.out_edges[w]:
+            acc = tadd(acc, tmul(Trop(f.payoff), x[idx[f.head]]))
+        max_val[w] = acc
+    result = []
+    for v in g.min_vertices:
+        best = None
+        for e in g.out_edges[v]:
+            if g.kind[e.head] == "max":
+                a = b = max_val[e.head]
+            else:
+                a, b = (max_val[f.head] for f in g.out_edges[e.head])
+            if a.is_neg_inf or b.is_neg_inf:
+                val = NEG_INF
+            else:
+                val = Trop(e.payoff + (a.finite + b.finite) / 2)
+            best = val if best is None else (val if val < best else best)
+        result.append(best)
+    return tuple(result)
 
 
 def hull_member_bruteforce(y, gens: TropPointSet) -> bool:

@@ -248,7 +248,8 @@ class TestCommands:
         assert code == 0
         lifted = json.loads(out)
         assert lifted[:3] == ["1/1", "0/1", "-2/1"]
-        assert len(lifted) == pipeline(example_graph())[1].target_dim
+        witness = pipeline(example_graph())[1]
+        assert len(lifted) == witness.source_dim + len(witness.rows)
 
     def test_out_flag_writes_file(self, capsys, graph_file, tmp_path):
         target = tmp_path / "report.json"
@@ -276,6 +277,17 @@ class TestVerifyCommand:
         assert report["ok"] is True
         assert report["subfixed"] == 0
         assert report["complement"] == 0
+
+    def test_disagreement_exits_one(self, capsys, graph_file, monkeypatch):
+        # A membership test that always answers False disagrees at every
+        # subfixed sample; the report is still printed.
+        monkeypatch.setattr("tropcone.verify.pencil_member", lambda pencil, x: False)
+        code, out = run(capsys, "verify", graph_file, "--samples", "20", "--seed", "3")
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["counterexample"] is not None
+        assert report["forward_agreements"] == 0 < report["subfixed"]
 
     def test_byte_determinism(self, capsys, graph_file):
         _, first = run(capsys, "verify", graph_file, "--samples", "40", "--seed", "11")

@@ -1,0 +1,160 @@
+"""The integer operator kernels against the boxed oracles of support.py:
+`eval_operator`/`subfixed` against `fraction_eval_operator`, and
+`eval_compliant_operator`/`subfixed_extended` against
+`trop_eval_compliant_operator`, on source graphs and their pipeline
+targets; and when the plans behind them are built."""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+import tropcone.graph as graph_module
+from support import (
+    denominator_five_graph,
+    fraction_eval_operator,
+    inside_closure,
+    random_minmax,
+    random_valid_graph,
+    trop_eval_compliant_operator,
+)
+from tropcone.errors import DimensionMismatch
+from tropcone.fixtures import example_graph
+from tropcone.graph import eval_operator, graph_from_minmax, subfixed
+from tropcone.pencil import (
+    affine_envelope,
+    eval_compliant_operator,
+    subfixed_extended,
+    synthesize_cone,
+)
+from tropcone.sampling import rng_for
+from tropcone.scalars import NEG_INF, Trop
+from tropcone.transforms import pipeline
+
+F = Fraction
+DENOMS = (1, 7, 64)
+
+
+def _points(rng: random.Random, n: int):
+    """One point per denominator in DENOMS, coordinates in [-6, 6]; an
+    integral coordinate is an `int` half of the time."""
+    for den in DENOMS:
+        point = []
+        for _ in range(n):
+            v = F(rng.randint(-6 * den, 6 * den), den)
+            point.append(v.numerator if v.denominator == 1 and rng.random() < 0.5 else v)
+        yield tuple(point)
+
+
+def _mixed(rng: random.Random, y):
+    """y with a quarter of its coordinates -inf, a quarter boxed in `Trop`,
+    and the integral ones among the rest as `int`."""
+    out = []
+    for v in y:
+        u = rng.random()
+        if u < 0.25:
+            out.append(NEG_INF)
+        elif u < 0.5:
+            out.append(Trop(v))
+        else:
+            out.append(v.numerator if v.denominator == 1 else v)
+    return tuple(out)
+
+
+def _check_operator(h, x, seen, kind):
+    want = fraction_eval_operator(h, x)
+    assert eval_operator(h, x) == want
+    inside = all(F(a) <= b for a, b in zip(x, want))
+    assert subfixed(h, x) == inside
+    seen[kind, inside] += 1
+
+
+def _check_extended(target, p, seen):
+    want = trop_eval_compliant_operator(target, p)
+    assert eval_compliant_operator(target, p) == want
+    inside = all(Trop(a) <= b for a, b in zip(p, want))
+    assert subfixed_extended(target, p) == inside
+    seen["extended", inside] += 1
+
+
+def _check_graph(g, rng, seen, extra=()):
+    """Both kernels at points over DENOMS (and `extra`) on g, and on its
+    pipeline target at their lifts, at -inf/`Trop` mixes of the lifts and
+    at those mixes pulled into the extended subfixed set."""
+    target, witness = pipeline(g)
+    for x in (*extra, *_points(rng, g.n)):
+        _check_operator(g, x, seen, "source")
+        y = witness.lift(x)
+        _check_operator(target, y, seen, "target")
+        _check_extended(target, y, seen)
+        p = _mixed(rng, y)
+        _check_extended(target, p, seen)
+        _check_extended(target, inside_closure(target, p), seen)
+
+
+FIXTURES = {
+    "example": (example_graph, ((0, 0, 0), (2, 0, 0), (F(-3), 0, F(0)))),
+    "denominator_five": (denominator_five_graph, ()),
+    "arity_four_den64_0": (lambda: graph_from_minmax(random_minmax(rng_for(293, 0), n=4, denom=64)), ()),
+    "arity_four_den64_1": (lambda: graph_from_minmax(random_minmax(rng_for(293, 1), n=4, denom=64)), ()),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_kernels_match_oracles_on_fixtures(name):
+    build, extra = FIXTURES[name]
+    seen = Counter()
+    _check_graph(build(), random.Random(name), seen, extra)
+    assert seen["extended", True] and seen["extended", False], seen
+
+
+def test_kernels_match_oracles_on_random_graphs():
+    seen = Counter()
+    for trial in range(400):
+        _check_graph(random_valid_graph(rng_for(307, trial)), rng_for(311, trial), seen)
+    kinds = ("source", "target", "extended")
+    assert all(seen[kind, answer] for kind in kinds for answer in (True, False)), seen
+
+
+@pytest.mark.parametrize(
+    "call", [eval_operator, subfixed, eval_compliant_operator, subfixed_extended]
+)
+def test_dimension_checked_before_any_solve(call):
+    g = example_graph() if call in (eval_operator, subfixed) else pipeline(example_graph())[0]
+    g = type(g).from_json(g.to_json())
+    with pytest.raises(DimensionMismatch):
+        call(g, (0,) * (g.n - 1))
+    built = {"absorption_table", "operator_plan", "compliant_plan"} & set(vars(g))
+    assert not built
+
+
+def test_plans_are_built_lazily_and_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        build = getattr(graph_module, name)
+
+        def wrapper(g):
+            calls[name, id(g)] += 1
+            return build(g)
+
+        return wrapper
+
+    for name in ("_operator_plan", "_compliant_plan"):
+        monkeypatch.setattr(graph_module, name, counted(name))
+    g = example_graph()
+    target, _ = pipeline(g)
+    affine_envelope(synthesize_cone(target))
+    assert not calls
+    for x in ((0, 0, 0), (2, 0, 0), (F(1, 7), F(-5, 64), 3)):
+        eval_operator(g, x)
+        subfixed(g, x)
+        subfixed(target, (0,) * target.n)
+        subfixed_extended(target, (NEG_INF,) * target.n)
+        eval_compliant_operator(target, (1,) * target.n)
+    assert calls == {
+        ("_operator_plan", id(g)): 1,
+        ("_operator_plan", id(target)): 1,
+        ("_compliant_plan", id(target)): 1,
+    }

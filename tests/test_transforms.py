@@ -212,7 +212,7 @@ class TestFirstTransformation:
         assert validate_graph(out).ok
         x = (F(1), F(-2), F(1, 2))
         assert witness.project(witness.lift(x)) == x
-        assert witness.target_dim == out.n
+        assert witness.source_dim + len(witness.rows) == out.n
         assert witness.source_dim == g.n
 
     def test_subfixed_equivalence_through_lift(self):
@@ -310,7 +310,7 @@ class TestPipeline:
         assert is_compliant(out)
         assert validate_graph(out).ok
         assert witness.source_dim == 3
-        assert witness.target_dim == out.n
+        assert witness.source_dim + len(witness.rows) == out.n
 
     def test_compliant_input_is_identity(self):
         g = GameGraph(
@@ -390,7 +390,7 @@ class TestOnePassSplit:
         out, witness = pipeline(g)
         ref, ref_lift = sequential_pipeline(g)
         assert json.dumps(out.to_json()) == json.dumps(ref.to_json())
-        assert witness.target_dim == ref.n
+        assert witness.source_dim + len(witness.rows) == ref.n
         for i in range(10):
             x = sample_vector(rng_for(seed, i), g.n, 5, 6)
             assert witness.lift(x) == ref_lift(x)
