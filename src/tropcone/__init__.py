@@ -23,6 +23,7 @@ from .graph import (
     check_stochastic,
     eval_operator,
     graph_from_minmax,
+    is_compliant,
     minmax_eval,
     subfixed,
     validate_graph,
@@ -49,7 +50,6 @@ from .scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
 from .transforms import (
     WitnessMap,
     first_transformation,
-    is_compliant,
     pipeline,
     second_transformation,
     zwick_paterson,

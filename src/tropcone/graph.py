@@ -5,7 +5,9 @@ A graph has three disjoint vertex classes. Edges out of Min and Max vertices
 carry rational payoffs; edges out of Random vertices carry positive rational
 probabilities summing to one per vertex. The encoded operator is computed
 from exact absorption probabilities of the induced Markov chain in which
-every Min and Max vertex is absorbing.
+every Min and Max vertex is absorbing, solved in integers by fraction-free
+elimination (Bareiss 1968), one per strongly connected component of the
+Random vertices.
 
 The operator is evaluated in exact integers, from plans built on a graph's
 first evaluation and kept on it next to the absorption table
@@ -20,20 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    NonStochastic,
-    SingularSystem,
-    ValidationFailed,
-)
-from .exactlin import solve_rational
+from .errors import DimensionMismatch, NonStochastic, NotCompliant, SingularSystem, ValidationFailed
 from .scalars import int_from_json, integers_over, rational_from_str, rational_to_str
 
 Vector = tuple[Fraction, ...]
+
+HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -84,13 +82,21 @@ class GameGraph:
         return validate_graph(self)
 
     @cached_property
+    def compliant(self) -> bool:
+        """Valid, with every Random vertex a fair coin between two Max vertices."""
+        return self.validation.ok and all(
+            len(self.out_edges[v]) == 2
+            and all(e.prob == HALF and self.kind[e.head] == "max" for e in self.out_edges[v])
+            for v in self.random_vertices
+        )
+
+    @cached_property
     def absorption_table(self) -> dict:
         """Exact absorption probabilities {edge id: {vertex: p}}: p is the
         probability that the chain started at the head of the edge is
         absorbed in the Min/Max vertex. Solved once per graph after
-        validation, one exact solve per strongly connected component of the
-        Random vertices; vertices of probability 0 are left out and the
-        rest keep Min-then-Max vertex order."""
+        validation (or installed by `first_transformation`); vertices of
+        probability 0 are left out and the rest keep Min-then-Max order."""
         require_valid(self)
         return _absorption_rows(self)
 
@@ -110,12 +116,12 @@ class GameGraph:
     @cached_property
     def compliant_plan(self) -> tuple:
         """The integer form of a compliant graph's operator extended to
-        T^n, built on the first `eval_compliant_operator` or
-        `subfixed_extended` call: (C, max terms, min terms). Per Max vertex,
-        one (Min index, payoff * C) per out-edge; per Min vertex, one
-        (2 * payoff * C, w, w') per out-edge, w and w' the Max indices of the
-        pair absorbing its head. Values are integers over 2D, None for
-        -inf."""
+        T^n (NotCompliant on any other graph), built on the first
+        `eval_compliant_operator` or `subfixed_extended` call: (C, max
+        terms, min terms). Per Max vertex, one (Min index, payoff * C) per
+        out-edge; per Min vertex, one (2 * payoff * C, w, w') per out-edge,
+        w and w' the Max indices of the pair absorbing its head. Values are
+        integers over 2D, None for -inf."""
         return _compliant_plan(self)
 
     @property
@@ -255,6 +261,16 @@ def require_valid(g: GameGraph) -> None:
         raise ValidationFailed(g.validation)
 
 
+def is_compliant(g: GameGraph) -> bool:
+    """Every Random vertex flips a fair coin between two Max vertices."""
+    return g.compliant
+
+
+def require_compliant(g: GameGraph) -> None:
+    if not g.compliant:
+        raise NotCompliant("graph is not in Min-Random-Max coin-flip form")
+
+
 class _Builder:
     """Mutable scratch copy of a graph with deterministic id allocation:
     fresh vertex and edge ids count up from the largest ids of the copy."""
@@ -327,45 +343,73 @@ def _random_components(g: GameGraph) -> list:
     return comps
 
 
-def _absorption_rows(g: GameGraph) -> dict:
-    # Hitting distribution from each Random vertex: one exact solve of
-    # (I - Q_C) H_C = R_C per strongly connected component C of the Random
-    # block, components below C first, so R_C holds C's direct exits to
-    # Min/Max vertices and prob * H[head] for its edges into solved ones.
-    # Columns and row keys follow min_vertices + max_vertices order.
-    order = {v: i for i, v in enumerate(g.min_vertices + g.max_vertices)}
+def _exit_rows(g: GameGraph, at: dict) -> dict:
+    """Per Random vertex, (d, {column: N}): the chain leaves the Random
+    block into column c with probability N / d, an exit edge f (Random to
+    Min/Max) leaving into at[f]. One fraction-free Gauss-Jordan solve of
+    (I - Q_C) H_C = R_C per strongly connected component C, lower ones
+    first; rows are scaled to integers, and each step drops the pivot
+    column and divides exactly by the previous pivot. With a column,
+    I - Q_C is a nonsingular M-matrix, so no pivot is 0."""
     hit = {}
     for comp in _random_components(g):
-        c_index = {v: i for i, v in enumerate(comp)}
-        matrix = [[Fraction(0)] * len(comp) for _ in comp]
-        exits = [{} for _ in comp]
-        for v, i in c_index.items():
-            matrix[i][i] += 1
-            for e in g.out_edges[v]:
-                if e.head in c_index:
-                    matrix[i][c_index[e.head]] -= e.prob
-                    continue
-                for w, p in hit.get(e.head, {e.head: 1}).items():
-                    exits[i][w] = exits[i].get(w, 0) + e.prob * p
-        cols = sorted(set().union(*exits), key=order.__getitem__)
-        try:
-            # A closed component has no columns and a singular matrix.
-            sol = solve_rational(matrix, [[ex.get(w, Fraction(0)) for w in cols] for ex in exits])
-        except SingularSystem as exc:
+        size = len(comp)
+        # Indices: C's vertices, then the columns C's edges out of C reach,
+        # solved (hit) or out of the block (at[f]); no column is Random.
+        col = {v: i for i, v in enumerate(comp)}
+        out = [e for v in comp for e in g.out_edges[v] if e.head not in col]
+        leave = {e.id: hit.get(e.head) or (1, {at[e.id]: 1}) for e in out}
+        for _, xs in leave.values():
+            for c in xs:
+                col.setdefault(c, len(col))
+        if len(col) == size:
             raise SingularSystem(
-                "absorption system is singular; a Random vertex cannot reach "
-                "a Min or Max vertex"
-            ) from exc
-        for v, i in c_index.items():
-            hit[v] = {w: x for w, x in zip(cols, sol[i]) if x != 0}
+                "absorption system is singular; a Random vertex cannot reach a Min or Max vertex"
+            )
+        a = []
+        for v in comp:
+            # An edge inside C is -1 at its head, over 1.
+            terms = [(e.prob, *leave.get(e.id, (1, {e.head: -1}))) for e in g.out_edges[v]]
+            scale = lcm(*(p.denominator * den for p, den, _ in terms))
+            row = [0] * len(col)
+            row[col[v]] = scale
+            for p, den, xs in terms:
+                q = p.numerator * (scale // (p.denominator * den))
+                for c, x in xs.items():
+                    row[col[c]] += q * x
+            a.append(row)
+        prev = 1
+        for k in range(size):
+            akk, rest = a[k][0], a[k][1:]
+            a = [
+                rest if i == k else [(akk * v - row[0] * w) // prev for v, w in zip(row[1:], rest)]
+                for i, row in enumerate(a)
+            ]
+            prev = akk
+        cols = list(col)[size:]
+        for v, row in zip(comp, a):
+            d = gcd(prev, *row)
+            hit[v] = (prev // d, {c: x // d for c, x in zip(cols, row)})
+    return hit
 
-    rows = {}
-    for e in g.edges:
-        if e.head in hit:
-            rows[e.id] = dict(hit[e.head])
-        else:
-            rows[e.id] = {e.head: Fraction(1)}
-    return rows
+
+def _tabulate(g: GameGraph, exits: dict, fold: dict) -> dict:
+    """Absorption rows {edge id: {vertex: p}} of g from the `_exit_rows` of
+    a graph with g's Random block, each column c counted at the vertex
+    fold.get(c, c) of g, in g's Min-then-Max order."""
+    order = {v: i for i, v in enumerate(g.min_vertices + g.max_vertices)}
+    hit = {}
+    for v, (den, row) in exits.items():
+        sums = {}
+        for c, x in row.items():
+            w = fold.get(c, c)
+            sums[w] = sums.get(w, 0) + x
+        hit[v] = {w: Fraction(sums[w], den) for w in sorted(sums, key=order.__getitem__)}
+    return {e.id: dict(hit[e.head]) if e.head in hit else {e.head: Fraction(1)} for e in g.edges}
+
+
+def _absorption_rows(g: GameGraph) -> dict:
+    return _tabulate(g, _exit_rows(g, {e.id: e.head for e in g.edges}), {})
 
 
 def absorption(g: GameGraph) -> dict:
@@ -424,7 +468,7 @@ def _operator_plan(g: GameGraph) -> tuple:
 
 
 def _compliant_plan(g: GameGraph) -> tuple:
-    require_valid(g)
+    require_compliant(g)
     scale = _payoff_scale(g)
     idx = g.min_index
     widx = {w: i for i, w in enumerate(g.max_vertices)}

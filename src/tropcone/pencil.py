@@ -32,13 +32,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .convex import TropPointSet, residual_combination
-from .errors import (
-    DimensionMismatch,
-    NotCompliant,
-    PreconditionViolated,
-    SupportMismatch,
-)
-from .graph import GameGraph, _compliant_pairs
+from .errors import DimensionMismatch, PreconditionViolated, SupportMismatch
+from .graph import GameGraph, _compliant_pairs, require_compliant
 from .scalars import (
     NEG_INF,
     SignedTrop,
@@ -49,7 +44,6 @@ from .scalars import (
     tadd,
     tmul,
 )
-from .transforms import is_compliant
 
 Entry = dict  # variable index (0 = constant) -> SignedTrop
 Point = tuple
@@ -312,8 +306,7 @@ def synthesize_cone(g: GameGraph) -> MetzlerPencil:
     the head of e, and the off-diagonal carries the single negative monomial
     (-)(-r_e) (.) X_v.
     """
-    if not is_compliant(g):
-        raise NotCompliant("graph is not in Min-Random-Max coin-flip form")
+    require_compliant(g)
     idx = g.min_index
     entries: dict = {}
     row = 0

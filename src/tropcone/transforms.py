@@ -25,7 +25,9 @@ denominator, multiplied up only when a row's value needs it.
 
 Every stage builds its output with `graph._Builder` and checks it once; a
 graph's validation report and absorption table are cached on the graph, so
-no stage repeats them.
+no stage repeats them. The first transformation keeps the Random block of
+its input, so one absorption solve gives the tables of both its input and
+its output, and `pipeline` solves once.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from operator import attrgetter
 from typing import Optional
 
 from .errors import DimensionMismatch, PreconditionViolated
-from .graph import Edge, GameGraph, _Builder, absorption, require_valid
+from .graph import HALF, Edge, GameGraph, _Builder, _exit_rows, _tabulate, absorption
+from .graph import require_compliant, require_valid
 from .scalars import integers_over
 
-HALF = Fraction(1, 2)
 ZERO = Fraction(0)
 
 
@@ -227,8 +229,11 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     """Insert Min vertices after Max out-edges and Max vertices before Min
     in-edges. The new Min coordinates are indexed by the Max out-edges, in
     edge order, and the witness sets each to the expected value of the
-    source coordinates under the absorption distribution."""
-    absorbed = absorption(g)
+    source coordinates under the absorption distribution. The output keeps
+    every Random-to-Random edge and sends each Random-to-Min edge f to
+    kappa[f], so one solve with column kappa[f] for f gives the output's
+    absorption table, installed on it, and the input's."""
+    require_valid(g)
     max_out = [e for e in g.edges if g.kind[e.tail] == "max"]
     min_headed = [e for e in g.edges if g.kind[e.head] == "min"]
 
@@ -241,6 +246,8 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     for f in min_headed:
         kappa[f.id] = b.fresh_vertex()
         b.max_vertices.append(kappa[f.id])
+    exits = _exit_rows(g, {f.id: kappa.get(f.id, f.head) for f in g.edges})
+    absorbed = _tabulate(g, exits, {kappa[f.id]: f.head for f in min_headed})
 
     b.edges = []
     for f in g.edges:
@@ -258,6 +265,7 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
 
     out = b.freeze()
     require_valid(out)
+    vars(out)["absorption_table"] = _tabulate(out, exits, {})
 
     idx = g.min_index
     rows = tuple(
@@ -323,32 +331,16 @@ def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, Witnes
     return _split(g, [edge_id])
 
 
-def is_compliant(g: GameGraph) -> bool:
-    """Every Random vertex flips a fair coin between two Max vertices."""
-    if not g.validation.ok:
-        return False
-    for v in g.random_vertices:
-        out = g.out_edges[v]
-        if len(out) != 2:
-            return False
-        if any(e.prob != HALF for e in out):
-            return False
-        if any(g.kind[e.head] != "max" for e in out):
-            return False
-    return True
-
-
 def pipeline(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     """Zwick-Paterson, then the first transformation, then one pass that
     splits every Random-to-Random edge, in id order."""
     require_valid(g)
-    if is_compliant(g):
+    if g.compliant:
         return g, WitnessMap("pipeline", g.n)
 
     t1, w1 = first_transformation(zwick_paterson(g))
     kind = t1.kind
-    out, w2 = _split(
-        t1, sorted(e.id for e in t1.edges if kind[e.tail] == kind[e.head] == "random")
-    )
-    assert is_compliant(out)
+    rr = sorted(e.id for e in t1.edges if kind[e.tail] == kind[e.head] == "random")
+    out, w2 = _split(t1, rr)
+    require_compliant(out)
     return out, WitnessMap("pipeline", g.n, w1.rows + w2.rows, w1.new_coords + w2.new_coords)

@@ -19,16 +19,42 @@ from itertools import combinations
 
 from tropcone.convex import TropPointSet, cone_member
 from tropcone.errors import SingularSystem
-from tropcone.exactlin import solve_rational
-from tropcone.graph import Edge, GameGraph, MinMaxOperator, graph_from_minmax, require_valid
+from tropcone.graph import (
+    Edge,
+    GameGraph,
+    MinMaxOperator,
+    graph_from_minmax,
+    is_compliant,
+    require_valid,
+)
 from tropcone.pencil import eval_compliant_operator
 from tropcone.scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
-from tropcone.transforms import (
-    first_transformation,
-    is_compliant,
-    second_transformation,
-    zwick_paterson,
-)
+from tropcone.transforms import first_transformation, second_transformation, zwick_paterson
+
+
+def solve_rational(matrix, rhs_columns):
+    """Solve M X = B exactly by `Fraction` Gaussian elimination with pivot
+    search.
+
+    `matrix` is a list of rows of Fractions (square), `rhs_columns` a list of
+    rows (same height as `matrix`, any width). Returns the solution as a list
+    of rows. Raises SingularSystem if M is singular.
+    """
+    n = len(matrix)
+    width = len(rhs_columns[0]) if n else 0
+    a = [list(row) + list(b) for row, b in zip(matrix, rhs_columns)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystem(f"no pivot in column {col}")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [row[n : n + width] for row in a]
 
 
 def small_rational(rng: random.Random, box: int = 6, denom: int = 12) -> Fraction:

@@ -19,6 +19,7 @@ from support import (
     small_rational,
     walk_path_failures,
 )
+from perfbench.instances import LADDER_N2, LADDER_N3, QUERY_N3, graph_instance
 from tropcone import graph as graph_module
 from tropcone.errors import DimensionMismatch, NonStochastic, SingularSystem, ValidationFailed
 from tropcone.fixtures import TWO_PI, example_graph, example_minmax
@@ -39,6 +40,12 @@ from tropcone.sampling import rng_for, sample_vector
 from tropcone.transforms import first_transformation, zwick_paterson
 
 F = Fraction
+
+# The seed-0 graphs of every benchmark rung, at the indices the workloads
+# draw them at.
+BENCHMARK_RUNGS = [(LADDER_N2, range(2)), (LADDER_N3, range(6))] + [
+    (shape, (j, j + 3)) for j, shape in enumerate(QUERY_N3)
+]
 
 
 class TestValidation:
@@ -177,12 +184,21 @@ class TestAbsorption:
         assert [(e, list(r.items())) for e, r in rows.items()] == [
             (e, list(r.items())) for e, r in expected.items()
         ]
+        return expected
 
     def _check_with_stages(self, g):
         zp = zwick_paterson(g)
-        t1, _ = first_transformation(zp)
-        for h in (g, zp, t1):
-            self._assert_matches_dense(h, h.absorption_table)
+        t1, witness = first_transformation(zp)
+        # The first transformation installs t1's table, read off the solve
+        # of zp; the dense oracle solves t1 from scratch.
+        assert "absorption_table" in vars(t1)
+        self._assert_matches_dense(g, g.absorption_table)
+        self._assert_matches_dense(t1, t1.absorption_table)
+        dense = self._assert_matches_dense(zp, zp.absorption_table)
+        # The witness rows are zp's table, folded from the solve of t1's.
+        assert [[(zp.min_vertices[i], p) for p, ((_, i),) in row] for row in witness.rows] == [
+            list(dense[e.id].items()) for e in zp.edges if zp.kind[e.tail] == "max"
+        ]
 
     def test_matches_dense_solve_on_fixtures(self):
         self._check_with_stages(example_graph())
@@ -191,6 +207,13 @@ class TestAbsorption:
     def test_matches_dense_solve_on_random_graphs(self):
         for trial in range(400):
             self._check_with_stages(random_valid_graph(rng_for(211, trial)))
+
+    @pytest.mark.parametrize(
+        "shape, indices", BENCHMARK_RUNGS, ids=[shape.name for shape, _ in BENCHMARK_RUNGS]
+    )
+    def test_matches_dense_solve_on_benchmark_graphs(self, shape, indices):
+        for index in indices:
+            self._check_with_stages(graph_instance(0, shape, index).fresh())
 
     def test_closed_component_raises(self):
         # Random 3 <-> 4 is a closed 2-cycle: no Min or Max vertex is reachable.

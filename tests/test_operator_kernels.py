@@ -19,7 +19,7 @@ from support import (
     random_valid_graph,
     trop_eval_compliant_operator,
 )
-from tropcone.errors import DimensionMismatch
+from tropcone.errors import DimensionMismatch, NotCompliant
 from tropcone.fixtures import example_graph
 from tropcone.graph import eval_operator, graph_from_minmax, subfixed
 from tropcone.pencil import (
@@ -127,6 +127,13 @@ def test_dimension_checked_before_any_solve(call):
         call(g, (0,) * (g.n - 1))
     built = {"absorption_table", "operator_plan", "compliant_plan"} & set(vars(g))
     assert not built
+
+
+@pytest.mark.parametrize("call", [eval_compliant_operator, subfixed_extended])
+def test_compliant_kernels_refuse_a_graph_that_is_not(call):
+    # The example has Random vertices with Min heads and biased coins.
+    with pytest.raises(NotCompliant):
+        call(example_graph(), (0, 0, 0))
 
 
 def test_plans_are_built_lazily_and_once(monkeypatch):

@@ -1,5 +1,6 @@
-"""The public surface: retired names stay gone, and every name that the
-benchmark and the scripts import from tropcone still resolves."""
+"""The public surface: retired names and modules stay gone, the package
+holds no assert statement, and every name that the benchmark and the
+scripts import from tropcone still resolves."""
 
 import ast
 import importlib
@@ -26,6 +27,26 @@ def test_retired_names_are_gone(module):
     names = RETIRED.get(module) or [n for names in RETIRED.values() for n in names]
     mod = importlib.import_module(module)
     assert [name for name in names if hasattr(mod, name)] == []
+
+
+def test_exactlin_is_gone():
+    # Absorption is solved in integers in tropcone.graph; the Fraction solve
+    # is a test oracle in tests/support.py.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("tropcone.exactlin")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, and a check written as one with it.
+    paths = sorted((ROOT / "src" / "tropcone").glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_signed_trop_has_no_zero_constructor():

@@ -16,7 +16,8 @@ from support import (
     sequential_pipeline,
 )
 from tropcone import graph as graph_module
-from tropcone.errors import DimensionMismatch, PreconditionViolated
+from tropcone import transforms as transforms_module
+from tropcone.errors import DimensionMismatch, NotCompliant, PreconditionViolated
 from tropcone.fixtures import example_graph
 from tropcone.graph import (
     Edge,
@@ -24,6 +25,7 @@ from tropcone.graph import (
     absorption,
     eval_operator,
     graph_from_minmax,
+    is_compliant,
     subfixed,
     validate_graph,
 )
@@ -31,7 +33,6 @@ from tropcone.sampling import rng_for, sample_vector
 from tropcone.transforms import (
     WitnessMap,
     first_transformation,
-    is_compliant,
     pipeline,
     second_transformation,
     zwick_paterson,
@@ -344,6 +345,13 @@ class TestPipeline:
                 x = sample_vector(rng_for(127 + trial, i), g.n, 5, 6)
                 assert subfixed(g, x) == subfixed(out, witness.lift(x))
 
+    def test_output_not_compliant_raises(self, monkeypatch):
+        # The check on pipeline's output is a raise, not an assert, so it
+        # holds under python -O.
+        monkeypatch.setattr(transforms_module, "_split", lambda g, ids: (g, WitnessMap("t2", g.n)))
+        with pytest.raises(NotCompliant):
+            pipeline(example_graph())
+
     def test_lift_checks_dimension(self):
         _, witness = pipeline(example_graph())
         for x in ((F(0),) * 2, (F(0),) * 4):
@@ -405,18 +413,22 @@ class TestOnePassSplit:
     def test_denominator_five_graph(self):
         self._check(denominator_five_graph(), 173)
 
-    def test_at_most_two_absorption_solves(self, monkeypatch):
+    def test_one_absorption_solve(self, monkeypatch):
+        # Each solve finds the Random components once; the split reads the
+        # table that the first transformation installed on its output.
         calls = []
-        solve = graph_module._absorption_rows
+        components = graph_module._random_components
 
         def counting(g):
             calls.append(g)
-            return solve(g)
+            return components(g)
 
-        monkeypatch.setattr(graph_module, "_absorption_rows", counting)
-        out, _ = pipeline(example_graph())
-        assert is_compliant(out)
-        assert len(calls) <= 2
+        monkeypatch.setattr(graph_module, "_random_components", counting)
+        for g in (example_graph(), denominator_five_graph(), random_valid_graph(rng_for(157, 0))):
+            calls.clear()
+            out, _ = pipeline(g)
+            assert is_compliant(out)
+            assert len(calls) == 1
 
     def test_each_graph_validated_once(self, monkeypatch):
         # The input, the Zwick-Paterson graph, the t1 graph and the output.
