@@ -9,12 +9,13 @@ every Min and Max vertex is absorbing, solved in integers by fraction-free
 elimination (Bareiss 1968), one per strongly connected component of the
 Random vertices.
 
-The operator is evaluated in exact integers, from plans built on a graph's
-first evaluation and kept on it next to the absorption table
-(`GameGraph.operator_plan`, and `GameGraph.compliant_plan` for the operator
-of a compliant graph extended to -inf coordinates): a point is scaled to
-integers over D = lcm(C, its denominators), C the lcm of the payoff
+The operator is evaluated in exact integers at points of T^n, from one
+plan built on a graph's first evaluation and kept on it next to the
+absorption table (`GameGraph.operator_plan`): a point is scaled to integers
+over D = lcm(C, its finite denominators), C the lcm of the payoff
 denominators, and every payoff and probability is an integer over its lcm.
+A -inf coordinate is None; max, min and sums with positive weights extend
+the operator to it by continuity, so -inf is absorbing.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NonStochastic, NotCompliant, SingularSystem, ValidationFailed
-from .scalars import int_from_json, integers_over, rational_from_str, rational_to_str
+from .scalars import int_from_json, integers_over, rational_from_str, rational_or_none, rational_to_str
 
 Vector = tuple[Fraction, ...]
 
@@ -112,17 +113,6 @@ class GameGraph:
         Max values are then integers over D * P1 and Min values over
         D * P1 * P2, for a point scaled to integers over D."""
         return _operator_plan(self)
-
-    @cached_property
-    def compliant_plan(self) -> tuple:
-        """The integer form of a compliant graph's operator extended to
-        T^n (NotCompliant on any other graph), built on the first
-        `eval_compliant_operator` or `subfixed_extended` call: (C, max
-        terms, min terms). Per Max vertex, one (Min index, payoff * C) per
-        out-edge; per Min vertex, one (2 * payoff * C, w, w') per out-edge,
-        w and w' the Max indices of the pair absorbing its head. Values are
-        integers over 2D, None for -inf."""
-        return _compliant_plan(self)
 
     @property
     def n(self) -> int:
@@ -437,11 +427,6 @@ def _times(q: Fraction, m: int) -> int:
     return q.numerator * (m // q.denominator)
 
 
-def _payoff_scale(g: GameGraph) -> int:
-    """C, the lcm of every Min/Max payoff denominator."""
-    return lcm(*(e.payoff.denominator for e in g.edges if e.payoff is not None))
-
-
 def _edge_terms(g: GameGraph, rows: dict, tails, pay: int, prob: int, index: dict) -> tuple:
     """Per tail, one (payoff * pay, ((p * prob, index[u]), ...)) per
     out-edge, over the edge's absorption row {u: p}."""
@@ -456,7 +441,7 @@ def _edge_terms(g: GameGraph, rows: dict, tails, pay: int, prob: int, index: dic
 
 def _operator_plan(g: GameGraph) -> tuple:
     rows = g.absorption_table
-    scale = _payoff_scale(g)
+    scale = lcm(*(e.payoff.denominator for e in g.edges if e.payoff is not None))
     p1, p2 = (
         lcm(*(p.denominator for v in tails for e in g.out_edges[v] for p in rows[e.id].values()))
         for tails in (g.max_vertices, g.min_vertices)
@@ -467,61 +452,70 @@ def _operator_plan(g: GameGraph) -> tuple:
     return scale, p1, p2, max_terms, min_terms
 
 
-def _compliant_plan(g: GameGraph) -> tuple:
-    require_compliant(g)
-    scale = _payoff_scale(g)
-    idx = g.min_index
-    widx = {w: i for i, w in enumerate(g.max_vertices)}
-    max_terms = tuple(
-        tuple((idx[f.head], _times(f.payoff, scale)) for f in g.out_edges[w])
-        for w in g.max_vertices
-    )
-    by_min = {v: [] for v in g.min_vertices}
-    for v, e, w, w2 in _compliant_pairs(g):
-        by_min[v].append((_times(e.payoff, 2 * scale), widx[w], widx[w2]))
-    return scale, max_terms, tuple(tuple(pairs) for pairs in by_min.values())
+def _edge_value(a: int, terms: tuple, vals: list, r: int) -> Optional[int]:
+    """a * r + the sum of q * vals[i] over the (q, i) terms of an edge;
+    None (-inf) when a term meets a None value, as every q > 0."""
+    v = a * r
+    for q, i in terms:
+        u = vals[i]
+        if u is None:
+            return None
+        v += q * u
+    return v
 
 
 def _max_values(g: GameGraph, x) -> tuple:
-    """A finite point x and the Max vertex values in integers: (D, r, y,
-    values) with D = lcm(C, x's denominators), r = D / C, y = x * D, and
-    each value an integer over D * P1."""
-    xs = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
+    """A point x of T^n and the Max vertex values in integers: (D, r, y,
+    values) with D = lcm(C, x's finite denominators), r = D / C, y = x * D,
+    and each value an integer over D * P1; None stands for -inf. An edge
+    with a -inf term is skipped, so a Max vertex with no finite edge is
+    None."""
+    xs = [rational_or_none(v) for v in x]
     if len(xs) != g.n:
         raise DimensionMismatch(f"point of length {len(xs)}, graph has {g.n} Min vertices")
     scale, _, _, max_terms, _ = g.operator_plan
     d, y = integers_over(xs, scale)
     r = d // scale
-    values = [
-        max(a * r + sum(q * y[i] for q, i in terms) for a, terms in edges)
-        for edges in max_terms
-    ]
+    values = []
+    for edges in max_terms:
+        best = None
+        for a, terms in edges:
+            v = _edge_value(a, terms, y, r)
+            if v is not None and (best is None or v > best):
+                best = v
+        values.append(best)
     return d, r, y, values
 
 
-def eval_operator(g: GameGraph, x: Sequence[Fraction]) -> Vector:
-    """The encoded operator F at a finite point x, computed as integers over
-    D * P1 * P2 (see `GameGraph.operator_plan`)."""
+def eval_operator(g: GameGraph, x) -> tuple:
+    """The encoded operator F at a point x of T^n, computed as integers over
+    D * P1 * P2 (see `GameGraph.operator_plan`), extended by continuity:
+    max, min and sums with positive weights, so -inf is absorbing. A
+    coordinate is None (-inf) when one of its out-edges is."""
     d, r, _, mx = _max_values(g, x)
     _, p1, p2, _, min_terms = g.operator_plan
     den = d * p1 * p2
-    return tuple(
-        Fraction(min(b * r + sum(q * mx[i] for q, i in terms) for b, terms in edges), den)
-        for edges in min_terms
-    )
+    result = []
+    for edges in min_terms:
+        values = [_edge_value(b, terms, mx, r) for b, terms in edges]
+        result.append(None if None in values else Fraction(min(values), den))
+    return tuple(result)
 
 
-def subfixed(g: GameGraph, x: Sequence[Fraction]) -> bool:
-    """Does x <= F(x) hold coordinatewise? X_k * P1 * P2 is compared with
-    the value of each out-edge of Min vertex k, stopping at the first that
-    is smaller."""
+def subfixed(g: GameGraph, x) -> bool:
+    """Does x <= F(x) hold coordinatewise on T^n? A -inf coordinate always
+    does; a finite X_k * P1 * P2 is compared with the value of each out-edge
+    of Min vertex k, stopping at the first that is -inf or smaller."""
     _, r, y, mx = _max_values(g, x)
     _, p1, p2, _, min_terms = g.operator_plan
     p12 = p1 * p2
     for yk, edges in zip(y, min_terms):
+        if yk is None:
+            continue
         target = yk * p12
         for b, terms in edges:
-            if target > b * r + sum(q * mx[i] for q, i in terms):
+            v = _edge_value(b, terms, mx, r)
+            if v is None or target > v:
                 return False
     return True
 

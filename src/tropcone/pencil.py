@@ -21,19 +21,21 @@ generator sets, unions and strata are all built by that sum. A projected
 pencil keeps its summands as data and lifts a visible point by one
 residuation per summand. Entries are stored sparsely as {variable index:
 signed coefficient} with index 0 reserved for the constant matrix Q^(0).
+The module holds no operator kernel: the operator of a compliant graph on
+T^n, whose subfixed set a cone pencil realizes, is evaluated by the one
+operator plan of `tropcone.graph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
 from .convex import TropPointSet, residual_combination
 from .errors import DimensionMismatch, PreconditionViolated, SupportMismatch
-from .graph import GameGraph, _compliant_pairs, require_compliant
+from .graph import GameGraph, _compliant_pairs, eval_operator, require_compliant, subfixed
 from .scalars import (
     NEG_INF,
     SignedTrop,
@@ -97,22 +99,27 @@ class MetzlerPencil:
     @cached_property
     def _plan(self) -> tuple:
         """The integer form `pencil_member` evaluates, built on its first
-        call: L, the lcm of every modulus denominator; per diagonal row its
-        (variable, modulus * L) terms split into plus and minus; per
-        off-diagonal entry (i, j, terms)."""
+        call: L, the lcm of every modulus denominator; per row with a
+        diagonal entry, its (variable, modulus * L) terms split into plus
+        and minus; per off-diagonal entry (a, b, terms), a and b the
+        positions of its rows in that list. A row with no diagonal entry is
+        -inf and holds; it gets position len(diag), so the work is bounded
+        by the entries, not by m."""
         scale = lcm(
             *(c.modulus.finite.denominator for entry in self.entries.values() for c in entry.values())
         )
-        diag = []
-        for i in range(self.m):
-            entry = self.entries.get((i, i), {})
-            diag.append((_scaled_terms(entry, 1, scale), _scaled_terms(entry, -1, scale)))
+        rows = {i: k for k, i in enumerate(i for i, j in self.entries if i == j)}
+        diag = tuple(
+            (_scaled_terms(entry, 1, scale), _scaled_terms(entry, -1, scale))
+            for (i, j), entry in self.entries.items()
+            if i == j
+        )
         offdiag = tuple(
-            (i, j, _scaled_terms(entry, -1, scale))
+            (rows.get(i, len(rows)), rows.get(j, len(rows)), _scaled_terms(entry, -1, scale))
             for (i, j), entry in self.entries.items()
             if i != j
         )
-        return scale, tuple(diag), offdiag
+        return scale, diag, offdiag
 
     @property
     def is_cone(self) -> bool:
@@ -218,6 +225,7 @@ def pencil_member(pencil: MetzlerPencil, x) -> bool:
         if m_ is not None and (p is None or p < m_):
             return False
         plus.append(p)
+    plus.append(None)
     for i, j, terms in offdiag:
         v = _top(terms, y, r)
         if v is None:
@@ -321,53 +329,19 @@ def synthesize_cone(g: GameGraph) -> MetzlerPencil:
     return MetzlerPencil(row, g.n, entries)
 
 
-def _compliant_max_values(g: GameGraph, x) -> tuple:
-    """(D, r, y, values): y is the point as integers over D = lcm(C, x's
-    denominators), r = D / C, and each Max vertex value is an integer over
-    D; None stands for -inf."""
-    vals = [rational_or_none(v) for v in x]
-    if len(vals) != g.n:
-        raise DimensionMismatch(f"point of length {len(vals)}, graph has {g.n} Min vertices")
-    scale, max_terms, _ = g.compliant_plan
-    d, y = integers_over(vals, scale)
-    r = d // scale
-    return d, r, y, [_top(terms, y, r) for terms in max_terms]
-
-
 def eval_compliant_operator(g: GameGraph, x) -> Point:
-    """The encoded operator of a compliant graph, extended to T^n by the
-    min / half-sum / max formula with -inf absorbing, computed as integers
-    over 2D (see `GameGraph.compliant_plan`)."""
-    d, r, _, mx = _compliant_max_values(g, x)
-    result = []
-    for pairs in g.compliant_plan[2]:
-        best = None
-        for c, w, w2 in pairs:
-            a, b = mx[w], mx[w2]
-            if a is None or b is None:
-                best = None
-                break
-            v = c * r + a + b
-            if best is None or v < best:
-                best = v
-        result.append(NEG_INF if best is None else Trop(Fraction(best, 2 * d)))
-    return tuple(result)
+    """The encoded operator of a compliant graph at a point of T^n, as
+    `Trop` values (`tropcone.graph.eval_operator`; NotCompliant on any
+    other graph)."""
+    require_compliant(g)
+    return tuple(NEG_INF if v is None else Trop(v) for v in eval_operator(g, x))
 
 
 def subfixed_extended(g: GameGraph, x) -> bool:
-    """Does x <= F(x) hold on T^n? A -inf coordinate always does; a finite
-    2 X_k is compared with each pair value of Min vertex k, stopping at the
-    first that is smaller or -inf."""
-    _, r, y, mx = _compliant_max_values(g, x)
-    for yk, pairs in zip(y, g.compliant_plan[2]):
-        if yk is None:
-            continue
-        target = 2 * yk
-        for c, w, w2 in pairs:
-            a, b = mx[w], mx[w2]
-            if a is None or b is None or target > c * r + a + b:
-                return False
-    return True
+    """Does x <= F(x) hold on T^n, for a compliant graph
+    (`tropcone.graph.subfixed`; NotCompliant on any other graph)?"""
+    require_compliant(g)
+    return subfixed(g, x)
 
 
 def affine_envelope(pencil: MetzlerPencil) -> MetzlerPencil:

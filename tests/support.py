@@ -6,9 +6,9 @@ vertex enumeration over exact square solves, the one-pass edge split of
 `pipeline` by splitting one edge at a time, absorption probabilities by one
 dense solve over every Random vertex, the sparse pencil file by the
 dense matrix form that earlier versions wrote, pencil membership, witness
-lifts and both encoded operators by boxed `Trop` and `Fraction` arithmetic
-in place of the integer plans, and the path checks of graph validation by
-one walk per vertex.
+lifts and the encoded operator, on finite points and on T^n, by boxed
+`Trop` and `Fraction` arithmetic in place of the integer plans, and the
+path checks of graph validation by one walk per vertex.
 """
 
 from __future__ import annotations
@@ -214,6 +214,29 @@ def fraction_eval_operator(g: GameGraph, x) -> tuple:
                 best = val
         result.append(best)
     return tuple(result)
+
+
+def trop_eval_operator(g: GameGraph, rows: dict, x) -> tuple:
+    """The encoded operator of a valid graph at a point of T^n in boxed
+    `Trop` values, from its absorption rows `rows` (`dense_absorption_rows`):
+    per Max vertex the largest over its out-edges of payoff plus the
+    p-weighted Min coordinates, per Min vertex the smallest over its
+    out-edges of payoff plus the p-weighted Max values. Every p is positive,
+    so a weighted sum with a -inf term is -inf."""
+    x = tuple(v if isinstance(v, Trop) else Trop(v) for v in x)
+    assert len(x) == g.n
+
+    def edge_value(e, value):
+        acc = e.payoff
+        for u, p in rows[e.id].items():
+            if value[u].is_neg_inf:
+                return NEG_INF
+            acc += p * value[u].finite
+        return Trop(acc)
+
+    at_min = dict(zip(g.min_vertices, x))
+    at_max = {w: max(edge_value(e, at_min) for e in g.out_edges[w]) for w in g.max_vertices}
+    return tuple(min(edge_value(e, at_max) for e in g.out_edges[v]) for v in g.min_vertices)
 
 
 def trop_eval_compliant_operator(g: GameGraph, x) -> tuple:

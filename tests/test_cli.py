@@ -243,6 +243,20 @@ class TestCommands:
             "member": True
         }
 
+    @pytest.mark.parametrize(
+        "cells, member",
+        [([], True), ([[0, 10**12 - 1, 1, -1, "0"]], False)],
+        ids=["no-entries", "off-diagonal-only"],
+    )
+    def test_member_work_bounded_by_entries(self, capsys, tmp_path, cells, member):
+        # A declared size of 10^12 rows costs nothing: rows without a
+        # diagonal entry are -inf, so an off-diagonal entry over them fails.
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"m": 10**12, "n": 1, "entries": cells}))
+        code, out = run(capsys, "member", str(path), "--point", "0")
+        assert code == 0
+        assert json.loads(out) == {"member": member}
+
     def test_lift(self, capsys, graph_file):
         code, out = run(capsys, "lift", graph_file, "--point", "1,0,-2")
         assert code == 0

@@ -1,8 +1,9 @@
-"""The integer operator kernels against the boxed oracles of support.py:
-`eval_operator`/`subfixed` against `fraction_eval_operator`, and
+"""The integer operator kernel against the boxed oracles of support.py:
+`eval_operator`/`subfixed` against `fraction_eval_operator` at finite
+points and against `trop_eval_operator` at points of T^n, and
 `eval_compliant_operator`/`subfixed_extended` against
 `trop_eval_compliant_operator`, on source graphs and their pipeline
-targets; and when the plans behind them are built."""
+targets; and when the plan behind them is built."""
 
 import random
 from collections import Counter
@@ -12,12 +13,14 @@ import pytest
 
 import tropcone.graph as graph_module
 from support import (
+    dense_absorption_rows,
     denominator_five_graph,
     fraction_eval_operator,
     inside_closure,
     random_minmax,
     random_valid_graph,
     trop_eval_compliant_operator,
+    trop_eval_operator,
 )
 from tropcone.errors import DimensionMismatch, NotCompliant
 from tropcone.fixtures import example_graph
@@ -78,13 +81,30 @@ def _check_extended(target, p, seen):
     seen["extended", inside] += 1
 
 
+def _check_source_closure(g, rows, p, seen):
+    """The kernel on g at a point p of T^n, then again after lowering to
+    -inf every coordinate above its operator value, until p is subfixed."""
+    while True:
+        want = trop_eval_operator(g, rows, p)
+        assert tuple(NEG_INF if v is None else Trop(v) for v in eval_operator(g, p)) == want
+        inside = all(Trop(a) <= b for a, b in zip(p, want))
+        assert subfixed(g, p) == inside
+        seen["source -inf", inside] += 1
+        if inside:
+            return
+        p = tuple(NEG_INF if Trop(a) > b else a for a, b in zip(p, want))
+
+
 def _check_graph(g, rng, seen, extra=()):
-    """Both kernels at points over DENOMS (and `extra`) on g, and on its
-    pipeline target at their lifts, at -inf/`Trop` mixes of the lifts and
-    at those mixes pulled into the extended subfixed set."""
+    """The kernel at points over DENOMS (and `extra`) on g, at -inf/`Trop`
+    mixes of them pulled into the subfixed set, and on its pipeline target
+    at their lifts, at -inf/`Trop` mixes of the lifts and at those mixes
+    pulled into the extended subfixed set."""
     target, witness = pipeline(g)
+    rows = dense_absorption_rows(g)
     for x in (*extra, *_points(rng, g.n)):
         _check_operator(g, x, seen, "source")
+        _check_source_closure(g, rows, _mixed(rng, x), seen)
         y = witness.lift(x)
         _check_operator(target, y, seen, "target")
         _check_extended(target, y, seen)
@@ -106,14 +126,15 @@ def test_kernels_match_oracles_on_fixtures(name):
     build, extra = FIXTURES[name]
     seen = Counter()
     _check_graph(build(), random.Random(name), seen, extra)
-    assert seen["extended", True] and seen["extended", False], seen
+    kinds = ("source -inf", "extended")
+    assert all(seen[kind, answer] for kind in kinds for answer in (True, False)), seen
 
 
 def test_kernels_match_oracles_on_random_graphs():
     seen = Counter()
     for trial in range(400):
         _check_graph(random_valid_graph(rng_for(307, trial)), rng_for(311, trial), seen)
-    kinds = ("source", "target", "extended")
+    kinds = ("source", "source -inf", "target", "extended")
     assert all(seen[kind, answer] for kind in kinds for answer in (True, False)), seen
 
 
@@ -125,7 +146,7 @@ def test_dimension_checked_before_any_solve(call):
     g = type(g).from_json(g.to_json())
     with pytest.raises(DimensionMismatch):
         call(g, (0,) * (g.n - 1))
-    built = {"absorption_table", "operator_plan", "compliant_plan"} & set(vars(g))
+    built = {"absorption_table", "operator_plan"} & set(vars(g))
     assert not built
 
 
@@ -137,19 +158,16 @@ def test_compliant_kernels_refuse_a_graph_that_is_not(call):
 
 
 def test_plans_are_built_lazily_and_once(monkeypatch):
+    # One plan per graph: the compliant entry points on a target share the
+    # plan that `subfixed` builds there.
     calls = Counter()
+    build = graph_module._operator_plan
 
-    def counted(name):
-        build = getattr(graph_module, name)
+    def counted(g):
+        calls[id(g)] += 1
+        return build(g)
 
-        def wrapper(g):
-            calls[name, id(g)] += 1
-            return build(g)
-
-        return wrapper
-
-    for name in ("_operator_plan", "_compliant_plan"):
-        monkeypatch.setattr(graph_module, name, counted(name))
+    monkeypatch.setattr(graph_module, "_operator_plan", counted)
     g = example_graph()
     target, _ = pipeline(g)
     affine_envelope(synthesize_cone(target))
@@ -160,8 +178,4 @@ def test_plans_are_built_lazily_and_once(monkeypatch):
         subfixed(target, (0,) * target.n)
         subfixed_extended(target, (NEG_INF,) * target.n)
         eval_compliant_operator(target, (1,) * target.n)
-    assert calls == {
-        ("_operator_plan", id(g)): 1,
-        ("_operator_plan", id(target)): 1,
-        ("_compliant_plan", id(target)): 1,
-    }
+    assert calls == {id(g): 1, id(target): 1}

@@ -55,6 +55,15 @@ def test_signed_trop_has_no_zero_constructor():
     assert not hasattr(SignedTrop, "zero")
 
 
+def test_game_graph_has_one_operator_plan():
+    # The operator on T^n of every graph, compliant or not, is evaluated
+    # from `operator_plan`.
+    from tropcone.graph import GameGraph
+
+    assert hasattr(GameGraph, "operator_plan")
+    assert not hasattr(GameGraph, "compliant_plan")
+
+
 def tropcone_imports(path: Path) -> list:
     """(module, name) for each `from tropcone... import name` in the file,
     at any depth."""
