@@ -48,11 +48,14 @@ def _load_pencil(path: str) -> MetzlerPencil:
         raise MalformedInput(f"bad pencil JSON in {path}: {exc}") from exc
 
 
-def _parse_vector(text: str, parse=rational_from_str, kind: str = "rational"):
+def _parse_vector(text: str, n: int, parse=rational_from_str, kind: str = "rational"):
     try:
-        return tuple(parse(part.strip()) for part in text.split(","))
+        vec = tuple(parse(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise MalformedInput(f"bad {kind} vector {text!r}: {exc}") from exc
+    if len(vec) != n:
+        raise MalformedInput(f"{kind} vector {text!r} has {len(vec)} coordinates, expected {n}")
+    return vec
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -75,14 +78,14 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     g = _load_graph(args.graph)
-    value = eval_operator(g, _parse_vector(args.point))
+    value = eval_operator(g, _parse_vector(args.point, g.n))
     _emit_json([rational_to_str(v) for v in value], args.out)
     return 0
 
 
 def cmd_subfixed(args) -> int:
     g = _load_graph(args.graph)
-    _emit_json({"subfixed": subfixed(g, _parse_vector(args.point))}, args.out)
+    _emit_json({"subfixed": subfixed(g, _parse_vector(args.point, g.n))}, args.out)
     return 0
 
 
@@ -121,7 +124,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_member(args) -> int:
     pencil = _load_pencil(args.pencil)
-    point = _parse_vector(args.point, Trop.from_str, "tropical")
+    point = _parse_vector(args.point, pencil.n, Trop.from_str, "tropical")
     _emit_json({"member": pencil_member(pencil, point)}, args.out)
     return 0
 
@@ -129,7 +132,7 @@ def cmd_member(args) -> int:
 def cmd_lift(args) -> int:
     g = _load_graph(args.graph)
     _, witness = pipeline(g)
-    lifted = witness.lift(_parse_vector(args.point))
+    lifted = witness.lift(_parse_vector(args.point, g.n))
     _emit_json([rational_to_str(v) for v in lifted], args.out)
     return 0
 
@@ -147,6 +150,8 @@ def cmd_verify(args) -> int:
         instance=args.graph,
     )
     _emit_json(report.to_json(), args.out)
+    if not (report.subfixed_count and report.complement_count):
+        print("warning: no subfixed or no complement sample, so one direction went unchecked", file=sys.stderr)
     return 0 if report.ok else 1
 
 

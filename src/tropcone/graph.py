@@ -3,11 +3,11 @@ encode.
 
 A graph has three disjoint vertex classes. Edges out of Min and Max vertices
 carry rational payoffs; edges out of Random vertices carry positive rational
-probabilities summing to one per vertex. The encoded operator is computed
-from exact absorption probabilities of the induced Markov chain in which
-every Min and Max vertex is absorbing, solved in integers by fraction-free
-elimination (Bareiss 1968), one per strongly connected component of the
-Random vertices.
+probabilities summing to one per vertex (validation checks both in integers).
+The encoded operator is computed from exact absorption probabilities of the
+induced Markov chain in which every Min and Max vertex is absorbing, solved
+in integers by fraction-free elimination (Bareiss 1968), one per strongly
+connected component of the Random vertices.
 
 The operator is evaluated in exact integers at points of T^n, from one
 plan built on a graph's first evaluation and kept on it next to the
@@ -33,6 +33,7 @@ from .scalars import int_from_json, integers_over, rational_from_str, rational_o
 Vector = tuple[Fraction, ...]
 
 HALF = Fraction(1, 2)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def validate_graph(g: GameGraph) -> ValidationReport:
         if g.kind[e.tail] == "random":
             if e.prob is None or e.payoff is not None:
                 failures.append(("edge-labels", f"edge {e.id} out of a Random vertex must carry a probability only"))
-            elif e.prob <= 0:
+            elif e.prob.numerator <= 0:
                 failures.append(("edge-labels", f"edge {e.id} has nonpositive probability"))
         else:
             if e.payoff is None or e.prob is not None:
@@ -219,9 +220,11 @@ def validate_graph(g: GameGraph) -> ValidationReport:
             failures.append(("out-degree", f"vertex {v} has no outgoing edge"))
 
     for v in g.random_vertices:
-        total = sum((e.prob for e in g.out_edges[v] if e.prob is not None), Fraction(0))
-        if total != 1:
-            failures.append(("prob-sum", f"probabilities out of {v} sum to {total}"))
+        # The sum is 1 when the numerators over L, the lcm of the denominators, sum to L.
+        probs = [e.prob for e in g.out_edges[v] if e.prob is not None]
+        den = lcm(*(p.denominator for p in probs))
+        if sum(p.numerator * (den // p.denominator) for p in probs) != den:
+            failures.append(("prob-sum", f"probabilities out of {v} sum to {sum(probs, Fraction(0))}"))
 
     if not failures:
         # A Max-free path from a Min vertex leaves by an out-edge into a Min
@@ -395,7 +398,7 @@ def _tabulate(g: GameGraph, exits: dict, fold: dict) -> dict:
             w = fold.get(c, c)
             sums[w] = sums.get(w, 0) + x
         hit[v] = {w: Fraction(sums[w], den) for w in sorted(sums, key=order.__getitem__)}
-    return {e.id: dict(hit[e.head]) if e.head in hit else {e.head: Fraction(1)} for e in g.edges}
+    return {e.id: dict(hit[e.head]) if e.head in hit else {e.head: ONE} for e in g.edges}
 
 
 def _absorption_rows(g: GameGraph) -> dict:
@@ -615,18 +618,13 @@ def minmax_eval(op: MinMaxOperator, x: Sequence[Fraction]) -> Vector:
     if len(x) != op.n:
         raise DimensionMismatch(f"point of length {len(x)}, operator arity {op.n}")
     x = tuple(Fraction(v) for v in x)
-    result = []
-    for k in range(op.n):
-        inner = []
-        for s_ki in op.subsets[k]:
-            inner.append(
-                max(
-                    sum((a * v for a, v in zip(op.matrices[s][k], x)), op.offsets[s][k])
-                    for s in s_ki
-                )
-            )
-        result.append(min(inner))
-    return tuple(result)
+    return tuple(
+        min(
+            max(sum((a * v for a, v in zip(op.matrices[s][k], x)), op.offsets[s][k]) for s in s_ki)
+            for s_ki in op.subsets[k]
+        )
+        for k in range(op.n)
+    )
 
 
 def graph_from_minmax(op: MinMaxOperator) -> GameGraph:

@@ -190,10 +190,7 @@ def _dense_cells(matrices, m: int, n: int):
 
 
 def to_trop_vector(x) -> Point:
-    out = []
-    for v in x:
-        out.append(v if isinstance(v, Trop) else Trop(v))
-    return tuple(out)
+    return tuple(v if isinstance(v, Trop) else Trop(v) for v in x)
 
 
 def _top(terms, y: list, r: int) -> Optional[int]:
@@ -351,7 +348,7 @@ def affine_envelope(pencil: MetzlerPencil) -> MetzlerPencil:
     if not pencil.is_cone:
         raise PreconditionViolated("affine envelope expects a cone pencil")
     n = pencil.n
-    entries = {key: dict(entry) for key, entry in pencil.entries.items()}
+    entries = dict(pencil.entries)  # MetzlerPencil copies each entry
     row = pencil.m
     zero = SignedTrop.pos(0)
     for k in range(1, n + 1):

@@ -1,8 +1,8 @@
 """Exact max-plus and signed max-plus scalar arithmetic.
 
-All finite values are arbitrary-precision rationals (`fractions.Fraction`).
-The additive zero of the semiring is a distinguished minus-infinity element,
-not a numeric sentinel.
+All finite values are arbitrary-precision rationals (`fractions.Fraction`),
+and a `Trop` keeps a `Fraction` it is given. The additive zero of the
+semiring is a distinguished minus-infinity element, not a numeric sentinel.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class Trop:
     def __init__(self, value=None):
         if value is None:
             self._v = None
+        elif type(value) is Fraction:
+            self._v = value
         elif isinstance(value, Trop):
             self._v = value._v
         else:
@@ -152,11 +154,19 @@ class SignedTrop:
 
     @classmethod
     def pos(cls, value) -> "SignedTrop":
-        return cls(1, Trop(value))
+        return cls._nonzero(1, Trop(value))
 
     @classmethod
     def neg(cls, value) -> "SignedTrop":
-        return cls(-1, Trop(value))
+        return cls._nonzero(-1, Trop(value))
+
+    @classmethod
+    def _nonzero(cls, sign: int, modulus: Trop) -> "SignedTrop":
+        if modulus.is_neg_inf:  # pos/neg fix the sign; only the modulus needs a check
+            raise ValueError("sign 0 iff modulus is -inf")
+        s = object.__new__(cls)
+        s.sign, s.modulus = sign, modulus
+        return s
 
     @property
     def is_zero(self) -> bool:

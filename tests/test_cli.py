@@ -15,6 +15,7 @@ from tropcone.graph import Edge, GameGraph
 from tropcone.pencil import MetzlerPencil, synthesize_cone
 from tropcone.scalars import rational_to_str
 from tropcone.transforms import pipeline
+from tropcone.verify import verify_graph
 
 F = Fraction
 ZERO = {"sign": 0, "abs": "-inf"}
@@ -83,6 +84,24 @@ class TestExitCodes:
     def test_bad_point_exits_two(self, capsys, graph_file):
         code, _ = run(capsys, "eval", graph_file, "--point", "1,zebra,3")
         assert code == 2
+
+    def test_wrong_length_eval_point_exits_two(self, capsys, graph_file):
+        code, out = run(capsys, "eval", graph_file, "--point", "0,0")
+        assert (code, out) == (2, "")
+
+    def test_wrong_length_subfixed_point_exits_two(self, capsys, graph_file):
+        code, out = run(capsys, "subfixed", graph_file, "--point", "0,0,0,0")
+        assert (code, out) == (2, "")
+
+    def test_wrong_length_lift_point_exits_two(self, capsys, graph_file):
+        code, out = run(capsys, "lift", graph_file, "--point", "0")
+        assert (code, out) == (2, "")
+
+    def test_wrong_length_member_point_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(synthesize_cone(pipeline(example_graph())[0]).to_json()))
+        code, out = run(capsys, "member", str(path), "--point", "0,0,0")
+        assert (code, out) == (2, "")
 
     def test_t2_requires_edge(self, capsys, graph_file):
         code, _ = run(capsys, "transform", "t2", graph_file)
@@ -291,6 +310,24 @@ class TestVerifyCommand:
         assert report["ok"] is True
         assert report["subfixed"] == 0
         assert report["complement"] == 0
+
+    @pytest.mark.parametrize(
+        "samples, seed, counts",
+        [("0", "0", (0, 0)), ("5", "8", (0, 5))],
+        ids=["no-samples", "none-inside"],
+    )
+    def test_one_sided_samples_warn(self, capsys, graph_file, samples, seed, counts):
+        code = main(["verify", graph_file, "--samples", samples, "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 0
+        report = verify_graph(example_graph(), samples=int(samples), seed=int(seed), instance=graph_file)
+        assert (report.subfixed_count, report.complement_count) == counts
+        assert captured.out == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+        assert captured.err.startswith("warning: no subfixed or no complement sample")
+
+    def test_two_sided_samples_do_not_warn(self, capsys, graph_file):
+        assert main(["verify", graph_file, "--samples", "50", "--seed", "3"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_disagreement_exits_one(self, capsys, graph_file, monkeypatch):
         # A membership test that always answers False disagrees at every

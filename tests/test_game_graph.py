@@ -78,6 +78,58 @@ class TestValidation:
         assert not report.ok
         assert any(code == "prob-sum" for code, _ in report.failures)
 
+    @pytest.mark.parametrize(
+        "probs, want",
+        [
+            ((F(0), F(1)), [("edge-labels", "edge 3 has nonpositive probability")]),
+            ((F(-1, 3), F(4, 3)), [("edge-labels", "edge 3 has nonpositive probability")]),
+            ((F(1, 6), F(7, 12)), [("prob-sum", "probabilities out of 3 sum to 3/4")]),
+            ((F(1, 3), F(11, 12)), [("prob-sum", "probabilities out of 3 sum to 5/4")]),
+        ],
+        ids=["zero", "negative", "sum-3/4", "sum-5/4"],
+    )
+    def test_probability_failures(self, probs, want):
+        assert validate_graph(coin_graph(*probs)).failures == tuple(want)
+
+    def test_payoff_out_of_random_vertex_sums_to_zero(self):
+        g = GameGraph(
+            (1,), (2,), (3,),
+            (
+                Edge(1, 1, 2, payoff=F(0)),
+                Edge(2, 2, 3, payoff=F(0)),
+                Edge(3, 3, 1, payoff=F(0)),
+            ),
+        )
+        assert validate_graph(g).failures == (
+            ("edge-labels", "edge 3 out of a Random vertex must carry a probability only"),
+            ("prob-sum", "probabilities out of 3 sum to 0"),
+        )
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            (F(1, 3), F(1, 6), F(1, 2)),
+            # Coprime Mersenne-prime denominators p, q and their product.
+            (F(1, 2**61 - 1), F(1, 2**89 - 1), 1 - F(1, 2**61 - 1) - F(1, 2**89 - 1)),
+        ],
+        ids=["mixed", "large-coprime"],
+    )
+    def test_exact_sums_pass(self, probs):
+        assert validate_graph(coin_graph(*probs)).ok
+
+    def test_builds_no_fraction(self, monkeypatch):
+        g = example_graph()
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        assert validate_graph(g).ok
+        assert built == []
+
     def test_missing_out_edge_fails(self):
         g = GameGraph((1,), (2,), (), (Edge(1, 1, 2, payoff=F(0)),))
         report = validate_graph(g)
@@ -123,6 +175,14 @@ class TestValidation:
         # One reverse search per vertex class: about 5 s at this size with
         # one walk per vertex, a few milliseconds now.
         assert validate_graph(long_chain_graph(3000)).ok
+
+
+def coin_graph(*probs):
+    """Min 1 -> Max 2 -> Random 3, which returns to Min 1 along one edge per
+    probability, ids 3, 4, ..."""
+    edges = [Edge(1, 1, 2, payoff=F(0)), Edge(2, 2, 3, payoff=F(0))]
+    edges += [Edge(3 + i, 3, 1, prob=p) for i, p in enumerate(probs)]
+    return GameGraph((1,), (2,), (3,), tuple(edges))
 
 
 def long_chain_graph(k):

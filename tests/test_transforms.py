@@ -442,5 +442,5 @@ class TestOnePassSplit:
         monkeypatch.setattr(graph_module, "validate_graph", counting)
         out, _ = pipeline(example_graph())
         assert is_compliant(out)
-        assert len(calls) <= 4
+        assert len(calls) == 4
         assert len({id(g) for g in calls}) == len(calls)

@@ -44,6 +44,21 @@ class TestTrop:
         for t in (NEG_INF, Trop(Fraction(-7, 3)), Trop(4)):
             assert Trop.from_str(t.to_str()) == t
 
+    def test_keeps_its_fraction(self):
+        q = Fraction(-7, 3)
+        assert Trop(q).finite is q
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [(3, Fraction(3)), ("1/2", Fraction(1, 2)), (Trop(Fraction(5, 4)), Fraction(5, 4))],
+        ids=["int", "string", "trop"],
+    )
+    def test_other_values_converted(self, value, want):
+        t = Trop(value)
+        assert type(t.finite) is Fraction
+        assert t.finite == want
+        assert t == Trop(want)
+
     @given(trops, trops)
     def test_commutative(self, a, b):
         assert tadd(a, b) == tadd(b, a)
@@ -74,6 +89,17 @@ class TestSignedTrop:
     def test_sign_must_be_an_integer(self, sign):
         with pytest.raises(ValueError):
             SignedTrop(sign, Trop(1))
+
+    @pytest.mark.parametrize("make", [SignedTrop.pos, SignedTrop.neg], ids=["pos", "neg"])
+    def test_fixed_sign_refuses_neg_inf(self, make):
+        with pytest.raises(ValueError, match="sign 0 iff modulus is -inf"):
+            make(None)
+
+    def test_fixed_sign_equals_checked_constructor(self):
+        q = Fraction(2, 7)
+        assert SignedTrop.pos(q) == SignedTrop(1, Trop(q))
+        assert SignedTrop.neg("-1") == SignedTrop(-1, Trop(-1))
+        assert (SignedTrop.neg(0).sign, SignedTrop.pos(0).sign) == (-1, 1)
 
     def test_json_round_trip(self):
         for s in (SignedTrop(0, NEG_INF), SignedTrop.pos(Fraction(2, 7)), SignedTrop.neg(-1)):
