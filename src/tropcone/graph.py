@@ -467,27 +467,25 @@ def _edge_value(a: int, terms: tuple, vals: list, r: int) -> Optional[int]:
     return v
 
 
-def _max_values(g: GameGraph, x) -> tuple:
-    """A point x of T^n and the Max vertex values in integers: (D, r, y,
-    values) with D = lcm(C, x's finite denominators), r = D / C, y = x * D,
-    and each value an integer over D * P1; None stands for -inf. An edge
-    with a -inf term is skipped, so a Max vertex with no finite edge is
-    None."""
+def _scaled_point(g: GameGraph, x) -> tuple:
+    """(D, r, y) for a point x of T^n: D = lcm(C, x's finite denominators),
+    r = D / C and y = x * D in integers, None for -inf."""
     xs = [rational_or_none(v) for v in x]
     if len(xs) != g.n:
         raise DimensionMismatch(f"point of length {len(xs)}, graph has {g.n} Min vertices")
-    scale, _, _, max_terms, _ = g.operator_plan
-    d, y = integers_over(xs, scale)
-    r = d // scale
-    values = []
-    for edges in max_terms:
-        best = None
-        for a, terms in edges:
-            v = _edge_value(a, terms, y, r)
-            if v is not None and (best is None or v > best):
-                best = v
-        values.append(best)
-    return d, r, y, values
+    d, y = integers_over(xs, g.operator_plan[0])
+    return d, d // g.operator_plan[0], y
+
+
+def _max_value(edges: tuple, y: list, r: int) -> Optional[int]:
+    """A Max vertex's value over D * P1: the largest of its out-edges that
+    have no -inf term, None when none has."""
+    best = None
+    for a, terms in edges:
+        v = _edge_value(a, terms, y, r)
+        if v is not None and (best is None or v > best):
+            best = v
+    return best
 
 
 def eval_operator(g: GameGraph, x) -> tuple:
@@ -495,8 +493,9 @@ def eval_operator(g: GameGraph, x) -> tuple:
     D * P1 * P2 (see `GameGraph.operator_plan`), extended by continuity:
     max, min and sums with positive weights, so -inf is absorbing. A
     coordinate is None (-inf) when one of its out-edges is."""
-    d, r, _, mx = _max_values(g, x)
-    _, p1, p2, _, min_terms = g.operator_plan
+    d, r, y = _scaled_point(g, x)
+    _, p1, p2, max_terms, min_terms = g.operator_plan
+    mx = [_max_value(edges, y, r) for edges in max_terms]
     den = d * p1 * p2
     result = []
     for edges in min_terms:
@@ -505,20 +504,31 @@ def eval_operator(g: GameGraph, x) -> tuple:
     return tuple(result)
 
 
+_UNSET = object()  # a value not computed yet in this query
+
+
 def subfixed(g: GameGraph, x) -> bool:
     """Does x <= F(x) hold coordinatewise on T^n? A -inf coordinate always
     does; a finite X_k * P1 * P2 is compared with the value of each out-edge
-    of Min vertex k, stopping at the first that is -inf or smaller."""
-    _, r, y, mx = _max_values(g, x)
-    _, p1, p2, _, min_terms = g.operator_plan
-    p12 = p1 * p2
+    of Min vertex k, stopping at the first that is -inf or smaller. A Max
+    value is computed when an out-edge first reads it."""
+    _, r, y = _scaled_point(g, x)
+    _, p1, p2, max_terms, min_terms = g.operator_plan
+    mx = [_UNSET] * len(max_terms)
     for yk, edges in zip(y, min_terms):
         if yk is None:
             continue
-        target = yk * p12
+        target = yk * p1 * p2
         for b, terms in edges:
-            v = _edge_value(b, terms, mx, r)
-            if v is None or target > v:
+            v = b * r
+            for q, i in terms:
+                u = mx[i]
+                if u is _UNSET:
+                    u = mx[i] = _max_value(max_terms[i], y, r)
+                if u is None:
+                    return False
+                v += q * u
+            if target > v:
                 return False
     return True
 

@@ -8,10 +8,10 @@ Q_ij(X) = Q^(0)_ij (+) Q^(1)_ij (.) X_1 (+) ... (+) Q^(n)_ij (.) X_n.
 
 Membership is decided in exact integer arithmetic. The first
 `pencil_member` call on a pencil builds its plan and keeps it on the
-pencil: the lcm L of every modulus denominator, and every coefficient as an
-integer over L, diagonal terms split by sign. A query scales the point to
-integers over D = lcm(L, its denominators); max-plus comparisons do not
-change when every value is multiplied by D.
+pencil: the lcm L of every modulus denominator, every coefficient as an
+integer over L, and each distinct diagonal row once, split by sign. A query
+scales the point to integers over D = lcm(L, its denominators); max-plus
+comparisons do not change when every value is multiplied by D.
 
 The module provides membership, synthesis of a cone pencil from a compliant
 game graph, and the tropical convex hull of a union as one n-ary tropical
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .convex import TropPointSet, residual_combination
 from .errors import DimensionMismatch, PreconditionViolated, SupportMismatch
-from .graph import GameGraph, _compliant_pairs, eval_operator, require_compliant, subfixed
+from .graph import _UNSET, GameGraph, _compliant_pairs, eval_operator, require_compliant, subfixed
 from .scalars import (
     NEG_INF,
     SignedTrop,
@@ -64,13 +64,13 @@ def _merge_coeff(entry: Entry, k: int, coeff: SignedTrop) -> None:
 
 
 def _scaled_terms(entry: Entry, sign: int, scale: int) -> tuple:
-    """(variable, modulus * scale) for each coefficient of the given sign;
-    scale is a multiple of every modulus denominator."""
-    return tuple(
+    """(variable, modulus * scale) for each coefficient of the given sign,
+    in variable order; scale is a multiple of every modulus denominator."""
+    return tuple(sorted(
         (k, c.modulus.finite.numerator * (scale // c.modulus.finite.denominator))
         for k, c in entry.items()
         if c.sign == sign
-    )
+    ))
 
 
 class MetzlerPencil:
@@ -99,27 +99,27 @@ class MetzlerPencil:
     @cached_property
     def _plan(self) -> tuple:
         """The integer form `pencil_member` evaluates, built on its first
-        call: L, the lcm of every modulus denominator; per row with a
-        diagonal entry, its (variable, modulus * L) terms split into plus
-        and minus; per off-diagonal entry (a, b, terms), a and b the
-        positions of its rows in that list. A row with no diagonal entry is
-        -inf and holds; it gets position len(diag), so the work is bounded
-        by the entries, not by m."""
+        call: L, the lcm of every modulus denominator; the plus terms of
+        each distinct diagonal row, as (variable, modulus * L); (slot,
+        minus terms) per distinct row with minus terms; per off-diagonal
+        entry (a, b, terms), a and b the slots of its rows. A row with no
+        diagonal entry is -inf and holds; its slot is one past the last."""
         scale = lcm(
             *(c.modulus.finite.denominator for entry in self.entries.values() for c in entry.values())
         )
-        rows = {i: k for k, i in enumerate(i for i, j in self.entries if i == j)}
-        diag = tuple(
-            (_scaled_terms(entry, 1, scale), _scaled_terms(entry, -1, scale))
-            for (i, j), entry in self.entries.items()
-            if i == j
-        )
+        distinct, slot = {}, {}
+        for (i, j), entry in self.entries.items():
+            if i == j:
+                key = (_scaled_terms(entry, 1, scale), _scaled_terms(entry, -1, scale))
+                slot[i] = distinct.setdefault(key, len(distinct))
+        plus = tuple(pos for pos, _ in distinct)
+        checks = tuple((k, neg) for (_, neg), k in distinct.items() if neg)
         offdiag = tuple(
-            (rows.get(i, len(rows)), rows.get(j, len(rows)), _scaled_terms(entry, -1, scale))
+            (slot.get(i, len(plus)), slot.get(j, len(plus)), _scaled_terms(entry, -1, scale))
             for (i, j), entry in self.entries.items()
             if i != j
         )
-        return scale, diag, offdiag
+        return scale, plus, checks, offdiag
 
     @property
     def is_cone(self) -> bool:
@@ -195,6 +195,9 @@ def to_trop_vector(x) -> Point:
 
 def _top(terms, y: list, r: int) -> Optional[int]:
     """max over (k, c) in terms of c * r + y[k], None for -inf."""
+    if len(terms) == 1:
+        (k, c), = terms
+        return None if y[k] is None else y[k] + c * r
     best = None
     for k, c in terms:
         v = y[k]
@@ -206,28 +209,38 @@ def _top(terms, y: list, r: int) -> Optional[int]:
 
 
 def pencil_member(pencil: MetzlerPencil, x) -> bool:
-    """Decide membership of x in the tropical Metzler spectrahedron, with
-    every value an integer over D = lcm(L, x's denominators), None for -inf
-    and the constant slot 0 pinned to 0."""
+    """Decide membership of x in the tropical Metzler spectrahedron."""
     vals = [rational_or_none(v) for v in x]
-    if len(vals) != pencil.n:
-        raise DimensionMismatch(f"point of length {len(vals)}, pencil has {pencil.n} variables")
-    scale, diag, offdiag = pencil._plan
-    d, y = integers_over(vals, scale)
-    r = d // scale
-    y.insert(0, 0)
-    plus = []
-    for pos, neg in diag:
-        p, m_ = _top(pos, y, r), _top(neg, y, r)
+    return pencil_member_integers(pencil, *integers_over(vals, pencil._plan[0]))
+
+
+def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:
+    """Decide membership of the point y / d, y integers with None for -inf,
+    over D = lcm(L, d) with the constant slot 0 pinned to 0. Rows with minus
+    terms are checked first; a row's plus part is computed when an
+    off-diagonal entry first reads it."""
+    if len(y) != pencil.n:
+        raise DimensionMismatch(f"point of length {len(y)}, pencil has {pencil.n} variables")
+    scale, rows, checks, offdiag = pencil._plan
+    f = scale // gcd(d, scale)
+    y = [0, *y] if f == 1 else [0, *(None if v is None else v * f for v in y)]
+    r = d * f // scale
+    plus = [_UNSET] * len(rows) + [None]
+    for k, neg in checks:
+        p = plus[k] = _top(rows[k], y, r)
+        m_ = _top(neg, y, r)
         if m_ is not None and (p is None or p < m_):
             return False
-        plus.append(p)
-    plus.append(None)
     for i, j, terms in offdiag:
         v = _top(terms, y, r)
         if v is None:
             continue
-        if plus[i] is None or plus[j] is None or plus[i] + plus[j] < 2 * v:
+        if plus[i] is _UNSET:
+            plus[i] = _top(rows[i], y, r)
+        if plus[j] is _UNSET:
+            plus[j] = _top(rows[j], y, r)
+        a, b = plus[i], plus[j]
+        if a is None or b is None or a + b < 2 * v:
             return False
     return True
 

@@ -20,8 +20,9 @@ relating the two subfixed sets; a witness map is data, a list of rows that
 each define one new coordinate, so composing two is concatenation. The first
 `lift` on a map builds its integer plan and keeps it on the map: every
 constant over their common denominator, every row's probabilities over the
-lcm of theirs. A lift then holds the point as integers over one running
-denominator, multiplied up only when a row's value needs it.
+lcm of theirs, its single-term pairs folded into one constant. A lift then
+holds the point as integers over one running denominator, multiplied up
+only when a row's value needs it; `lift_integers` returns them as they are.
 
 Every stage builds its output with `graph._Builder` and checks it once; a
 graph's validation report and absorption table are cached on the graph, so
@@ -69,29 +70,33 @@ class WitnessMap:
     def _plan(self) -> tuple:
         """The integer form `lift` evaluates, built on its first call: C,
         the lcm of every constant's denominator, and per row (P, the lcm of
-        its probability denominators, ((p * P, ((c * C, i), ...)), ...))."""
+        its probability denominators, K, ((q, i), ...), ((q, ((c, i), ...)),
+        ...)), q = p * P and c over C: a row's single-term pairs fold into
+        K, the sum of their q * c, and one (q, i) each."""
         scale = lcm(*(c.denominator for row in self.rows for _, terms in row for c, _ in terms))
         rows = []
         for row in self.rows:
             den = lcm(*(p.denominator for p, _ in row))
-            pairs = tuple(
-                (
-                    p.numerator * (den // p.denominator),
-                    tuple((c.numerator * (scale // c.denominator), i) for c, i in terms),
-                )
-                for p, terms in row
-            )
-            rows.append((den, pairs))
+            const, singles, multis = 0, [], []
+            for p, terms in row:
+                q = p.numerator * (den // p.denominator)
+                scaled = tuple((c.numerator * (scale // c.denominator), i) for c, i in terms)
+                if len(scaled) == 1:
+                    const += q * scaled[0][0]
+                    singles.append((q, scaled[0][1]))
+                else:
+                    multis.append((q, scaled))
+            rows.append((den, const, tuple(singles), tuple(multis)))
         return scale, tuple(rows)
 
-    def lift(self, x) -> tuple:
-        """The source point x followed by every new coordinate, as Fractions.
+    def lift_integers(self, x) -> tuple:
+        """(D, y): the lift of the rational point x as integers y over one
+        denominator D, the source point followed by every new coordinate.
 
-        y is held as integers over a running denominator D, which starts as
-        the lcm of C and x's denominators. A row gives N / P over D; when P
-        does not divide N, D and every y so far are multiplied by
-        P / gcd(N, P)."""
-        xs = [Fraction(v) for v in x]
+        D starts as the lcm of C and x's denominators. A row gives N / P
+        over D; when P does not divide N, D and every y so far are
+        multiplied by P / gcd(N, P)."""
+        xs = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
         if len(xs) != self.source_dim:
             raise DimensionMismatch(
                 f"point of length {len(xs)}, witness expects {self.source_dim}"
@@ -99,16 +104,23 @@ class WitnessMap:
         scale, rows = self._plan
         d, y = integers_over(xs, scale)
         r = d // scale
-        for den, row in rows:
-            total = 0
-            for p, terms in row:
-                total += p * max(c * r + y[i] for c, i in terms)
+        for den, const, singles, multis in rows:
+            total = const * r
+            for q, i in singles:
+                total += q * y[i]
+            for q, terms in multis:
+                total += q * max(c * r + y[i] for c, i in terms)
             g = gcd(total, den)
             if g != den:
                 f = den // g
                 d, r = d * f, r * f
                 y = [v * f for v in y]
             y.append(total // g)
+        return d, y
+
+    def lift(self, x) -> tuple:
+        """The source point x followed by every new coordinate, as Fractions."""
+        d, y = self.lift_integers(x)
         return tuple(Fraction(v, d) for v in y)
 
     def project(self, xp):

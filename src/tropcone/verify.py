@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import GameGraph, require_valid, subfixed
-from .pencil import MetzlerPencil, affine_envelope, pencil_member, synthesize_cone
+from .pencil import MetzlerPencil, affine_envelope, pencil_member_integers, synthesize_cone
 from .sampling import rng_for, sample_vector
-from .transforms import WitnessMap, pipeline
+from .transforms import pipeline
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,6 @@ class VerificationReport:
         }
 
 
-def envelope_lift(witness: WitnessMap, x):
-    """Member of the affine envelope corresponding to a subfixed x: the
-    pipeline lift followed by its coordinatewise negation."""
-    lifted = witness.lift(x)
-    return lifted + tuple(-v for v in lifted)
-
-
 def verify_graph(
     g: GameGraph,
     samples: int = 200,
@@ -64,8 +57,8 @@ def verify_graph(
     instance: str = "graph",
     pencil_override: Optional[MetzlerPencil] = None,
 ) -> VerificationReport:
-    """Check subfixed(g, x) <=> membership of the envelope-lifted point, at
-    `samples` deterministic rational points.
+    """Check subfixed(g, x) <=> membership of the envelope-lifted point, kept
+    in integers, at `samples` deterministic rational points.
 
     `pencil_override` substitutes the envelope pencil (used to confirm that
     corrupted pencils are caught)."""
@@ -82,7 +75,8 @@ def verify_graph(
     for i in range(samples):
         x = sample_vector(rng_for(seed, i), n, box, denom)
         left = subfixed(g, x)
-        right = pencil_member(envelope, envelope_lift(witness, x))
+        d, y = witness.lift_integers(x)
+        right = pencil_member_integers(envelope, d, y + [-v for v in y])
         if left:
             sub_count += 1
             if right:

@@ -6,9 +6,10 @@ vertex enumeration over exact square solves, the one-pass edge split of
 `pipeline` by splitting one edge at a time, absorption probabilities by one
 dense solve over every Random vertex, the sparse pencil file by the
 dense matrix form that earlier versions wrote, pencil membership, witness
-lifts and the encoded operator, on finite points and on T^n, by boxed
-`Trop` and `Fraction` arithmetic in place of the integer plans, and the
-path checks of graph validation by one walk per vertex.
+lifts and their affine-envelope points, and the encoded operator, on
+finite points and on T^n, by boxed `Trop` and `Fraction` arithmetic in
+place of the integer plans, and the path checks of graph validation by one
+walk per vertex.
 """
 
 from __future__ import annotations
@@ -422,6 +423,13 @@ def fraction_lift(witness, x) -> tuple:
     for row in witness.rows:
         y.append(sum((p * max(c + y[i] for c, i in terms) for p, terms in row), Fraction(0)))
     return tuple(y)
+
+
+def envelope_lift(witness, x) -> tuple:
+    """The affine-envelope point of a source point x in `Fraction`
+    arithmetic: its witness lift followed by the coordinatewise negation."""
+    lifted = fraction_lift(witness, x)
+    return lifted + tuple(-v for v in lifted)
 
 
 def _random_reachable(g: GameGraph, start: int) -> set:

@@ -332,7 +332,7 @@ class TestVerifyCommand:
     def test_disagreement_exits_one(self, capsys, graph_file, monkeypatch):
         # A membership test that always answers False disagrees at every
         # subfixed sample; the report is still printed.
-        monkeypatch.setattr("tropcone.verify.pencil_member", lambda pencil, x: False)
+        monkeypatch.setattr("tropcone.verify.pencil_member_integers", lambda pencil, d, y: False)
         code, out = run(capsys, "verify", graph_file, "--samples", "20", "--seed", "3")
         assert code == 1
         report = json.loads(out)

@@ -138,6 +138,35 @@ def test_kernels_match_oracles_on_random_graphs():
     assert all(seen[kind, answer] for kind in kinds for answer in (True, False)), seen
 
 
+def test_subfixed_computes_max_values_on_demand(monkeypatch):
+    """At a point that fails at the first Min vertex, `subfixed` computes
+    only Max values that vertex's out-edges read; its answers match the
+    Trop oracle there and at points with -inf coordinates."""
+    computed = []
+    value = graph_module._max_value
+    monkeypatch.setattr(
+        graph_module, "_max_value", lambda edges, y, r: computed.append(id(edges)) or value(edges, y, r)
+    )
+    seen = Counter()
+    for trial in range(100):
+        g = random_valid_graph(rng_for(317, trial))
+        rows = dense_absorption_rows(g)
+        rng = rng_for(331, trial)
+        for x in _points(rng, g.n):
+            for p in (x, _mixed(rng, x)):
+                holds = [Trop(a) <= b for a, b in zip(p, trop_eval_operator(g, rows, p))]
+                computed.clear()
+                assert subfixed(g, p) == all(holds)
+                max_terms, min_terms = g.operator_plan[3:]
+                if not holds[0]:
+                    first = {id(max_terms[i]) for _, terms in min_terms[0] for _, i in terms}
+                    assert set(computed) <= first and len(computed) == len(set(computed))
+                    seen["first fails", len(computed) < len(max_terms)] += 1
+                seen["-inf" if NEG_INF in p else "finite", all(holds)] += 1
+    assert all(seen[kind, answer] for kind in ("-inf", "finite") for answer in (True, False)), seen
+    assert seen["first fails", True] > 0, seen
+
+
 @pytest.mark.parametrize(
     "call", [eval_operator, subfixed, eval_compliant_operator, subfixed_extended]
 )

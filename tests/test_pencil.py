@@ -3,6 +3,7 @@ and stratum assembly."""
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -329,6 +330,76 @@ class TestIntegerKernel:
         plan = fresh._plan
         pencil_member(fresh, points[1])
         assert fresh._plan is plan
+
+
+def _grid(n):
+    """Every point of {-inf, -1, 0, 1/2, 2}^n."""
+    return product((NEG_INF, T(-1), Z, T(F(1, 2)), T(2)), repeat=n)
+
+
+class TestDistinctRowPlan:
+    """The plan keeps each distinct diagonal row once, checks the rows with
+    minus terms on every query and computes any other row's plus part when
+    an off-diagonal first reads it; each case against `trop_pencil_member`,
+    at points with -inf coordinates among them."""
+
+    def _check(self, pencil, points):
+        answers = set()
+        for x in points:
+            want = trop_pencil_member(pencil, x)
+            assert pencil_member(pencil, x) == want, x
+            answers.add(want)
+        assert answers == {True, False}
+
+    def test_duplicate_rows_under_different_off_diagonals(self):
+        # Rows 0 and 2 are both x1 (+) 1 x2 and rows 1 and 3 both x3; the
+        # two off-diagonals bound them by x1 and by x2 - 1/3.
+        row, other = {1: SignedTrop.pos(0), 2: SignedTrop.pos(1)}, {3: SignedTrop.pos(0)}
+        pencil = MetzlerPencil(4, 3, {
+            (0, 0): row, (1, 1): other, (2, 2): dict(row), (3, 3): dict(other),
+            (0, 1): {1: SignedTrop.neg(0)}, (2, 3): {2: SignedTrop.neg(F(-1, 3))},
+        })
+        assert len(pencil._plan[1]) == 2
+        self._check(pencil, _grid(3))
+
+    def test_minus_rows_no_off_diagonal_reads_still_reject(self):
+        # pencil_from_point has no off-diagonal at all; in a union, the rows
+        # z_k >= u_k that tie a summand's block to the visible coordinates
+        # are read by none. Lowering a visible coordinate of a member breaks
+        # only such rows.
+        point = pencil_from_point((T(F(3, 4)), NEG_INF, T(-2)))
+        union = union_pencil(point, pencil_from_point((Z, Z, T(1))))
+        members = [union.lift(g) for g in union.gens.points]
+        lowered = [
+            tuple(T(c.finite - 1) if t == k else c for t, c in enumerate(y))
+            for y in members
+            for k in range(3)
+            if not y[k].is_neg_inf
+        ]
+        for pp in (point, union):
+            _, _, checks, offdiag = pp.pencil._plan
+            read = {slot for i, j, _ in offdiag for slot in (i, j)}
+            assert any(k not in read for k, _ in checks)
+        self._check(point.pencil, [*_grid(3), *point.gens.points])
+        self._check(union.pencil, members + lowered)
+        assert not any(pencil_member(union.pencil, y) for y in lowered)
+
+    def test_off_diagonal_whose_row_has_no_diagonal_entry(self):
+        # Row 1 has no diagonal entry, so its plus part is -inf: members have
+        # x2 = -inf, and x1 >= -1/2 from row 2.
+        pencil = MetzlerPencil(3, 2, {
+            (0, 0): {1: SignedTrop.pos(0)},
+            (0, 1): {2: SignedTrop.neg(0)},
+            (2, 2): {1: SignedTrop.pos(0), 0: SignedTrop.neg(F(-1, 2))},
+        })
+        self._check(pencil, _grid(2))
+        assert pencil_member(pencil, (Z, NEG_INF))
+        assert not pencil_member(pencil, (Z, Z))
+
+    def test_example_envelope_rows(self):
+        env = affine_envelope(synthesize_cone(pipeline(example_graph())[0]))
+        _, rows, checks, _ = env._plan
+        assert (env.m, len(rows), checks) == (96, 51, ())
 
 
 class TestEnvelope:

@@ -389,6 +389,25 @@ class TestIntegerLift:
             assert all(type(v) is F for v in lifted)
         assert witness.lift((0, 0)) == (0, 0, F(1, 3), F(-11, 30))
 
+    def test_multi_term_rows(self):
+        # A Random edge into Max vertex 3 of two out-edges: splitting the
+        # Random-to-Random edges gives rows whose pairs take the max of two
+        # terms, which no generated Tier-1 graph has.
+        g = GameGraph((1, 2), (3, 4), (5, 6), (
+            Edge(1, 1, 5, payoff=F(0)), Edge(2, 2, 4, payoff=F(1, 2)),
+            Edge(3, 3, 1, payoff=F(0)), Edge(4, 3, 2, payoff=F(1)),
+            Edge(5, 4, 1, payoff=F(2)), Edge(6, 4, 2, payoff=F(-1)),
+            Edge(7, 5, 6, prob=HALF), Edge(8, 5, 3, prob=HALF),
+            Edge(9, 6, 3, prob=F(1, 3)), Edge(10, 6, 4, prob=F(2, 3)),
+        ))
+        _, witness = pipeline(g)
+        assert any(len(terms) > 1 for row in witness.rows for _, terms in row)
+        for i in range(40):
+            x = sample_vector(rng_for(227, i), 2, 6, 8)
+            lifted = witness.lift(x)
+            assert lifted == fraction_lift(witness, x)
+            assert witness.project(lifted) == x
+
 
 class TestOnePassSplit:
     """`pipeline` splits every Random-to-Random edge in one pass; splitting

@@ -9,14 +9,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import inside_closure, random_minmax, random_valid_graph
+from support import envelope_lift, inside_closure, random_minmax, random_valid_graph
 from tropcone.fixtures import example_graph
 from tropcone.graph import Edge, GameGraph, graph_from_minmax, subfixed
 from tropcone.pencil import affine_envelope, pencil_member, subfixed_extended, synthesize_cone
 from tropcone.sampling import rng_for
 from tropcone.scalars import NEG_INF, Trop
-from tropcone.transforms import pipeline
-from tropcone.verify import envelope_lift, verify_graph
+from tropcone.transforms import WitnessMap, pipeline
+from tropcone.verify import verify_graph
 
 F = Fraction
 
@@ -50,6 +50,19 @@ def test_report_serialization_is_deterministic():
     b = verify_graph(example_graph(), samples=30, seed=5)
     assert a.to_json() == b.to_json()
     assert "wall_time" not in a.to_json()
+
+
+def test_reports_do_not_use_the_fraction_lift(monkeypatch):
+    # verify_graph passes the integer lift and its negation to the pencil
+    # kernel, so a WitnessMap.lift that raises changes no report.
+    graphs = [example_graph(), graph_from_minmax(random_minmax(rng_for(293, 0), n=3, denom=6))]
+    want = [verify_graph(g, samples=40, seed=2).to_json() for g in graphs]
+
+    def refuse(self, x):
+        raise AssertionError("Fraction lift called")
+
+    monkeypatch.setattr(WitnessMap, "lift", refuse)
+    assert [verify_graph(g, samples=40, seed=2).to_json() for g in graphs] == want
 
 
 def test_corrupted_pencil_is_caught():
