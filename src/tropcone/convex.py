@@ -30,18 +30,6 @@ class TropPointSet:
                     f"point of length {len(p)} in a {self.dimension}-dimensional set"
                 )
 
-    def to_json(self):
-        return [[c.to_str() for c in p] for p in self.points]
-
-    @classmethod
-    def from_json(cls, obj, dimension=None):
-        pts = tuple(tuple(Trop.from_str(c) for c in row) for row in obj)
-        if dimension is None:
-            if not pts:
-                raise DimensionMismatch("cannot infer dimension of an empty set")
-            dimension = len(pts[0])
-        return cls(dimension, pts)
-
 
 def residual_coefficient(y: Point, g: Point) -> Trop:
     """Largest lam with lam + g <= y coordinatewise; -inf-only generators

@@ -2,12 +2,12 @@
 
 A closed semilinear real tropical cone given as U = union of {x : Ax <= b}
 has the canonical operator F_k(x) = max over pieces of max{y_k : Ay <= b,
-y <= x}. The inner maximum is solved exactly by a rational simplex with
-Bland's rule (no cycling), whose reduced costs ride in the tableau as an
-objective row that every pivot updates. Phase 1 runs once per (piece,
-point) and phase 2 once per coordinate on a copy of its basis; the
+y <= x}. Each inner maximum is solved exactly as its LP dual, which always
+has a feasible basis, by one phase of a rational simplex with Bland's rule
+(no cycling); an unbounded dual means the piece has no point below x. The
 operator skips coordinates that already reach x_k and stops going through
-pieces once F(x) = x.
+pieces once F(x) = x. Entries and points are ints or Fractions, never
+floats: 3 * 0.1 > 0.3, so a float would give a wrong answer without a word.
 """
 
 from __future__ import annotations
@@ -24,9 +24,16 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 
 
+def _rational(v) -> Fraction:
+    """v as a Fraction; ValueError unless it is an int (not a bool) or one."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise ValueError(f"expected an int or a Fraction, not {v!r}")
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
 @dataclass(frozen=True)
 class PolyhedralUnion:
-    """Union of polyhedra {x : A^(s) x <= b^(s)} in R^n."""
+    """Union of polyhedra {x : A^(s) x <= b^(s)} in R^n, held as Fractions."""
 
     n: int
     pieces: tuple[tuple[Matrix, Vector], ...]
@@ -36,12 +43,15 @@ class PolyhedralUnion:
             raise ValueError(f"a polyhedral union needs dimension at least 1, not {self.n}")
         if not self.pieces:
             raise ValueError("a polyhedral union needs at least one piece")
+        pieces = []
         for a, b in self.pieces:
             if len(a) != len(b):
                 raise DimensionMismatch("matrix and vector of different heights")
             for row in a:
                 if len(row) != self.n:
                     raise DimensionMismatch(f"row of length {len(row)} in dimension {self.n}")
+            pieces.append((tuple(tuple(map(_rational, row)) for row in a), tuple(map(_rational, b))))
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     def to_json(self) -> dict:
         return {
@@ -68,8 +78,8 @@ class PolyhedralUnion:
 
 
 def _pivot(tableau, basis, row, col):
-    """Pivot on (row, col) in every row, an objective row included; rows
-    are replaced, never mutated, so tableau copies may share them."""
+    """Pivot on (row, col) in every row, the objective row included, and
+    make col the basic variable of row."""
     piv = tableau[row][col]
     pivot_row = tableau[row] = [v / piv for v in tableau[row]]
     for i, line in enumerate(tableau):
@@ -79,99 +89,54 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _simplex(tableau, basis, ncols):
-    """Bland's rule: the lowest column below ncols with a negative reduced
-    cost enters; the minimum ratio leaves, ties to the smaller basis index.
-    Both objectives here are bounded below by 0, so a ratio always exists."""
+def _dual_min(a: Matrix, b: Vector, x: Vector, k: int) -> Optional[Fraction]:
+    """min{b.u + x.v : A^T u + v = e_k, u, v >= 0}, the dual of max{y_k :
+    Ay <= b, y <= x} and equal to it; None if the dual is unbounded, which
+    by Farkas' lemma means that no point of {Ay <= b} lies below x.
+
+    The n rows (A^T | I | e_k) start on the basis v = e_k, so the reduced
+    costs are h = b - Ax on u and 0 on v, and the objective entry is -x_k.
+    Bland's rule: the lowest column with a negative reduced cost enters;
+    the minimum ratio leaves, ties to the smaller basis index."""
+    n, m = len(x), len(a)
+    zero, one = Fraction(0), Fraction(1)
+    e = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    tableau = [[row[j] for row in a] + e[j] + [e[k][j]] for j in range(n)]
+    h = [bi - sum(av * xv for av, xv in zip(row, x)) for row, bi in zip(a, b)]
+    tableau.append(h + [zero] * n + [-x[k]])
+    basis = list(range(m, m + n))
     while True:
-        enter = next((j for j in range(ncols) if tableau[-1][j] < 0), None)
+        enter = next((j for j in range(m + n) if tableau[-1][j] < 0), None)
         if enter is None:
-            return
-        _, _, leave = min(
+            return -tableau[-1][-1]
+        ratios = [
             (line[-1] / line[enter], basis[i], i)
             for i, line in enumerate(tableau[:-1])
             if line[enter] > 0
-        )
-        _pivot(tableau, basis, leave, enter)
-
-
-def _phase1(a: Matrix, b: Vector, x: Vector):
-    """A feasible basis of -A s <= b - Ax, s >= 0, which is {Ay <= b, y <= x}
-    under y = x - s: (constraint rows over s and the slacks, basis), or
-    None if the piece has no point below x. Rows with h_i < 0 are negated
-    and start on an artificial variable; phase 1 minimises their sum."""
-    n, m = len(x), len(a)
-    h = [bi - sum(av * xv for av, xv in zip(row, x)) for row, bi in zip(a, b)]
-    neg_rows = [i for i in range(m) if h[i] < 0]
-    ncols = n + m + len(neg_rows)
-    tableau, basis = [], []
-    for i in range(m):
-        row = [Fraction(0)] * (ncols + 1)
-        sign = -1 if h[i] < 0 else 1
-        for j in range(n):
-            row[j] = -sign * a[i][j]
-        row[n + i] = Fraction(sign)
-        row[-1] = sign * h[i]
-        basis.append(n + i)
-        tableau.append(row)
-    # Reduced costs of "minimise the artificials": 1 on each artificial
-    # column minus the sum of the rows they start on.
-    objective = [Fraction(0)] * (ncols + 1)
-    for t, i in enumerate(neg_rows):
-        tableau[i][n + m + t] = Fraction(1)
-        basis[i] = n + m + t
-        objective = [o - v for o, v in zip(objective, tableau[i])]
-        objective[n + m + t] += 1
-    if neg_rows:
-        tableau.append(objective)
-        _simplex(tableau, basis, ncols)
-        if tableau.pop()[-1] != 0:
+        ]
+        if not ratios:
             return None
-        # An artificial still basic sits at zero; pivot it out on any real
-        # column, or leave it on its redundant, all-zero row.
-        for i in range(m):
-            if basis[i] >= n + m:
-                col = next((j for j in range(n + m) if tableau[i][j] != 0), None)
-                if col is not None:
-                    _pivot(tableau, basis, i, col)
-    return [row[: n + m] + row[-1:] for row in tableau], basis
+        _pivot(tableau, basis, min(ratios)[2], enter)
 
 
-def _phase2(start, x: Vector, k: int) -> Fraction:
-    """max y_k = x_k - min s_k from a feasible basis of _phase1, solved on a
-    copy so that the basis serves every coordinate."""
-    rows, basis = start
-    objective = [Fraction(0)] * (len(x) + len(rows) + 1)
-    objective[k] = Fraction(1)
-    if k in basis:
-        objective = [o - v for o, v in zip(objective, rows[basis.index(k)])]
-    tableau = rows + [objective]
-    _simplex(tableau, list(basis), len(objective) - 1)
-    return x[k] + tableau[-1][-1]
+def _point(u: PolyhedralUnion, x) -> Vector:
+    x = tuple(map(_rational, x))
+    if len(x) != u.n:
+        raise DimensionMismatch(f"point of length {len(x)} in dimension {u.n}")
+    return x
 
 
 def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Fraction]:
-    """max{y_k : Ay <= b, y <= x}, exactly; None if infeasible.
-
-    Solved through the substitution y = x - s with s >= 0, which bounds the
-    objective, so the program is never unbounded.
-    """
-    n = len(x)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("matrix width does not match the point")
-    if len(a) != len(b):
-        raise DimensionMismatch("matrix and vector of different heights")
-    if not 0 <= k < n:
+    """max{y_k : Ay <= b, y <= x}, exactly; None if infeasible. (A, b) is
+    checked as a one-piece union, so entries are ints or Fractions too."""
+    if not 0 <= k < len(x):
         raise DimensionMismatch(f"coordinate {k} out of range")
-    x = tuple(Fraction(v) for v in x)
-    start = _phase1(a, b, x)
-    return None if start is None else _phase2(start, x, k)
+    u = PolyhedralUnion(len(x), ((a, b),))
+    return _dual_min(*u.pieces[0], _point(u, x), k)
 
 
 def union_member(u: PolyhedralUnion, x: Sequence[Fraction]) -> bool:
-    x = tuple(Fraction(v) for v in x)
-    if len(x) != u.n:
-        raise DimensionMismatch(f"point of length {len(x)} in dimension {u.n}")
+    x = _point(u, x)
     for a, b in u.pieces:
         if all(sum(av * xv for av, xv in zip(row, x)) <= bi for row, bi in zip(a, b)):
             return True
@@ -182,26 +147,23 @@ def eval_F_from_polyhedra(u: PolyhedralUnion, x: Sequence[Fraction]) -> Vector:
     """The canonical operator of the union: per coordinate, the largest
     value attained below x. Raises EmptyBelow when no piece is feasible
     under y <= x."""
-    x = tuple(Fraction(v) for v in x)
-    if len(x) != u.n:
-        raise DimensionMismatch(f"point of length {len(x)} in dimension {u.n}")
+    x = _point(u, x)
     best = None
     for a, b in u.pieces:
-        start = _phase1(a, b, x)
-        if start is None:
-            continue
-        # No LP value exceeds x_k, so a coordinate already at x_k is final.
-        best = [
-            _phase2(start, x, k) if best is None
-            else best[k] if best[k] == x[k]
-            else max(best[k], _phase2(start, x, k))
-            for k in range(u.n)
-        ]
-        if best == list(x):
-            break
+        values = []
+        for k, xk in enumerate(x):
+            # No LP value exceeds x_k, so a coordinate already at x_k is final.
+            v = xk if best is not None and best[k] == xk else _dual_min(a, b, x, k)
+            if v is None:
+                break  # the piece has no point below x
+            values.append(v)
+        else:
+            best = tuple(values if best is None else map(max, best, values))
+            if best == x:
+                break
     if best is None:
         raise EmptyBelow(f"no point of the union lies below {x}")
-    return tuple(best)
+    return best
 
 
 def tropical_convexity_falsifier(

@@ -51,18 +51,6 @@ Entry = dict  # variable index (0 = constant) -> SignedTrop
 Point = tuple
 
 
-def _merge_coeff(entry: Entry, k: int, coeff: SignedTrop) -> None:
-    if coeff.is_zero:
-        return
-    old = entry.get(k)
-    if old is None:
-        entry[k] = coeff
-    else:
-        if old.sign != coeff.sign:
-            raise ValueError(f"conflicting signs for variable {k} in one entry")
-        entry[k] = SignedTrop(old.sign, tadd(old.modulus, coeff.modulus))
-
-
 def _scaled_terms(entry: Entry, sign: int, scale: int) -> tuple:
     """(variable, modulus * scale) for each coefficient of the given sign,
     in variable order; scale is a multiple of every modulus denominator."""
@@ -327,14 +315,20 @@ def synthesize_cone(g: GameGraph) -> MetzlerPencil:
     require_compliant(g)
     idx = g.min_index
     entries: dict = {}
+    polynomials: dict = {}  # Max vertex -> diagonal entry; MetzlerPencil copies it per block
     row = 0
     for v, e, w, w2 in _compliant_pairs(g):
         i, j = row, row + 1
         row += 2
         for target, max_vertex in ((i, w), (j, w2)):
-            entry = entries.setdefault((target, target), {})
-            for f in g.out_edges[max_vertex]:
-                _merge_coeff(entry, idx[f.head] + 1, SignedTrop.pos(f.payoff))
+            if max_vertex not in polynomials:
+                # The largest payoff per Min coordinate, in out-edge order.
+                best = {}
+                for f in g.out_edges[max_vertex]:
+                    k = idx[f.head] + 1
+                    best[k] = max(best.get(k, f.payoff), f.payoff)
+                polynomials[max_vertex] = {k: SignedTrop.pos(p) for k, p in best.items()}
+            entries[(target, target)] = polynomials[max_vertex]
         entries[(i, j)] = {idx[v] + 1: SignedTrop.neg(-e.payoff)}
     return MetzlerPencil(row, g.n, entries)
 

@@ -55,6 +55,23 @@ def test_signed_trop_has_no_zero_constructor():
     assert not hasattr(SignedTrop, "zero")
 
 
+def test_trop_point_set_has_no_json():
+    # No path in the package, the benchmark or the scripts wrote or read a
+    # generator set on its own.
+    from tropcone.convex import TropPointSet
+
+    assert not hasattr(TropPointSet, "to_json")
+    assert not hasattr(TropPointSet, "from_json")
+
+
+def test_lp_has_one_solve():
+    # Each LP is solved as its dual from the basis v = e_k, in one phase.
+    from tropcone import lp
+
+    assert hasattr(lp, "_dual_min")
+    assert [name for name in ("_phase1", "_phase2", "_simplex") if hasattr(lp, name)] == []
+
+
 def test_game_graph_has_one_operator_plan():
     # The operator on T^n of every graph, compliant or not, is evaluated
     # from `operator_plan`.

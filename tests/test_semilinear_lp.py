@@ -124,7 +124,7 @@ class TestEvalF:
 
 def random_piece(rng, n, x):
     """A piece of 1-4 random rows, or of none. Half the time a row that x
-    violates is repeated, as is or doubled, so phase 1 starts degenerate;
+    violates is repeated, as is or doubled, so the LP is degenerate;
     three times in ten a row y_0 >= x_0 + 1 makes the piece infeasible
     below x."""
     if rng.random() < 0.15:
@@ -178,16 +178,23 @@ class TestDifferential:
             kinds["degenerate"] += any(len(set(a)) < len(a) for a, _ in pieces)
         assert all(kinds.values()), kinds
 
-    def test_one_phase_one_per_piece(self, monkeypatch):
+    def test_lp_calls_per_piece(self, monkeypatch):
+        # Each (piece, coordinate) is one dual solve from the basis v = e_k.
+        # A piece with no point below x is known from its first solve; a
+        # coordinate that an earlier piece took to x_k is not solved again.
         calls = []
-        phase1 = lp_module._phase1
+        dual_min = lp_module._dual_min
 
-        def counting(a, b, x):
-            calls.append((a, b))
-            return phase1(a, b, x)
+        def counting(a, b, x, k):
+            calls.append((a, b, k))
+            return dual_min(a, b, x, k)
 
-        monkeypatch.setattr(lp_module, "_phase1", counting)
-        for u in (example_union(), halfplane()):
+        monkeypatch.setattr(lp_module, "_dual_min", counting)
+        seen = {"empty": 0, "skipped": 0}
+        # {y_0 >= 3} has no point below most of these x; the half-plane after
+        # it then still decides F(x).
+        ledge = PolyhedralUnion(2, ((((-1, 0),), (-3,)), *halfplane().pieces))
+        for u in (example_union(), halfplane(), ledge):
             for i in range(20):
                 x = sample_vector(rng_for(293, i), u.n, 4, 4)
                 calls.clear()
@@ -195,8 +202,93 @@ class TestDifferential:
                     eval_F_from_polyhedra(u, x)
                 except EmptyBelow:
                     pass
-                assert 1 <= len(calls) <= len(u.pieces)
-                assert len(set(calls)) == len(calls)
+                best = [None] * u.n
+                for a, b in u.pieces:
+                    ks = [k for pa, pb, k in calls if pa is a and pb is b]
+                    if best == list(x):
+                        assert ks == []
+                        continue
+                    values = [lp_max_oracle(a, b, x, k) for k in range(u.n)]
+                    if values[0] is None:
+                        assert len(ks) == 1
+                        seen["empty"] += 1
+                        continue
+                    assert len(ks) <= u.n
+                    assert ks == [k for k in range(u.n) if best[k] != x[k]]
+                    seen["skipped"] += u.n - len(ks)
+                    best = [v if c is None else max(c, v) for c, v in zip(best, values)]
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("kind", ["repeated", "doubled", "tight", "infeasible"])
+    def test_degenerate_pieces_match_oracle(self, kind):
+        # Every dual solve starts degenerate, since e_k has n - 1 zeros; these
+        # pieces make the primal degenerate too, or empty below x with more
+        # rows than coordinates.
+        for trial in range(40):
+            rng = rng_for(307, trial)
+            n = rng.randint(1, 4)
+            x = sample_vector(rng, n, 5, 4)
+            a = [tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            b = [small_rational(rng, 5, 4) for _ in a]
+            if kind in ("repeated", "doubled"):
+                i = rng.randrange(len(a))
+                scale = 1 if kind == "repeated" else 2
+                a.append(tuple(scale * v for v in a[i]))
+                b.append(scale * b[i])
+            elif kind == "tight":
+                b = [sum(av * xv for av, xv in zip(row, x)) for row in a]
+            else:
+                a.append(tuple(F(-int(j == 0)) for j in range(n)))
+                b.append(-x[0] - 1)
+                while len(a) <= n:
+                    a.append(tuple(F(rng.randint(-3, 3)) for _ in range(n)))
+                    b.append(small_rational(rng, 5, 4))
+            k = rng.randrange(n)
+            value = lp_max(tuple(a), tuple(b), x, k)
+            assert value == lp_max_oracle(a, b, x, k)
+            if kind in ("tight", "infeasible"):
+                assert (value is None) == (kind == "infeasible")
+
+
+class TestExactInputs:
+    """Floats and bools are refused at every entry point: 0.1 * 3 exceeds
+    0.3 in floats, so a float piece would answer wrongly without a word."""
+
+    def tenth(self):
+        # {x : x_1 / 10 <= 3 / 10}, with ints where they are exact.
+        return PolyhedralUnion(2, ((((F(1, 10), 0),), (F(3, 10),)),))
+
+    @pytest.mark.parametrize("bad", [0.1, True, "1/10", None])
+    def test_union_entries(self, bad):
+        with pytest.raises(ValueError):
+            PolyhedralUnion(2, ((((bad, 0),), (F(3, 10),)),))
+        with pytest.raises(ValueError):
+            PolyhedralUnion(2, ((((F(1, 10), 0),), (bad,)),))
+
+    def test_union_stores_fractions(self):
+        u = PolyhedralUnion(2, ((((1, 0),), (3,)),))
+        assert all(type(v) is F for a, b in u.pieces for v in (*a[0], *b))
+        assert eval_F_from_polyhedra(u, (5, 1)) == (F(3), F(1))
+
+    @pytest.mark.parametrize("bad", [0.1, False])
+    def test_lp_max_point(self, bad):
+        a, b = ((F(1, 10), F(0)),), (F(3, 10),)
+        assert lp_max(a, b, (3, 0), 0) == 3
+        with pytest.raises(ValueError):
+            lp_max(a, b, (bad, F(0)), 0)
+
+    @pytest.mark.parametrize("bad", [3.0, True])
+    def test_union_member_point(self, bad):
+        assert union_member(self.tenth(), (3, 0))
+        with pytest.raises(ValueError):
+            union_member(self.tenth(), (bad, 0))
+
+    @pytest.mark.parametrize("bad", [5.0, True])
+    def test_eval_F_point(self, bad):
+        fx = eval_F_from_polyhedra(self.tenth(), (5, 1))
+        assert fx == (3, 1) and all(type(v) is F for v in fx)
+        with pytest.raises(ValueError):
+            eval_F_from_polyhedra(self.tenth(), (bad, 1))
 
 
 class TestFalsifier:
