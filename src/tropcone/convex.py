@@ -46,13 +46,13 @@ def residual_coefficient(y: Point, g: Point) -> Trop:
     return NEG_INF if lam is None else lam
 
 
-def residual_combination(y: Point, gens: Sequence[Point]) -> tuple[tuple[Trop, ...], Point]:
-    """Residuation coefficients and the induced combination max_k(lam_k + g_k)."""
-    lams = tuple(residual_coefficient(y, g) for g in gens)
+def residual_combination(y: Point, gens: Sequence[Point]) -> Point:
+    """max_k(lam_k + g_k) over the residuation coefficients lam_k of y."""
     combo = tuple(NEG_INF for _ in y)
-    for lam, g in zip(lams, gens):
+    for g in gens:
+        lam = residual_coefficient(y, g)
         combo = tuple(tadd(c, tmul(lam, gi)) for c, gi in zip(combo, g))
-    return lams, combo
+    return combo
 
 
 def cone_member(y: Point, generators: TropPointSet) -> bool:
@@ -61,8 +61,7 @@ def cone_member(y: Point, generators: TropPointSet) -> bool:
         raise DimensionMismatch(
             f"point of length {len(y)} against dimension {generators.dimension}"
         )
-    _, combo = residual_combination(y, generators.points)
-    return combo == tuple(y)
+    return residual_combination(y, generators.points) == tuple(y)
 
 
 def _homogenize(points) -> tuple[Point, ...]:

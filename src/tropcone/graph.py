@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NonStochastic, NotCompliant, SingularSystem, ValidationFailed
-from .scalars import int_from_json, integers_over, rational_from_str, rational_or_none, rational_to_str
+from .scalars import exact, int_from_json, integers_over, rational_from_str, rational_or_none, rational_to_str
 
 Vector = tuple[Fraction, ...]
 
@@ -627,7 +627,7 @@ def minmax_eval(op: MinMaxOperator, x: Sequence[Fraction]) -> Vector:
     """Direct exact evaluation of the min-max form."""
     if len(x) != op.n:
         raise DimensionMismatch(f"point of length {len(x)}, operator arity {op.n}")
-    x = tuple(Fraction(v) for v in x)
+    x = tuple(map(exact, x))
     return tuple(
         min(
             max(sum((a * v for a, v in zip(op.matrices[s][k], x)), op.offsets[s][k]) for s in s_ki)

@@ -89,7 +89,12 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _dual_min(a: Matrix, b: Vector, x: Vector, k: int) -> Optional[Fraction]:
+def _slack(a: Matrix, b: Vector, x: Vector) -> list:
+    """b - Ax, the row slacks of a piece at x, all >= 0 iff x is in it."""
+    return [bi - sum(av * xv for av, xv in zip(row, x)) for row, bi in zip(a, b)]
+
+
+def _dual_min(a: Matrix, h: list, x: Vector, k: int) -> Optional[Fraction]:
     """min{b.u + x.v : A^T u + v = e_k, u, v >= 0}, the dual of max{y_k :
     Ay <= b, y <= x} and equal to it; None if the dual is unbounded, which
     by Farkas' lemma means that no point of {Ay <= b} lies below x.
@@ -102,7 +107,6 @@ def _dual_min(a: Matrix, b: Vector, x: Vector, k: int) -> Optional[Fraction]:
     zero, one = Fraction(0), Fraction(1)
     e = [[one if i == j else zero for i in range(n)] for j in range(n)]
     tableau = [[row[j] for row in a] + e[j] + [e[k][j]] for j in range(n)]
-    h = [bi - sum(av * xv for av, xv in zip(row, x)) for row, bi in zip(a, b)]
     tableau.append(h + [zero] * n + [-x[k]])
     basis = list(range(m, m + n))
     while True:
@@ -132,13 +136,14 @@ def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Frac
     if not 0 <= k < len(x):
         raise DimensionMismatch(f"coordinate {k} out of range")
     u = PolyhedralUnion(len(x), ((a, b),))
-    return _dual_min(*u.pieces[0], _point(u, x), k)
+    (a, b), x = u.pieces[0], _point(u, x)
+    return _dual_min(a, _slack(a, b, x), x, k)
 
 
 def union_member(u: PolyhedralUnion, x: Sequence[Fraction]) -> bool:
     x = _point(u, x)
     for a, b in u.pieces:
-        if all(sum(av * xv for av, xv in zip(row, x)) <= bi for row, bi in zip(a, b)):
+        if all(v >= 0 for v in _slack(a, b, x)):
             return True
     return False
 
@@ -150,10 +155,10 @@ def eval_F_from_polyhedra(u: PolyhedralUnion, x: Sequence[Fraction]) -> Vector:
     x = _point(u, x)
     best = None
     for a, b in u.pieces:
-        values = []
+        h, values = _slack(a, b, x), []
         for k, xk in enumerate(x):
             # No LP value exceeds x_k, so a coordinate already at x_k is final.
-            v = xk if best is not None and best[k] == xk else _dual_min(a, b, x, k)
+            v = xk if best is not None and best[k] == xk else _dual_min(a, h, x, k)
             if v is None:
                 break  # the piece has no point below x
             values.append(v)

@@ -71,9 +71,6 @@ class MetzlerPencil:
         for (i, j), entry in entries.items():
             if not (0 <= i <= j < m):
                 raise ValueError(f"entry ({i},{j}) outside upper triangle of size {m}")
-            entry = {k: c for k, c in entry.items() if not c.is_zero}
-            if not entry:
-                continue
             for k, c in entry.items():
                 if not 0 <= k <= n:
                     raise ValueError(f"coefficient index {k} outside 0..{n}")
@@ -81,7 +78,7 @@ class MetzlerPencil:
                     raise ValueError(
                         f"off-diagonal entry ({i},{j}) has a nonnegative coefficient"
                     )
-            cleaned[(i, j)] = entry
+            cleaned[(i, j)] = dict(entry)
         self.entries = cleaned
 
     @cached_property
@@ -125,56 +122,27 @@ class MetzlerPencil:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MetzlerPencil":
-        """Read the sparse "entries" form, or the dense "matrices" form of
-        earlier versions. The file is outside input: a bad size, index, sign
-        or modulus, or a repeated coefficient, raises ValueError."""
+        """Read the sparse "entries" form. The file is outside input: a bad
+        size, index, sign or modulus, a repeated coefficient, or the dense
+        "matrices" form of earlier versions raises ValueError."""
         m, n = int_from_json(obj["m"]), int_from_json(obj["n"])
         if m < 0 or n < 0:
             raise ValueError(f"negative pencil size m = {m}, n = {n}")
-        if ("entries" in obj) == ("matrices" in obj):
-            raise ValueError('a pencil needs exactly one of "entries" and "matrices"')
-        if "entries" in obj:
-            cells = _sparse_cells(obj["entries"])
-        else:
-            cells = _dense_cells(obj["matrices"], m, n)
+        if "matrices" in obj:
+            raise ValueError('the dense "matrices" pencil form is no longer read; use "entries"')
         entries: dict = {}
-        for i, j, k, c in cells:
-            entry = entries.setdefault((i, j), {})
-            if k in entry:
+        for item in obj["entries"]:
+            if not isinstance(item, list) or len(item) != 5:
+                raise ValueError(f"pencil entry {item!r} is not [i, j, k, sign, abs]")
+            i, j, k, sign, modulus = item
+            if not isinstance(modulus, str):
+                raise ValueError(f"pencil entry modulus {modulus!r} is not a rational string")
+            c = SignedTrop(sign, Trop.from_str(modulus))
+            entry = entries.setdefault((int_from_json(i), int_from_json(j)), {})
+            if int_from_json(k) in entry:
                 raise ValueError(f"coefficient ({i},{j},{k}) given twice")
             entry[k] = c
         return cls(m, n, entries)
-
-
-def _sparse_cells(items):
-    """(i, j, k, coefficient) per sparse entry; the pencil checks ranges."""
-    for item in items:
-        if not isinstance(item, list) or len(item) != 5:
-            raise ValueError(f"pencil entry {item!r} is not [i, j, k, sign, abs]")
-        i, j, k, sign, modulus = item
-        if int_from_json(sign) not in (-1, 1):
-            raise ValueError(f"pencil entry sign {sign!r} is not -1 or 1")
-        if not isinstance(modulus, str):
-            raise ValueError(f"pencil entry modulus {modulus!r} is not a rational string")
-        c = SignedTrop(sign, Trop.from_str(modulus))
-        yield int_from_json(i), int_from_json(j), int_from_json(k), c
-
-
-def _dense_cells(matrices, m: int, n: int):
-    """(i, j, k, coefficient) per nonzero upper-triangle cell of n + 1
-    symmetric m x m matrices."""
-    if len(matrices) != n + 1:
-        raise ValueError(f"{len(matrices)} matrices, expected n + 1 = {n + 1}")
-    if any(len(mat) != m or any(len(row) != m for row in mat) for mat in matrices):
-        raise ValueError(f"every matrix must be {m}x{m}")
-    for k, mat in enumerate(matrices):
-        for i in range(m):
-            for j in range(i, m):
-                c = SignedTrop.from_json(mat[i][j])
-                if j > i and SignedTrop.from_json(mat[j][i]) != c:
-                    raise ValueError(f"matrix {k} is not symmetric at ({i},{j})")
-                if not c.is_zero:
-                    yield i, j, k, c
 
 
 def to_trop_vector(x) -> Point:
@@ -276,7 +244,7 @@ class ProjectedPencil:
         for support, summand, _ in self.parts:
             coords = (0,) + tuple(k + 1 for k in support)
             hgens = tuple((Trop(0),) + g for g in summand.gens.points)
-            _, combo = residual_combination(tuple(p[c] for c in coords), hgens)
+            combo = residual_combination(tuple(p[c] for c in coords), hgens)
             for c, u in zip(coords, combo):
                 covered[c] = tadd(covered[c], u)
             combos.append(combo)

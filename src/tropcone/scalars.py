@@ -1,8 +1,8 @@
 """Exact max-plus and signed max-plus scalar arithmetic.
 
 All finite values are arbitrary-precision rationals (`fractions.Fraction`),
-and a `Trop` keeps a `Fraction` it is given. The additive zero of the
-semiring is a distinguished minus-infinity element, not a numeric sentinel.
+never floats; a `Trop` keeps a `Fraction` it is given. The additive zero of
+the semiring is a minus-infinity element, not a numeric sentinel.
 """
 
 from __future__ import annotations
@@ -39,6 +39,14 @@ def int_from_json(v) -> int:
     return v
 
 
+def exact(v) -> Fraction:
+    """v as a Fraction; a float, whose binary value is rarely the one meant
+    (3 * 0.1 > 0.3), raises ValueError rather than give a wrong answer."""
+    if isinstance(v, float):
+        raise ValueError(f"floats are not exact: pass {v!r} as a Fraction, an int or a string")
+    return Fraction(v)
+
+
 class Trop:
     """An element of R union {-inf} with max as addition and + as product."""
 
@@ -52,7 +60,7 @@ class Trop:
         elif isinstance(value, Trop):
             self._v = value._v
         else:
-            self._v = Fraction(value)
+            self._v = exact(value)
 
     @property
     def is_neg_inf(self) -> bool:
@@ -112,7 +120,7 @@ def rational_or_none(v) -> Optional[Fraction]:
         return v
     if isinstance(v, Trop):
         return None if v.is_neg_inf else v.finite
-    return None if v is None else Fraction(v)
+    return None if v is None else exact(v)
 
 
 def integers_over(vals, scale: int) -> tuple:
@@ -137,40 +145,26 @@ def tmul(a: Trop, b: Trop) -> Trop:
 
 
 class SignedTrop:
-    """A signed tropical number: a sign in {-1, 0, +1} and a modulus.
-
-    The sign is 0 exactly when the modulus is minus infinity.
-    """
+    """A nonzero signed tropical number: a sign, -1 or 1, and a finite
+    modulus. A zero coefficient of a pencil is absent, not signed."""
 
     __slots__ = ("sign", "modulus")
 
     def __init__(self, sign: int, modulus: Trop):
-        if int_from_json(sign) not in (-1, 0, 1):
-            raise ValueError(f"invalid sign {sign!r}")
-        if (sign == 0) != modulus.is_neg_inf:
-            raise ValueError("sign 0 iff modulus is -inf")
+        if int_from_json(sign) not in (-1, 1):
+            raise ValueError(f"invalid sign {sign!r}: a signed coefficient is -1 or 1")
+        if modulus.is_neg_inf:
+            raise ValueError("a signed coefficient has a finite modulus, not -inf")
         self.sign = sign
         self.modulus = modulus
 
     @classmethod
     def pos(cls, value) -> "SignedTrop":
-        return cls._nonzero(1, Trop(value))
+        return cls(1, Trop(value))
 
     @classmethod
     def neg(cls, value) -> "SignedTrop":
-        return cls._nonzero(-1, Trop(value))
-
-    @classmethod
-    def _nonzero(cls, sign: int, modulus: Trop) -> "SignedTrop":
-        if modulus.is_neg_inf:  # pos/neg fix the sign; only the modulus needs a check
-            raise ValueError("sign 0 iff modulus is -inf")
-        s = object.__new__(cls)
-        s.sign, s.modulus = sign, modulus
-        return s
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
+        return cls(-1, Trop(value))
 
     def __eq__(self, other):
         if not isinstance(other, SignedTrop):
@@ -181,12 +175,5 @@ class SignedTrop:
         return hash(("SignedTrop", self.sign, self.modulus))
 
     def __repr__(self):
-        if self.sign == 0:
-            return "SignedTrop(-inf)"
         mark = "-" if self.sign < 0 else "+"
         return f"SignedTrop({mark}{self.modulus.to_str()})"
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SignedTrop":
-        return cls(obj["sign"], Trop.from_str(obj["abs"]))
-

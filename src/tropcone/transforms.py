@@ -44,7 +44,7 @@ from typing import Optional
 from .errors import DimensionMismatch, PreconditionViolated
 from .graph import HALF, Edge, GameGraph, _Builder, _exit_rows, _tabulate, absorption
 from .graph import require_compliant, require_valid
-from .scalars import integers_over
+from .scalars import exact, integers_over
 
 ZERO = Fraction(0)
 
@@ -96,7 +96,7 @@ class WitnessMap:
         D starts as the lcm of C and x's denominators. A row gives N / P
         over D; when P does not divide N, D and every y so far are
         multiplied by P / gcd(N, P)."""
-        xs = [v if isinstance(v, Fraction) else Fraction(v) for v in x]
+        xs = [v if isinstance(v, Fraction) else exact(v) for v in x]
         if len(xs) != self.source_dim:
             raise DimensionMismatch(
                 f"point of length {len(xs)}, witness expects {self.source_dim}"

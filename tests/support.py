@@ -4,8 +4,7 @@ The oracles here deliberately avoid the code paths under test: hull
 membership by brute-force subset search, linear programming by exhaustive
 vertex enumeration over exact square solves, the one-pass edge split of
 `pipeline` by splitting one edge at a time, absorption probabilities by one
-dense solve over every Random vertex, the sparse pencil file by the
-dense matrix form that earlier versions wrote, pencil membership, witness
+dense solve over every Random vertex, pencil membership, witness
 lifts and their affine-envelope points, and the encoded operator, on
 finite points and on T^n, by boxed `Trop` and `Fraction` arithmetic in
 place of the integer plans, and the path checks of graph validation by one
@@ -29,7 +28,7 @@ from tropcone.graph import (
     require_valid,
 )
 from tropcone.pencil import eval_compliant_operator
-from tropcone.scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
+from tropcone.scalars import NEG_INF, Trop, tadd, tmul
 from tropcone.transforms import first_transformation, second_transformation, zwick_paterson
 
 
@@ -361,26 +360,6 @@ def sequential_pipeline(g):
         return x
 
     return current, lift
-
-
-def signed_json(c: SignedTrop) -> dict:
-    """A signed entry of the dense pencil file: {"sign": s, "abs": "q"}."""
-    return {"sign": c.sign, "abs": c.modulus.to_str()}
-
-
-def dense_pencil_json(pencil) -> dict:
-    """The dense pencil file of earlier versions: n + 1 symmetric m x m
-    matrices of signed entries, -inf cells included."""
-    matrices = []
-    for k in range(pencil.n + 1):
-        mat = [[{"sign": 0, "abs": "-inf"} for _ in range(pencil.m)] for _ in range(pencil.m)]
-        for (i, j), entry in pencil.entries.items():
-            c = entry.get(k)
-            if c is not None:
-                mat[i][j] = signed_json(c)
-                mat[j][i] = signed_json(c)
-        matrices.append(mat)
-    return {"m": pencil.m, "n": pencil.n, "matrices": matrices}
 
 
 def trop_pencil_member(pencil, x) -> bool:

@@ -18,13 +18,6 @@ from tropcone.transforms import pipeline
 from tropcone.verify import verify_graph
 
 F = Fraction
-ZERO = {"sign": 0, "abs": "-inf"}
-NEG = {"sign": -1, "abs": "0/1"}
-Z2 = [[ZERO, ZERO], [ZERO, ZERO]]
-
-
-def dense(*matrices):
-    return {"m": 2, "n": len(matrices) - 1, "matrices": list(matrices)}
 
 
 def sparse(*cells):
@@ -156,16 +149,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "pencil",
         [
-            # Dense form: no matrices, a 1x2 matrix, a float entry, and a
-            # lower triangle that differs from the upper.
-            pytest.param({"m": 2, "n": 3, "matrices": []}, id="matrices0-3"),
-            pytest.param(dense(Z2, [[ZERO, ZERO]]), id="matrices1-1"),
+            # The dense form of earlier versions is not read, even well formed.
             pytest.param(
-                dense(Z2, [[ZERO, ZERO], [ZERO, {"sign": 1, "abs": 0.5}]]), id="matrices2-1"
-            ),
-            pytest.param(
-                dense([[ZERO, NEG], [ZERO, ZERO]], [[ZERO, ZERO], [ZERO, ZERO]]),
-                id="dense-asymmetric",
+                {
+                    "m": 1,
+                    "n": 1,
+                    "matrices": [[[{"sign": 0, "abs": "-inf"}]], [[{"sign": 1, "abs": "0/1"}]]],
+                },
+                id="dense-form",
             ),
             # Sparse form.
             pytest.param(sparse([0, 2, 1, 1, "0"]), id="sparse-index-out-of-range"),
@@ -177,9 +168,10 @@ class TestExitCodes:
             pytest.param(sparse([0, 0, 1.0, 1, "0"]), id="sparse-float-index"),
             pytest.param(sparse([0, 1, 1, 1, "0"]), id="sparse-positive-off-diagonal"),
             pytest.param(sparse([0, 0, 1, 1, "-inf"]), id="sparse-inf-modulus"),
+            pytest.param(sparse([0, 0, 1, 0, "-inf"]), id="sparse-zero-sign"),
             pytest.param(sparse([0, 0, 1, 1]), id="sparse-short-entry"),
             pytest.param(
-                {**sparse([0, 0, 1, 1, "0"]), "matrices": [Z2, Z2]}, id="both-keys"
+                {**sparse([0, 0, 1, 1, "0"]), "matrices": []}, id="both-keys"
             ),
             pytest.param({"m": 2, "n": 1}, id="neither-key"),
             pytest.param({**sparse(), "m": "2"}, id="string-size"),

@@ -9,10 +9,8 @@ import pytest
 
 from support import (
     denominator_five_graph,
-    dense_pencil_json,
     hull_member_bruteforce,
     random_compliant_graph,
-    signed_json,
     trop_pencil_member,
 )
 from tropcone.convex import TropPointSet, hull_member
@@ -119,14 +117,6 @@ PENCILS = {
 
 class TestPencilFile:
     @pytest.mark.parametrize("name", sorted(PENCILS))
-    def test_dense_and_sparse_forms_agree(self, name):
-        p = PENCILS[name]()
-        sparse = MetzlerPencil.from_json(p.to_json())
-        dense = MetzlerPencil.from_json(dense_pencil_json(p))
-        assert (sparse.m, sparse.n) == (dense.m, dense.n) == (p.m, p.n)
-        assert sparse.entries == dense.entries == p.entries
-
-    @pytest.mark.parametrize("name", sorted(PENCILS))
     def test_round_trip_is_exact(self, name):
         p = PENCILS[name]()
         obj = json.loads(json.dumps(p.to_json()))
@@ -142,11 +132,26 @@ class TestPencilFile:
         assert keys == sorted(set(keys))
         assert all(cell[3] in (-1, 1) for cell in cells)
 
-    def test_dense_asymmetric_rejected(self):
-        obj = dense_pencil_json(halfspace_pencil())
-        obj["matrices"][0][1][0] = signed_json(SignedTrop.neg(5))
-        with pytest.raises(ValueError, match="not symmetric"):
-            MetzlerPencil.from_json(obj)
+    def test_dense_form_refused(self):
+        # The dense "matrices" form of earlier versions is no longer read,
+        # even when it is well formed or comes with "entries".
+        one = [[{"sign": 1, "abs": "0/1"}]]
+        for obj in (
+            {"m": 1, "n": 0, "matrices": [one]},
+            {**halfspace_pencil().to_json(), "matrices": []},
+        ):
+            with pytest.raises(ValueError, match="no longer read"):
+                MetzlerPencil.from_json(obj)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [[0, 0, 1, 0, "-inf"], [0, 0, 1, 0, "0"], [0, 0, 1, 1, "-inf"]],
+        ids=["sign-0-inf", "sign-0-finite", "sign-1-inf"],
+    )
+    def test_zero_coefficient_refused(self, cell):
+        # A tropically zero coefficient is absent from the file, never signed.
+        with pytest.raises(ValueError):
+            MetzlerPencil.from_json({"m": 1, "n": 1, "entries": [cell]})
 
 
 class TestSynthesis:

@@ -185,9 +185,9 @@ class TestDifferential:
         calls = []
         dual_min = lp_module._dual_min
 
-        def counting(a, b, x, k):
-            calls.append((a, b, k))
-            return dual_min(a, b, x, k)
+        def counting(a, h, x, k):
+            calls.append((a, k))
+            return dual_min(a, h, x, k)
 
         monkeypatch.setattr(lp_module, "_dual_min", counting)
         seen = {"empty": 0, "skipped": 0}
@@ -204,7 +204,7 @@ class TestDifferential:
                     pass
                 best = [None] * u.n
                 for a, b in u.pieces:
-                    ks = [k for pa, pb, k in calls if pa is a and pb is b]
+                    ks = [k for pa, k in calls if pa is a]
                     if best == list(x):
                         assert ks == []
                         continue
@@ -218,6 +218,25 @@ class TestDifferential:
                     seen["skipped"] += u.n - len(ks)
                     best = [v if c is None else max(c, v) for c, v in zip(best, values)]
         assert all(seen.values()), seen
+
+    def test_one_slack_per_piece(self, monkeypatch):
+        # b - Ax is computed once per (piece, point), not once per coordinate.
+        calls = []
+        slack = lp_module._slack
+
+        def counting(a, b, x):
+            calls.append(a)
+            return slack(a, b, x)
+
+        monkeypatch.setattr(lp_module, "_slack", counting)
+        u = example_union()
+        for i in range(20):
+            calls.clear()
+            try:
+                eval_F_from_polyhedra(u, sample_vector(rng_for(293, i), u.n, 4, 4))
+            except EmptyBelow:
+                pass
+            assert 0 < len(calls) == len({id(a) for a in calls}) <= len(u.pieces)
 
     @pytest.mark.parametrize("kind", ["repeated", "doubled", "tight", "infeasible"])
     def test_degenerate_pieces_match_oracle(self, kind):

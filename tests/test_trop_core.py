@@ -6,8 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import signed_json
-from tropcone.scalars import NEG_INF, SignedTrop, Trop, rational_from_str, tadd, tmul
+from tropcone.fixtures import example_graph, example_minmax
+from tropcone.graph import eval_operator, minmax_eval, subfixed
+from tropcone.pencil import MetzlerPencil, pencil_member
+from tropcone.scalars import (
+    NEG_INF,
+    SignedTrop,
+    Trop,
+    rational_from_str,
+    rational_or_none,
+    tadd,
+    tmul,
+)
+from tropcone.transforms import pipeline
 
 trops = st.one_of(
     st.just(NEG_INF),
@@ -92,7 +103,7 @@ class TestSignedTrop:
 
     @pytest.mark.parametrize("make", [SignedTrop.pos, SignedTrop.neg], ids=["pos", "neg"])
     def test_fixed_sign_refuses_neg_inf(self, make):
-        with pytest.raises(ValueError, match="sign 0 iff modulus is -inf"):
+        with pytest.raises(ValueError, match="not -inf"):
             make(None)
 
     def test_fixed_sign_equals_checked_constructor(self):
@@ -102,8 +113,16 @@ class TestSignedTrop:
         assert (SignedTrop.neg(0).sign, SignedTrop.pos(0).sign) == (-1, 1)
 
     def test_json_round_trip(self):
-        for s in (SignedTrop(0, NEG_INF), SignedTrop.pos(Fraction(2, 7)), SignedTrop.neg(-1)):
-            assert SignedTrop.from_json(signed_json(s)) == s
+        # A signed value is written as the [i, j, k, sign, abs] cell of a pencil file.
+        for s in (SignedTrop.pos(Fraction(2, 7)), SignedTrop.neg(-1)):
+            p = MetzlerPencil(1, 0, {(0, 0): {0: s}})
+            assert MetzlerPencil.from_json(p.to_json()).entries[(0, 0)][0] == s
+
+    def test_no_signed_zero(self):
+        # A tropically zero coefficient is absent, so no sign stands for it.
+        for sign in (0, -1, 1):
+            with pytest.raises(ValueError):
+                SignedTrop(sign, NEG_INF)
 
 
 class TestRationalFromStr:
@@ -131,3 +150,31 @@ class TestRationalFromStr:
     def test_rejects_other_non_rationals(self, value):
         with pytest.raises(ValueError):
             rational_from_str(value)
+
+
+class TestFloatsRefused:
+    """A float is refused wherever a rational is read, since its binary
+    value is rarely the one meant: subfixed(example_graph(), (1.3, -10, 0.3))
+    would say False, yet the point (13/10, -10, 3/10) is subfixed."""
+
+    def test_exact_point_is_subfixed(self):
+        assert subfixed(example_graph(), (Fraction(13, 10), -10, "3/10"))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Trop(0.1),
+            lambda: rational_or_none(0.5),
+            lambda: subfixed(example_graph(), (1.3, -10, 0.3)),
+            lambda: eval_operator(example_graph(), (0, 0.1, 0)),
+            lambda: pencil_member(MetzlerPencil(1, 1, {(0, 0): {1: SignedTrop.pos(0)}}), (0.25,)),
+            lambda: pipeline(example_graph())[1].lift_integers((0.1, 0, 0)),
+            lambda: pipeline(example_graph())[1].lift((0, 0, 0.1)),
+            lambda: minmax_eval(example_minmax(), (0.1, 0, 0)),
+        ],
+        ids=["Trop", "rational_or_none", "subfixed", "eval_operator", "pencil_member",
+             "lift_integers", "lift", "minmax_eval"],
+    )
+    def test_float_raises(self, call):
+        with pytest.raises(ValueError, match="float"):
+            call()

@@ -11,10 +11,16 @@ from hypothesis import strategies as st
 
 from support import envelope_lift, inside_closure, random_minmax, random_valid_graph
 from tropcone.fixtures import example_graph
-from tropcone.graph import Edge, GameGraph, graph_from_minmax, subfixed
-from tropcone.pencil import affine_envelope, pencil_member, subfixed_extended, synthesize_cone
-from tropcone.sampling import rng_for
-from tropcone.scalars import NEG_INF, Trop
+from tropcone.graph import Edge, GameGraph, graph_from_minmax, minmax_eval, subfixed
+from tropcone.pencil import (
+    MetzlerPencil,
+    affine_envelope,
+    pencil_member,
+    subfixed_extended,
+    synthesize_cone,
+)
+from tropcone.sampling import rng_for, sample_vector
+from tropcone.scalars import NEG_INF, SignedTrop, Trop
 from tropcone.transforms import WitnessMap, pipeline
 from tropcone.verify import verify_graph
 
@@ -37,12 +43,30 @@ def test_random_graphs_verify():
         assert report.ok, report.to_json()
 
 
+def anchored(op):
+    """op with c = max_k(x0_k - F_k(x0)) added to every offset, x0 the first
+    sample of `verify_graph` (seed 0): F moves up by c, so x0 <= F(x0) with
+    equality in some coordinate, and the samples fall on both sides."""
+    x0 = sample_vector(rng_for(0, 0), op.n, 10, 64)
+    c = max(a - b for a, b in zip(x0, minmax_eval(op, x0)))
+    return replace(op, offsets=tuple(tuple(v + c for v in row) for row in op.offsets))
+
+
 def test_arity_four_denominator_64_graphs_verify():
-    # Zwick-Paterson turns these into about a hundred Random vertices.
+    # Zwick-Paterson turns these into about a hundred Random vertices. The
+    # plain graphs put all 20 samples outside; their anchored copies put
+    # samples inside and outside, so a pencil that rejects every point fails.
     for trial in range(2):
-        g = graph_from_minmax(random_minmax(rng_for(293, trial), n=4, denom=64))
+        op = random_minmax(rng_for(293, trial), n=4, denom=64)
+        report = verify_graph(graph_from_minmax(op), samples=20)
+        assert report.ok, report.to_json()
+        g = graph_from_minmax(anchored(op))
         report = verify_graph(g, samples=20)
         assert report.ok, report.to_json()
+        assert report.subfixed_count > 0 and report.complement_count > 0, report.to_json()
+        # One row -inf >= 0, over the envelope's variables.
+        reject_all = MetzlerPencil(1, 2 * pipeline(g)[0].n, {(0, 0): {0: SignedTrop.neg(0)}})
+        assert not verify_graph(g, samples=20, pencil_override=reject_all).ok
 
 
 def test_report_serialization_is_deterministic():
