@@ -18,6 +18,13 @@ from tropcone.transforms import pipeline
 from tropcone.verify import verify_graph
 
 F = Fraction
+ZERO = {"sign": 0, "abs": "-inf"}
+NEG = {"sign": -1, "abs": "0/1"}
+Z2 = [[ZERO, ZERO], [ZERO, ZERO]]
+
+
+def dense(*matrices):
+    return {"m": 2, "n": len(matrices) - 1, "matrices": list(matrices)}
 
 
 def sparse(*cells):
@@ -157,6 +164,17 @@ class TestExitCodes:
                     "matrices": [[[{"sign": 0, "abs": "-inf"}]], [[{"sign": 1, "abs": "0/1"}]]],
                 },
                 id="dense-form",
+            ),
+            # Nor is a malformed one: no matrices, a 1x2 matrix, a float
+            # entry, and a lower triangle that differs from the upper.
+            pytest.param({"m": 2, "n": 3, "matrices": []}, id="matrices0-3"),
+            pytest.param(dense(Z2, [[ZERO, ZERO]]), id="matrices1-1"),
+            pytest.param(
+                dense(Z2, [[ZERO, ZERO], [ZERO, {"sign": 1, "abs": 0.5}]]), id="matrices2-1"
+            ),
+            pytest.param(
+                dense([[ZERO, NEG], [ZERO, ZERO]], [[ZERO, ZERO], [ZERO, ZERO]]),
+                id="dense-asymmetric",
             ),
             # Sparse form.
             pytest.param(sparse([0, 2, 1, 1, "0"]), id="sparse-index-out-of-range"),
