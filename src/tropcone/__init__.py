@@ -33,6 +33,7 @@ from .lp import (
     eval_F_from_polyhedra,
     lp_max,
     tropical_convexity_falsifier,
+    union_from_minmax,
     union_member,
 )
 from .pencil import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph import Edge, GameGraph, MinMaxOperator
-from .lp import PolyhedralUnion
+from .lp import PolyhedralUnion, union_from_minmax
 
 TWO_PI = Fraction(6283185307, 1000000000)
 
@@ -67,23 +67,4 @@ def example_graph() -> GameGraph:
 def example_union() -> PolyhedralUnion:
     """The subfixed set {x <= F(x)} written as a union of polyhedra, one
     piece per choice of the maximizing branch in each coordinate."""
-    rows_1 = (
-        ((F(1), F(0), F(-1)), F(1)),
-        ((F(1), F(-1, 3), F(-2, 3)), F(4, 3)),
-    )
-    rows_2 = (
-        ((F(-1, 4), F(1), F(-3, 4)), F(3, 4)),
-        ((F(0), F(1), F(-1)), TWO_PI),
-    )
-    rows_3 = (
-        ((F(-1), F(0), F(1)), F(0)),
-        ((F(0), F(-1), F(1)), F(0)),
-    )
-    pieces = []
-    for c1 in rows_1:
-        for c2 in rows_2:
-            for c3 in rows_3:
-                a = (c1[0], c2[0], c3[0])
-                b = (c1[1], c2[1], c3[1])
-                pieces.append((a, b))
-    return PolyhedralUnion(3, tuple(pieces))
+    return union_from_minmax(example_minmax())

@@ -71,6 +71,9 @@ class MetzlerPencil:
         for (i, j), entry in entries.items():
             if not (0 <= i <= j < m):
                 raise ValueError(f"entry ({i},{j}) outside upper triangle of size {m}")
+            if not entry:
+                # A file holds no cell for it, so it would not round-trip.
+                raise ValueError(f"entry ({i},{j}) has no coefficient: leave it out")
             for k, c in entry.items():
                 if not 0 <= k <= n:
                     raise ValueError(f"coefficient index {k} outside 0..{n}")

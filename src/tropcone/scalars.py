@@ -41,9 +41,12 @@ def int_from_json(v) -> int:
 
 def exact(v) -> Fraction:
     """v as a Fraction; a float, whose binary value is rarely the one meant
-    (3 * 0.1 > 0.3), raises ValueError rather than give a wrong answer."""
-    if isinstance(v, float):
-        raise ValueError(f"floats are not exact: pass {v!r} as a Fraction, an int or a string")
+    (3 * 0.1 > 0.3), or a bool, which is rarely meant as 0 or 1, raises
+    ValueError rather than give a wrong answer."""
+    if isinstance(v, (float, bool)):
+        raise ValueError(
+            f"{v!r} is a {type(v).__name__}, not an exact number: pass a Fraction, an int or a string"
+        )
     return Fraction(v)
 
 

@@ -85,8 +85,17 @@ class TestMembership:
         with pytest.raises(ValueError):
             MetzlerPencil(2, 1, {(0, 1): {1: SignedTrop.pos(0)}})
 
+    def test_empty_entry_refused(self):
+        # A file holds no cell for an entry without coefficients, so it would
+        # not survive to_json and from_json.
+        with pytest.raises(ValueError, match="no coefficient"):
+            MetzlerPencil(1, 1, {(0, 0): {}})
+        with pytest.raises(ValueError, match="no coefficient"):
+            MetzlerPencil(2, 1, {(0, 0): {1: SignedTrop.pos(0)}, (0, 1): {}})
+
     def test_json_round_trip(self):
         p = synthesize_cone(pipeline(example_graph())[0])
+        assert MetzlerPencil.from_json(p.to_json()).entries == p.entries
         back = MetzlerPencil.from_json(p.to_json())
         assert back.to_json() == p.to_json()
         for i in range(20):

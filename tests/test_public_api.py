@@ -65,11 +65,12 @@ def test_trop_point_set_has_no_json():
 
 
 def test_lp_has_one_solve():
-    # Each LP is solved as its dual from the basis v = e_k, in one phase.
+    # Each LP is solved as its dual from the basis v = e_k, in one phase, on
+    # an integer tableau: the Fraction pivot is gone.
     from tropcone import lp
 
     assert hasattr(lp, "_dual_min")
-    assert [name for name in ("_phase1", "_phase2", "_simplex") if hasattr(lp, name)] == []
+    assert [name for name in ("_phase1", "_phase2", "_simplex", "_pivot") if hasattr(lp, name)] == []
 
 
 def test_game_graph_has_one_operator_plan():

@@ -1,20 +1,24 @@
 """The polyhedral frontend: exact LP, the canonical operator of a union of
 polyhedra, and the tropical convexity falsifier."""
 
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
-from support import lp_max_oracle, small_rational
+from support import lp_max_oracle, random_minmax, small_rational
 from tropcone import lp as lp_module
 from tropcone.errors import DimensionMismatch, EmptyBelow
-from tropcone.fixtures import example_graph, example_union
-from tropcone.graph import subfixed
+from tropcone.fixtures import TWO_PI, example_graph, example_minmax, example_union
+from tropcone.graph import graph_from_minmax, subfixed
 from tropcone.lp import (
     PolyhedralUnion,
     eval_F_from_polyhedra,
     lp_max,
     tropical_convexity_falsifier,
+    union_from_minmax,
     union_member,
 )
 from tropcone.sampling import rng_for, sample_vector
@@ -63,6 +67,32 @@ class TestLpMax:
             x = sample_vector(rng, n, 5, 4)
             k = rng.randrange(n)
             assert lp_max(a, b, x, k) == lp_max_oracle(a, b, x, k)
+
+    def test_integer_solve_matches_oracle(self):
+        # Rows with denominators up to 64, one of them repeated as its 1/7
+        # multiple, are scaled to integers row by row; the scaled solve
+        # gives the rational answer.
+        infeasible = 0
+        for trial in range(40):
+            rng = rng_for(311, trial)
+            n = rng.randint(1, 3)
+            a = [tuple(small_rational(rng, 3, 64) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            b = [small_rational(rng, 5, 64) for _ in a]
+            i = rng.randrange(len(a))
+            a.append(tuple(v / 7 for v in a[i]))
+            b.append(b[i] / 7)
+            x = sample_vector(rng, n, 5, 64)
+            k = rng.randrange(n)
+            value = lp_max(tuple(a), tuple(b), x, k)
+            assert value == lp_max_oracle(a, b, x, k)
+            infeasible += value is None
+            (rows, rhs, cols), = PolyhedralUnion(n, ((tuple(a), tuple(b)),)).plan
+            assert cols == tuple(zip(*rows))
+            for row, bi, scaled, si in zip(a, b, rows, rhs):
+                s = lcm(bi.denominator, *(v.denominator for v in row))
+                assert all(type(v) is int for v in (*scaled, si))
+                assert (*scaled, si) == tuple(s * v for v in (*row, bi))
+        assert 0 < infeasible < 40
 
 
 class TestEvalF:
@@ -185,9 +215,9 @@ class TestDifferential:
         calls = []
         dual_min = lp_module._dual_min
 
-        def counting(a, h, x, k):
-            calls.append((a, k))
-            return dual_min(a, h, x, k)
+        def counting(piece, h, scale, xs, k):
+            calls.append((piece, k))
+            return dual_min(piece, h, scale, xs, k)
 
         monkeypatch.setattr(lp_module, "_dual_min", counting)
         seen = {"empty": 0, "skipped": 0}
@@ -203,8 +233,8 @@ class TestDifferential:
                 except EmptyBelow:
                     pass
                 best = [None] * u.n
-                for a, b in u.pieces:
-                    ks = [k for pa, k in calls if pa is a]
+                for (a, b), piece in zip(u.pieces, u.plan):
+                    ks = [k for pa, k in calls if pa is piece]
                     if best == list(x):
                         assert ks == []
                         continue
@@ -224,9 +254,9 @@ class TestDifferential:
         calls = []
         slack = lp_module._slack
 
-        def counting(a, b, x):
-            calls.append(a)
-            return slack(a, b, x)
+        def counting(piece, scale, xs):
+            calls.append(piece)
+            return slack(piece, scale, xs)
 
         monkeypatch.setattr(lp_module, "_slack", counting)
         u = example_union()
@@ -267,6 +297,55 @@ class TestDifferential:
             assert value == lp_max_oracle(a, b, x, k)
             if kind in ("tight", "infeasible"):
                 assert (value is None) == (kind == "infeasible")
+
+
+class TestCrossForm:
+    """The subfixed set of a min-max operator three ways: as a union of
+    polyhedra (membership and F(x) = x) and as the encoded game graph."""
+
+    def test_example_union_pieces(self):
+        # One piece per choice of the maximizing branch in each coordinate,
+        # branch 0 before 1, the last coordinate's choice innermost.
+        rows = (
+            (((1, 0, -1), 1), ((1, F(-1, 3), F(-2, 3)), F(4, 3))),
+            (((F(-1, 4), 1, F(-3, 4)), F(3, 4)), ((0, 1, -1), TWO_PI)),
+            (((-1, 0, 1), 0), ((0, -1, 1), 0)),
+        )
+        pieces = tuple(
+            (tuple(r for r, _ in choice), tuple(c for _, c in choice)) for choice in product(*rows)
+        )
+        u = union_from_minmax(example_minmax())
+        assert u == example_union() == PolyhedralUnion(3, pieces)
+
+    def test_three_forms_agree(self):
+        seen = {True: 0, False: 0}
+        for trial in range(24):
+            rng = rng_for(313, trial)
+            op = random_minmax(rng, n=2 + trial % 3)
+            u, g = union_from_minmax(op), graph_from_minmax(op)
+            for _ in range(6):
+                x = sample_vector(rng, op.n, 5, 4)
+                try:
+                    below = eval_F_from_polyhedra(u, x)
+                except EmptyBelow:
+                    points = [x]
+                else:
+                    # F(x) is the largest member below x, so it is subfixed.
+                    points = [x, below]
+                for p in points:
+                    try:
+                        fixed = eval_F_from_polyhedra(u, p) == p
+                    except EmptyBelow:
+                        fixed = False
+                    inside = subfixed(g, p)
+                    assert union_member(u, p) == fixed == inside, (trial, p)
+                    seen[inside] += 1
+        assert all(seen.values()), seen
+
+    def test_empty_min_term_has_no_union(self):
+        op = example_minmax()
+        with pytest.raises(ValueError):
+            union_from_minmax(replace(op, subsets=(((),), ((0, 1),), ((0, 1),))))
 
 
 class TestExactInputs:

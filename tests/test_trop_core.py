@@ -178,3 +178,34 @@ class TestFloatsRefused:
     def test_float_raises(self, call):
         with pytest.raises(ValueError, match="float"):
             call()
+
+
+class TestBoolsRefused:
+    """A bool is refused wherever a rational is read, as the LP frontend
+    does: eval_operator(example_graph(), (True, 0, 0)) would answer as at
+    (1, 0, 0), and a flag passed for a coordinate is rarely meant as one."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Trop(True),
+            lambda: rational_or_none(False),
+            lambda: subfixed(example_graph(), (True, 0, 0)),
+            lambda: eval_operator(example_graph(), (True, 0, 0)),
+            lambda: pencil_member(MetzlerPencil(1, 1, {(0, 0): {1: SignedTrop.pos(0)}}), (False,)),
+            lambda: pipeline(example_graph())[1].lift_integers((0, True, 0)),
+            lambda: pipeline(example_graph())[1].lift((0, 0, False)),
+            lambda: minmax_eval(example_minmax(), (True, 0, 0)),
+        ],
+        ids=["Trop", "rational_or_none", "subfixed", "eval_operator", "pencil_member",
+             "lift_integers", "lift", "minmax_eval"],
+    )
+    def test_bool_raises(self, call):
+        with pytest.raises(ValueError, match="bool"):
+            call()
+
+    def test_ints_still_read(self):
+        assert Trop(1) == Trop(Fraction(1))
+        assert eval_operator(example_graph(), (1, 0, 0)) == eval_operator(
+            example_graph(), (Fraction(1), Fraction(0), Fraction(0))
+        )
