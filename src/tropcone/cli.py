@@ -9,20 +9,23 @@ synthesize, member, lift, verify, section. Inputs and outputs are JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from .errors import MalformedInput, TropconeError
-from .graph import GameGraph, eval_operator, subfixed, validate_graph
+from .graph import GameGraph, eval_operator, subfixed, subfixed_integers, validate_graph
 from .pencil import MetzlerPencil, pencil_member, synthesize_cone
-from .scalars import Trop, rational_from_str, rational_to_str
+from .scalars import Trop, integers_over, rational_from_str, rational_to_str
 from .transforms import first_transformation, pipeline, second_transformation, zwick_paterson
 from .verify import verify_graph
 
 
-# `section` refuses larger grids: a million cells of the example already take
-# minutes, and the tick count is computed before any tick is built.
+# `section` refuses larger grids: a cell of the example takes about 4.4 us
+# (Python 3.11, shared 2-core host), so a million take some 5 s, and larger
+# graphs take longer per cell. The tick count is computed before any tick is
+# built.
 SECTION_MAX_CELLS = 1_000_000
 
 
@@ -190,20 +193,27 @@ def cmd_section(args) -> int:
         raise MalformedInput(f"bad --lo/--hi/--step: {exc}") from exc
     ticks = section_ticks(lo, hi, step, len(free))
 
+    # One scaling for the grid: the fixed values and the ticks as integers
+    # over D = lcm(C, their denominators), so each cell runs only the integer
+    # core of `subfixed` on one point list rewritten in place.
+    c = g.operator_plan[0]
+    d, scaled = integers_over([*fixed.values(), *ticks], c)
+    r = d // c
+    point = [0] * n
+    for k, v in zip(fixed, scaled):
+        point[k] = v
+    ticks = scaled[len(fixed):]
     col_axis = free[0] if free else None
     row_axis = free[1] if len(free) > 1 else None
     rows = []
     for y in reversed(ticks) if row_axis is not None else [None]:
+        if row_axis is not None:
+            point[row_axis] = y
         cells = []
         for x in ticks if col_axis is not None else [None]:
-            point = [Fraction(0)] * n
-            for k, val in fixed.items():
-                point[k] = val
             if col_axis is not None:
                 point[col_axis] = x
-            if row_axis is not None:
-                point[row_axis] = y
-            cells.append("1" if subfixed(g, point) else "0")
+            cells.append("1" if subfixed_integers(g, r, point) else "0")
         rows.append(",".join(cells))
     _emit("\n".join(rows) + "\n", args.out)
     return 0
@@ -278,9 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first `main` call of a process and
+    reused: parsing reads a parser and changes nothing in it, and it holds
+    no input."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except MalformedInput as exc:

@@ -28,7 +28,8 @@ from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NonStochastic, NotCompliant, SingularSystem, ValidationFailed
-from .scalars import exact, int_from_json, integers_over, rational_from_str, rational_or_none, rational_to_str
+from .scalars import exact, int_from_json, integers_over, rational, rational_from_str
+from .scalars import rational_or_none, rational_to_str
 
 Vector = tuple[Fraction, ...]
 
@@ -509,10 +510,17 @@ _UNSET = object()  # a value not computed yet in this query
 
 def subfixed(g: GameGraph, x) -> bool:
     """Does x <= F(x) hold coordinatewise on T^n? A -inf coordinate always
-    does; a finite X_k * P1 * P2 is compared with the value of each out-edge
-    of Min vertex k, stopping at the first that is -inf or smaller. A Max
-    value is computed when an out-edge first reads it."""
+    does."""
     _, r, y = _scaled_point(g, x)
+    return subfixed_integers(g, r, y)
+
+
+def subfixed_integers(g: GameGraph, r: int, y: list) -> bool:
+    """`subfixed` at the point y / D, given as `_scaled_point` gives it: n
+    integers y (None for -inf) over a D that C divides, and r = D / C. A
+    finite y_k * P1 * P2 is compared with the value of each out-edge of Min
+    vertex k, stopping at the first that is -inf or smaller. A Max value is
+    computed when an out-edge first reads it."""
     _, p1, p2, max_terms, min_terms = g.operator_plan
     mx = [_UNSET] * len(max_terms)
     for yk, edges in zip(y, min_terms):
@@ -561,14 +569,19 @@ class MinMaxOperator:
             for row in mat:
                 if len(row) != self.n:
                     raise DimensionMismatch(f"row of length {len(row)} in arity {self.n}")
+        # Entries are held as Fractions; a float or a bool raises ValueError.
+        object.__setattr__(self, "matrices", tuple(
+            tuple(tuple(map(rational, row)) for row in mat) for mat in self.matrices
+        ))
+        object.__setattr__(self, "offsets", tuple(tuple(map(rational, b)) for b in self.offsets))
         if len(self.subsets) != self.n:
             raise DimensionMismatch(f"{len(self.subsets)} min-term lists for arity {self.n}")
         bad = [
             s for per_k in self.subsets for s_ki in per_k for s in s_ki
-            if not 0 <= s < len(self.matrices)
+            if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < len(self.matrices)
         ]
         if bad:
-            raise ValueError(f"subset index {bad[0]} outside 0..{len(self.matrices) - 1}")
+            raise ValueError(f"subset index {bad[0]!r} is not an int in 0..{len(self.matrices) - 1}")
 
     def to_json(self) -> dict:
         return {

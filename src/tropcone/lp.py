@@ -25,17 +25,10 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch, EmptyBelow
 from .graph import MinMaxOperator
 from .sampling import rng_for, sample_rational, sample_vector
-from .scalars import int_from_json, integers_over, rational_from_str, rational_to_str
+from .scalars import int_from_json, integers_over, rational, rational_from_str, rational_to_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
-
-
-def _rational(v) -> Fraction:
-    """v as a Fraction; ValueError unless it is an int (not a bool) or one."""
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-        raise ValueError(f"expected an int or a Fraction, not {v!r}")
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,7 @@ class PolyhedralUnion:
             for row in a:
                 if len(row) != self.n:
                     raise DimensionMismatch(f"row of length {len(row)} in dimension {self.n}")
-            pieces.append((tuple(tuple(map(_rational, row)) for row in a), tuple(map(_rational, b))))
+            pieces.append((tuple(tuple(map(rational, row)) for row in a), tuple(map(rational, b))))
         object.__setattr__(self, "pieces", tuple(pieces))
 
     @cached_property
@@ -183,7 +176,7 @@ def _dual_min(piece: tuple, h: list, scale: int, xs: list, k: int) -> Optional[F
 def _point(u: PolyhedralUnion, x) -> tuple:
     """(x, L, xs): x as Fractions and xs = L * x as integers, L the lcm of
     its denominators."""
-    x = tuple(map(_rational, x))
+    x = tuple(map(rational, x))
     if len(x) != u.n:
         raise DimensionMismatch(f"point of length {len(x)} in dimension {u.n}")
     return (x, *integers_over(x, 1))

@@ -50,6 +50,15 @@ def exact(v) -> Fraction:
     return Fraction(v)
 
 
+def rational(v) -> Fraction:
+    """v as a Fraction; ValueError unless it is an int (not a bool) or one.
+    Stricter than `exact`: the entries of a stored operator or union take no
+    string either."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise ValueError(f"expected an int or a Fraction, not {v!r}")
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
 class Trop:
     """An element of R union {-inf} with max as addition and + as product."""
 

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from support import random_minmax
 from tropcone import cli
 from tropcone.cli import SECTION_MAX_CELLS, main
 from tropcone.fixtures import TWO_PI, example_graph
-from tropcone.graph import Edge, GameGraph
+from tropcone.graph import Edge, GameGraph, graph_from_minmax, subfixed
 from tropcone.pencil import MetzlerPencil, synthesize_cone
+from tropcone.sampling import rng_for
 from tropcone.scalars import rational_to_str
 from tropcone.transforms import pipeline
 from tropcone.verify import verify_graph
@@ -419,10 +421,13 @@ class TestSectionCommand:
         ],
     )
     def test_oversized_grid_exits_two(self, capsys, graph_file, monkeypatch, fix, hi, step):
-        # One tick past the cell bound; no cell may be evaluated.
+        # One tick past the cell bound; no cell may be evaluated. Each cell
+        # runs the integer kernel, so patching `subfixed` alone would guard
+        # nothing.
         def no_cells(*_):
             raise AssertionError("section evaluated a cell")
 
+        monkeypatch.setattr(cli, "subfixed_integers", no_cells)
         monkeypatch.setattr(cli, "subfixed", no_cells)
         fixes = [arg for value in fix for arg in ("--fix", value)]
         code, out = run(capsys, "section", graph_file, *fixes,
@@ -433,6 +438,113 @@ class TestSectionCommand:
     def test_too_many_free_coordinates(self, capsys, graph_file):
         code, _ = run(capsys, "section", graph_file, "--lo", "0", "--hi", "1", "--step", "1")
         assert code == 2
+
+
+def section_oracle(g, fixed: dict, lo: Fraction, hi: Fraction, step: Fraction) -> str:
+    """The section grid by `subfixed` on one Fraction point per cell."""
+    free = [k for k in range(g.n) if k not in fixed]
+    col, row = (free + [None, None])[:2]
+    ticks = [lo + t * step for t in range((hi - lo) // step + 1)]
+    lines = []
+    for y in reversed(ticks) if row is not None else [None]:
+        cells = []
+        for x in ticks if col is not None else [None]:
+            point = [fixed.get(k) for k in range(g.n)]
+            if col is not None:
+                point[col] = x
+            if row is not None:
+                point[row] = y
+            cells.append("1" if subfixed(g, point) else "0")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestSectionDifferential:
+    """`section` scales its grid once and runs the integer kernel per cell;
+    every grid must equal per-cell `subfixed`."""
+
+    def grid(self, capsys, tmp_path, g, fixed, lo, hi, step):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(g.to_json()))
+        fixes = [arg for k, v in fixed.items() for arg in ("--fix", f"{k + 1}={rational_to_str(v)}")]
+        code, out = run(capsys, "section", str(path), *fixes, f"--lo={rational_to_str(lo)}",
+                        f"--hi={rational_to_str(hi)}", f"--step={rational_to_str(step)}")
+        assert code == 0
+        assert out == section_oracle(g, fixed, lo, hi, step)
+        return out
+
+    @pytest.mark.parametrize(
+        "fixed, lo, hi, step",
+        [
+            ({2: F(2, 7)}, F(-3), F(2), F(1, 3)),
+            ({0: F(-1, 5)}, F(-5, 2), F(7, 3), F(1, 6)),
+            ({1: F(3, 4)}, F(-4), F(3), F(2, 5)),
+        ],
+        ids=["fix-x3", "fix-x1", "fix-x2"],
+    )
+    def test_example_two_free_axes(self, capsys, tmp_path, fixed, lo, hi, step):
+        out = self.grid(capsys, tmp_path, example_graph(), fixed, lo, hi, step)
+        assert "0" in out and "1" in out
+
+    def test_random_minmax_graphs(self, capsys, tmp_path):
+        # Some seeded operators have no finite subfixed point in the box;
+        # every grid is still compared, and most show both bits.
+        two_sided = 0
+        for seed in range(6):
+            g = graph_from_minmax(random_minmax(rng_for(71, seed), n=3, denom=12))
+            out = self.grid(capsys, tmp_path, g, {2: F(2, 7)}, F(-6), F(6), F(1, 3))
+            two_sided += "0" in out and "1" in out
+            one_free = self.grid(capsys, tmp_path, g, {0: F(1, 9), 2: F(-3, 7)}, F(-6), F(6), F(1, 4))
+            assert len(one_free.split(",")) == 49
+            self.grid(capsys, tmp_path, g, {0: F(1, 9), 1: F(5, 11), 2: F(-3, 7)}, F(0), F(0), F(1))
+        assert two_sided >= 3
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no call may see the
+    arguments or the defaults of an earlier one."""
+
+    def calls(self, capsys, argvs):
+        results = []
+        for argv in argvs:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_outputs_match_fresh_parsers(self, capsys, graph_file, monkeypatch):
+        grid = ["--lo", "-2", "--hi", "2", "--step", "1/2"]
+        argvs = [
+            ["nonsense", graph_file],
+            ["subfixed", graph_file, "--point", "0,0,0"],
+            ["section", graph_file, "--fix", "3=0", *grid],
+            ["section", graph_file, "--fix", "2=0", *grid],
+            ["section", graph_file, "--fix"],
+            ["verify", graph_file, "--samples", "5", "--seed", "3"],
+            ["verify", graph_file],
+        ]
+        reused = self.calls(capsys, argvs)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert reused == self.calls(capsys, argvs)
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0, 2, 0, 0]
+        assert reused[2][1] != reused[3][1]
+        report = json.loads(reused[6][1])
+        assert report["subfixed"] + report["complement"] == 200
+
+    def test_many_calls_build_one_parser(self, capsys, graph_file, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(["nonsense"])
+        for _ in range(5):
+            assert main(["subfixed", graph_file, "--point", "0,0,0"]) == 0
+        assert main(["validate", graph_file]) == 0
+        assert len(built) == 1
 
 
 def load_section_script():

@@ -459,9 +459,11 @@ class TestMinMax:
             assert eval_operator(g, x) == want
             assert eval_operator(fixture, x) == want
 
-    @pytest.mark.parametrize("index", [-1, 2, 5])
+    @pytest.mark.parametrize("index", [-1, 2, 5, 0.0, True])
     def test_subset_index_out_of_range(self, index):
-        # -1 used to pick the last matrix, changing F_1(0,0,5) from 6 to 14/3.
+        # -1 used to pick the last matrix, changing F_1(0,0,5) from 6 to 14/3;
+        # 0.0 was accepted and failed on evaluation, and True was written to
+        # JSON as true, which the reader refuses.
         op = example_minmax()
         subsets = (((index,),),) + op.subsets[1:]
         with pytest.raises(ValueError):
@@ -487,6 +489,24 @@ class TestMinMax:
         for change in bad_shapes:
             with pytest.raises(DimensionMismatch):
                 replace(op, **change)
+
+    @pytest.mark.parametrize(
+        "matrix, offset",
+        [(1.0, F(0)), (F(1), 0.1), (True, F(0)), (F(1), False), ("1", F(0)), (F(1), None)],
+        ids=["float-matrix", "float-offset", "bool-matrix", "bool-offset", "str-matrix", "none-offset"],
+    )
+    def test_inexact_entries_refused(self, matrix, offset):
+        # A float entry was accepted: minmax_eval returned the float (0.1,)
+        # and graph_from_minmax raised AttributeError.
+        with pytest.raises(ValueError):
+            MinMaxOperator(n=1, matrices=(((matrix,),),), offsets=((offset,),), subsets=(((0,),),))
+
+    def test_entries_held_as_fractions(self):
+        op = MinMaxOperator(n=1, matrices=(((1,),),), offsets=((-2,),), subsets=(((0,),),))
+        assert op.matrices == (((F(1),),),) and op.offsets == ((F(-2),),)
+        assert all(type(v) is Fraction for v in (op.matrices[0][0][0], op.offsets[0][0]))
+        assert minmax_eval(op, (F(5),)) == (F(3),)
+        assert eval_operator(graph_from_minmax(op), (F(5),)) == (F(3),)
 
     def test_random_instances_agree(self):
         for trial in range(5):
