@@ -33,7 +33,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionMismatch
-from .scalars import NEG_INF, Trop, tadd, tmul
+from .scalars import NEG_INF, Trop, sized, tadd, tmul
 
 Point = tuple[Trop, ...]
 
@@ -25,10 +24,7 @@ class TropPointSet:
 
     def __post_init__(self):
         for p in self.points:
-            if len(p) != self.dimension:
-                raise DimensionMismatch(
-                    f"point of length {len(p)} in a {self.dimension}-dimensional set"
-                )
+            sized(p, self.dimension)
 
 
 def residual_coefficient(y: Point, g: Point) -> Trop:
@@ -57,10 +53,7 @@ def residual_combination(y: Point, gens: Sequence[Point]) -> Point:
 
 def cone_member(y: Point, generators: TropPointSet) -> bool:
     """Is y a tropical combination of the generators?"""
-    if len(y) != generators.dimension:
-        raise DimensionMismatch(
-            f"point of length {len(y)} against dimension {generators.dimension}"
-        )
+    sized(y, generators.dimension)
     return residual_combination(y, generators.points) == tuple(y)
 
 
@@ -74,10 +67,7 @@ def hull_member(y: Point, generators: TropPointSet) -> bool:
 
     Reduces to cone membership of (0, y) over the homogenized generators.
     """
-    if len(y) != generators.dimension:
-        raise DimensionMismatch(
-            f"point of length {len(y)} against dimension {generators.dimension}"
-        )
+    sized(y, generators.dimension)
     cone = TropPointSet(generators.dimension + 1, _homogenize(generators.points))
     return cone_member((Trop(0),) + tuple(y), cone)
 

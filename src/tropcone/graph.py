@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NonStochastic, NotCompliant, SingularSystem, ValidationFailed
 from .scalars import exact, int_from_json, integers_over, rational, rational_from_str
-from .scalars import rational_or_none, rational_to_str
+from .scalars import rational_or_none, rational_to_str, sized
 
 Vector = tuple[Fraction, ...]
 
@@ -203,21 +203,26 @@ def validate_graph(g: GameGraph) -> ValidationReport:
     if not g.min_vertices or not g.max_vertices:
         failures.append(("nonempty-classes", "Min and Max vertex sets must be nonempty"))
 
+    # One pass over the edges checks endpoints and labels and maps each
+    # head to its Random tails, {head: [Random tails]}, for the path checks.
+    kind = g.kind
+    into = {}
     for e in g.edges:
-        if e.tail not in g.kind or e.head not in g.kind:
+        tail = kind.get(e.tail)
+        if tail is None or e.head not in kind:
             failures.append(("edge-endpoints", f"edge {e.id} has an unknown endpoint"))
-            continue
-        if g.kind[e.tail] == "random":
+        elif tail != "random":
+            if e.payoff is None or e.prob is not None:
+                failures.append(("edge-labels", f"edge {e.id} out of a {tail} vertex must carry a payoff only"))
+        else:
+            into.setdefault(e.head, []).append(e.tail)
             if e.prob is None or e.payoff is not None:
                 failures.append(("edge-labels", f"edge {e.id} out of a Random vertex must carry a probability only"))
             elif e.prob.numerator <= 0:
                 failures.append(("edge-labels", f"edge {e.id} has nonpositive probability"))
-        else:
-            if e.payoff is None or e.prob is not None:
-                failures.append(("edge-labels", f"edge {e.id} out of a {g.kind[e.tail]} vertex must carry a payoff only"))
 
-    for v in g.kind:
-        if not g.out_edges[v]:
+    for v, out in g.out_edges.items():
+        if not out:
             failures.append(("out-degree", f"vertex {v} has no outgoing edge"))
 
     for v in g.random_vertices:
@@ -231,17 +236,13 @@ def validate_graph(g: GameGraph) -> ValidationReport:
         # A Max-free path from a Min vertex leaves by an out-edge into a Min
         # vertex or into a Random vertex that reaches one through Random
         # vertices only; Max vertices likewise.
-        into = {}
-        for e in g.edges:
-            if g.kind[e.tail] == "random":
-                into.setdefault(e.head, []).append(e.tail)
         to_min = _reaching_randoms(into, g.min_vertices)
         to_max = _reaching_randoms(into, g.max_vertices)
         for v in g.min_vertices:
-            if any(e.head in to_min or g.kind[e.head] == "min" for e in g.out_edges[v]):
+            if any(e.head in to_min or kind[e.head] == "min" for e in g.out_edges[v]):
                 failures.append(("min-min-path", f"a Max-free path joins Min vertex {v} to a Min vertex"))
         for v in g.max_vertices:
-            if any(e.head in to_max or g.kind[e.head] == "max" for e in g.out_edges[v]):
+            if any(e.head in to_max or kind[e.head] == "max" for e in g.out_edges[v]):
                 failures.append(("max-max-path", f"a Min-free path joins Max vertex {v} to a Max vertex"))
         for v in g.random_vertices:
             if v not in to_min and v not in to_max:
@@ -292,12 +293,15 @@ class _Builder:
         return [e for e in self.edges if e.tail == v]
 
     def freeze(self) -> GameGraph:
-        return GameGraph(
+        """The built graph, checked: ValidationFailed if it is not valid."""
+        g = GameGraph(
             tuple(self.min_vertices),
             tuple(self.max_vertices),
             tuple(self.random_vertices),
             tuple(self.edges),
         )
+        require_valid(g)
+        return g
 
 
 def _random_components(g: GameGraph) -> list:
@@ -471,9 +475,7 @@ def _edge_value(a: int, terms: tuple, vals: list, r: int) -> Optional[int]:
 def _scaled_point(g: GameGraph, x) -> tuple:
     """(D, r, y) for a point x of T^n: D = lcm(C, x's finite denominators),
     r = D / C and y = x * D in integers, None for -inf."""
-    xs = [rational_or_none(v) for v in x]
-    if len(xs) != g.n:
-        raise DimensionMismatch(f"point of length {len(xs)}, graph has {g.n} Min vertices")
+    xs = sized([rational_or_none(v) for v in x], g.n)
     d, y = integers_over(xs, g.operator_plan[0])
     return d, d // g.operator_plan[0], y
 
@@ -638,9 +640,7 @@ def check_stochastic(op: MinMaxOperator) -> StochasticReport:
 
 def minmax_eval(op: MinMaxOperator, x: Sequence[Fraction]) -> Vector:
     """Direct exact evaluation of the min-max form."""
-    if len(x) != op.n:
-        raise DimensionMismatch(f"point of length {len(x)}, operator arity {op.n}")
-    x = tuple(map(exact, x))
+    x = tuple(map(exact, sized(x, op.n)))
     return tuple(
         min(
             max(sum((a * v for a, v in zip(op.matrices[s][k], x)), op.offsets[s][k]) for s in s_ki)
@@ -675,7 +675,4 @@ def graph_from_minmax(op: MinMaxOperator) -> GameGraph:
                 for l, p in enumerate(op.matrices[s][k]):
                     if p > 0:
                         b.add_edge(rand_id, l + 1, prob=p)
-
-    g = b.freeze()
-    require_valid(g)
-    return g
+    return b.freeze()

@@ -26,6 +26,7 @@ from .errors import DimensionMismatch, EmptyBelow
 from .graph import MinMaxOperator
 from .sampling import rng_for, sample_rational, sample_vector
 from .scalars import int_from_json, integers_over, rational, rational_from_str, rational_to_str
+from .scalars import sized
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -176,9 +177,7 @@ def _dual_min(piece: tuple, h: list, scale: int, xs: list, k: int) -> Optional[F
 def _point(u: PolyhedralUnion, x) -> tuple:
     """(x, L, xs): x as Fractions and xs = L * x as integers, L the lcm of
     its denominators."""
-    x = tuple(map(rational, x))
-    if len(x) != u.n:
-        raise DimensionMismatch(f"point of length {len(x)} in dimension {u.n}")
+    x = sized(tuple(map(rational, x)), u.n)
     return (x, *integers_over(x, 1))
 
 

@@ -43,6 +43,7 @@ from .scalars import (
     int_from_json,
     integers_over,
     rational_or_none,
+    sized,
     tadd,
     tmul,
 )
@@ -178,8 +179,7 @@ def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:
     over D = lcm(L, d) with the constant slot 0 pinned to 0. Rows with minus
     terms are checked first; a row's plus part is computed when an
     off-diagonal entry first reads it."""
-    if len(y) != pencil.n:
-        raise DimensionMismatch(f"point of length {len(y)}, pencil has {pencil.n} variables")
+    sized(y, pencil.n)
     scale, rows, checks, offdiag = pencil._plan
     f = scale // gcd(d, scale)
     y = [0, *y] if f == 1 else [0, *(None if v is None else v * f for v in y)]
@@ -234,11 +234,7 @@ class ProjectedPencil:
         generators on its support; the combinations must reproduce (0, x), and
         each one is lifted through its summand's own parts.
         """
-        x = to_trop_vector(x)
-        if len(x) != self.visible:
-            raise DimensionMismatch(
-                f"point of length {len(x)}, {self.visible} visible coordinates"
-            )
+        x = sized(to_trop_vector(x), self.visible)
         if self.pencil.n == len(x):
             return x
         p = (Trop(0),) + x

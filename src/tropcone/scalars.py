@@ -8,8 +8,11 @@ the semiring is a minus-infinity element, not a numeric sentinel.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import lcm
 from typing import Optional
+
+from .errors import DimensionMismatch
 
 
 def rational_to_str(r: Fraction) -> str:
@@ -59,8 +62,18 @@ def rational(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def sized(x, n: int):
+    """x, checked to have n coordinates (DimensionMismatch otherwise): the
+    point-length check of every function that takes a point."""
+    if len(x) != n:
+        raise DimensionMismatch(f"point of length {len(x)}, expected {n}")
+    return x
+
+
+@total_ordering
 class Trop:
-    """An element of R union {-inf} with max as addition and + as product."""
+    """An element of R union {-inf} with max as addition and + as product,
+    ordered by `<=` with -inf below every finite value."""
 
     __slots__ = ("_v",)
 
@@ -99,22 +112,11 @@ class Trop:
             return False
         return self._v <= other._v
 
-    def __lt__(self, other: "Trop") -> bool:
-        return self <= other and self != other
-
-    def __ge__(self, other: "Trop") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "Trop") -> bool:
-        return other < self
-
     def __repr__(self):
         return "Trop(-inf)" if self._v is None else f"Trop({self._v})"
 
     def to_str(self) -> str:
-        if self._v is None:
-            return "-inf"
-        return f"{self._v.numerator}/{self._v.denominator}"
+        return "-inf" if self._v is None else rational_to_str(self._v)
 
     @classmethod
     def from_str(cls, s: str) -> "Trop":

@@ -24,11 +24,12 @@ lcm of theirs, its single-term pairs folded into one constant. A lift then
 holds the point as integers over one running denominator, multiplied up
 only when a row's value needs it; `lift_integers` returns them as they are.
 
-Every stage builds its output with `graph._Builder` and checks it once; a
-graph's validation report and absorption table are cached on the graph, so
-no stage repeats them. The first transformation keeps the Random block of
-its input, so one absorption solve gives the tables of both its input and
-its output, and `pipeline` solves once.
+Every stage checks its input and builds its output with `graph._Builder`,
+whose `freeze` checks the built graph; a graph's validation report and
+absorption table are cached on the graph, so no stage repeats them. The
+first transformation keeps the Random block of its input, so one
+absorption solve gives the tables of both its input and its output, and
+`pipeline` solves once.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Optional
 
-from .errors import DimensionMismatch, PreconditionViolated
+from .errors import PreconditionViolated
 from .graph import HALF, Edge, GameGraph, _Builder, _exit_rows, _tabulate, absorption
 from .graph import require_compliant, require_valid
-from .scalars import exact, integers_over
+from .scalars import exact, integers_over, sized
 
 ZERO = Fraction(0)
 
@@ -96,11 +97,7 @@ class WitnessMap:
         D starts as the lcm of C and x's denominators. A row gives N / P
         over D; when P does not divide N, D and every y so far are
         multiplied by P / gcd(N, P)."""
-        xs = [v if isinstance(v, Fraction) else exact(v) for v in x]
-        if len(xs) != self.source_dim:
-            raise DimensionMismatch(
-                f"point of length {len(xs)}, witness expects {self.source_dim}"
-            )
+        xs = sized([v if isinstance(v, Fraction) else exact(v) for v in x], self.source_dim)
         scale, rows = self._plan
         d, y = integers_over(xs, scale)
         r = d // scale
@@ -226,9 +223,7 @@ def zwick_paterson_with_gadgets(g: GameGraph) -> tuple[GameGraph, tuple[GadgetRe
         rec = _install_gadget(b, v)
         if rec is not None:
             records.append(rec)
-    out = b.freeze()
-    require_valid(out)
-    return out, tuple(records)
+    return b.freeze(), tuple(records)
 
 
 def zwick_paterson(g: GameGraph) -> GameGraph:
@@ -276,7 +271,6 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
             b.add_edge(kappa[f.id], f.head, payoff=ZERO)
 
     out = b.freeze()
-    require_valid(out)
     vars(out)["absorption_table"] = _tabulate(out, exits, {})
 
     idx = g.min_index
@@ -333,9 +327,7 @@ def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
         b.add_edge(new_min, e.head, payoff=ZERO)
         rows.append(tuple((p, terms[w]) for w, p in absorbed[edge_id].items()))
         new_coords.append(f"t2:{new_min}")
-    out = b.freeze()
-    require_valid(out)
-    return out, WitnessMap("t2", g.n, tuple(rows), tuple(new_coords))
+    return b.freeze(), WitnessMap("t2", g.n, tuple(rows), tuple(new_coords))
 
 
 def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, WitnessMap]:
@@ -346,7 +338,6 @@ def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, Witnes
 def pipeline(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     """Zwick-Paterson, then the first transformation, then one pass that
     splits every Random-to-Random edge, in id order."""
-    require_valid(g)
     if g.compliant:
         return g, WitnessMap("pipeline", g.n)
 

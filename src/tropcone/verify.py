@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import GameGraph, require_valid, subfixed
+from .graph import GameGraph, subfixed
 from .pencil import MetzlerPencil, affine_envelope, pencil_member_integers, synthesize_cone
 from .sampling import rng_for, sample_vector
 from .transforms import pipeline
@@ -61,9 +61,12 @@ def verify_graph(
     in integers, at `samples` deterministic rational points.
 
     `pencil_override` substitutes the envelope pencil (used to confirm that
-    corrupted pencils are caught)."""
+    corrupted pencils are caught). A negative `samples` or `box`, or a
+    `denom` below 1, raises ValueError before the pipeline runs."""
+    for name, value, least in (("samples", samples, 0), ("box", box, 0), ("denom", denom, 1)):
+        if value < least:
+            raise ValueError(f"verify_graph needs {name} >= {least}, not {value}")
     start = time.monotonic()
-    require_valid(g)
     target, witness = pipeline(g)
     envelope = affine_envelope(synthesize_cone(target))
     if pencil_override is not None:

@@ -119,6 +119,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [["validate"], ["member", "--point", "0"]])
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path, command):
+        # json.load raises RecursionError on deep nesting; it is malformed input.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code = main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/0", "1e100000"])
     def test_non_rational_json_exits_two(self, capsys, tmp_path, value):
         obj = example_graph().to_json()

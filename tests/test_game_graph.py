@@ -140,6 +140,13 @@ class TestValidation:
         with pytest.raises(ValidationFailed):
             require_valid(g)
 
+    def test_builder_freezes_only_valid_graphs(self):
+        b = graph_module._Builder(example_graph())
+        b.add_edge(b.fresh_vertex(), 1, payoff=F(0))
+        with pytest.raises(ValidationFailed, match="edge-endpoints"):
+            b.freeze()
+        assert graph_module._Builder(example_graph()).freeze().validation.ok
+
     def test_max_max_edge_fails(self):
         g = GameGraph(
             (1,), (2, 3), (),

@@ -26,6 +26,14 @@ trops = st.one_of(
 )
 
 
+# Few values, so that ties are drawn often; None is -inf.
+order_values = st.one_of(st.none(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def order_key(v):
+    return (0,) if v is None else (1, v)
+
+
 class TestTrop:
     def test_tadd_is_max(self):
         assert tadd(Trop(3), Trop(7)) == Trop(7)
@@ -50,6 +58,12 @@ class TestTrop:
         assert NEG_INF < Trop(-1000)
         assert Trop(Fraction(1, 3)) < Trop(Fraction(1, 2))
         assert not Trop(0) < Trop(0)
+
+    @given(order_values, order_values)
+    def test_order_agrees_with_fractions(self, a, b):
+        # None is -inf: (0,) sorts below every finite (1, value).
+        x, y, ka, kb = Trop(a), Trop(b), order_key(a), order_key(b)
+        assert (x < y, x <= y, x > y, x >= y, x == y) == (ka < kb, ka <= kb, ka > kb, ka >= kb, a == b)
 
     def test_str_round_trip(self):
         for t in (NEG_INF, Trop(Fraction(-7, 3)), Trop(4)):

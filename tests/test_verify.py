@@ -6,10 +6,12 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import envelope_lift, inside_closure, random_minmax, random_valid_graph
+from tropcone import verify as verify_module
 from tropcone.fixtures import example_graph
 from tropcone.graph import Edge, GameGraph, graph_from_minmax, minmax_eval, subfixed
 from tropcone.pencil import (
@@ -34,6 +36,17 @@ def test_example_graph_verifies():
     assert report.subfixed_count + report.complement_count == 100
     assert report.subfixed_count > 0
     assert report.complement_count > 0
+
+
+@pytest.mark.parametrize("name, value", [("samples", -3), ("box", -1), ("denom", 0), ("denom", -4)])
+def test_meaningless_arguments_refused(monkeypatch, name, value):
+    # Refused before the pipeline runs, with the argument named.
+    def no_pipeline(g):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(verify_module, "pipeline", no_pipeline)
+    with pytest.raises(ValueError, match=f"{name} >= "):
+        verify_graph(example_graph(), **{name: value})
 
 
 def test_random_graphs_verify():
