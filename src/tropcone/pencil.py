@@ -14,16 +14,16 @@ scales the point to integers over D = lcm(L, its denominators); max-plus
 comparisons do not change when every value is multiplied by D.
 
 The module provides membership, synthesis of a cone pencil from a compliant
-game graph, and the tropical convex hull of a union as one n-ary tropical
-sum: each summand is homogenized once into its own block of variables, tied
-to the visible coordinates by one diagonal row per coordinate. Finite
-generator sets, unions and strata are all built by that sum. A projected
-pencil keeps its summands as data and lifts a visible point by one
-residuation per summand. Entries are stored sparsely as {variable index:
-signed coefficient} with index 0 reserved for the constant matrix Q^(0).
-The module holds no operator kernel: the operator of a compliant graph on
-T^n, whose subfixed set a cone pencil realizes, is evaluated by the one
-operator plan of `tropcone.graph`.
+game graph, and tropical convex hulls of finitely many points: tconv(G) is
+the projection of one flat pencil over (x, lambda), one hidden weight per
+generator, with diagonal rows only (Develin and Sturmfels 2004). Unions and
+strata are the hull of all their generators, placed on their supports. A
+projected pencil lifts a visible point by one residuation per generator.
+Entries are stored sparsely as {variable index: signed coefficient} with
+index 0 reserved for the constant matrix Q^(0). The module holds no
+operator kernel: the operator of a compliant graph on T^n, whose subfixed
+set a cone pencil realizes, is evaluated by the one operator plan of
+`tropcone.graph`.
 """
 
 from __future__ import annotations
@@ -33,20 +33,10 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .convex import TropPointSet, residual_combination
+from .convex import TropPointSet, residual_coefficient
 from .errors import DimensionMismatch, PreconditionViolated, SupportMismatch
 from .graph import _UNSET, GameGraph, _compliant_pairs, eval_operator, require_compliant, subfixed
-from .scalars import (
-    NEG_INF,
-    SignedTrop,
-    Trop,
-    int_from_json,
-    integers_over,
-    rational_or_none,
-    sized,
-    tadd,
-    tmul,
-)
+from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, rational_or_none, sized
 
 Entry = dict  # variable index (0 = constant) -> SignedTrop
 Point = tuple
@@ -208,66 +198,33 @@ def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:
 class ProjectedPencil:
     """A pencil whose first `visible` variables project onto tconv(gens).
 
-    A pencil built by a tropical sum keeps one (support, summand, first
-    variable) part per summand; the summand's homogenized block starts at
-    that pencil variable. A pencil with no hidden variables, a singleton,
-    is its own lift.
+    A pencil from `pencil_from_generators` has one hidden variable lambda_j
+    per generator, after the visible ones; a singleton from
+    `pencil_from_point` has none and is its own lift.
     """
 
     pencil: MetzlerPencil
     gens: TropPointSet
-    parts: tuple = ()
 
     @property
     def visible(self) -> int:
         return self.gens.dimension
 
     def member(self, x) -> bool:
-        lifted = self.lift(x)
-        return lifted is not None and pencil_member(self.pencil, lifted)
+        return pencil_member(self.pencil, self.lift(x))
 
-    def lift(self, x) -> Optional[Point]:
-        """A full point of the pencil over the visible point x, or None when
-        x is outside tconv(gens).
-
-        One residuation of (0, x) per summand, over that summand's homogenized
-        generators on its support; the combinations must reproduce (0, x), and
-        each one is lifted through its summand's own parts.
+    def lift(self, x) -> Point:
+        """x followed by lambda*_j per generator g_j: the residuation weight
+        of (0, x) over (0, g_j), the largest lambda_j with lambda_j + g_j <= x
+        and lambda_j <= 0. The other rows, max_j (lambda_j + g_ji) >= x_i and
+        max_j lambda_j >= 0, only get easier as lambda grows, so x is in
+        tconv(gens) iff this lift is a member.
         """
         x = sized(to_trop_vector(x), self.visible)
         if self.pencil.n == len(x):
             return x
         p = (Trop(0),) + x
-        covered = [NEG_INF] * len(p)
-        combos = []
-        for support, summand, _ in self.parts:
-            coords = (0,) + tuple(k + 1 for k in support)
-            hgens = tuple((Trop(0),) + g for g in summand.gens.points)
-            combo = residual_combination(tuple(p[c] for c in coords), hgens)
-            for c, u in zip(coords, combo):
-                covered[c] = tadd(covered[c], u)
-            combos.append(combo)
-        if tuple(covered) != p:
-            return None
-        out = list(x) + [NEG_INF] * (self.pencil.n - len(x))
-        out[len(x)] = Trop(0)
-        for (_, summand, first), combo in zip(self.parts, combos):
-            block = summand._homogenized_lift(combo)
-            out[first - 1 : first - 1 + len(block)] = block
-        return tuple(out)
-
-    def _homogenized_lift(self, u: Point) -> Point:
-        """The block (u_0, u_vis, hidden, zeta) of the homogenization over a
-        point u = (u_0, u_vis) of its hull cone; u_0 = -inf gives the all
-        -inf block. u_vis - u_0 is in tconv(gens), so its lift exists."""
-        u0, ux = u[0], u[1:]
-        if u0.is_neg_inf:
-            return (NEG_INF,) * (1 + self.pencil.n + len(ux))
-        down = Trop(-u0.finite)
-        inner = self.lift(tuple(tmul(c, down) for c in ux))
-        hidden = tuple(tmul(c, u0) for c in inner[len(ux):])
-        zetas = tuple(tmul(tmul(c, c), down) for c in ux)
-        return (u0,) + ux + hidden + zetas
+        return x + tuple(residual_coefficient(p, p[:1] + g) for g in self.gens.points)
 
 
 def synthesize_cone(g: GameGraph) -> MetzlerPencil:
@@ -351,86 +308,61 @@ def pencil_from_point(g) -> ProjectedPencil:
     return ProjectedPencil(MetzlerPencil(row, n, entries), TropPointSet(n, (g,)))
 
 
-def _tropical_sum(n: int, summands) -> ProjectedPencil:
-    """tconv of the union of the summands' sets, as one projected pencil over T^n.
-
-    Each summand (K, pp) places the set of pp on the coordinates K of T^n, a
-    strictly increasing tuple, with -inf elsewhere. The result realizes
-    S_1^h (+) ... (+) S_k^h with the homogenizing coordinate z_0 pinned to 0.
-    Variables: z_1..z_n, then z_0, then one block per summand holding its
-    homogenization u^(j): u_0, the summand's own variables with its constant
-    moved to u_0, and one zeta_t per visible u_t with u_0 + zeta_t >= 2 u_t, so
-    u_0 = -inf forces every visible u_t to -inf. Rows z_i >= u^(j)_i tie each
-    block to z, and one diagonal row u^(1)_i (+) ... (+) u^(k)_i >= z_i per
-    coordinate closes the sum (the bare row -inf >= z_i where no summand
-    covers i).
+def pencil_from_generators(gens: TropPointSet) -> ProjectedPencil:
+    """tconv(gens) for k points g_j of T^n: the projection onto x of
+    {(x, lambda) : x = max_j (lambda_j + g_j), max_j lambda_j = 0} (Develin
+    and Sturmfels 2004), over the variables x_1..x_n, lambda_1..lambda_k and
+    with diagonal rows only: x_i >= lambda_j + g_ji per finite g_ji and
+    0 >= lambda_j per generator, then max_j (lambda_j + g_ji) >= x_i per
+    coordinate (the bare row -inf >= x_i where every g_ji is -inf) and
+    max_j lambda_j >= 0. That is k + (finite coordinates) + n + 1 rows.
     """
-    pos0, neg0 = SignedTrop.pos(0), SignedTrop.neg(0)
-    z0 = n + 1
-    entries: dict = {}
-    cover = [{} for _ in range(n + 1)]  # coordinate i -> {u^(j)_i: pos0}
-    parts, points = [], []
-    row, first = 0, n + 2
-    for support, pp in summands:
+    gens = TropPointSet(gens.dimension, tuple(map(to_trop_vector, gens.points)))
+    n, pos0, neg0 = gens.dimension, SignedTrop.pos(0), SignedTrop.neg(0)
+    rows, cover, top = [], [{} for _ in range(n)], {}
+    for j, g in enumerate(gens.points, start=n + 1):
+        rows.append({0: pos0, j: neg0})
+        top[j] = pos0
+        for i, c in enumerate(g):
+            if not c.is_neg_inf:
+                rows.append({i + 1: pos0, j: SignedTrop(-1, c)})
+                cover[i][j] = SignedTrop(1, c)
+    rows += [{**covering, i: neg0} for i, covering in enumerate(cover, start=1)]
+    rows.append({**top, 0: neg0})
+    entries = {(r, r): row for r, row in enumerate(rows)}
+    return ProjectedPencil(MetzlerPencil(len(rows), n + len(gens.points), entries), gens)
+
+
+def _hull_of_pieces(n: int, pieces) -> ProjectedPencil:
+    """tconv of the union of the pieces' sets over T^n: `pencil_from_generators`
+    of every piece's generators. Each piece (K, pp) places the generators of
+    pp on the coordinates K of T^n, a strictly increasing tuple, with -inf
+    elsewhere."""
+    points = []
+    for support, pp in pieces:
         support = tuple(support)
         if len(support) != pp.visible:
-            raise SupportMismatch(
-                f"support {support} does not match {pp.visible} visible coordinates"
-            )
-        if any(not 0 <= k < n for k in support) or any(
-            a >= b for a, b in zip(support, support[1:])
-        ):
-            raise SupportMismatch(
-                f"support {support} is not a strictly increasing subset of 0..{n - 1}"
-            )
+            raise SupportMismatch(f"support {support} does not match {pp.visible} visible coordinates")
+        # Each index is at least 0 and below the next one, the last below n.
+        if not all(0 <= a < b for a, b in zip(support, support[1:] + (n,))):
+            raise SupportMismatch(f"support {support} is not a strictly increasing subset of 0..{n - 1}")
         if not pp.gens.points:
-            raise PreconditionViolated("a summand of a tropical sum has no generators")
-        for (i, j), entry in pp.pencil.entries.items():
-            entries[(row + i, row + j)] = {first + k: c for k, c in entry.items()}
-        row += pp.pencil.m
-        for t, k in enumerate(support, start=1):
-            # u_0 + zeta_t >= 2 u_t, then z_k >= u_t.
-            entries[(row, row)] = {first: pos0}
-            entries[(row + 1, row + 1)] = {first + pp.pencil.n + t: pos0}
-            entries[(row, row + 1)] = {first + t: neg0}
-            entries[(row + 2, row + 2)] = {k + 1: pos0, first + t: neg0}
-            cover[k + 1][first + t] = pos0
-            row += 3
-        entries[(row, row)] = {z0: pos0, first: neg0}
-        cover[0][first] = pos0
-        row += 1
-        parts.append((support, pp, first))
+            raise PreconditionViolated("a piece of a union has no generators")
         for g in pp.gens.points:
-            point = [NEG_INF] * n
-            for t, k in enumerate(support):
-                point[k] = g[t]
-            points.append(tuple(point))
-        first += 1 + pp.pencil.n + len(support)
-    for i, covering in enumerate(cover):
-        entries[(row, row)] = {**covering, (z0 if i == 0 else i): neg0}
-        row += 1
-    entries[(row, row)] = {z0: pos0, 0: neg0}
-    entries[(row + 1, row + 1)] = {0: pos0, z0: neg0}
-    pencil = MetzlerPencil(row + 2, first - 1, entries)
-    return ProjectedPencil(pencil, TropPointSet(n, tuple(points)), tuple(parts))
-
-
-def pencil_from_generators(gens: TropPointSet) -> ProjectedPencil:
-    """tconv of finitely many points: one tropical sum of singletons."""
-    full = tuple(range(gens.dimension))
-    return _tropical_sum(gens.dimension, [(full, pencil_from_point(g)) for g in gens.points])
+            placed = dict(zip(support, g))
+            points.append(tuple(placed.get(k, NEG_INF) for k in range(n)))
+    return pencil_from_generators(TropPointSet(n, tuple(points)))
 
 
 def union_pencil(*pps: ProjectedPencil) -> ProjectedPencil:
-    """tconv(S_1 u ... u S_k) of projected pencils over the same T^n, as one
-    tropical sum. Each S_j needs at least one generator."""
+    """tconv(S_1 u ... u S_k) of projected pencils over the same T^n: the
+    hull of all their generators. Each S_j needs at least one generator."""
     if not pps:
         raise PreconditionViolated("a union needs at least one pencil")
     n = pps[0].visible
     if any(pp.visible != n for pp in pps):
         raise DimensionMismatch("union of pencils with different visible dimensions")
-    full = tuple(range(n))
-    return _tropical_sum(n, [(full, pp) for pp in pps])
+    return _hull_of_pieces(n, [(tuple(range(n)), pp) for pp in pps])
 
 
 def assemble_strata(
@@ -441,13 +373,12 @@ def assemble_strata(
     """Combine per-support projected pencils into one over T^n.
 
     Each piece (K, pp) realizes a subset of R^K placed on the coordinates K
-    (strictly increasing) with -inf elsewhere; the pieces, plus the all -inf
-    point when include_bottom is set, form one tropical sum.
+    (strictly increasing) with -inf elsewhere; the result is the hull of
+    every piece's generators so placed, plus the all -inf point when
+    include_bottom is set.
     """
     supports = [tuple(support) for support, _ in pieces]
     if len(set(supports)) != len(supports):
         raise SupportMismatch(f"duplicate support among {supports}")
-    summands = list(pieces)
-    if include_bottom:
-        summands.append(((), pencil_from_point(())))
-    return _tropical_sum(n, summands)
+    bottom = [((), pencil_from_point(()))] if include_bottom else []
+    return _hull_of_pieces(n, [*pieces, *bottom])

@@ -43,14 +43,19 @@ def int_from_json(v) -> int:
 
 
 def exact(v) -> Fraction:
-    """v as a Fraction; a float, whose binary value is rarely the one meant
-    (3 * 0.1 > 0.3), or a bool, which is rarely meant as 0 or 1, raises
-    ValueError rather than give a wrong answer."""
-    if isinstance(v, (float, bool)):
-        raise ValueError(
-            f"{v!r} is a {type(v).__name__}, not an exact number: pass a Fraction, an int or a string"
-        )
-    return Fraction(v)
+    """v as a Fraction: a Fraction, an int, a string read by
+    `rational_from_str` or a finite `Trop`. A float, whose binary value is
+    rarely the one meant (3 * 0.1 > 0.3), a bool, rarely meant as 0 or 1,
+    -inf and None raise ValueError rather than give a wrong answer."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, Trop) and not v.is_neg_inf:
+        return v.finite
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        return rational_from_str(v)
+    raise ValueError(
+        f"{v!r} is a {type(v).__name__}, not an exact number: pass a Fraction, an int, a string or a finite Trop"
+    )
 
 
 def rational(v) -> Fraction:

@@ -646,3 +646,38 @@ class TestTropicalSum:
         assert pp.member(gens.points[499])
         for y in ((T(0), T(1), T(0)), (T(0), T(1), T(-1)), (T(1), NEG_INF, T(-1))):
             assert pp.member(y) == hull_member(y, gens)
+
+
+class TestFlatPencil:
+    """pencil_from_generators writes tconv(gens) over (x, lambda) with
+    diagonal rows only, and `member` decides by the pencil at the lift."""
+
+    @pytest.mark.parametrize("name", [name for name in sorted(SUMS) if name.startswith("generators")])
+    def test_rows_and_variables(self, name):
+        pp, gens = SUMS[name]()
+        n, k = gens.dimension, len(gens.points)
+        finite = sum(not c.is_neg_inf for g in gens.points for c in g)
+        assert (pp.pencil.n, pp.pencil.m) == (n + k, k + finite + n + 1)
+        assert len(pp.pencil.entries) == pp.pencil.m
+        assert all(i == j for i, j in pp.pencil.entries)
+
+    def test_five_hundred_points_on_a_line_size(self):
+        gens = TropPointSet(3, tuple((T(F(i, 7)), T(F(2 * i, 7)), T(F(-i, 7))) for i in range(500)))
+        pp = pencil_from_generators(gens)
+        assert (pp.pencil.m, pp.pencil.n) == (500 + 1500 + 3 + 1, 503)
+
+    def test_member_follows_the_pencil(self):
+        # Without its last row, max_j lambda_j >= 0, the pencil holds every
+        # point below the hull: g - 1 for a generator g is then a member.
+        gens = TropPointSet(2, ((T(1), T(0)), (T(0), T(2))))
+        pp = pencil_from_generators(gens)
+        last = (pp.pencil.m - 1,) * 2
+        entries = {key: entry for key, entry in pp.pencil.entries.items() if key != last}
+        loose = ProjectedPencil(MetzlerPencil(pp.pencil.m, pp.pencil.n, entries), gens)
+        below = (T(0), T(-1))
+        assert not hull_member(below, gens)
+        assert not pp.member(below)
+        assert loose.member(below)
+        assert pp.lift(below) == loose.lift(below) == (T(0), T(-1), T(-1), T(-3))
+        top = {3: SignedTrop.pos(0), 4: SignedTrop.pos(0), 0: SignedTrop.neg(0)}
+        assert pp.pencil.entries[last] == top

@@ -43,18 +43,22 @@ F = Fraction
 HALF = F(1, 2)
 
 
-def third_graph():
-    """One Random vertex with distribution (1/3, 2/3) over two Max heads."""
+def biased_graph(q):
+    """One Random vertex with distribution (q, 1 - q) over two Max heads."""
     return GameGraph(
         (1,), (2, 4), (3,),
         (
             Edge(1, 1, 3, payoff=F(0)),
-            Edge(2, 3, 2, prob=F(1, 3)),
-            Edge(3, 3, 4, prob=F(2, 3)),
+            Edge(2, 3, 2, prob=q),
+            Edge(3, 3, 4, prob=1 - q),
             Edge(4, 2, 1, payoff=F(1)),
             Edge(5, 4, 1, payoff=F(0)),
         ),
     )
+
+
+def third_graph():
+    return biased_graph(F(1, 3))
 
 
 def chain_graph():
@@ -145,6 +149,17 @@ class TestZwickPaterson:
         for i in range(100):
             x = sample_vector(rng_for(73, i), 1, 6, 8)
             assert eval_operator(out, x) == eval_operator(g, x)
+
+    def test_denominator_bits_bounded(self):
+        # A gadget has about 2 Random vertices per bit of its denominator,
+        # and pipeline time grows with about the cube of the bit length: 64
+        # bits are taken, 65 are refused before any gadget is built.
+        _, (rec,) = zwick_paterson_with_gadgets(biased_graph(F(1, 2**64 - 159)))
+        assert rec.r == 63
+        wide = biased_graph(F(1, 2**65 - 159))
+        for stage in (zwick_paterson_with_gadgets, pipeline):
+            with pytest.raises(PreconditionViolated, match="Random vertex 3 has a 65-bit"):
+                stage(wide)
 
     def test_degree_one_random_removed(self):
         g = GameGraph(

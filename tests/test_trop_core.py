@@ -13,6 +13,7 @@ from tropcone.scalars import (
     NEG_INF,
     SignedTrop,
     Trop,
+    exact,
     rational_from_str,
     rational_or_none,
     tadd,
@@ -223,3 +224,39 @@ class TestBoolsRefused:
         assert eval_operator(example_graph(), (1, 0, 0)) == eval_operator(
             example_graph(), (Fraction(1), Fraction(0), Fraction(0))
         )
+
+
+class TestExactReading:
+    """`exact` reads a string by `rational_from_str`, so exponent notation is
+    refused on every path that takes a point, and a finite `Trop` by its
+    value; -inf and None have none and raise ValueError."""
+
+    def test_exponent_notation_refused(self):
+        with pytest.raises(ValueError, match="exponent"):
+            exact("1e5")
+        # Fraction("1e10000000") alone builds a 33-million-bit integer.
+        for call in (
+            lambda: subfixed(example_graph(), ("1e10000000", 0, 0)),
+            lambda: Trop("1e10000000"),
+            lambda: pipeline(example_graph())[1].lift(("1e10000000", 0, 0)),
+            lambda: minmax_eval(example_minmax(), ("1e10000000", 0, 0)),
+        ):
+            with pytest.raises(ValueError, match="exponent"):
+                call()
+
+    def test_finite_trop_read_by_its_value(self):
+        lift = pipeline(example_graph())[1].lift
+        assert lift((Trop(1), 0, 0)) == lift((1, 0, 0))
+        point = (Trop(Fraction(1, 3)), 0, Trop(-2))
+        want = minmax_eval(example_minmax(), (Fraction(1, 3), 0, -2))
+        assert minmax_eval(example_minmax(), point) == want
+        assert exact(Trop(Fraction(-7, 3))) == Fraction(-7, 3)
+
+    @pytest.mark.parametrize("value", [NEG_INF, None], ids=["neg_inf", "none"])
+    def test_no_finite_value_refused(self, value):
+        with pytest.raises(ValueError, match=type(value).__name__):
+            pipeline(example_graph())[1].lift((value, 0, 0))
+        with pytest.raises(ValueError):
+            minmax_eval(example_minmax(), (0, value, 0))
+        with pytest.raises(ValueError):
+            exact(value)
