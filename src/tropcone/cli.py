@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 
 from .errors import MalformedInput, TropconeError
-from .graph import GameGraph, eval_operator, subfixed, subfixed_integers, validate_graph
+from .graph import GameGraph, eval_operator, scaled_values, subfixed, subfixed_integers, validate_graph
 from .pencil import MetzlerPencil, pencil_member, synthesize_cone
-from .scalars import Trop, integers_over, rational_from_str, rational_to_str
+from .scalars import Trop, rational_from_str, rational_to_str
 from .transforms import first_transformation, pipeline, second_transformation, zwick_paterson
 from .verify import verify_graph
 
@@ -196,9 +196,7 @@ def cmd_section(args) -> int:
     # One scaling for the grid: the fixed values and the ticks as integers
     # over D = lcm(C, their denominators), so each cell runs only the integer
     # core of `subfixed` on one point list rewritten in place.
-    c = g.operator_plan[0]
-    d, scaled = integers_over([*fixed.values(), *ticks], c)
-    r = d // c
+    _, r, scaled = scaled_values(g, [*fixed.values(), *ticks])
     point = [0] * n
     for k, v in zip(fixed, scaled):
         point[k] = v

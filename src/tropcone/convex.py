@@ -15,16 +15,22 @@ from .scalars import NEG_INF, Trop, sized, tadd, tmul
 Point = tuple[Trop, ...]
 
 
+def to_trop_vector(x) -> Point:
+    """x as `Trop`s; a coordinate that `Trop` does not read, such as a
+    float, raises ValueError."""
+    return tuple(v if isinstance(v, Trop) else Trop(v) for v in x)
+
+
 @dataclass(frozen=True)
 class TropPointSet:
-    """A finite list of points in T^n, used as hull/cone generators."""
+    """Hull/cone generators: points of T^n, each held as `Trop`s (`to_trop_vector`)."""
 
     dimension: int
     points: tuple[Point, ...]
 
     def __post_init__(self):
-        for p in self.points:
-            sized(p, self.dimension)
+        points = tuple(sized(to_trop_vector(p), self.dimension) for p in self.points)
+        object.__setattr__(self, "points", points)
 
 
 def residual_coefficient(y: Point, g: Point) -> Trop:
@@ -53,8 +59,8 @@ def residual_combination(y: Point, gens: Sequence[Point]) -> Point:
 
 def cone_member(y: Point, generators: TropPointSet) -> bool:
     """Is y a tropical combination of the generators?"""
-    sized(y, generators.dimension)
-    return residual_combination(y, generators.points) == tuple(y)
+    y = sized(to_trop_vector(y), generators.dimension)
+    return residual_combination(y, generators.points) == y
 
 
 def _homogenize(points) -> tuple[Point, ...]:
@@ -67,7 +73,7 @@ def hull_member(y: Point, generators: TropPointSet) -> bool:
 
     Reduces to cone membership of (0, y) over the homogenized generators.
     """
-    sized(y, generators.dimension)
+    y = sized(to_trop_vector(y), generators.dimension)
     cone = TropPointSet(generators.dimension + 1, _homogenize(generators.points))
-    return cone_member((Trop(0),) + tuple(y), cone)
+    return cone_member((Trop(0),) + y, cone)
 

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NonStochastic, NotCompliant, SingularSystem, ValidationFailed
 from .scalars import exact, int_from_json, integers_over, rational, rational_from_str
-from .scalars import rational_or_none, rational_to_str, sized
+from .scalars import rational_or_none, rational_to_str, sized, times
 
 Vector = tuple[Fraction, ...]
 
@@ -228,8 +228,8 @@ def validate_graph(g: GameGraph) -> ValidationReport:
     for v in g.random_vertices:
         # The sum is 1 when the numerators over L, the lcm of the denominators, sum to L.
         probs = [e.prob for e in g.out_edges[v] if e.prob is not None]
-        den = lcm(*(p.denominator for p in probs))
-        if sum(p.numerator * (den // p.denominator) for p in probs) != den:
+        den, nums = integers_over(probs, 1)
+        if sum(nums) != den:
             failures.append(("prob-sum", f"probabilities out of {v} sum to {sum(probs, Fraction(0))}"))
 
     if not failures:
@@ -372,7 +372,7 @@ def _exit_rows(g: GameGraph, at: dict) -> dict:
             row = [0] * len(col)
             row[col[v]] = scale
             for p, den, xs in terms:
-                q = p.numerator * (scale // (p.denominator * den))
+                q = times(p, scale // den)
                 for c, x in xs.items():
                     row[col[c]] += q * x
             a.append(row)
@@ -430,17 +430,12 @@ def _compliant_pairs(g: GameGraph):
     return pairs
 
 
-def _times(q: Fraction, m: int) -> int:
-    """q * m for an m that q's denominator divides."""
-    return q.numerator * (m // q.denominator)
-
-
 def _edge_terms(g: GameGraph, rows: dict, tails, pay: int, prob: int, index: dict) -> tuple:
     """Per tail, one (payoff * pay, ((p * prob, index[u]), ...)) per
     out-edge, over the edge's absorption row {u: p}."""
     return tuple(
         tuple(
-            (_times(e.payoff, pay), tuple((_times(p, prob), index[u]) for u, p in rows[e.id].items()))
+            (times(e.payoff, pay), tuple((times(p, prob), index[u]) for u, p in rows[e.id].items()))
             for e in g.out_edges[v]
         )
         for v in tails
@@ -472,12 +467,18 @@ def _edge_value(a: int, terms: tuple, vals: list, r: int) -> Optional[int]:
     return v
 
 
+def scaled_values(g: GameGraph, vals) -> tuple:
+    """(D, r, y) for rationals vals (None for -inf): D = lcm(C, their
+    denominators), r = D / C and y = vals * D in integers; the one scaling
+    the operator plan reads."""
+    c = g.operator_plan[0]
+    d, y = integers_over(vals, c)
+    return d, d // c, y
+
+
 def _scaled_point(g: GameGraph, x) -> tuple:
-    """(D, r, y) for a point x of T^n: D = lcm(C, x's finite denominators),
-    r = D / C and y = x * D in integers, None for -inf."""
-    xs = sized([rational_or_none(v) for v in x], g.n)
-    d, y = integers_over(xs, g.operator_plan[0])
-    return d, d // g.operator_plan[0], y
+    """`scaled_values` of a point x of T^n."""
+    return scaled_values(g, sized([rational_or_none(v) for v in x], g.n))
 
 
 def _max_value(edges: tuple, y: list, r: int) -> Optional[int]:
@@ -611,31 +612,22 @@ class MinMaxOperator:
         )
 
 
-@dataclass(frozen=True)
-class StochasticReport:
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def check_stochastic(op: MinMaxOperator) -> StochasticReport:
-    """Report nonnegativity and unit row sums of every matrix."""
+def check_stochastic(op: MinMaxOperator) -> ValidationReport:
+    """Check that each matrix is stochastic and each min-term list and subset nonempty."""
     failures = []
     for s, mat in enumerate(op.matrices):
         for k, row in enumerate(mat):
             if any(v < 0 for v in row):
-                failures.append(f"matrix {s} row {k} has a negative entry")
+                failures.append(("negative-entry", f"matrix {s} row {k} has a negative entry"))
             if sum(row, Fraction(0)) != 1:
-                failures.append(f"matrix {s} row {k} sums to {sum(row, Fraction(0))}")
+                failures.append(("row-sum", f"matrix {s} row {k} sums to {sum(row, Fraction(0))}"))
     for k, per_k in enumerate(op.subsets):
         if not per_k:
-            failures.append(f"coordinate {k} has no min-term")
+            failures.append(("min-terms", f"coordinate {k} has no min-term"))
         for i, s_ki in enumerate(per_k):
             if not s_ki:
-                failures.append(f"subset S[{k}][{i}] is empty")
-    return StochasticReport(tuple(failures))
+                failures.append(("empty-subset", f"subset S[{k}][{i}] is empty"))
+    return ValidationReport(tuple(failures))
 
 
 def minmax_eval(op: MinMaxOperator, x: Sequence[Fraction]) -> Vector:
@@ -659,7 +651,7 @@ def graph_from_minmax(op: MinMaxOperator) -> GameGraph:
     """
     report = check_stochastic(op)
     if not report.ok:
-        raise NonStochastic("; ".join(report.failures))
+        raise NonStochastic(str(report))
 
     # Min vertex k + 1 is coordinate k; fresh ids count up from n + 1.
     b = _Builder(GameGraph(tuple(range(1, op.n + 1)), (), (), ()))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -66,9 +65,9 @@ class PolyhedralUnion:
         for a, b in self.pieces:
             rows, rhs = [], []
             for row, bi in zip(a, b):
-                s = lcm(bi.denominator, *(v.denominator for v in row))
-                rows.append(tuple(v.numerator * (s // v.denominator) for v in row))
-                rhs.append(bi.numerator * (s // bi.denominator))
+                _, (*scaled, si) = integers_over((*row, bi), 1)
+                rows.append(tuple(scaled))
+                rhs.append(si)
             cols = tuple(tuple(row[j] for row in rows) for j in range(self.n))
             plan.append((tuple(rows), tuple(rhs), cols))
         return tuple(plan)

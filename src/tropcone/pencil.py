@@ -16,9 +16,10 @@ comparisons do not change when every value is multiplied by D.
 The module provides membership, synthesis of a cone pencil from a compliant
 game graph, and tropical convex hulls of finitely many points: tconv(G) is
 the projection of one flat pencil over (x, lambda), one hidden weight per
-generator, with diagonal rows only (Develin and Sturmfels 2004). Unions and
-strata are the hull of all their generators, placed on their supports. A
-projected pencil lifts a visible point by one residuation per generator.
+generator, with diagonal rows only (Develin and Sturmfels 2004). A
+singleton is the hull of its one point, and unions and strata are the hull
+of all their generators, placed on their supports. A projected pencil lifts
+a visible point by one residuation per generator.
 Entries are stored sparsely as {variable index: signed coefficient} with
 index 0 reserved for the constant matrix Q^(0). The module holds no
 operator kernel: the operator of a compliant graph on T^n, whose subfixed
@@ -33,10 +34,10 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .convex import TropPointSet, residual_coefficient
+from .convex import TropPointSet, residual_coefficient, to_trop_vector
 from .errors import DimensionMismatch, PreconditionViolated, SupportMismatch
 from .graph import _UNSET, GameGraph, _compliant_pairs, eval_operator, require_compliant, subfixed
-from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, rational_or_none, sized
+from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, rational_or_none, sized, times
 
 Entry = dict  # variable index (0 = constant) -> SignedTrop
 Point = tuple
@@ -46,7 +47,7 @@ def _scaled_terms(entry: Entry, sign: int, scale: int) -> tuple:
     """(variable, modulus * scale) for each coefficient of the given sign,
     in variable order; scale is a multiple of every modulus denominator."""
     return tuple(sorted(
-        (k, c.modulus.finite.numerator * (scale // c.modulus.finite.denominator))
+        (k, times(c.modulus.finite, scale))
         for k, c in entry.items()
         if c.sign == sign
     ))
@@ -139,10 +140,6 @@ class MetzlerPencil:
         return cls(m, n, entries)
 
 
-def to_trop_vector(x) -> Point:
-    return tuple(v if isinstance(v, Trop) else Trop(v) for v in x)
-
-
 def _top(terms, y: list, r: int) -> Optional[int]:
     """max over (k, c) in terms of c * r + y[k], None for -inf."""
     if len(terms) == 1:
@@ -196,12 +193,9 @@ def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:
 
 @dataclass(frozen=True)
 class ProjectedPencil:
-    """A pencil whose first `visible` variables project onto tconv(gens).
-
-    A pencil from `pencil_from_generators` has one hidden variable lambda_j
-    per generator, after the visible ones; a singleton from
-    `pencil_from_point` has none and is its own lift.
-    """
+    """A pencil whose first `visible` variables project onto tconv(gens),
+    with one hidden variable lambda_j per generator after the visible ones
+    (`pencil_from_generators`)."""
 
     pencil: MetzlerPencil
     gens: TropPointSet
@@ -221,8 +215,6 @@ class ProjectedPencil:
         tconv(gens) iff this lift is a member.
         """
         x = sized(to_trop_vector(x), self.visible)
-        if self.pencil.n == len(x):
-            return x
         p = (Trop(0),) + x
         return x + tuple(residual_coefficient(p, p[:1] + g) for g in self.gens.points)
 
@@ -292,20 +284,8 @@ def affine_envelope(pencil: MetzlerPencil) -> MetzlerPencil:
 
 
 def pencil_from_point(g) -> ProjectedPencil:
-    """The singleton {g} as a projected pencil (no hidden coordinates)."""
-    g = to_trop_vector(g)
-    n = len(g)
-    entries: dict = {}
-    row = 0
-    for k, c in enumerate(g, start=1):
-        if c.is_neg_inf:
-            entries[(row, row)] = {k: SignedTrop.neg(0)}
-            row += 1
-        else:
-            entries[(row, row)] = {k: SignedTrop.pos(0), 0: SignedTrop.neg(c.finite)}
-            entries[(row + 1, row + 1)] = {0: SignedTrop.pos(c.finite), k: SignedTrop.neg(0)}
-            row += 2
-    return ProjectedPencil(MetzlerPencil(row, n, entries), TropPointSet(n, (g,)))
+    """The singleton {g}: the hull of one generator, n + 1 variables."""
+    return pencil_from_generators(TropPointSet(len(g), (g,)))
 
 
 def pencil_from_generators(gens: TropPointSet) -> ProjectedPencil:
@@ -317,7 +297,6 @@ def pencil_from_generators(gens: TropPointSet) -> ProjectedPencil:
     coordinate (the bare row -inf >= x_i where every g_ji is -inf) and
     max_j lambda_j >= 0. That is k + (finite coordinates) + n + 1 rows.
     """
-    gens = TropPointSet(gens.dimension, tuple(map(to_trop_vector, gens.points)))
     n, pos0, neg0 = gens.dimension, SignedTrop.pos(0), SignedTrop.neg(0)
     rows, cover, top = [], [{} for _ in range(n)], {}
     for j, g in enumerate(gens.points, start=n + 1):

@@ -142,11 +142,16 @@ def rational_or_none(v) -> Optional[Fraction]:
     return None if v is None else exact(v)
 
 
+def times(q: Fraction, m: int) -> int:
+    """q * m as an int, for an m that q's denominator divides."""
+    return q.numerator * (m // q.denominator)
+
+
 def integers_over(vals, scale: int) -> tuple:
     """(D, [v * D for v in vals]) for D = lcm(scale, every denominator in
     vals), so each rational becomes an integer over D; None (-inf) stays
     None. Max-plus comparisons do not change when every value is multiplied
-    by D."""
+    by D. With `times`, the one way a rational becomes an integer."""
     d = lcm(scale, *(v.denominator for v in vals if v is not None))
     return d, [None if v is None else v.numerator * (d // v.denominator) for v in vals]
 

@@ -45,7 +45,7 @@ from typing import Optional
 from .errors import PreconditionViolated
 from .graph import HALF, Edge, GameGraph, _Builder, _exit_rows, _tabulate, absorption
 from .graph import require_compliant, require_valid
-from .scalars import exact, integers_over, sized
+from .scalars import exact, integers_over, sized, times
 
 ZERO = Fraction(0)
 
@@ -77,11 +77,10 @@ class WitnessMap:
         scale = lcm(*(c.denominator for row in self.rows for _, terms in row for c, _ in terms))
         rows = []
         for row in self.rows:
-            den = lcm(*(p.denominator for p, _ in row))
+            den, qs = integers_over([p for p, _ in row], 1)
             const, singles, multis = 0, [], []
-            for p, terms in row:
-                q = p.numerator * (den // p.denominator)
-                scaled = tuple((c.numerator * (scale // c.denominator), i) for c, i in terms)
+            for q, (_, terms) in zip(qs, row):
+                scaled = tuple((times(c, scale), i) for c, i in terms)
                 if len(scaled) == 1:
                     const += q * scaled[0][0]
                     singles.append((q, scaled[0][1]))

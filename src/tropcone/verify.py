@@ -10,6 +10,7 @@ from typing import Optional
 from .graph import GameGraph, subfixed
 from .pencil import MetzlerPencil, affine_envelope, pencil_member_integers, synthesize_cone
 from .sampling import rng_for, sample_vector
+from .scalars import int_from_json
 from .transforms import pipeline
 
 
@@ -61,10 +62,11 @@ def verify_graph(
     in integers, at `samples` deterministic rational points.
 
     `pencil_override` substitutes the envelope pencil (used to confirm that
-    corrupted pencils are caught). A negative `samples` or `box`, or a
-    `denom` below 1, raises ValueError before the pipeline runs."""
+    corrupted pencils are caught). A `samples`, `box` or `denom` that is not
+    an int (a bool or a float), a negative `samples` or `box`, or a `denom`
+    below 1 raises ValueError before the pipeline runs."""
     for name, value, least in (("samples", samples, 0), ("box", box, 0), ("denom", denom, 1)):
-        if value < least:
+        if int_from_json(value) < least:
             raise ValueError(f"verify_graph needs {name} >= {least}, not {value}")
     start = time.monotonic()
     target, witness = pipeline(g)

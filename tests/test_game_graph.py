@@ -27,6 +27,7 @@ from tropcone.graph import (
     Edge,
     GameGraph,
     MinMaxOperator,
+    ValidationReport,
     absorption,
     check_stochastic,
     eval_operator,
@@ -444,6 +445,27 @@ class TestMinMax:
         )
         with pytest.raises(NonStochastic):
             graph_from_minmax(bad)
+
+    def test_graph_from_minmax_names_the_failure_code(self):
+        bad = MinMaxOperator(1, (((F(2),),),), ((F(0),),), (((0,),),))
+        with pytest.raises(NonStochastic, match="^row-sum: matrix 0 row 0 sums to 2$"):
+            graph_from_minmax(bad)
+
+    def test_check_stochastic_failure_codes(self):
+        op = MinMaxOperator(
+            n=2,
+            matrices=(((F(-1), F(2)), (F(0), F(1))),),
+            offsets=((F(0), F(0)),),
+            subsets=((), ((),)),
+        )
+        report = check_stochastic(op)
+        assert isinstance(report, ValidationReport)
+        assert [code for code, _ in report.failures] == ["negative-entry", "min-terms", "empty-subset"]
+        assert str(report).startswith("negative-entry: matrix 0 row 0 has a negative entry; ")
+        bad_sum = MinMaxOperator(1, (((F(1, 3),),),), ((F(0),),), (((0,),),))
+        assert check_stochastic(bad_sum).to_json()["failures"] == [
+            {"code": "row-sum", "message": "matrix 0 row 0 sums to 1/3"}
+        ]
 
     def test_identity_operator_graph(self):
         op = MinMaxOperator(

@@ -285,7 +285,7 @@ def _kernel_cases():
     point = pencil_from_point((T(F(3, 4)), NEG_INF, T(-2)))
     cases["pencil_from_point"] = (
         point.pencil,
-        [(T(F(3, 4)), NEG_INF, T(-2)), (T(1), NEG_INF, T(-2)), (T(0), T(0), T(0))],
+        [point.lift(y) for y in ((T(F(3, 4)), NEG_INF, T(-2)), (T(1), NEG_INF, T(-2)), (T(0), T(0), T(0)))],
     )
     for name, pp in (
         ("union_pencil", union_pencil(
@@ -377,10 +377,9 @@ class TestDistinctRowPlan:
         self._check(pencil, _grid(3))
 
     def test_minus_rows_no_off_diagonal_reads_still_reject(self):
-        # pencil_from_point has no off-diagonal at all; in a union, the rows
-        # z_k >= u_k that tie a summand's block to the visible coordinates
-        # are read by none. Lowering a visible coordinate of a member breaks
-        # only such rows.
+        # A singleton and a union are generator pencils, with no off-diagonal
+        # at all, so none reads a row with minus terms. Lowering a visible
+        # coordinate of a member breaks only such rows.
         point = pencil_from_point((T(F(3, 4)), NEG_INF, T(-2)))
         union = union_pencil(point, pencil_from_point((Z, Z, T(1))))
         members = [union.lift(g) for g in union.gens.points]
@@ -394,7 +393,7 @@ class TestDistinctRowPlan:
             _, _, checks, offdiag = pp.pencil._plan
             read = {slot for i, j, _ in offdiag for slot in (i, j)}
             assert any(k not in read for k, _ in checks)
-        self._check(point.pencil, [*_grid(3), *point.gens.points])
+        self._check(point.pencil, [point.lift(y) for y in [*_grid(3), *point.gens.points]])
         self._check(union.pencil, members + lowered)
         assert not any(pencil_member(union.pencil, y) for y in lowered)
 
@@ -660,6 +659,17 @@ class TestFlatPencil:
         assert (pp.pencil.n, pp.pencil.m) == (n + k, k + finite + n + 1)
         assert len(pp.pencil.entries) == pp.pencil.m
         assert all(i == j for i, j in pp.pencil.entries)
+
+    def test_singleton_is_a_one_generator_hull(self):
+        # n + 1 variables: the point's coordinates and one weight; `member`
+        # reads a raw point through the lift.
+        g = (T(F(3, 4)), NEG_INF, T(-2))
+        pp = pencil_from_point(g)
+        assert pp.pencil.n == len(g) + 1
+        assert pp.pencil.to_json() == pencil_from_generators(TropPointSet(3, (g,))).pencil.to_json()
+        assert pp.member((F(3, 4), None, -2))
+        assert not pp.member((F(3, 4), 0, -2))
+        assert not pp.member((0, None, -2))
 
     def test_five_hundred_points_on_a_line_size(self):
         gens = TropPointSet(3, tuple((T(F(i, 7)), T(F(2 * i, 7)), T(F(-i, 7))) for i in range(500)))

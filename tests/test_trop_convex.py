@@ -59,6 +59,37 @@ class TestResiduation:
             TropPointSet(2, ((Z,),))
 
 
+class TestRawPoints:
+    """A generator set holds `Trop`s, and membership reads y the same way,
+    so ints, Fractions and None (-inf) answer as their `Trop`s do."""
+
+    def test_point_set_converts_its_points(self):
+        g = TropPointSet(2, ((0, Fraction(1, 2)), (None, 3)))
+        assert g.points == ((Z, T(Fraction(1, 2))), (NEG_INF, T(3)))
+
+    def test_float_coordinate_refused(self):
+        with pytest.raises(ValueError):
+            TropPointSet(1, ((0.5,),))
+        with pytest.raises(ValueError):
+            hull_member((0.5,), TropPointSet(1, ((0,),)))
+
+    def test_hull_member_on_raw_points(self):
+        raw = TropPointSet(2, ((0, 1),))
+        assert hull_member((Trop(0), Trop(1)), raw)
+        assert hull_member((0, 1), raw)
+        assert not hull_member((0, 2), raw)
+        segment = TropPointSet(2, ((0, 0), (2, 2)))
+        assert hull_member((1, 1), segment)
+        assert not hull_member((0, 2), segment)
+
+    def test_cone_member_on_raw_points(self):
+        raw = TropPointSet(2, ((0, None), (None, 0)))
+        assert cone_member((5, 7), raw)
+        assert cone_member((T(5), None), raw)
+        assert not cone_member((0, 1), TropPointSet(2, ((0, 0),)))
+        assert cone_member((3, 3), TropPointSet(2, ((0, 0),)))
+
+
 class TestHull:
     def test_generator_is_member(self):
         g = pts((0, 0), (2, 2))

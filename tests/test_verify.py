@@ -49,6 +49,17 @@ def test_meaningless_arguments_refused(monkeypatch, name, value):
         verify_graph(example_graph(), **{name: value})
 
 
+@pytest.mark.parametrize("name, value", [("samples", True), ("samples", 20.0), ("box", 2.5), ("denom", False)])
+def test_non_int_arguments_refused(monkeypatch, name, value):
+    # A bool or a float is refused, not run or written into the report.
+    def no_pipeline(g):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(verify_module, "pipeline", no_pipeline)
+    with pytest.raises(ValueError, match="expected an integer"):
+        verify_graph(example_graph(), **{name: value})
+
+
 def test_random_graphs_verify():
     for trial in range(3):
         g = random_valid_graph(rng_for(283, trial))
