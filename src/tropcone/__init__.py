@@ -11,7 +11,6 @@ from .errors import (
     NotCompliant,
     PreconditionViolated,
     SingularSystem,
-    SupportMismatch,
     TropconeError,
     ValidationFailed,
 )
@@ -40,12 +39,9 @@ from .pencil import (
     MetzlerPencil,
     ProjectedPencil,
     affine_envelope,
-    assemble_strata,
     pencil_from_generators,
-    pencil_from_point,
     pencil_member,
     synthesize_cone,
-    union_pencil,
 )
 from .scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
 from .transforms import (

@@ -33,10 +33,6 @@ class PreconditionViolated(TropconeError):
     pass
 
 
-class SupportMismatch(TropconeError):
-    pass
-
-
 class EmptyBelow(TropconeError):
     """No point of the union lies below the query point."""
 

@@ -14,12 +14,13 @@ scales the point to integers over D = lcm(L, its denominators); max-plus
 comparisons do not change when every value is multiplied by D.
 
 The module provides membership, synthesis of a cone pencil from a compliant
-game graph, and tropical convex hulls of finitely many points: tconv(G) is
-the projection of one flat pencil over (x, lambda), one hidden weight per
-generator, with diagonal rows only (Develin and Sturmfels 2004). A
-singleton is the hull of its one point, and unions and strata are the hull
-of all their generators, placed on their supports. A projected pencil lifts
-a visible point by one residuation per generator.
+game graph, and tropical convex hulls of finitely many points, built by one
+constructor, `pencil_from_generators`: tconv(G) is the projection of one
+flat pencil over (x, lambda), one hidden weight per generator, with
+diagonal rows only (Develin and Sturmfels 2004). A singleton, a union or a
+stratum is the hull of its one point, of its sets' concatenated generators
+or of its generators placed on their supports with -inf elsewhere. A
+projected pencil lifts a point by one residuation per generator.
 Entries are stored sparsely as {variable index: signed coefficient} with
 index 0 reserved for the constant matrix Q^(0). The module holds no
 operator kernel: the operator of a compliant graph on T^n, whose subfixed
@@ -32,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .convex import TropPointSet, residual_coefficient, to_trop_vector
-from .errors import DimensionMismatch, PreconditionViolated, SupportMismatch
+from .errors import PreconditionViolated
 from .graph import _UNSET, GameGraph, _compliant_pairs, eval_operator, require_compliant, subfixed
 from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, rational_or_none, sized, times
 
@@ -193,16 +194,12 @@ def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:
 
 @dataclass(frozen=True)
 class ProjectedPencil:
-    """A pencil whose first `visible` variables project onto tconv(gens),
-    with one hidden variable lambda_j per generator after the visible ones
-    (`pencil_from_generators`)."""
+    """A pencil whose first n = gens.dimension variables project onto
+    tconv(gens), with one hidden variable lambda_j per generator after them;
+    `pencil_from_generators` is its one constructor."""
 
     pencil: MetzlerPencil
     gens: TropPointSet
-
-    @property
-    def visible(self) -> int:
-        return self.gens.dimension
 
     def member(self, x) -> bool:
         return pencil_member(self.pencil, self.lift(x))
@@ -214,7 +211,7 @@ class ProjectedPencil:
         max_j lambda_j >= 0, only get easier as lambda grows, so x is in
         tconv(gens) iff this lift is a member.
         """
-        x = sized(to_trop_vector(x), self.visible)
+        x = sized(to_trop_vector(x), self.gens.dimension)
         p = (Trop(0),) + x
         return x + tuple(residual_coefficient(p, p[:1] + g) for g in self.gens.points)
 
@@ -283,11 +280,6 @@ def affine_envelope(pencil: MetzlerPencil) -> MetzlerPencil:
     return MetzlerPencil(row, 2 * n, entries)
 
 
-def pencil_from_point(g) -> ProjectedPencil:
-    """The singleton {g}: the hull of one generator, n + 1 variables."""
-    return pencil_from_generators(TropPointSet(len(g), (g,)))
-
-
 def pencil_from_generators(gens: TropPointSet) -> ProjectedPencil:
     """tconv(gens) for k points g_j of T^n: the projection onto x of
     {(x, lambda) : x = max_j (lambda_j + g_j), max_j lambda_j = 0} (Develin
@@ -310,54 +302,3 @@ def pencil_from_generators(gens: TropPointSet) -> ProjectedPencil:
     rows.append({**top, 0: neg0})
     entries = {(r, r): row for r, row in enumerate(rows)}
     return ProjectedPencil(MetzlerPencil(len(rows), n + len(gens.points), entries), gens)
-
-
-def _hull_of_pieces(n: int, pieces) -> ProjectedPencil:
-    """tconv of the union of the pieces' sets over T^n: `pencil_from_generators`
-    of every piece's generators. Each piece (K, pp) places the generators of
-    pp on the coordinates K of T^n, a strictly increasing tuple, with -inf
-    elsewhere."""
-    points = []
-    for support, pp in pieces:
-        support = tuple(support)
-        if len(support) != pp.visible:
-            raise SupportMismatch(f"support {support} does not match {pp.visible} visible coordinates")
-        # Each index is at least 0 and below the next one, the last below n.
-        if not all(0 <= a < b for a, b in zip(support, support[1:] + (n,))):
-            raise SupportMismatch(f"support {support} is not a strictly increasing subset of 0..{n - 1}")
-        if not pp.gens.points:
-            raise PreconditionViolated("a piece of a union has no generators")
-        for g in pp.gens.points:
-            placed = dict(zip(support, g))
-            points.append(tuple(placed.get(k, NEG_INF) for k in range(n)))
-    return pencil_from_generators(TropPointSet(n, tuple(points)))
-
-
-def union_pencil(*pps: ProjectedPencil) -> ProjectedPencil:
-    """tconv(S_1 u ... u S_k) of projected pencils over the same T^n: the
-    hull of all their generators. Each S_j needs at least one generator."""
-    if not pps:
-        raise PreconditionViolated("a union needs at least one pencil")
-    n = pps[0].visible
-    if any(pp.visible != n for pp in pps):
-        raise DimensionMismatch("union of pencils with different visible dimensions")
-    return _hull_of_pieces(n, [(tuple(range(n)), pp) for pp in pps])
-
-
-def assemble_strata(
-    n: int,
-    pieces: Sequence[tuple[tuple[int, ...], ProjectedPencil]],
-    include_bottom: bool = False,
-) -> ProjectedPencil:
-    """Combine per-support projected pencils into one over T^n.
-
-    Each piece (K, pp) realizes a subset of R^K placed on the coordinates K
-    (strictly increasing) with -inf elsewhere; the result is the hull of
-    every piece's generators so placed, plus the all -inf point when
-    include_bottom is set.
-    """
-    supports = [tuple(support) for support, _ in pieces]
-    if len(set(supports)) != len(supports):
-        raise SupportMismatch(f"duplicate support among {supports}")
-    bottom = [((), pencil_from_point(()))] if include_bottom else []
-    return _hull_of_pieces(n, [*pieces, *bottom])

@@ -62,9 +62,10 @@ def verify_graph(
     in integers, at `samples` deterministic rational points.
 
     `pencil_override` substitutes the envelope pencil (used to confirm that
-    corrupted pencils are caught). A `samples`, `box` or `denom` that is not
-    an int (a bool or a float), a negative `samples` or `box`, or a `denom`
-    below 1 raises ValueError before the pipeline runs."""
+    corrupted pencils are caught). A `samples`, `seed`, `box` or `denom`
+    that is not an int (a bool or a float), a negative `samples` or `box`,
+    or a `denom` below 1 raises ValueError before the pipeline runs."""
+    int_from_json(seed)
     for name, value, least in (("samples", samples, 0), ("box", box, 0), ("denom", denom, 1)):
         if int_from_json(value) < least:
             raise ValueError(f"verify_graph needs {name} >= {least}, not {value}")

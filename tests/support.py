@@ -286,6 +286,20 @@ def hull_member_bruteforce(y, gens: TropPointSet) -> bool:
     return False
 
 
+def placed(n, pieces, bottom=False) -> tuple:
+    """The generators of a stratum over T^n: each piece (K, points) puts its
+    points on the strictly increasing coordinates K with -inf elsewhere,
+    followed by the all -inf point when `bottom` is set."""
+    out = []
+    for support, points in pieces:
+        for g in points:
+            at = dict(zip(support, g))
+            out.append(tuple(at.get(k, NEG_INF) for k in range(n)))
+    if bottom:
+        out.append((NEG_INF,) * n)
+    return tuple(out)
+
+
 def gadget_exit_probability(g, rec):
     """Probability that the chain started at a coin-flip gadget's entry
     leaves toward head_a, by an exact solve over the gadget's own vertices.

@@ -31,7 +31,6 @@ from tropcone.pencil import (
     pencil_member,
     subfixed_extended,
     synthesize_cone,
-    union_pencil,
 )
 from tropcone.sampling import rng_for, sample_rational, sample_trop_vector, sample_vector
 from tropcone.transforms import zwick_paterson_with_gadgets
@@ -113,10 +112,7 @@ def test_criterion_5_homogenization_and_union():
             sample_trop_vector(rng, n, 5, 6, 0.25) for _ in range(rng.randint(1, 3))
         )
         combined = TropPointSet(n, pts1 + pts2)
-        union = union_pencil(
-            pencil_from_generators(TropPointSet(n, pts1)),
-            pencil_from_generators(TropPointSet(n, pts2)),
-        )
+        union = pencil_from_generators(combined)
         for i in range(200):
             y = sample_trop_vector(rng_for(5100 + pair, i), n, 5, 6, 0.3)
             if union.member(y) != hull_member(y, combined):

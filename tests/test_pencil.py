@@ -1,5 +1,5 @@
-"""Metzler pencils: membership, synthesis from compliant graphs, unions,
-and stratum assembly."""
+"""Metzler pencils: membership, synthesis from compliant graphs, and
+tropical convex hulls, unions and strata among them, as generator pencils."""
 
 import json
 from fractions import Fraction
@@ -10,30 +10,23 @@ import pytest
 from support import (
     denominator_five_graph,
     hull_member_bruteforce,
+    placed,
     random_compliant_graph,
     trop_pencil_member,
 )
 from tropcone.convex import TropPointSet, hull_member
-from tropcone.errors import (
-    DimensionMismatch,
-    NotCompliant,
-    PreconditionViolated,
-    SupportMismatch,
-)
+from tropcone.errors import DimensionMismatch, NotCompliant, PreconditionViolated
 from tropcone.fixtures import example_graph
 from tropcone.graph import Edge, GameGraph, subfixed
 from tropcone.pencil import (
     MetzlerPencil,
     ProjectedPencil,
     affine_envelope,
-    assemble_strata,
     eval_compliant_operator,
     pencil_from_generators,
-    pencil_from_point,
     pencil_member,
     subfixed_extended,
     synthesize_cone,
-    union_pencil,
 )
 from tropcone.sampling import rng_for, sample_vector, sample_trop_vector
 from tropcone.scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
@@ -108,19 +101,16 @@ def _example_cone():
 
 
 def _two_axis_strata():
-    line1 = pencil_from_generators(TropPointSet(1, ((T(0),), (T(3),))))
-    line2 = pencil_from_generators(TropPointSet(1, ((T(-1),), (T(2),))))
-    return assemble_strata(2, [((0,), line1), ((1,), line2)]).pencil
+    gens = placed(2, [((0,), ((T(0),), (T(3),))), ((1,), ((T(-1),), (T(2),)))])
+    return pencil_from_generators(TropPointSet(2, gens))
 
 
 PENCILS = {
     "synthesize_cone": _example_cone,
     "random_compliant": lambda: synthesize_cone(random_compliant_graph(rng_for(149, 0))),
     "affine_envelope": lambda: affine_envelope(_example_cone()),
-    "union_pencil": lambda: union_pencil(
-        pencil_from_point((Z, T(1))), pencil_from_point((T(2), NEG_INF))
-    ).pencil,
-    "assemble_strata": _two_axis_strata,
+    "union": lambda: pencil_from_generators(TropPointSet(2, ((Z, T(1)), (T(2), NEG_INF)))).pencil,
+    "strata": lambda: _two_axis_strata().pencil,
 }
 
 
@@ -282,36 +272,33 @@ def _kernel_cases():
     corrupted = dict(env.entries)
     corrupted[(i, j)] = {**entry, k: SignedTrop(c.sign, tmul(c.modulus, T(F(1, 3))))}
     cases["corrupted_envelope"] = (MetzlerPencil(env.m, env.n, corrupted), doubled)
-    point = pencil_from_point((T(F(3, 4)), NEG_INF, T(-2)))
-    cases["pencil_from_point"] = (
+    single = (T(F(3, 4)), NEG_INF, T(-2))
+    point = pencil_from_generators(TropPointSet(3, (single,)))
+    cases["singleton"] = (
         point.pencil,
-        [point.lift(y) for y in ((T(F(3, 4)), NEG_INF, T(-2)), (T(1), NEG_INF, T(-2)), (T(0), T(0), T(0)))],
+        [point.lift(y) for y in (single, (T(1), NEG_INF, T(-2)), (T(0), T(0), T(0)))],
     )
-    for name, pp in (
-        ("union_pencil", union_pencil(
-            pencil_from_point((Z, T(F(1, 5)))), pencil_from_point((T(2), NEG_INF))
-        )),
-        ("assemble_strata", assemble_strata(2, [
-            ((0,), pencil_from_generators(TropPointSet(1, ((T(0),), (T(F(7, 3)),))))),
-            ((1,), pencil_from_generators(TropPointSet(1, ((T(-1),), (T(2),))))),
-        ], include_bottom=True)),
+    strata = [((0,), ((T(0),), (T(F(7, 3)),))), ((1,), ((T(-1),), (T(2),)))]
+    for name, gens in (
+        ("union", ((Z, T(F(1, 5))), (T(2), NEG_INF))),
+        ("strata", placed(2, strata, bottom=True)),
     ):
+        pp = pencil_from_generators(TropPointSet(2, gens))
         visible = [sample_trop_vector(rng_for(197, i), 2, 3, 6, 0.3) for i in range(40)]
         visible += list(pp.gens.points)
-        lifts = [pp.lift(y) for y in visible]
-        cases[name] = (pp.pencil, [y for y in lifts if y is not None])
+        cases[name] = (pp.pencil, [pp.lift(y) for y in visible])
     return cases
 
 
 KERNEL_CASE_NAMES = (
-    "assemble_strata",
     "corrupted_envelope",
     "denominator_five_cone",
     "denominator_five_envelope",
     "example_cone",
     "example_envelope",
-    "pencil_from_point",
-    "union_pencil",
+    "singleton",
+    "strata",
+    "union",
 )
 
 
@@ -380,8 +367,9 @@ class TestDistinctRowPlan:
         # A singleton and a union are generator pencils, with no off-diagonal
         # at all, so none reads a row with minus terms. Lowering a visible
         # coordinate of a member breaks only such rows.
-        point = pencil_from_point((T(F(3, 4)), NEG_INF, T(-2)))
-        union = union_pencil(point, pencil_from_point((Z, Z, T(1))))
+        single = (T(F(3, 4)), NEG_INF, T(-2))
+        point = pencil_from_generators(TropPointSet(3, (single,)))
+        union = pencil_from_generators(TropPointSet(3, (single, (Z, Z, T(1)))))
         members = [union.lift(g) for g in union.gens.points]
         lowered = [
             tuple(T(c.finite - 1) if t == k else c for t, c in enumerate(y))
@@ -446,26 +434,13 @@ class TestEnvelope:
 
 class TestUnion:
     def test_two_singletons(self):
-        u = union_pencil(pencil_from_point((Z, Z)), pencil_from_point((T(2), T(2))))
+        u = pencil_from_generators(TropPointSet(2, ((Z, Z), (T(2), T(2)))))
         assert u.member((T(1), T(1)))
         assert not u.member((Z, T(2)))
 
-    def test_union_with_empty_side(self):
-        # A summand must bring its hull generators; an empty one has none.
-        s1 = pencil_from_generators(TropPointSet(2, ((T(1), T(0)), (T(0), T(2)))))
-        empty = ProjectedPencil(MetzlerPencil(0, 2, {}), TropPointSet(2, ()))
-        with pytest.raises(PreconditionViolated):
-            union_pencil(s1, empty)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            union_pencil(pencil_from_point((Z,)), pencil_from_point((Z, Z)))
-
     def test_closed_under_combinations(self):
-        g1 = TropPointSet(2, ((T(0), T(3)),))
-        g2 = TropPointSet(2, ((T(2), T(0)), (NEG_INF, T(1))))
-        u = union_pencil(pencil_from_generators(g1), pencil_from_generators(g2))
-        pool = g1.points + g2.points
+        u = pencil_from_generators(TropPointSet(2, ((T(0), T(3)), (T(2), T(0)), (NEG_INF, T(1)))))
+        pool = u.gens.points
         for i in range(60):
             rng = rng_for(227, i)
             a = pool[rng.randrange(len(pool))]
@@ -481,11 +456,8 @@ class TestUnion:
             rng = rng_for(229, trial)
             pts1 = tuple(sample_trop_vector(rng, 3, 4, 4, 0.25) for _ in range(rng.randint(1, 3)))
             pts2 = tuple(sample_trop_vector(rng, 3, 4, 4, 0.25) for _ in range(rng.randint(1, 3)))
-            u = union_pencil(
-                pencil_from_generators(TropPointSet(3, pts1)),
-                pencil_from_generators(TropPointSet(3, pts2)),
-            )
             combined = TropPointSet(3, pts1 + pts2)
+            u = pencil_from_generators(combined)
             for i in range(60):
                 y = sample_trop_vector(rng_for(233 + trial, i), 3, 4, 4, 0.3)
                 assert u.member(y) == hull_member(y, combined)
@@ -494,21 +466,19 @@ class TestUnion:
 class TestStrata:
     def test_single_full_support(self):
         pp = pencil_from_generators(TropPointSet(2, ((T(1), T(0)),)))
-        out = assemble_strata(2, [((0, 1), pp)])
+        out = pencil_from_generators(TropPointSet(2, placed(2, [((0, 1), pp.gens.points)])))
         for i in range(40):
             y = sample_trop_vector(rng_for(239, i), 2, 4, 4, 0.3)
             assert out.member(y) == pp.member(y)
 
     def test_empty_family_is_empty(self):
-        out = assemble_strata(2, [])
+        out = pencil_from_generators(TropPointSet(2, placed(2, [])))
         for i in range(20):
             y = sample_trop_vector(rng_for(241, i), 2, 4, 4, 0.3)
             assert not out.member(y)
 
     def test_two_axis_strata(self):
-        line1 = pencil_from_generators(TropPointSet(1, ((T(0),), (T(3),))))
-        line2 = pencil_from_generators(TropPointSet(1, ((T(-1),), (T(2),))))
-        out = assemble_strata(2, [((0,), line1), ((1,), line2)])
+        out = _two_axis_strata()
         embedded = TropPointSet(
             2,
             (
@@ -521,22 +491,10 @@ class TestStrata:
             assert out.member(y) == hull_member(y, embedded)
 
     def test_include_bottom(self):
-        pp = pencil_from_generators(TropPointSet(1, ((T(1),),)))
-        out = assemble_strata(2, [((0,), pp)], include_bottom=True)
+        pieces = [((0,), ((T(1),),))]
+        out = pencil_from_generators(TropPointSet(2, placed(2, pieces, bottom=True)))
         assert out.member((NEG_INF, NEG_INF))
-
-    def test_support_errors(self):
-        pp = pencil_from_generators(TropPointSet(1, ((T(1),),)))
-        with pytest.raises(SupportMismatch):
-            assemble_strata(2, [((0,), pp), ((0,), pp)])
-        with pytest.raises(SupportMismatch):
-            assemble_strata(2, [((0, 1), pp)])
-        with pytest.raises(SupportMismatch):
-            assemble_strata(1, [((2,), pp)])
-        # A repeated index would map two summand coordinates onto one.
-        pp2 = pencil_from_generators(TropPointSet(2, ((T(1), T(0)),)))
-        with pytest.raises(SupportMismatch):
-            assemble_strata(2, [((0, 0), pp2)])
+        assert not pencil_from_generators(TropPointSet(2, placed(2, pieces))).member((NEG_INF, NEG_INF))
 
 
 def _generator_case(count):
@@ -556,8 +514,8 @@ def _union_case(seed):
             tuple(sample_trop_vector(rng, 3, 4, 4, 0.25) for _ in range(rng.randint(1, 4)))
             for _ in range(3)
         ]
-        pp = union_pencil(*(pencil_from_generators(TropPointSet(3, pts)) for pts in sets))
-        return pp, TropPointSet(3, sum(sets, ()))
+        gens = TropPointSet(3, sum(sets, ()))
+        return pencil_from_generators(gens), gens
 
     return build
 
@@ -565,19 +523,12 @@ def _union_case(seed):
 def _strata_case(include_bottom):
     def build():
         rng = rng_for(269, int(include_bottom))
-        pieces, embedded = [], []
-        for support in ((0,), (1, 2), (0, 2)):
-            pts = tuple(sample_trop_vector(rng, len(support), 4, 4, 0) for _ in range(rng.randint(1, 3)))
-            pieces.append((support, pencil_from_generators(TropPointSet(len(support), pts))))
-            for g in pts:
-                point = [NEG_INF] * 3
-                for k, c in zip(support, g):
-                    point[k] = c
-                embedded.append(tuple(point))
-        if include_bottom:
-            embedded.append((NEG_INF,) * 3)
-        pp = assemble_strata(3, pieces, include_bottom=include_bottom)
-        return pp, TropPointSet(3, tuple(embedded))
+        pieces = [
+            (support, tuple(sample_trop_vector(rng, len(support), 4, 4, 0) for _ in range(rng.randint(1, 3))))
+            for support in ((0,), (1, 2), (0, 2))
+        ]
+        gens = TropPointSet(3, placed(3, pieces, bottom=include_bottom))
+        return pencil_from_generators(gens), gens
 
     return build
 
@@ -664,9 +615,8 @@ class TestFlatPencil:
         # n + 1 variables: the point's coordinates and one weight; `member`
         # reads a raw point through the lift.
         g = (T(F(3, 4)), NEG_INF, T(-2))
-        pp = pencil_from_point(g)
+        pp = pencil_from_generators(TropPointSet(3, (g,)))
         assert pp.pencil.n == len(g) + 1
-        assert pp.pencil.to_json() == pencil_from_generators(TropPointSet(3, (g,))).pencil.to_json()
         assert pp.member((F(3, 4), None, -2))
         assert not pp.member((F(3, 4), 0, -2))
         assert not pp.member((0, None, -2))

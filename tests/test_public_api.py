@@ -17,8 +17,13 @@ RETIRED = {
     "tropcone.scalars": [
         "TropPolynomial", "poly_eval_pm", "tsum", "tscale", "sadd", "smul", "SZERO",
     ],
-    "tropcone.errors": ["ArityMismatch", "MixedSigns"],
-    "tropcone.pencil": ["formal_homogenize", "dehomogenize", "empty_pencil"],
+    "tropcone.errors": ["ArityMismatch", "MixedSigns", "SupportMismatch"],
+    # A singleton, a union or a stratum is `pencil_from_generators` of its
+    # one point, its sets' concatenated generators or its placed generators.
+    "tropcone.pencil": [
+        "formal_homogenize", "dehomogenize", "empty_pencil",
+        "pencil_from_point", "union_pencil", "assemble_strata", "_hull_of_pieces",
+    ],
     # Min-max checks report in a `ValidationReport`; `times` is in scalars.
     "tropcone.graph": ["StochasticReport", "_times"],
 }
@@ -55,6 +60,31 @@ def test_only_scalars_turns_rationals_into_integers():
     # `scalars.times` and `scalars.integers_over` are the one scaling rule.
     paths = sorted((ROOT / "src" / "tropcone").glob("*.py"))
     assert [path.name for path in paths if ".numerator * (" in path.read_text()] == ["scalars.py"]
+
+
+def test_package_imports_are_used():
+    # Each name a module imports is read in it; `__init__.py` only re-exports.
+    paths = sorted((ROOT / "src" / "tropcone").glob("*.py"))
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in sorted(imported - used)]
+    assert paths and unused == []
+
+
+def test_projected_pencil_reads_its_dimension_from_gens():
+    from tropcone.pencil import ProjectedPencil
+
+    assert not hasattr(ProjectedPencil, "visible")
 
 
 def test_signed_trop_has_no_zero_constructor():

@@ -49,15 +49,24 @@ def test_meaningless_arguments_refused(monkeypatch, name, value):
         verify_graph(example_graph(), **{name: value})
 
 
-@pytest.mark.parametrize("name, value", [("samples", True), ("samples", 20.0), ("box", 2.5), ("denom", False)])
+@pytest.mark.parametrize(
+    "name, value",
+    [("samples", True), ("samples", 20.0), ("box", 2.5), ("denom", False), ("seed", 1.5), ("seed", True)],
+)
 def test_non_int_arguments_refused(monkeypatch, name, value):
-    # A bool or a float is refused, not run or written into the report.
+    # A bool or a float is refused, not run or written into the report; a
+    # report cannot say which samples a seed of 1.5 or True drew.
     def no_pipeline(g):
         raise AssertionError("the pipeline ran")
 
     monkeypatch.setattr(verify_module, "pipeline", no_pipeline)
     with pytest.raises(ValueError, match="expected an integer"):
         verify_graph(example_graph(), **{name: value})
+
+
+def test_negative_seed_is_valid():
+    report = verify_graph(example_graph(), samples=3, seed=-7)
+    assert report.ok and report.samples == 3
 
 
 def test_random_graphs_verify():
