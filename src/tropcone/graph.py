@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NonStochastic, NotCompliant, SingularSystem, ValidationFailed
@@ -98,8 +97,8 @@ class GameGraph:
         """Exact absorption probabilities {edge id: {vertex: p}}: p is the
         probability that the chain started at the head of the edge is
         absorbed in the Min/Max vertex. Solved once per graph after
-        validation (or installed by `first_transformation`); vertices of
-        probability 0 are left out and the rest keep Min-then-Max order."""
+        validation, by this property only; vertices of probability 0 are
+        left out and the rest keep Min-then-Max order."""
         require_valid(self)
         return _absorption_rows(self)
 
@@ -341,22 +340,21 @@ def _random_components(g: GameGraph) -> list:
     return comps
 
 
-def _exit_rows(g: GameGraph, at: dict) -> dict:
-    """Per Random vertex, (d, {column: N}): the chain leaves the Random
-    block into column c with probability N / d, an exit edge f (Random to
-    Min/Max) leaving into at[f]. One fraction-free Gauss-Jordan solve of
-    (I - Q_C) H_C = R_C per strongly connected component C, lower ones
-    first; rows are scaled to integers, and each step drops the pivot
-    column and divides exactly by the previous pivot. With a column,
-    I - Q_C is a nonsingular M-matrix, so no pivot is 0."""
+def _exit_rows(g: GameGraph) -> dict:
+    """Per Random vertex, (d, {vertex: N}): the chain leaves the Random
+    block into Min/Max vertex u with probability N / d. One fraction-free
+    Gauss-Jordan solve of (I - Q_C) H_C = R_C per strongly connected
+    component C, lower ones first; rows are scaled to integers, and each
+    step drops the pivot column and divides exactly by the previous pivot.
+    With an exit, I - Q_C is a nonsingular M-matrix, so no pivot is 0."""
     hit = {}
     for comp in _random_components(g):
         size = len(comp)
-        # Indices: C's vertices, then the columns C's edges out of C reach,
-        # solved (hit) or out of the block (at[f]); no column is Random.
+        # Indices: C's vertices, then the Min/Max vertices C's edges out of
+        # C reach, directly or through a solved component.
         col = {v: i for i, v in enumerate(comp)}
         out = [e for v in comp for e in g.out_edges[v] if e.head not in col]
-        leave = {e.id: hit.get(e.head) or (1, {at[e.id]: 1}) for e in out}
+        leave = {e.id: hit.get(e.head) or (1, {e.head: 1}) for e in out}
         for _, xs in leave.values():
             for c in xs:
                 col.setdefault(c, len(col))
@@ -391,43 +389,20 @@ def _exit_rows(g: GameGraph, at: dict) -> dict:
     return hit
 
 
-def _tabulate(g: GameGraph, exits: dict, fold: dict) -> dict:
-    """Absorption rows {edge id: {vertex: p}} of g from the `_exit_rows` of
-    a graph with g's Random block, each column c counted at the vertex
-    fold.get(c, c) of g, in g's Min-then-Max order."""
-    order = {v: i for i, v in enumerate(g.min_vertices + g.max_vertices)}
-    hit = {}
-    for v, (den, row) in exits.items():
-        sums = {}
-        for c, x in row.items():
-            w = fold.get(c, c)
-            sums[w] = sums.get(w, 0) + x
-        hit[v] = {w: Fraction(sums[w], den) for w in sorted(sums, key=order.__getitem__)}
-    return {e.id: dict(hit[e.head]) if e.head in hit else {e.head: ONE} for e in g.edges}
-
-
 def _absorption_rows(g: GameGraph) -> dict:
-    return _tabulate(g, _exit_rows(g, {e.id: e.head for e in g.edges}), {})
+    """{edge id: {vertex: p}} from `_exit_rows`, each row in Min-then-Max
+    order; an edge into a Min or Max vertex is {head: 1}."""
+    order = {v: i for i, v in enumerate(g.min_vertices + g.max_vertices)}
+    hit = {
+        v: {u: Fraction(row[u], den) for u in sorted(row, key=order.__getitem__)}
+        for v, (den, row) in _exit_rows(g).items()
+    }
+    return {e.id: dict(hit[e.head]) if e.head in hit else {e.head: ONE} for e in g.edges}
 
 
 def absorption(g: GameGraph) -> dict:
     """Absorption rows of a valid graph (computed once per graph object)."""
     return g.absorption_table
-
-
-def _compliant_pairs(g: GameGraph):
-    """For each Min out-edge e of a compliant graph, (v, e, w_e, w'_e): its
-    tail and the Max pair absorbing the head of e."""
-    pairs = []
-    for v in g.min_vertices:
-        for e in g.out_edges[v]:
-            h = e.head
-            if g.kind[h] == "max":
-                pairs.append((v, e, h, h))
-            else:
-                left, right = sorted(g.out_edges[h], key=attrgetter("id"))
-                pairs.append((v, e, left.head, right.head))
-    return pairs
 
 
 def _edge_terms(g: GameGraph, rows: dict, tails, pay: int, prob: int, index: dict) -> tuple:
@@ -558,7 +533,7 @@ class MinMaxOperator:
     subsets: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if int_from_json(self.n) < 1:
             raise ValueError(f"a min-max operator needs arity at least 1, not {self.n}")
         if len(self.offsets) != len(self.matrices):
             raise DimensionMismatch(
@@ -599,7 +574,7 @@ class MinMaxOperator:
     @classmethod
     def from_json(cls, obj: dict) -> "MinMaxOperator":
         return cls(
-            n=int_from_json(obj["n"]),
+            n=obj["n"],
             matrices=tuple(
                 tuple(tuple(rational_from_str(v) for v in row) for row in mat)
                 for mat in obj["matrices"]

@@ -39,7 +39,7 @@ class PolyhedralUnion:
     pieces: tuple[tuple[Matrix, Vector], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if int_from_json(self.n) < 1:
             raise ValueError(f"a polyhedral union needs dimension at least 1, not {self.n}")
         if not self.pieces:
             raise ValueError("a polyhedral union needs at least one piece")
@@ -93,7 +93,7 @@ class PolyhedralUnion:
             )
             for piece in obj["pieces"]
         )
-        return cls(int_from_json(obj["n"]), pieces)
+        return cls(obj["n"], pieces)
 
 
 def union_from_minmax(op: MinMaxOperator) -> PolyhedralUnion:

@@ -33,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Optional
 
 from .convex import TropPointSet, residual_coefficient, to_trop_vector
 from .errors import PreconditionViolated
-from .graph import _UNSET, GameGraph, _compliant_pairs, eval_operator, require_compliant, subfixed
+from .graph import _UNSET, GameGraph, eval_operator, require_compliant, subfixed
 from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, rational_or_none, sized, times
 
 Entry = dict  # variable index (0 = constant) -> SignedTrop
@@ -58,8 +59,9 @@ class MetzlerPencil:
     """Immutable sparse tropical Metzler pencil with m rows and n variables."""
 
     def __init__(self, m: int, n: int, entries):
-        self.m = m
-        self.n = n
+        self.m, self.n = int_from_json(m), int_from_json(n)
+        if m < 0 or n < 0:
+            raise ValueError(f"negative pencil size m = {m}, n = {n}")
         cleaned = {}
         for (i, j), entry in entries.items():
             if not (0 <= i <= j < m):
@@ -121,9 +123,6 @@ class MetzlerPencil:
         """Read the sparse "entries" form. The file is outside input: a bad
         size, index, sign or modulus, a repeated coefficient, or the dense
         "matrices" form of earlier versions raises ValueError."""
-        m, n = int_from_json(obj["m"]), int_from_json(obj["n"])
-        if m < 0 or n < 0:
-            raise ValueError(f"negative pencil size m = {m}, n = {n}")
         if "matrices" in obj:
             raise ValueError('the dense "matrices" pencil form is no longer read; use "entries"')
         entries: dict = {}
@@ -138,7 +137,7 @@ class MetzlerPencil:
             if int_from_json(k) in entry:
                 raise ValueError(f"coefficient ({i},{j},{k}) given twice")
             entry[k] = c
-        return cls(m, n, entries)
+        return cls(obj["m"], obj["n"], entries)
 
 
 def _top(terms, y: list, r: int) -> Optional[int]:
@@ -230,19 +229,26 @@ def synthesize_cone(g: GameGraph) -> MetzlerPencil:
     entries: dict = {}
     polynomials: dict = {}  # Max vertex -> diagonal entry; MetzlerPencil copies it per block
     row = 0
-    for v, e, w, w2 in _compliant_pairs(g):
-        i, j = row, row + 1
-        row += 2
-        for target, max_vertex in ((i, w), (j, w2)):
-            if max_vertex not in polynomials:
-                # The largest payoff per Min coordinate, in out-edge order.
-                best = {}
-                for f in g.out_edges[max_vertex]:
-                    k = idx[f.head] + 1
-                    best[k] = max(best.get(k, f.payoff), f.payoff)
-                polynomials[max_vertex] = {k: SignedTrop.pos(p) for k, p in best.items()}
-            entries[(target, target)] = polynomials[max_vertex]
-        entries[(i, j)] = {idx[v] + 1: SignedTrop.neg(-e.payoff)}
+    for v in g.min_vertices:
+        for e in g.out_edges[v]:
+            # The Max pair absorbing the head of e: a Max head twice, else the
+            # heads of the coin's two out-edges, in id order.
+            if g.kind[e.head] == "max":
+                pair = (e.head, e.head)
+            else:
+                pair = tuple(f.head for f in sorted(g.out_edges[e.head], key=attrgetter("id")))
+            i, j = row, row + 1
+            row += 2
+            for target, max_vertex in zip((i, j), pair):
+                if max_vertex not in polynomials:
+                    # The largest payoff per Min coordinate, in out-edge order.
+                    best = {}
+                    for f in g.out_edges[max_vertex]:
+                        k = idx[f.head] + 1
+                        best[k] = max(best.get(k, f.payoff), f.payoff)
+                    polynomials[max_vertex] = {k: SignedTrop.pos(p) for k, p in best.items()}
+                entries[(target, target)] = polynomials[max_vertex]
+            entries[(i, j)] = {idx[v] + 1: SignedTrop.neg(-e.payoff)}
     return MetzlerPencil(row, g.n, entries)
 
 

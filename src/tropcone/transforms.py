@@ -27,9 +27,8 @@ only when a row's value needs it; `lift_integers` returns them as they are.
 Every stage checks its input and builds its output with `graph._Builder`,
 whose `freeze` checks the built graph; a graph's validation report and
 absorption table are cached on the graph, so no stage repeats them. The
-first transformation keeps the Random block of its input, so one
-absorption solve gives the tables of both its input and its output, and
-`pipeline` solves once.
+first transformation reads its witness off its output's table, and the
+split reads the same table, so `pipeline` solves once.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .errors import PreconditionViolated
-from .graph import HALF, Edge, GameGraph, _Builder, _exit_rows, _tabulate, absorption
+from .graph import HALF, Edge, GameGraph, _Builder
 from .graph import require_compliant, require_valid
 from .scalars import exact, integers_over, sized, times
 
@@ -245,10 +244,11 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     """Insert Min vertices after Max out-edges and Max vertices before Min
     in-edges. The new Min coordinates are indexed by the Max out-edges, in
     edge order, and the witness sets each to the expected value of the
-    source coordinates under the absorption distribution. The output keeps
-    every Random-to-Random edge and sends each Random-to-Min edge f to
-    kappa[f], so one solve with column kappa[f] for f gives the output's
-    absorption table, installed on it, and the input's."""
+    source coordinates under the absorption distribution: the output's
+    absorption row of the edge out of the new Min vertex, with each Max
+    vertex kappa[f] counted at the Min head of f. By the max-max-path rule
+    that row lies on kappa vertices only. `pipeline`'s split reads the same
+    table, cached on the output, so `pipeline` solves once."""
     require_valid(g)
     max_out = [e for e in g.edges if g.kind[e.tail] == "max"]
     min_headed = [e for e in g.edges if g.kind[e.head] == "min"]
@@ -258,19 +258,19 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     for e in max_out:
         mu[e.id] = b.fresh_vertex()
         b.min_vertices.append(mu[e.id])
-    kappa = {}
+    kappa, home = {}, {}
     for f in min_headed:
         kappa[f.id] = b.fresh_vertex()
         b.max_vertices.append(kappa[f.id])
-    exits = _exit_rows(g, {f.id: kappa.get(f.id, f.head) for f in g.edges})
-    absorbed = _tabulate(g, exits, {kappa[f.id]: f.head for f in min_headed})
+        home[kappa[f.id]] = f.head
 
     b.edges = []
+    leaving = []  # the edge out of mu, per Max out-edge
     for f in g.edges:
         if f.id in mu:
             # Max out-edge: tail -> mu -> (kappa ->) head.
             b.add_edge(f.tail, mu[f.id], payoff=f.payoff)
-            b.add_edge(mu[f.id], kappa.get(f.id, f.head), payoff=ZERO)
+            leaving.append(b.add_edge(mu[f.id], kappa.get(f.id, f.head), payoff=ZERO))
         elif f.id in kappa:
             # Random edge into a Min vertex: tail -> kappa -> head.
             b.add_edge(f.tail, kappa[f.id], prob=f.prob)
@@ -280,13 +280,15 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
             b.add_edge(kappa[f.id], f.head, payoff=ZERO)
 
     out = b.freeze()
-    vars(out)["absorption_table"] = _tabulate(out, exits, {})
-
     idx = g.min_index
-    rows = tuple(
-        tuple((p, ((ZERO, idx[v]),)) for v, p in absorbed[e.id].items()) for e in max_out
-    )
-    witness = WitnessMap("t1", g.n, rows, tuple(f"t1:{e.id}" for e in max_out))
+    rows = []
+    for e in leaving:
+        sums = {}
+        for w, p in out.absorption_table[e.id].items():
+            i = idx[home[w]]
+            sums[i] = sums.get(i, ZERO) + p
+        rows.append(tuple((sums[i], ((ZERO, i),)) for i in sorted(sums)))
+    witness = WitnessMap("t1", g.n, tuple(rows), tuple(f"t1:{e.id}" for e in max_out))
     return out, witness
 
 
@@ -300,7 +302,7 @@ def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
     cycles pass through the split edge, and it equals what splitting the
     edges one at a time would give, since a split never creates a
     Random-to-Random edge."""
-    absorbed = absorption(g)
+    absorbed = g.absorption_table
     edges = {e.id: e for e in g.edges}
     for edge_id in edge_ids:
         e = edges.get(edge_id)

@@ -257,8 +257,8 @@ class TestAbsorption:
     def _check_with_stages(self, g):
         zp = zwick_paterson(g)
         t1, witness = first_transformation(zp)
-        # The first transformation installs t1's table, read off the solve
-        # of zp; the dense oracle solves t1 from scratch.
+        # The first transformation reads its witness off t1's own table, so
+        # the table is cached on t1; the dense oracle solves t1 from scratch.
         assert "absorption_table" in vars(t1)
         self._assert_matches_dense(g, g.absorption_table)
         self._assert_matches_dense(t1, t1.absorption_table)
@@ -558,6 +558,14 @@ class TestSerialization:
         op = example_minmax()
         back = MinMaxOperator.from_json(op.to_json())
         assert back.to_json() == op.to_json()
+
+    @pytest.mark.parametrize("n, size", [(True, 1), (1.0, 1), (3.0, 3)])
+    def test_minmax_constructor_checks_arity_as_the_reader_does(self, n, size):
+        # The constructor refuses an arity that `from_json` refuses, so no
+        # operator it accepts writes a file that cannot be read back.
+        eye = tuple(tuple(F(int(i == j)) for j in range(size)) for i in range(size))
+        with pytest.raises(ValueError):
+            MinMaxOperator(n, (eye,), ((F(0),) * size,), (((0,),),) * size)
 
     def test_minmax_sizes_and_indices_are_integers(self):
         obj = example_minmax().to_json()

@@ -143,6 +143,18 @@ class TestPencilFile:
                 MetzlerPencil.from_json(obj)
 
     @pytest.mark.parametrize(
+        "m, n", [(2.0, True), (-1, 2), (1, -1), ("1", 1)],
+        ids=["float-bool", "negative-m", "negative-n", "string-m"],
+    )
+    def test_constructor_checks_sizes_as_the_reader_does(self, m, n):
+        # A size the reader refuses is refused when the pencil is built, so
+        # no pencil answers queries and writes a file it cannot read back.
+        with pytest.raises(ValueError):
+            MetzlerPencil(m, n, {})
+        with pytest.raises(ValueError):
+            MetzlerPencil.from_json({"m": m, "n": n, "entries": []})
+
+    @pytest.mark.parametrize(
         "cell",
         [[0, 0, 1, 0, "-inf"], [0, 0, 1, 0, "0"], [0, 0, 1, 1, "-inf"]],
         ids=["sign-0-inf", "sign-0-finite", "sign-1-inf"],

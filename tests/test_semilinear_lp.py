@@ -424,6 +424,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             PolyhedralUnion.from_json({**obj, "n": float(obj["n"])})
 
+    @pytest.mark.parametrize("n", [True, 2.0, "2"], ids=["bool", "float", "string"])
+    def test_constructor_checks_dimension_as_the_reader_does(self, n):
+        # The constructor refuses a dimension that `from_json` refuses.
+        with pytest.raises(ValueError):
+            PolyhedralUnion(n, (((), ()),))
+        with pytest.raises(ValueError):
+            PolyhedralUnion.from_json({"n": n, "pieces": [{"A": [], "b": []}]})
+
     def test_needs_a_piece(self):
         with pytest.raises(ValueError):
             PolyhedralUnion(2, ())

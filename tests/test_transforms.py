@@ -260,6 +260,28 @@ class TestFirstTransformation:
         assert out.n == g.n + len(max_out)
         assert len(witness.new_coords) == len(max_out)
 
+    def test_witness_folds_buffer_vertices_onto_min_heads(self):
+        # Random 20 has two edges into Min 1, so two of the three Max
+        # buffer vertices before its Min heads fold onto coordinate 0.
+        g = GameGraph(
+            (1, 2), (10,), (20,),
+            (
+                Edge(1, 1, 10, payoff=F(0)),
+                Edge(2, 2, 10, payoff=F(1)),
+                Edge(3, 10, 20, payoff=F(2)),
+                Edge(4, 20, 1, prob=F(1, 4)),
+                Edge(5, 20, 2, prob=F(1, 4)),
+                Edge(6, 20, 1, prob=F(1, 2)),
+            ),
+        )
+        out, witness = first_transformation(g)
+        assert validate_graph(out).ok
+        assert witness.rows == (((F(3, 4), ((F(0), 0),)), (F(1, 4), ((F(0), 1),))),)
+        for i in range(20):
+            x = sample_vector(rng_for(233, i), g.n, 5, 6)
+            assert witness.lift(x) == fraction_lift(witness, x)
+            assert subfixed(g, x) == subfixed(out, witness.lift(x))
+
 
 class TestSecondTransformation:
     def _prepared(self):
@@ -448,8 +470,9 @@ class TestOnePassSplit:
         self._check(denominator_five_graph(), 173)
 
     def test_one_absorption_solve(self, monkeypatch):
-        # Each solve finds the Random components once; the split reads the
-        # table that the first transformation installed on its output.
+        # Each solve finds the Random components once; the first
+        # transformation and the split both read the table of the first
+        # transformation's output, computed on it.
         calls = []
         components = graph_module._random_components
 
