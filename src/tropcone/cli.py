@@ -14,10 +14,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import MalformedInput, TropconeError
+from .errors import DimensionMismatch, MalformedInput, TropconeError
 from .graph import GameGraph, eval_operator, scaled_values, subfixed, subfixed_integers, validate_graph
 from .pencil import MetzlerPencil, pencil_member, synthesize_cone
-from .scalars import Trop, rational_from_str, rational_to_str
+from .scalars import Trop, rational_from_str, rational_to_str, sized
 from .transforms import first_transformation, pipeline, second_transformation, zwick_paterson
 from .verify import verify_graph
 
@@ -37,28 +37,18 @@ def _load_json(path: str) -> dict:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 
-def _load_graph(path: str) -> GameGraph:
+def _load(path: str, form):
     try:
-        return GameGraph.from_json(_load_json(path))
+        return form.from_json(_load_json(path))
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad graph JSON in {path}: {exc}") from exc
-
-
-def _load_pencil(path: str) -> MetzlerPencil:
-    try:
-        return MetzlerPencil.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad pencil JSON in {path}: {exc}") from exc
+        raise MalformedInput(f"bad {form.__name__} JSON in {path}: {exc}") from exc
 
 
 def _parse_vector(text: str, n: int, parse=rational_from_str, kind: str = "rational"):
     try:
-        vec = tuple(parse(part.strip()) for part in text.split(","))
-    except ValueError as exc:
+        return sized(tuple(parse(part.strip()) for part in text.split(",")), n)
+    except (ValueError, DimensionMismatch) as exc:
         raise MalformedInput(f"bad {kind} vector {text!r}: {exc}") from exc
-    if len(vec) != n:
-        raise MalformedInput(f"{kind} vector {text!r} has {len(vec)} coordinates, expected {n}")
-    return vec
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -74,26 +64,26 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    report = validate_graph(_load_graph(args.graph))
+    report = validate_graph(_load(args.graph, GameGraph))
     _emit_json(report.to_json(), args.out)
     return 0 if report.ok else 1
 
 
 def cmd_eval(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, GameGraph)
     value = eval_operator(g, _parse_vector(args.point, g.n))
     _emit_json([rational_to_str(v) for v in value], args.out)
     return 0
 
 
 def cmd_subfixed(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, GameGraph)
     _emit_json({"subfixed": subfixed(g, _parse_vector(args.point, g.n))}, args.out)
     return 0
 
 
 def cmd_transform(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, GameGraph)
     if args.which == "zp":
         out, witness = zwick_paterson(g), None
     elif args.which == "t1":
@@ -115,7 +105,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, GameGraph)
     target, _ = pipeline(g)
     pencil = synthesize_cone(target)
     obj = pencil.to_json()
@@ -126,14 +116,14 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_member(args) -> int:
-    pencil = _load_pencil(args.pencil)
+    pencil = _load(args.pencil, MetzlerPencil)
     point = _parse_vector(args.point, pencil.n, Trop.from_str, "tropical")
     _emit_json({"member": pencil_member(pencil, point)}, args.out)
     return 0
 
 
 def cmd_lift(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, GameGraph)
     _, witness = pipeline(g)
     lifted = witness.lift(_parse_vector(args.point, g.n))
     _emit_json([rational_to_str(v) for v in lifted], args.out)
@@ -143,7 +133,7 @@ def cmd_lift(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 0 or args.box < 0 or args.denom < 1:
         raise MalformedInput("need --samples >= 0, --box >= 0 and --denom >= 1")
-    g = _load_graph(args.graph)
+    g = _load(args.graph, GameGraph)
     report = verify_graph(
         g,
         samples=args.samples,
@@ -172,7 +162,7 @@ def section_ticks(lo: Fraction, hi: Fraction, step: Fraction, axes: int) -> list
 
 
 def cmd_section(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, GameGraph)
     n = g.n
     fixed = {}
     for item in args.fix or []:

@@ -26,7 +26,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, NonStochastic, NotCompliant, SingularSystem, ValidationFailed
+from .errors import NonStochastic, NotCompliant, SingularSystem, ValidationFailed
 from .scalars import exact, int_from_json, integers_over, rational, rational_from_str
 from .scalars import rational_or_none, rational_to_str, sized, times
 
@@ -535,31 +535,19 @@ class MinMaxOperator:
     def __post_init__(self):
         if int_from_json(self.n) < 1:
             raise ValueError(f"a min-max operator needs arity at least 1, not {self.n}")
-        if len(self.offsets) != len(self.matrices):
-            raise DimensionMismatch(
-                f"{len(self.matrices)} matrices but {len(self.offsets)} offset vectors"
-            )
+        sized(self.offsets, len(self.matrices))
         for mat, b in zip(self.matrices, self.offsets):
-            if len(mat) != self.n or len(b) != self.n:
-                raise DimensionMismatch(
-                    f"matrix of {len(mat)} rows and {len(b)} offsets in arity {self.n}"
-                )
-            for row in mat:
-                if len(row) != self.n:
-                    raise DimensionMismatch(f"row of length {len(row)} in arity {self.n}")
+            for row in sized(mat, self.n):
+                sized(row, self.n)
+            sized(b, self.n)
         # Entries are held as Fractions; a float or a bool raises ValueError.
         object.__setattr__(self, "matrices", tuple(
             tuple(tuple(map(rational, row)) for row in mat) for mat in self.matrices
         ))
         object.__setattr__(self, "offsets", tuple(tuple(map(rational, b)) for b in self.offsets))
-        if len(self.subsets) != self.n:
-            raise DimensionMismatch(f"{len(self.subsets)} min-term lists for arity {self.n}")
-        bad = [
-            s for per_k in self.subsets for s_ki in per_k for s in s_ki
-            if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < len(self.matrices)
-        ]
-        if bad:
-            raise ValueError(f"subset index {bad[0]!r} is not an int in 0..{len(self.matrices) - 1}")
+        for s in (s for per_k in sized(self.subsets, self.n) for s_ki in per_k for s in s_ki):
+            if not 0 <= int_from_json(s) < len(self.matrices):
+                raise ValueError(f"subset index {s} is not in 0..{len(self.matrices) - 1}")
 
     def to_json(self) -> dict:
         return {
@@ -580,10 +568,7 @@ class MinMaxOperator:
                 for mat in obj["matrices"]
             ),
             offsets=tuple(tuple(rational_from_str(v) for v in b) for b in obj["offsets"]),
-            subsets=tuple(
-                tuple(tuple(int_from_json(i) for i in s) for s in per_k)
-                for per_k in obj["subsets"]
-            ),
+            subsets=tuple(tuple(map(tuple, per_k)) for per_k in obj["subsets"]),
         )
 
 

@@ -45,11 +45,8 @@ class PolyhedralUnion:
             raise ValueError("a polyhedral union needs at least one piece")
         pieces = []
         for a, b in self.pieces:
-            if len(a) != len(b):
-                raise DimensionMismatch("matrix and vector of different heights")
-            for row in a:
-                if len(row) != self.n:
-                    raise DimensionMismatch(f"row of length {len(row)} in dimension {self.n}")
+            for row in sized(a, len(b)):
+                sized(row, self.n)
             pieces.append((tuple(tuple(map(rational, row)) for row in a), tuple(map(rational, b))))
         object.__setattr__(self, "pieces", tuple(pieces))
 
@@ -181,10 +178,10 @@ def _point(u: PolyhedralUnion, x) -> tuple:
 
 
 def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Fraction]:
-    """max{y_k : Ay <= b, y <= x}, exactly; None if infeasible. (A, b) is
-    checked and solved as a one-piece union, so entries are ints or
-    Fractions too."""
-    if not 0 <= k < len(x):
+    """max{y_k : Ay <= b, y <= x}, exactly; None if infeasible. k is an int
+    (ValueError otherwise). (A, b) is checked and solved as a one-piece
+    union, so entries are ints or Fractions too."""
+    if not 0 <= int_from_json(k) < len(x):
         raise DimensionMismatch(f"coordinate {k} out of range")
     u = PolyhedralUnion(len(x), ((a, b),))
     _, scale, xs = _point(u, x)

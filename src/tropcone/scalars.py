@@ -68,10 +68,11 @@ def rational(v) -> Fraction:
 
 
 def sized(x, n: int):
-    """x, checked to have n coordinates (DimensionMismatch otherwise): the
-    point-length check of every function that takes a point."""
+    """x, checked to have length n (DimensionMismatch otherwise): the one
+    length check, for every point taken and every row and list of a stored
+    min-max operator or union."""
     if len(x) != n:
-        raise DimensionMismatch(f"point of length {len(x)}, expected {n}")
+        raise DimensionMismatch(f"length {len(x)}, expected {n}")
     return x
 
 

@@ -183,6 +183,10 @@ def _bits(value: int, r: int):
     return [(value >> s) & 1 for s in range(r + 1)]
 
 
+# Pipeline time grows with about the cube of a gadget's denominator bit length.
+MAX_DENOMINATOR_BITS = 64
+
+
 def _install_gadget(b: _Builder, v: int) -> Optional[GadgetRecord]:
     es = sorted(b.out(v), key=attrgetter("id"))
     e1, e2 = es
@@ -192,6 +196,10 @@ def _install_gadget(b: _Builder, v: int) -> Optional[GadgetRecord]:
     head_a, head_b = e1.head, e2.head
     a, bden = q.numerator, q.denominator
     r = bden.bit_length() - 1  # 2^r <= b < 2^(r+1)
+    if r >= MAX_DENOMINATOR_BITS:
+        raise PreconditionViolated(
+            f"Random vertex {v} has a {r + 1}-bit probability denominator, above {MAX_DENOMINATOR_BITS}"
+        )
     cs = _bits(a, r)
     ds = _bits(bden - a, r)
 
@@ -211,21 +219,11 @@ def _install_gadget(b: _Builder, v: int) -> Optional[GadgetRecord]:
     return GadgetRecord(v, head_a, head_b, q, r, tuple(new_vertices))
 
 
-# Pipeline time grows with about the cube of a gadget's denominator bit length.
-MAX_DENOMINATOR_BITS = 64
-
-
 def zwick_paterson_with_gadgets(g: GameGraph) -> tuple[GameGraph, tuple[GadgetRecord, ...]]:
     require_valid(g)
     b = _Builder(g)
     _remove_degree_one_randoms(b)
     _lower_degrees(b)
-    for e in b.edges:
-        bits = 0 if e.prob is None else e.prob.denominator.bit_length()
-        if bits > MAX_DENOMINATOR_BITS:
-            raise PreconditionViolated(
-                f"Random vertex {e.tail} has a {bits}-bit probability denominator, above {MAX_DENOMINATOR_BITS}"
-            )
     records = []
     for v in list(b.random_vertices):
         rec = _install_gadget(b, v)

@@ -72,6 +72,21 @@ def test_only_scalars_turns_rationals_into_integers():
     assert [path.name for path in paths if ".numerator * (" in path.read_text()] == ["scalars.py"]
 
 
+def test_only_scalars_holds_the_integer_rule():
+    # `scalars.int_from_json` is the one integer check: no other module
+    # tells a bool from an int itself.
+    paths = sorted((ROOT / "src" / "tropcone").glob("*.py"))
+    assert [path.name for path in paths if "bool)" in path.read_text()] == ["scalars.py"]
+
+
+def test_only_sized_checks_lengths():
+    # `scalars.sized` is the one length check; `lp_max` adds only the range
+    # check of its coordinate index.
+    paths = sorted((ROOT / "src" / "tropcone").glob("*.py"))
+    raising = [path.name for path in paths if "raise DimensionMismatch" in path.read_text()]
+    assert raising == ["lp.py", "scalars.py"]
+
+
 def test_package_imports_are_used():
     # Each name a module imports is read in it; `__init__.py` only re-exports.
     paths = sorted((ROOT / "src" / "tropcone").glob("*.py"))

@@ -55,6 +55,12 @@ class TestLpMax:
         with pytest.raises(DimensionMismatch):
             lp_max(((F(1),),), (F(0), F(-5)), (F(1),), 0)
 
+    @pytest.mark.parametrize("k", [1.0, True, "1"], ids=["float", "bool", "str"])
+    def test_coordinate_is_an_integer(self, k):
+        # 1.0 raised a bare TypeError from the tableau, and True was read as 1.
+        with pytest.raises(ValueError, match="expected an integer"):
+            lp_max(((F(1), F(0)),), (F(0),), (F(5), F(5)), k)
+
     def test_matches_vertex_enumeration_oracle(self):
         for trial in range(30):
             rng = rng_for(263, trial)

@@ -153,7 +153,7 @@ class TestZwickPaterson:
     def test_denominator_bits_bounded(self):
         # A gadget has about 2 Random vertices per bit of its denominator,
         # and pipeline time grows with about the cube of the bit length: 64
-        # bits are taken, 65 are refused before any gadget is built.
+        # bits are taken, 65 are refused before the vertex's gadget is built.
         _, (rec,) = zwick_paterson_with_gadgets(biased_graph(F(1, 2**64 - 159)))
         assert rec.r == 63
         wide = biased_graph(F(1, 2**65 - 159))
