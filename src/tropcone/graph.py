@@ -7,7 +7,8 @@ probabilities summing to one per vertex (validation checks both in integers).
 The encoded operator is computed from exact absorption probabilities of the
 induced Markov chain in which every Min and Max vertex is absorbing, solved
 in integers by fraction-free elimination (Bareiss 1968), one per strongly
-connected component of the Random vertices.
+connected component of the Random vertices, in which a pivot updates only
+the rows it reaches: those with a nonzero entry in its column.
 
 The operator is evaluated in exact integers at points of T^n, from one
 plan built on a graph's first evaluation and kept on it next to the
@@ -343,10 +344,16 @@ def _random_components(g: GameGraph) -> list:
 def _exit_rows(g: GameGraph) -> dict:
     """Per Random vertex, (d, {vertex: N}): the chain leaves the Random
     block into Min/Max vertex u with probability N / d. One fraction-free
-    Gauss-Jordan solve of (I - Q_C) H_C = R_C per strongly connected
-    component C, lower ones first; rows are scaled to integers, and each
-    step drops the pivot column and divides exactly by the previous pivot.
-    With an exit, I - Q_C is a nonsingular M-matrix, so no pivot is 0."""
+    Gauss-Jordan solve (Bareiss 1968) of (I - Q_C) H_C = R_C per strongly
+    connected component C, lower ones first, on rows scaled to integers.
+    A step updates only the rows with a nonzero in its pivot column (two or
+    three in a Zwick-Paterson gadget). A row keeps its base, the pivot it
+    was last brought up to, since a step that leaves it alone only scales
+    it by p_k / p_(k-1): a pivot row is first scaled to the previous pivot,
+    and an updated row becomes (p_k * row - a_ik * pivot row) / base, both
+    exact divisions. d and N are a row's base, which is its diagonal, and
+    its exit entries over their gcd. With an exit, I - Q_C is a
+    nonsingular M-matrix, so no pivot is 0."""
     hit = {}
     for comp in _random_components(g):
         size = len(comp)
@@ -374,18 +381,27 @@ def _exit_rows(g: GameGraph) -> dict:
                 for c, x in xs.items():
                     row[col[c]] += q * x
             a.append(row)
-        prev = 1
+        base, start, prev = [1] * size, [0] * size, 1
         for k in range(size):
-            akk, rest = a[k][0], a[k][1:]
-            a = [
-                rest if i == k else [(akk * v - row[0] * w) // prev for v, w in zip(row[1:], rest)]
-                for i, row in enumerate(a)
-            ]
-            prev = akk
+            pivot = a[k][k - start[k]:]
+            if base[k] != prev:
+                pivot = [x * prev // base[k] for x in pivot]
+            pk, rest = pivot[0], pivot[1:]
+            for i, row in enumerate(a):
+                # Row i holds its columns from start[i] on.
+                j = k - start[i]
+                aik = row[j]
+                if aik and i != k:
+                    b = base[i]
+                    a[i] = [(pk * x - aik * y) // b for x, y in zip(row[j + 1:], rest)]
+                    base[i], start[i] = pk, k + 1
+            a[k], base[k], start[k] = rest, pk, k + 1
+            prev = pk
         cols = list(col)[size:]
-        for v, row in zip(comp, a):
-            d = gcd(prev, *row)
-            hit[v] = (prev // d, {c: x // d for c, x in zip(cols, row)})
+        for v, b, s, row in zip(comp, base, start, a):
+            row = row[size - s:]
+            d = gcd(b, *row)
+            hit[v] = (b // d, {c: x // d for c, x in zip(cols, row)})
     return hit
 
 

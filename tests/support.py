@@ -108,6 +108,45 @@ def denominator_five_graph():
     )
 
 
+def biased_graph(q) -> GameGraph:
+    """One Random vertex with distribution (q, 1 - q) over two Max heads."""
+    return GameGraph(
+        (1,), (2, 4), (3,),
+        (
+            Edge(1, 1, 3, payoff=Fraction(0)),
+            Edge(2, 3, 2, prob=q),
+            Edge(3, 3, 4, prob=1 - q),
+            Edge(4, 2, 1, payoff=Fraction(1)),
+            Edge(5, 4, 1, payoff=Fraction(0)),
+        ),
+    )
+
+
+def dense_component_graph(rng: random.Random, size: int) -> GameGraph:
+    """A valid graph whose Random vertices form one dense strongly
+    connected component of `size` >= 10. Each has edges to 8 or more
+    others, always including its successor on a cycle through all of them,
+    and one exit to one of the two Min vertices, with positive weights up
+    to 9 over their sum. Both Min vertices lead to the one Max vertex,
+    which leads into the component."""
+    mins, randoms = (1, 2), tuple(range(10, 10 + size))
+    edges = [
+        Edge(1, 1, 3, payoff=small_rational(rng)),
+        Edge(2, 2, 3, payoff=small_rational(rng)),
+        Edge(3, 3, randoms[0], payoff=small_rational(rng)),
+    ]
+    for i, v in enumerate(randoms):
+        successor = randoms[(i + 1) % size]
+        heads = rng.sample([u for u in randoms if u not in (v, successor)], rng.randint(7, size - 2))
+        heads += [successor, rng.choice(mins)]
+        weights = [rng.randint(1, 9) for _ in heads]
+        for head, w in zip(heads, weights):
+            edges.append(Edge(len(edges) + 1, v, head, prob=Fraction(w, sum(weights))))
+    g = GameGraph(mins, (3,), randoms, tuple(edges))
+    require_valid(g)
+    return g
+
+
 def random_valid_graph(rng: random.Random) -> GameGraph:
     """A valid game graph (<= 3 Min, <= 6 Max, <= 6 Random vertices) with
     edge denominators <= 12, built from a random stochastic min-max form."""

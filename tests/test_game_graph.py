@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import (
+    biased_graph,
     dense_absorption_rows,
+    dense_component_graph,
     denominator_five_graph,
     random_minmax,
     random_sound_graph,
@@ -282,6 +284,47 @@ class TestAbsorption:
     def test_matches_dense_solve_on_benchmark_graphs(self, shape, indices):
         for index in indices:
             self._check_with_stages(graph_instance(0, shape, index).fresh())
+
+    def test_matches_dense_solve_on_dense_components(self):
+        # Every pivot of a dense component reaches every row.
+        for trial in range(8):
+            rng = rng_for(307, trial)
+            g = dense_component_graph(rng, rng.randint(12, 20))
+            assert len(graph_module._random_components(g)) == 1
+            self._assert_matches_dense(g, g.absorption_table)
+
+    @staticmethod
+    def _deep_operator(rng, den):
+        # Two coordinates, both rows of both matrices over `den`.
+        def row():
+            a = rng.randint(1, den - 1)
+            return (F(a, den), F(den - a, den))
+
+        return MinMaxOperator(
+            n=2,
+            matrices=((row(), row()), (row(), row())),
+            offsets=tuple(tuple(F(rng.randint(-6, 6)) for _ in range(2)) for _ in range(2)),
+            subsets=(((0, 1),), ((0,), (1,))),
+        )
+
+    @pytest.mark.parametrize("bits", [16, 40, 63])
+    def test_deep_gadgets_keep_the_source_rows(self, bits):
+        # A b-bit probability becomes one gadget, a component of about 2b
+        # fair coins. Seen from every Max out-edge that Zwick-Paterson
+        # keeps, the gadgets absorb as the source graph's biased coins do.
+        den = 2**63 - 25 if bits == 63 else 2**bits
+        graphs = [graph_from_minmax(self._deep_operator(rng_for(311, bits), den))]
+        if bits == 63:
+            graphs.append(biased_graph(F(1, 2**64 - 159)))
+        for g in graphs:
+            zp = zwick_paterson(g)
+            assert max(map(len, graph_module._random_components(zp))) > bits
+            kept = [e.id for e in zp.edges if zp.kind[e.tail] == "max"]
+            assert kept
+            for edge_id in kept:
+                assert list(zp.absorption_table[edge_id].items()) == list(
+                    g.absorption_table[edge_id].items()
+                )
 
     def test_closed_component_raises(self):
         # Random 3 <-> 4 is a closed 2-cycle: no Min or Max vertex is reachable.

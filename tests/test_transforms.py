@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from support import (
+    biased_graph,
     denominator_five_graph,
     fraction_lift,
     gadget_exit_probability,
@@ -41,20 +42,6 @@ from tropcone.transforms import (
 
 F = Fraction
 HALF = F(1, 2)
-
-
-def biased_graph(q):
-    """One Random vertex with distribution (q, 1 - q) over two Max heads."""
-    return GameGraph(
-        (1,), (2, 4), (3,),
-        (
-            Edge(1, 1, 3, payoff=F(0)),
-            Edge(2, 3, 2, prob=q),
-            Edge(3, 3, 4, prob=1 - q),
-            Edge(4, 2, 1, payoff=F(1)),
-            Edge(5, 4, 1, payoff=F(0)),
-        ),
-    )
 
 
 def third_graph():
@@ -152,7 +139,7 @@ class TestZwickPaterson:
 
     def test_denominator_bits_bounded(self):
         # A gadget has about 2 Random vertices per bit of its denominator,
-        # and pipeline time grows with about the cube of the bit length: 64
+        # and pipeline time grows with about the square of the bit length: 64
         # bits are taken, 65 are refused before the vertex's gadget is built.
         _, (rec,) = zwick_paterson_with_gadgets(biased_graph(F(1, 2**64 - 159)))
         assert rec.r == 63

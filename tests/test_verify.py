@@ -139,16 +139,17 @@ def test_corrupted_pencil_is_caught():
 
 
 def test_pipeline_pencils_match_operator_on_random_graphs():
-    """Random min-max graphs with n <= 5 and row denominators <= 6: at
-    drawn rational points, subfixed equals envelope membership of the lift;
-    at lifts with a quarter of the coordinates -inf, half of them pulled
-    into the extended subfixed set, subfixed_extended equals cone
-    membership. Both answers must occur in both comparisons."""
+    """Random min-max graphs with n <= 6 and row denominators <= 64, so
+    that Zwick-Paterson gadgets of up to six bits occur: at drawn rational
+    points, subfixed equals envelope membership of the lift; at lifts with
+    a quarter of the coordinates -inf, half of them pulled into the
+    extended subfixed set, subfixed_extended equals cone membership. Both
+    answers must occur in both comparisons."""
     seen = Counter()
     rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6), st.data())
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 64), st.data())
     def check(seed, n, denom, data):
         rng = random.Random(seed)
         g = graph_from_minmax(random_minmax(rng, n, denom))
