@@ -8,7 +8,8 @@ The encoded operator is computed from exact absorption probabilities of the
 induced Markov chain in which every Min and Max vertex is absorbing, solved
 in integers by fraction-free elimination (Bareiss 1968), one per strongly
 connected component of the Random vertices, in which a pivot updates only
-the rows it reaches: those with a nonzero entry in its column.
+the rows it reaches: those with a nonzero entry in its column. The solve's
+rows, (d, {vertex: N}) per Random vertex, are the one form every reader takes.
 
 The operator is evaluated in exact integers at points of T^n, from one
 plan built on a graph's first evaluation and kept on it next to the
@@ -34,7 +35,6 @@ from .scalars import rational_or_none, rational_to_str, sized, times
 Vector = tuple[Fraction, ...]
 
 HALF = Fraction(1, 2)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -95,23 +95,28 @@ class GameGraph:
 
     @cached_property
     def absorption_table(self) -> dict:
-        """Exact absorption probabilities {edge id: {vertex: p}}: p is the
-        probability that the chain started at the head of the edge is
-        absorbed in the Min/Max vertex. Solved once per graph after
-        validation, by this property only; vertices of probability 0 are
-        left out and the rest keep Min-then-Max order."""
+        """Exact absorption probabilities {Random vertex: (d, {u: N})}: the
+        chain started at the vertex is absorbed in the Min/Max vertex u with
+        probability N / d, each row in lowest terms. Solved once per graph
+        after validation, by this property only; vertices of probability 0
+        are left out."""
         require_valid(self)
-        return _absorption_rows(self)
+        return _exit_rows(self)
+
+    def absorption_row(self, v: int) -> tuple:
+        """The absorption row (d, {u: N}) of vertex v: its table row for a
+        Random vertex, (1, {v: 1}) for a Min or Max vertex."""
+        return self.absorption_table.get(v) or (1, {v: 1})
 
     @cached_property
     def operator_plan(self) -> tuple:
         """The integer form of the encoded operator, built on the first
         `eval_operator` or `subfixed` call: (C, P1, P2, max terms, min
         terms). C is the lcm of the Min/Max payoff denominators, P1 and P2
-        the lcm of the probability denominators in the absorption rows of
-        the Max and of the Min out-edges. Per Max vertex, one (payoff * C *
-        P1, ((p * P1, Min index), ...)) per out-edge; per Min vertex, one
-        (payoff * C * P1 * P2, ((p * P2, Max index), ...)) per out-edge.
+        the lcm of the d of the absorption rows (d, {u: N}) of the Max and
+        of the Min out-edges' heads. Per Max vertex, one (payoff * C * P1,
+        ((N * P1 / d, Min index), ...)) per out-edge; per Min vertex, one
+        (payoff * C * P1 * P2, ((N * P2 / d, Max index), ...)) per out-edge.
         Max values are then integers over D * P1 and Min values over
         D * P1 * P2, for a point scaled to integers over D."""
         return _operator_plan(self)
@@ -405,44 +410,31 @@ def _exit_rows(g: GameGraph) -> dict:
     return hit
 
 
-def _absorption_rows(g: GameGraph) -> dict:
-    """{edge id: {vertex: p}} from `_exit_rows`, each row in Min-then-Max
-    order; an edge into a Min or Max vertex is {head: 1}."""
-    order = {v: i for i, v in enumerate(g.min_vertices + g.max_vertices)}
-    hit = {
-        v: {u: Fraction(row[u], den) for u in sorted(row, key=order.__getitem__)}
-        for v, (den, row) in _exit_rows(g).items()
-    }
-    return {e.id: dict(hit[e.head]) if e.head in hit else {e.head: ONE} for e in g.edges}
-
-
 def absorption(g: GameGraph) -> dict:
-    """Absorption rows of a valid graph (computed once per graph object)."""
+    """`GameGraph.absorption_table` of a valid graph, computed once per graph."""
     return g.absorption_table
 
 
-def _edge_terms(g: GameGraph, rows: dict, tails, pay: int, prob: int, index: dict) -> tuple:
-    """Per tail, one (payoff * pay, ((p * prob, index[u]), ...)) per
-    out-edge, over the edge's absorption row {u: p}."""
-    return tuple(
-        tuple(
-            (times(e.payoff, pay), tuple((times(p, prob), index[u]) for u, p in rows[e.id].items()))
-            for e in g.out_edges[v]
-        )
-        for v in tails
-    )
+def _edge_terms(g: GameGraph, tails, pay: int, prob: int, index: dict) -> tuple:
+    """Per tail, one (payoff * pay, ((N * (prob / d), index[u]), ...)) per
+    out-edge, over the absorption row (d, {u: N}) of the edge's head."""
+
+    def edge(e):
+        d, xs = g.absorption_row(e.head)
+        return times(e.payoff, pay), tuple((x * (prob // d), index[u]) for u, x in xs.items())
+
+    return tuple(tuple(map(edge, g.out_edges[v])) for v in tails)
 
 
 def _operator_plan(g: GameGraph) -> tuple:
-    rows = g.absorption_table
     scale = lcm(*(e.payoff.denominator for e in g.edges if e.payoff is not None))
     p1, p2 = (
-        lcm(*(p.denominator for v in tails for e in g.out_edges[v] for p in rows[e.id].values()))
+        lcm(*(g.absorption_row(e.head)[0] for v in tails for e in g.out_edges[v]))
         for tails in (g.max_vertices, g.min_vertices)
     )
     widx = {w: i for i, w in enumerate(g.max_vertices)}
-    max_terms = _edge_terms(g, rows, g.max_vertices, scale * p1, p1, g.min_index)
-    min_terms = _edge_terms(g, rows, g.min_vertices, scale * p1 * p2, p2, widx)
+    max_terms = _edge_terms(g, g.max_vertices, scale * p1, p1, g.min_index)
+    min_terms = _edge_terms(g, g.min_vertices, scale * p1 * p2, p2, widx)
     return scale, p1, p2, max_terms, min_terms
 
 

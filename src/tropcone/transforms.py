@@ -17,12 +17,13 @@ vertices flip fair coins between two Max vertices:
 `pipeline` runs the first two stages and then splits every Random-to-Random
 edge in one pass that reads a single absorption table. It returns a witness map
 relating the two subfixed sets; a witness map is data, a list of rows that
-each define one new coordinate, so composing two is concatenation. The first
-`lift` on a map builds its integer plan and keeps it on the map: every
-constant over their common denominator, every row's probabilities over the
-lcm of theirs, its single-term pairs folded into one constant. A lift then
-holds the point as integers over one running denominator, multiplied up
-only when a row's value needs it; `lift_integers` returns them as they are.
+each define one new coordinate, so composing two is concatenation. A row's
+probabilities are integers over one d, as in the absorption table. The
+first `lift` on a map builds its integer plan and keeps it on the map: every
+constant over their common denominator, each row's single-term pairs folded
+into one constant. A lift then holds the point as integers over one running
+denominator, multiplied up only when a row's value needs it; `lift_integers`
+returns them as they are.
 
 Every stage checks its input and builds its output with `graph._Builder`,
 whose `freeze` checks the built graph; a graph's validation report and
@@ -44,7 +45,7 @@ from typing import Optional
 from .errors import PreconditionViolated
 from .graph import HALF, Edge, GameGraph, _Builder
 from .graph import require_compliant, require_valid
-from .scalars import exact, integers_over, sized, times
+from .scalars import exact, int_from_json, integers_over, sized, times
 
 ZERO = Fraction(0)
 
@@ -54,9 +55,9 @@ class WitnessMap:
     """Explicit lift from source coordinates to target coordinates, stored
     as data.
 
-    Each row defines one new coordinate, appended in order, as the sum of
-    p * max over (c, i) of (c + y[i]) over its (p, terms) pairs, where y is
-    the source point followed by the new coordinates computed so far.
+    Each row (d, ((N, terms), ...)) defines one new coordinate, appended in
+    order, as the sum of N / d * max over (c, i) in terms of (c + y[i]),
+    where y is the source point followed by the new coordinates so far.
     Composing two maps concatenates their rows. `project` drops the new
     coordinates, so project(lift(x)) == x.
     """
@@ -69,16 +70,15 @@ class WitnessMap:
     @cached_property
     def _plan(self) -> tuple:
         """The integer form `lift` evaluates, built on its first call: C,
-        the lcm of every constant's denominator, and per row (P, the lcm of
-        its probability denominators, K, ((q, i), ...), ((q, ((c, i), ...)),
-        ...)), q = p * P and c over C: a row's single-term pairs fold into
-        K, the sum of their q * c, and one (q, i) each."""
-        scale = lcm(*(c.denominator for row in self.rows for _, terms in row for c, _ in terms))
+        the lcm of every constant's denominator, and per row (d, K,
+        ((N, i), ...), ((N, ((c, i), ...)), ...)), c over C: a row's
+        single-term pairs fold into K, the sum of their N * c, and one
+        (N, i) each."""
+        scale = lcm(*(c.denominator for _, row in self.rows for _, terms in row for c, _ in terms))
         rows = []
-        for row in self.rows:
-            den, qs = integers_over([p for p, _ in row], 1)
+        for den, row in self.rows:
             const, singles, multis = 0, [], []
-            for q, (_, terms) in zip(qs, row):
+            for q, terms in row:
                 scaled = tuple((times(c, scale), i) for c, i in terms)
                 if len(scaled) == 1:
                     const += q * scaled[0][0]
@@ -92,9 +92,9 @@ class WitnessMap:
         """(D, y): the lift of the rational point x as integers y over one
         denominator D, the source point followed by every new coordinate.
 
-        D starts as the lcm of C and x's denominators. A row gives N / P
-        over D; when P does not divide N, D and every y so far are
-        multiplied by P / gcd(N, P)."""
+        D starts as the lcm of C and x's denominators. A row gives T / d
+        over D; when d does not divide T, D and every y so far are
+        multiplied by d / gcd(T, d)."""
         xs = sized([v if isinstance(v, Fraction) else exact(v) for v in x], self.source_dim)
         scale, rows = self._plan
         d, y = integers_over(xs, scale)
@@ -247,10 +247,10 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     in-edges. The new Min coordinates are indexed by the Max out-edges, in
     edge order, and the witness sets each to the expected value of the
     source coordinates under the absorption distribution: the output's
-    absorption row of the edge out of the new Min vertex, with each Max
-    vertex kappa[f] counted at the Min head of f. By the max-max-path rule
-    that row lies on kappa vertices only. `pipeline`'s split reads the same
-    table, cached on the output, so `pipeline` solves once."""
+    absorption row (d, {u: N}) of the head of the edge out of the new Min
+    vertex, each Max vertex kappa[f] counted at the Min head of f. By the
+    max-max-path rule that row lies on kappa vertices only. `pipeline`'s
+    split reads the same table, cached on the output, so it solves once."""
     require_valid(g)
     max_out = [e for e in g.edges if g.kind[e.tail] == "max"]
     min_headed = [e for e in g.edges if g.kind[e.head] == "min"]
@@ -285,11 +285,11 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     idx = g.min_index
     rows = []
     for e in leaving:
-        sums = {}
-        for w, p in out.absorption_table[e.id].items():
-            i = idx[home[w]]
-            sums[i] = sums.get(i, ZERO) + p
-        rows.append(tuple((sums[i], ((ZERO, i),)) for i in sorted(sums)))
+        d, xs = out.absorption_row(e.head)
+        sums = Counter()
+        for w, x in xs.items():
+            sums[idx[home[w]]] += x
+        rows.append((d, tuple((sums[i], ((ZERO, i),)) for i in sorted(sums))))
     witness = WitnessMap("t1", g.n, tuple(rows), tuple(f"t1:{e.id}" for e in max_out))
     return out, witness
 
@@ -299,11 +299,11 @@ def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
     the order given.
 
     The new coordinate of a split edge is the expected Max-vertex value seen
-    from its head, read off the absorption rows of `g`. This is a fixed
-    point of the new coordinate of the target operator even when random
-    cycles pass through the split edge, and it equals what splitting the
-    edges one at a time would give, since a split never creates a
-    Random-to-Random edge."""
+    from its head, (d, ((N, terms of w), ...)) over the head's absorption
+    row (d, {w: N}) in `g`. This is a fixed point of the new coordinate of
+    the target operator even when random cycles pass through the split
+    edge, and it equals what splitting the edges one at a time would give,
+    since a split never creates a Random-to-Random edge."""
     absorbed = g.absorption_table
     edges = {e.id: e for e in g.edges}
     for edge_id in edge_ids:
@@ -338,14 +338,15 @@ def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
         b.add_edge(e.tail, new_max, prob=e.prob)
         b.add_edge(new_max, new_min, payoff=ZERO)
         b.add_edge(new_min, e.head, payoff=ZERO)
-        rows.append(tuple((p, terms[w]) for w, p in absorbed[edge_id].items()))
+        d, xs = absorbed[e.head]
+        rows.append((d, tuple((x, terms[w]) for w, x in xs.items())))
         new_coords.append(f"t2:{new_min}")
     return b.freeze(), WitnessMap("t2", g.n, tuple(rows), tuple(new_coords))
 
 
 def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, WitnessMap]:
     """Split the Random-to-Random edge `edge_id` with a fresh Max/Min pair."""
-    return _split(g, [edge_id])
+    return _split(g, [int_from_json(edge_id)])
 
 
 def pipeline(g: GameGraph) -> tuple[GameGraph, WitnessMap]:

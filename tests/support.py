@@ -221,6 +221,22 @@ def dense_absorption_rows(g: GameGraph) -> dict:
     }
 
 
+def fraction_absorption_rows(g: GameGraph) -> dict:
+    """The absorption table as one `Fraction` row per edge, {edge id: {u:
+    p}} as `dense_absorption_rows` gives it: the integer row (d, {u: N}) of
+    the edge's head as {u: N / d}, {head: 1} for a Min or Max head."""
+    rows = {}
+    for e in g.edges:
+        d, xs = g.absorption_row(e.head)
+        rows[e.id] = {u: Fraction(x, d) for u, x in xs.items()}
+    return rows
+
+
+def fraction_witness_rows(witness) -> tuple:
+    """A witness map's rows (d, ((N, terms), ...)) as ((N / d, terms), ...)."""
+    return tuple(tuple((Fraction(x, d), terms) for x, terms in row) for d, row in witness.rows)
+
+
 def max_vertex_value(g: GameGraph, rows: dict, w: int, x) -> Fraction:
     """max over Out(w) of (payoff + expected Min coordinate)."""
     idx = g.min_index
@@ -240,7 +256,7 @@ def fraction_eval_operator(g: GameGraph, x) -> tuple:
     value, read off the absorption rows."""
     x = tuple(Fraction(v) for v in x)
     assert len(x) == g.n
-    rows = g.absorption_table
+    rows = fraction_absorption_rows(g)
     max_vals = {w: max_vertex_value(g, rows, w, x) for w in g.max_vertices}
     result = []
     for v in g.min_vertices:
@@ -452,7 +468,7 @@ def fraction_lift(witness, x) -> tuple:
     """A witness lift row by row in `Fraction` arithmetic."""
     y = [Fraction(v) for v in x]
     assert len(y) == witness.source_dim
-    for row in witness.rows:
+    for row in fraction_witness_rows(witness):
         y.append(sum((p * max(c + y[i] for c, i in terms) for p, terms in row), Fraction(0)))
     return tuple(y)
 

@@ -5,6 +5,7 @@ import gc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from support import (
     dense_absorption_rows,
     dense_component_graph,
     denominator_five_graph,
+    fraction_absorption_rows,
+    fraction_witness_rows,
     random_minmax,
     random_sound_graph,
     random_valid_graph,
@@ -218,13 +221,13 @@ class TestAbsorption:
 
     def test_edge_into_absorbing_vertex(self):
         g = example_graph()
-        rows = absorption(g)
+        rows = fraction_absorption_rows(g)
         # Edge 1 heads the Max vertex 11 directly.
         assert rows[1] == {11: F(1)}
 
     def test_example_diamond_probabilities(self):
         g = example_graph()
-        rows = absorption(g)
+        rows = fraction_absorption_rows(g)
         # Edge 6 enters the Random vertex 21 with distribution (1/4, 3/4).
         assert rows[6].get(1, 0) == F(1, 4)
         assert rows[6].get(3, 0) == F(3, 4)
@@ -234,7 +237,7 @@ class TestAbsorption:
     def test_row_sums_on_random_graphs(self):
         for trial in range(10):
             g = random_valid_graph(rng_for(5, trial))
-            rows = absorption(g)
+            rows = fraction_absorption_rows(g)
             mins = set(g.min_vertices)
             maxs = set(g.max_vertices)
             for e in g.edges:
@@ -249,12 +252,20 @@ class TestAbsorption:
 
     @staticmethod
     def _assert_matches_dense(g, rows):
-        # Same edges, vertices and values, in the same order at both levels.
+        # Same edges, vertices and values; a row's order is the solve's.
         expected = dense_absorption_rows(g)
-        assert [(e, list(r.items())) for e, r in rows.items()] == [
-            (e, list(r.items())) for e, r in expected.items()
-        ]
+        assert rows == expected
         return expected
+
+    @staticmethod
+    def _assert_lowest_terms(g):
+        # One row per Random vertex, probability 0 left out, sums of one.
+        table = absorption(g)
+        assert set(table) == set(g.random_vertices)
+        for d, xs in table.values():
+            assert gcd(d, *xs.values()) == 1
+            assert all(x > 0 for x in xs.values())
+            assert sum(xs.values()) == d
 
     def _check_with_stages(self, g):
         zp = zwick_paterson(g)
@@ -262,11 +273,13 @@ class TestAbsorption:
         # The first transformation reads its witness off t1's own table, so
         # the table is cached on t1; the dense oracle solves t1 from scratch.
         assert "absorption_table" in vars(t1)
-        self._assert_matches_dense(g, g.absorption_table)
-        self._assert_matches_dense(t1, t1.absorption_table)
-        dense = self._assert_matches_dense(zp, zp.absorption_table)
+        self._assert_matches_dense(g, fraction_absorption_rows(g))
+        self._assert_matches_dense(t1, fraction_absorption_rows(t1))
+        dense = self._assert_matches_dense(zp, fraction_absorption_rows(zp))
         # The witness rows are zp's table, folded from the solve of t1's.
-        assert [[(zp.min_vertices[i], p) for p, ((_, i),) in row] for row in witness.rows] == [
+        assert [
+            [(zp.min_vertices[i], p) for p, ((_, i),) in row] for row in fraction_witness_rows(witness)
+        ] == [
             list(dense[e.id].items()) for e in zp.edges if zp.kind[e.tail] == "max"
         ]
 
@@ -291,7 +304,19 @@ class TestAbsorption:
             rng = rng_for(307, trial)
             g = dense_component_graph(rng, rng.randint(12, 20))
             assert len(graph_module._random_components(g)) == 1
-            self._assert_matches_dense(g, g.absorption_table)
+            self._assert_matches_dense(g, fraction_absorption_rows(g))
+
+    def test_rows_in_lowest_terms(self):
+        for trial in range(50):
+            self._assert_lowest_terms(random_valid_graph(rng_for(313, trial)))
+        for trial in range(4):
+            rng = rng_for(317, trial)
+            self._assert_lowest_terms(dense_component_graph(rng, rng.randint(12, 20)))
+        for shape, indices in BENCHMARK_RUNGS:
+            for index in indices:
+                g = graph_instance(0, shape, index).fresh()
+                self._assert_lowest_terms(g)
+                self._assert_lowest_terms(zwick_paterson(g))
 
     @staticmethod
     def _deep_operator(rng, den):
@@ -321,10 +346,9 @@ class TestAbsorption:
             assert max(map(len, graph_module._random_components(zp))) > bits
             kept = [e.id for e in zp.edges if zp.kind[e.tail] == "max"]
             assert kept
+            zp_rows, g_rows = fraction_absorption_rows(zp), fraction_absorption_rows(g)
             for edge_id in kept:
-                assert list(zp.absorption_table[edge_id].items()) == list(
-                    g.absorption_table[edge_id].items()
-                )
+                assert zp_rows[edge_id] == g_rows[edge_id]
 
     def test_closed_component_raises(self):
         # Random 3 <-> 4 is a closed 2-cycle: no Min or Max vertex is reachable.
@@ -339,11 +363,11 @@ class TestAbsorption:
             ),
         )
         with pytest.raises(SingularSystem, match="cannot reach a Min or Max vertex"):
-            graph_module._absorption_rows(closed)
+            graph_module._exit_rows(closed)
 
     def test_component_exiting_only_into_another(self):
         # {3, 4} leaves only through 5, whose component {5, 6} exits to the
-        # Max vertices 7 and 2, listed in that order.
+        # Max vertices 7 and 2.
         g = GameGraph(
             (1,), (7, 2), (3, 4, 5, 6),
             (
@@ -361,14 +385,13 @@ class TestAbsorption:
             ),
         )
         assert validate_graph(g).ok
-        rows = graph_module._absorption_rows(g)
+        rows = fraction_absorption_rows(g)
         self._assert_matches_dense(g, rows)
-        assert list(rows[1]) == [7, 2]
         assert rows[1] == rows[6] == {7: F(2, 5), 2: F(3, 5)}
 
     def test_long_chain_needs_no_recursion(self):
         g = long_chain_graph(3000)
-        rows = graph_module._absorption_rows(g)
+        rows = fraction_absorption_rows(g)
         assert len(rows) == len(g.edges)
         assert all(rows[e.id] == {2: F(1)} for e in g.edges if e.head in g.random_vertices)
 

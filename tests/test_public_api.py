@@ -25,9 +25,11 @@ RETIRED = {
         "pencil_from_point", "union_pencil", "assemble_strata", "_hull_of_pieces",
     ],
     # Min-max checks report in a `ValidationReport`; `times` is in scalars.
-    # Only `_absorption_rows` tabulates an absorption solve, and the Max
-    # pair rule is in `synthesize_cone`'s loop.
-    "tropcone.graph": ["StochasticReport", "_times", "_tabulate", "_compliant_pairs"],
+    # The absorption table is the solve's integer rows, read as they are,
+    # and the Max pair rule is in `synthesize_cone`'s loop.
+    "tropcone.graph": [
+        "StochasticReport", "_times", "_tabulate", "_compliant_pairs", "_absorption_rows",
+    ],
 }
 
 

@@ -10,7 +10,9 @@ import pytest
 from support import (
     biased_graph,
     denominator_five_graph,
+    fraction_absorption_rows,
     fraction_lift,
+    fraction_witness_rows,
     gadget_exit_probability,
     random_minmax,
     random_valid_graph,
@@ -23,7 +25,6 @@ from tropcone.fixtures import example_graph
 from tropcone.graph import (
     Edge,
     GameGraph,
-    absorption,
     eval_operator,
     graph_from_minmax,
     is_compliant,
@@ -130,7 +131,7 @@ class TestZwickPaterson:
         assert len(rec.new_vertices) == 2 * rec.r + 1
         assert gadget_exit_probability(out, rec) == F(1, 3)
         # The absorption row of the Min edge into the gadget is unchanged.
-        rows = absorption(out)
+        rows = fraction_absorption_rows(out)
         assert rows[1].get(2, 0) == F(1, 3)
         assert rows[1].get(4, 0) == F(2, 3)
         for i in range(100):
@@ -263,7 +264,7 @@ class TestFirstTransformation:
         )
         out, witness = first_transformation(g)
         assert validate_graph(out).ok
-        assert witness.rows == (((F(3, 4), ((F(0), 0),)), (F(1, 4), ((F(0), 1),))),)
+        assert fraction_witness_rows(witness) == (((F(3, 4), ((F(0), 0),)), (F(1, 4), ((F(0), 1),))),)
         for i in range(20):
             x = sample_vector(rng_for(233, i), g.n, 5, 6)
             assert witness.lift(x) == fraction_lift(witness, x)
@@ -308,6 +309,15 @@ class TestSecondTransformation:
     def test_unknown_edge(self):
         with pytest.raises(PreconditionViolated):
             second_transformation(self._prepared(), 10**6)
+
+    @pytest.mark.parametrize("edge_id", [53.0, True])
+    def test_edge_id_is_an_int(self, edge_id):
+        # Edge 53 joins Random 21 to Random 25; a float or a bool is not its
+        # id, and the one integer check refuses both.
+        g = self._prepared()
+        assert any(e.id == 53 and g.kind[e.tail] == g.kind[e.head] == "random" for e in g.edges)
+        with pytest.raises(ValueError, match="expected an integer"):
+            second_transformation(g, edge_id)
 
     def test_target_subfixed_projects_back(self):
         g = self._prepared()
@@ -404,8 +414,8 @@ class TestIntegerLift:
         # y3 = (y2 + 1/2) / 5 + 4/5 (y2 - 1): at 0 the running denominator
         # goes from 2 to 6 to 30. Integer and Fraction inputs mix.
         witness = WitnessMap("test", 2, (
-            ((F(1, 3), ((F(0), 0),)), (F(2, 3), ((F(1, 2), 0), (F(-4), 1)))),
-            ((F(1, 5), ((F(1, 2), 2),)), (F(4, 5), ((F(-1), 2),))),
+            (3, ((1, ((F(0), 0),)), (2, ((F(1, 2), 0), (F(-4), 1))))),
+            (5, ((1, ((F(1, 2), 2),)), (4, ((F(-1), 2),)))),
         ))
         for x in ((0, 0), (F(5, 4), 3), (-7, F(-1, 9))):
             lifted = witness.lift(x)
@@ -425,7 +435,7 @@ class TestIntegerLift:
             Edge(9, 6, 3, prob=F(1, 3)), Edge(10, 6, 4, prob=F(2, 3)),
         ))
         _, witness = pipeline(g)
-        assert any(len(terms) > 1 for row in witness.rows for _, terms in row)
+        assert any(len(terms) > 1 for _, row in witness.rows for _, terms in row)
         for i in range(40):
             x = sample_vector(rng_for(227, i), 2, 6, 8)
             lifted = witness.lift(x)
