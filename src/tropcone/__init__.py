@@ -2,7 +2,6 @@
 spectrahedra: game-graph operators, structural transformations, pencil
 synthesis, and polyhedral frontends."""
 
-from .convex import TropPointSet, cone_member, hull_member
 from .errors import (
     DimensionMismatch,
     EmptyBelow,
@@ -38,12 +37,13 @@ from .lp import (
 from .pencil import (
     MetzlerPencil,
     ProjectedPencil,
+    TropPointSet,
     affine_envelope,
     pencil_from_generators,
     pencil_member,
     synthesize_cone,
 )
-from .scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
+from .scalars import NEG_INF, SignedTrop, Trop
 from .transforms import (
     WitnessMap,
     first_transformation,

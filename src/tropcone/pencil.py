@@ -19,8 +19,10 @@ constructor, `pencil_from_generators`: tconv(G) is the projection of one
 flat pencil over (x, lambda), one hidden weight per generator, with
 diagonal rows only (Develin and Sturmfels 2004). A singleton, a union or a
 stratum is the hull of its one point, of its sets' concatenated generators
-or of its generators placed on their supports with -inf elsewhere. A
-projected pencil lifts a point by one residuation per generator.
+or of its generators placed on their supports with -inf elsewhere. The
+generators are a `TropPointSet`, points of T^n held as `Trop`s. A
+projected pencil lifts a point by one residuation per generator
+(`residual_coefficient`).
 Entries are stored sparsely as {variable index: signed coefficient} with
 index 0 reserved for the constant matrix Q^(0). The module holds no
 operator kernel: the operator of a compliant graph on T^n, whose subfixed
@@ -36,7 +38,6 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Optional
 
-from .convex import TropPointSet, residual_coefficient, to_trop_vector
 from .errors import PreconditionViolated
 from .graph import _UNSET, GameGraph, eval_operator, require_compliant, subfixed
 from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, rational_or_none, sized, times
@@ -189,6 +190,43 @@ def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:
         if a is None or b is None or a + b < 2 * v:
             return False
     return True
+
+
+def to_trop_vector(x) -> Point:
+    """x as `Trop`s; a coordinate that `Trop` does not read, such as a
+    float, raises ValueError."""
+    return tuple(v if isinstance(v, Trop) else Trop(v) for v in x)
+
+
+@dataclass(frozen=True)
+class TropPointSet:
+    """Hull generators: points of T^n, each held as `Trop`s
+    (`to_trop_vector`). The dimension is read by `int_from_json`, so a
+    float or a bool raises ValueError, and so does a negative one."""
+
+    dimension: int
+    points: tuple[Point, ...]
+
+    def __post_init__(self):
+        if int_from_json(self.dimension) < 0:
+            raise ValueError(f"negative dimension {self.dimension}")
+        points = tuple(sized(to_trop_vector(p), self.dimension) for p in self.points)
+        object.__setattr__(self, "points", points)
+
+
+def residual_coefficient(y: Point, g: Point) -> Trop:
+    """Largest lam with lam + g <= y coordinatewise; -inf-only generators
+    are inert and get coefficient -inf."""
+    lam = None
+    for yi, gi in zip(y, g):
+        if gi.is_neg_inf:
+            continue
+        if yi.is_neg_inf:
+            return NEG_INF
+        cand = Trop(yi.finite - gi.finite)
+        if lam is None or cand < lam:
+            lam = cand
+    return NEG_INF if lam is None else lam
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
-"""Exact max-plus and signed max-plus scalar arithmetic.
+"""Exact scalars: max-plus elements (`Trop`), signed tropical coefficients
+(`SignedTrop`), and the rules that read rationals and integers from text
+and JSON, check lengths and turn rationals into integers.
 
 All finite values are arbitrary-precision rationals (`fractions.Fraction`),
 never floats; a `Trop` keeps a `Fraction` it is given. The additive zero of
-the semiring is a minus-infinity element, not a numeric sentinel.
+the semiring is a minus-infinity element, not a numeric sentinel. The
+module holds no max-plus sum or product: each kernel computes in integers
+over a common denominator (`integers_over`, `times`).
 """
 
 from __future__ import annotations
@@ -155,18 +159,6 @@ def integers_over(vals, scale: int) -> tuple:
     by D. With `times`, the one way a rational becomes an integer."""
     d = lcm(scale, *(v.denominator for v in vals if v is not None))
     return d, [None if v is None else v.numerator * (d // v.denominator) for v in vals]
-
-
-def tadd(a: Trop, b: Trop) -> Trop:
-    """Tropical addition: max(a, b). Minus infinity is neutral."""
-    return a if b <= a else b
-
-
-def tmul(a: Trop, b: Trop) -> Trop:
-    """Tropical multiplication: a + b. Minus infinity is absorbing."""
-    if a.is_neg_inf or b.is_neg_inf:
-        return NEG_INF
-    return Trop(a.finite + b.finite)
 
 
 class SignedTrop:

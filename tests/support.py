@@ -1,14 +1,19 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles here deliberately avoid the code paths under test: hull
-membership by brute-force subset search, linear programming by exhaustive
-vertex enumeration over exact square solves, the one-pass edge split of
-`pipeline` by splitting one edge at a time, absorption probabilities by one
-dense solve over every Random vertex, pencil membership, witness
-lifts and their affine-envelope points, and the encoded operator, on
-finite points and on T^n, by boxed `Trop` and `Fraction` arithmetic in
-place of the integer plans, and the path checks of graph validation by one
-walk per vertex.
+The oracles here deliberately avoid the code paths under test: the
+max-plus sum and product of boxed `Trop`s (`tadd`, `tmul`); cone and hull
+membership by residuation (`cone_member`, `hull_member`: the point is
+rebuilt from its residuation weights and compared, where a projected
+pencil decides membership of its lift, the two sharing only
+`residual_coefficient`), themselves checked against hull membership by
+brute-force subset search; linear programming by exhaustive vertex
+enumeration over exact square solves; the one-pass edge split of
+`pipeline` by splitting one edge at a time; absorption probabilities by
+one dense solve over every Random vertex; pencil membership, witness lifts
+and their affine-envelope points, and the encoded operator, on finite
+points and on T^n, by boxed `Trop` and `Fraction` arithmetic in place of
+the integer plans; and the path checks of graph validation by one walk per
+vertex.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from tropcone.convex import TropPointSet, cone_member
 from tropcone.errors import SingularSystem
 from tropcone.graph import (
     Edge,
@@ -27,8 +31,8 @@ from tropcone.graph import (
     is_compliant,
     require_valid,
 )
-from tropcone.pencil import eval_compliant_operator
-from tropcone.scalars import NEG_INF, Trop, tadd, tmul
+from tropcone.pencil import TropPointSet, eval_compliant_operator, residual_coefficient, to_trop_vector
+from tropcone.scalars import NEG_INF, Trop, sized
 from tropcone.transforms import first_transformation, second_transformation, zwick_paterson
 
 
@@ -49,11 +53,12 @@ def solve_rational(matrix, rhs_columns):
             raise SingularSystem(f"no pivot in column {col}")
         a[col], a[pivot] = a[pivot], a[col]
         inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        # Zero entries are skipped: v * inv and v - f * 0 would give v back.
+        a[col] = [v * inv if v else v for v in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                a[r] = [v - f * w if w else v for v, w in zip(a[r], a[col])]
     return [row[n : n + width] for row in a]
 
 
@@ -323,6 +328,45 @@ def trop_eval_compliant_operator(g: GameGraph, x) -> tuple:
             best = val if best is None else (val if val < best else best)
         result.append(best)
     return tuple(result)
+
+
+def tadd(a: Trop, b: Trop) -> Trop:
+    """Tropical addition: max(a, b). Minus infinity is neutral."""
+    return a if b <= a else b
+
+
+def tmul(a: Trop, b: Trop) -> Trop:
+    """Tropical multiplication: a + b. Minus infinity is absorbing."""
+    if a.is_neg_inf or b.is_neg_inf:
+        return NEG_INF
+    return Trop(a.finite + b.finite)
+
+
+def residual_combination(y, gens) -> tuple:
+    """max_k(lam_k + g_k) over the residuation coefficients lam_k of y."""
+    combo = tuple(NEG_INF for _ in y)
+    for g in gens:
+        lam = residual_coefficient(y, g)
+        combo = tuple(tadd(c, tmul(lam, gi)) for c, gi in zip(combo, g))
+    return combo
+
+
+def cone_member(y, generators: TropPointSet) -> bool:
+    """Is y a tropical combination of the generators?"""
+    y = sized(to_trop_vector(y), generators.dimension)
+    return residual_combination(y, generators.points) == y
+
+
+def hull_member(y, generators: TropPointSet) -> bool:
+    """Is y in the tropical convex hull of the generators?
+
+    Reduces to cone membership of (0, y) over the homogenized generators.
+    """
+    y = sized(to_trop_vector(y), generators.dimension)
+    zero = Trop(0)
+    homogenized = tuple((zero,) + tuple(p) for p in generators.points)
+    cone = TropPointSet(generators.dimension + 1, homogenized)
+    return cone_member((zero,) + y, cone)
 
 
 def hull_member_bruteforce(y, gens: TropPointSet) -> bool:

@@ -10,13 +10,13 @@ from fractions import Fraction
 
 from support import (
     gadget_exit_probability,
+    hull_member,
     hull_member_bruteforce,
     lp_max_oracle,
     random_compliant_graph,
     random_valid_graph,
 )
 from tropcone.cli import main
-from tropcone.convex import TropPointSet, hull_member
 from tropcone.fixtures import example_graph, example_union
 from tropcone.graph import eval_operator, subfixed
 from tropcone.lp import (
@@ -27,6 +27,7 @@ from tropcone.lp import (
     union_member,
 )
 from tropcone.pencil import (
+    TropPointSet,
     pencil_from_generators,
     pencil_member,
     subfixed_extended,

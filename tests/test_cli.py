@@ -16,7 +16,7 @@ from tropcone.graph import Edge, GameGraph, graph_from_minmax, subfixed
 from tropcone.pencil import MetzlerPencil, synthesize_cone
 from tropcone.sampling import rng_for
 from tropcone.scalars import rational_to_str
-from tropcone.transforms import pipeline
+from tropcone.transforms import first_transformation, pipeline, second_transformation, zwick_paterson
 from tropcone.verify import verify_graph
 
 F = Fraction
@@ -259,6 +259,18 @@ class TestCommands:
         obj = json.loads(out)
         assert obj["witness"]["kind"] == "pipeline"
         assert set(obj["graph"]) == {"min", "max", "random", "edges"}
+
+    def test_transform_t2(self, capsys, tmp_path):
+        g = first_transformation(zwick_paterson(example_graph()))[0]
+        path = tmp_path / "t1.json"
+        path.write_text(json.dumps(g.to_json()))
+        randoms = set(g.random_vertices)
+        edge = next(e for e in g.edges if e.tail in randoms and e.head in randoms)
+        assert edge.id == 53
+        code, out = run(capsys, "transform", "t2", str(path), "--edge", str(edge.id))
+        assert code == 0
+        graph, witness = second_transformation(g, edge.id)
+        assert json.loads(out) == {"graph": graph.to_json(), "witness": witness.descriptor()}
 
     def test_synthesize(self, capsys, graph_file):
         code, out = run(capsys, "synthesize", graph_file)

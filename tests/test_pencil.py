@@ -9,18 +9,21 @@ import pytest
 
 from support import (
     denominator_five_graph,
+    hull_member,
     hull_member_bruteforce,
     placed,
     random_compliant_graph,
+    tadd,
+    tmul,
     trop_pencil_member,
 )
-from tropcone.convex import TropPointSet, hull_member
 from tropcone.errors import DimensionMismatch, NotCompliant, PreconditionViolated
 from tropcone.fixtures import example_graph
 from tropcone.graph import Edge, GameGraph, subfixed
 from tropcone.pencil import (
     MetzlerPencil,
     ProjectedPencil,
+    TropPointSet,
     affine_envelope,
     eval_compliant_operator,
     pencil_from_generators,
@@ -29,7 +32,7 @@ from tropcone.pencil import (
     synthesize_cone,
 )
 from tropcone.sampling import rng_for, sample_vector, sample_trop_vector
-from tropcone.scalars import NEG_INF, SignedTrop, Trop, tadd, tmul
+from tropcone.scalars import NEG_INF, SignedTrop, Trop
 from tropcone.transforms import pipeline
 
 F = Fraction

@@ -1,4 +1,6 @@
-"""Cone and hull membership by residuation, against a brute-force oracle."""
+"""Cone and hull membership by residuation, the oracles of tests/support.py,
+against a brute-force oracle, and the generator sets and residuation
+weights of `tropcone.pencil` that they read."""
 
 from fractions import Fraction
 
@@ -6,16 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import hull_member_bruteforce
-from tropcone.convex import (
-    TropPointSet,
-    cone_member,
-    hull_member,
-    residual_coefficient,
-)
+from support import cone_member, hull_member, hull_member_bruteforce, tadd, tmul
 from tropcone.errors import DimensionMismatch
+from tropcone.pencil import TropPointSet, residual_coefficient
 from tropcone.sampling import rng_for, sample_trop_vector
-from tropcone.scalars import NEG_INF, Trop, tadd, tmul
+from tropcone.scalars import NEG_INF, Trop
 
 T = Trop
 Z = Trop(0)
@@ -72,6 +69,14 @@ class TestRawPoints:
             TropPointSet(1, ((0.5,),))
         with pytest.raises(ValueError):
             hull_member((0.5,), TropPointSet(1, ((0,),)))
+
+    @pytest.mark.parametrize(
+        "dimension, points", [(True, ((0,),)), (1.0, ((0,),)), (-1, ())], ids=["bool", "float", "negative"]
+    )
+    def test_dimension_is_a_nonnegative_int(self, dimension, points):
+        # Read by int_from_json, as the size of a min-max operator or a union is.
+        with pytest.raises(ValueError):
+            TropPointSet(dimension, points)
 
     def test_hull_member_on_raw_points(self):
         raw = TropPointSet(2, ((0, 1),))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from support import tadd, tmul
 from tropcone.fixtures import example_graph, example_minmax
 from tropcone.graph import eval_operator, minmax_eval, subfixed
 from tropcone.pencil import MetzlerPencil, pencil_member
@@ -16,8 +17,6 @@ from tropcone.scalars import (
     exact,
     rational_from_str,
     rational_or_none,
-    tadd,
-    tmul,
 )
 from tropcone.transforms import pipeline
 
