@@ -49,12 +49,25 @@ class Edge:
 @dataclass(frozen=True, eq=False)
 class GameGraph:
     """Immutable game graph. Min-vertex list order fixes the coordinate
-    order of the encoded operator."""
+    order of the encoded operator. The constructor checks every stored id
+    and label, for `from_json` and the builders alike."""
 
     min_vertices: tuple[int, ...]
     max_vertices: tuple[int, ...]
     random_vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        for v in (*self.min_vertices, *self.max_vertices, *self.random_vertices):
+            if type(v) is not int:
+                int_from_json(v)
+        for e in self.edges:
+            if not (type(e.id) is type(e.tail) is type(e.head) is int):
+                for v in (e.id, e.tail, e.head):
+                    int_from_json(v)
+            for p in (e.payoff, e.prob):
+                if p is not None and type(p) is not Fraction:
+                    rational(p)
 
     @cached_property
     def kind(self) -> dict:
@@ -144,22 +157,11 @@ class GameGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GameGraph":
-        edges = tuple(
-            Edge(
-                id=int_from_json(e["id"]),
-                tail=int_from_json(e["tail"]),
-                head=int_from_json(e["head"]),
-                payoff=None if e.get("payoff") is None else rational_from_str(e["payoff"]),
-                prob=None if e.get("prob") is None else rational_from_str(e["prob"]),
-            )
-            for e in obj["edges"]
-        )
-        return cls(
-            tuple(int_from_json(v) for v in obj["min"]),
-            tuple(int_from_json(v) for v in obj["max"]),
-            tuple(int_from_json(v) for v in obj["random"]),
-            edges,
-        )
+        def label(e, key):
+            return None if e.get(key) is None else rational_from_str(e[key])
+
+        edges = tuple(Edge(e["id"], e["tail"], e["head"], label(e, "payoff"), label(e, "prob")) for e in obj["edges"])
+        return cls(tuple(obj["min"]), tuple(obj["max"]), tuple(obj["random"]), edges)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,9 @@ def _scaled_terms(entry: Entry, sign: int, scale: int) -> tuple:
 
 
 class MetzlerPencil:
-    """Immutable sparse tropical Metzler pencil with m rows and n variables."""
+    """Immutable sparse tropical Metzler pencil with m rows and n variables.
+    The constructor checks every stored key, index and coefficient, for
+    `from_json` and the builders alike."""
 
     def __init__(self, m: int, n: int, entries):
         self.m, self.n = int_from_json(m), int_from_json(n)
@@ -65,14 +67,21 @@ class MetzlerPencil:
             raise ValueError(f"negative pencil size m = {m}, n = {n}")
         cleaned = {}
         for (i, j), entry in entries.items():
+            if not (type(i) is type(j) is int):
+                int_from_json(i)
+                int_from_json(j)
             if not (0 <= i <= j < m):
                 raise ValueError(f"entry ({i},{j}) outside upper triangle of size {m}")
             if not entry:
                 # A file holds no cell for it, so it would not round-trip.
                 raise ValueError(f"entry ({i},{j}) has no coefficient: leave it out")
             for k, c in entry.items():
+                if type(k) is not int:
+                    int_from_json(k)
                 if not 0 <= k <= n:
                     raise ValueError(f"coefficient index {k} outside 0..{n}")
+                if not isinstance(c, SignedTrop):
+                    raise ValueError(f"coefficient ({i},{j},{k}) is {c!r}, not a SignedTrop")
                 if i != j and c.sign != -1:
                     raise ValueError(
                         f"off-diagonal entry ({i},{j}) has a nonnegative coefficient"
@@ -314,13 +323,13 @@ def affine_envelope(pencil: MetzlerPencil) -> MetzlerPencil:
     n = pencil.n
     entries = dict(pencil.entries)  # MetzlerPencil copies each entry
     row = pencil.m
-    zero = SignedTrop.pos(0)
+    pos0, neg0 = SignedTrop.pos(0), SignedTrop.neg(0)
     for k in range(1, n + 1):
         i, j = row, row + 1
         row += 2
-        entries[(i, i)] = {k: zero}
-        entries[(j, j)] = {n + k: zero}
-        entries[(i, j)] = {0: SignedTrop.neg(0)}
+        entries[(i, i)] = {k: pos0}
+        entries[(j, j)] = {n + k: pos0}
+        entries[(i, j)] = {0: neg0}
     return MetzlerPencil(row, 2 * n, entries)
 
 

@@ -163,13 +163,15 @@ def integers_over(vals, scale: int) -> tuple:
 
 class SignedTrop:
     """A nonzero signed tropical number: a sign, -1 or 1, and a finite
-    modulus. A zero coefficient of a pencil is absent, not signed."""
+    `Trop` modulus. A zero coefficient of a pencil is absent, not signed."""
 
     __slots__ = ("sign", "modulus")
 
     def __init__(self, sign: int, modulus: Trop):
         if int_from_json(sign) not in (-1, 1):
             raise ValueError(f"invalid sign {sign!r}: a signed coefficient is -1 or 1")
+        if not isinstance(modulus, Trop):
+            raise ValueError(f"a signed coefficient's modulus is a Trop, not {modulus!r}")
         if modulus.is_neg_inf:
             raise ValueError("a signed coefficient has a finite modulus, not -inf")
         self.sign = sign

@@ -294,9 +294,9 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     return out, witness
 
 
-def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
-    """Split each listed Random-to-Random edge with a fresh Max/Min pair, in
-    the order given.
+def _split(g: GameGraph, edges) -> tuple[GameGraph, WitnessMap]:
+    """Split each given Random-to-Random edge with a fresh Max/Min pair, in
+    the order given, checking nothing that `second_transformation` checks.
 
     The new coordinate of a split edge is the expected Max-vertex value seen
     from its head, (d, ((N, terms of w), ...)) over the head's absorption
@@ -305,19 +305,6 @@ def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
     edge, and it equals what splitting the edges one at a time would give,
     since a split never creates a Random-to-Random edge."""
     absorbed = g.absorption_table
-    edges = {e.id: e for e in g.edges}
-    for edge_id in edge_ids:
-        e = edges.get(edge_id)
-        if e is None:
-            raise PreconditionViolated(f"no edge with id {edge_id}")
-        if g.kind[e.tail] != "random" or g.kind[e.head] != "random":
-            raise PreconditionViolated(f"edge {edge_id} does not join two Random vertices")
-    for e in g.edges:
-        if g.kind[e.tail] == "max" and g.kind[e.head] != "min":
-            raise PreconditionViolated(
-                f"Max out-edge {e.id} does not head a Min vertex"
-            )
-
     idx = g.min_index
     # Every Max out-edge heads a Min vertex, so a Max vertex's value is a
     # maximum of payoff + one coordinate.
@@ -326,11 +313,10 @@ def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
         terms[w] = tuple((e.payoff, idx[e.head]) for e in g.out_edges[w])
 
     b = _Builder(g)
-    split = set(edge_ids)
+    split = {e.id for e in edges}
     b.edges = [f for f in b.edges if f.id not in split]
     rows, new_coords = [], []
-    for edge_id in edge_ids:
-        e = edges[edge_id]
+    for e in edges:
         new_max = b.fresh_vertex()
         new_min = b.fresh_vertex()
         b.max_vertices.append(new_max)
@@ -345,8 +331,18 @@ def _split(g: GameGraph, edge_ids) -> tuple[GameGraph, WitnessMap]:
 
 
 def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, WitnessMap]:
-    """Split the Random-to-Random edge `edge_id` with a fresh Max/Min pair."""
-    return _split(g, [int_from_json(edge_id)])
+    """Check `g` and `edge_id`, then split that Random-to-Random edge with a fresh Max/Min pair."""
+    edge_id = int_from_json(edge_id)
+    require_valid(g)
+    e = next((f for f in g.edges if f.id == edge_id), None)
+    if e is None:
+        raise PreconditionViolated(f"no edge with id {edge_id}")
+    if g.kind[e.tail] != "random" or g.kind[e.head] != "random":
+        raise PreconditionViolated(f"edge {edge_id} does not join two Random vertices")
+    for f in g.edges:
+        if g.kind[f.tail] == "max" and g.kind[f.head] != "min":
+            raise PreconditionViolated(f"Max out-edge {f.id} does not head a Min vertex")
+    return _split(g, [e])
 
 
 def pipeline(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
@@ -356,8 +352,9 @@ def pipeline(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
         return g, WitnessMap("pipeline", g.n)
 
     t1, w1 = first_transformation(zwick_paterson(g))
+    # t1 is valid and its Max out-edges head Min vertices, as `_split` needs.
     kind = t1.kind
-    rr = sorted(e.id for e in t1.edges if kind[e.tail] == kind[e.head] == "random")
+    rr = sorted((e for e in t1.edges if kind[e.tail] == kind[e.head] == "random"), key=attrgetter("id"))
     out, w2 = _split(t1, rr)
     require_compliant(out)
     return out, WitnessMap("pipeline", g.n, w1.rows + w2.rows, w1.new_coords + w2.new_coords)

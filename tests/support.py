@@ -22,6 +22,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from perfbench.instances import LADDER_N2, LADDER_N3, QUERY_N3
 from tropcone.errors import SingularSystem
 from tropcone.graph import (
     Edge,
@@ -34,6 +35,12 @@ from tropcone.graph import (
 from tropcone.pencil import TropPointSet, eval_compliant_operator, residual_coefficient, to_trop_vector
 from tropcone.scalars import NEG_INF, Trop, sized
 from tropcone.transforms import first_transformation, second_transformation, zwick_paterson
+
+# The seed-0 graphs of every benchmark rung, at the indices the workloads
+# draw them at (`perfbench.instances.graph_instance(0, shape, index)`).
+BENCHMARK_RUNGS = [(LADDER_N2, range(2)), (LADDER_N3, range(6))] + [
+    (shape, (j, j + 3)) for j, shape in enumerate(QUERY_N3)
+]
 
 
 def solve_rational(matrix, rhs_columns):

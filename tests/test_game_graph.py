@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import (
+    BENCHMARK_RUNGS,
     biased_graph,
     dense_absorption_rows,
     dense_component_graph,
@@ -24,7 +25,7 @@ from support import (
     small_rational,
     walk_path_failures,
 )
-from perfbench.instances import LADDER_N2, LADDER_N3, QUERY_N3, graph_instance
+from perfbench.instances import graph_instance
 from tropcone import graph as graph_module
 from tropcone.errors import DimensionMismatch, NonStochastic, SingularSystem, ValidationFailed
 from tropcone.fixtures import TWO_PI, example_graph, example_minmax
@@ -46,13 +47,6 @@ from tropcone.sampling import rng_for, sample_vector
 from tropcone.transforms import first_transformation, zwick_paterson
 
 F = Fraction
-
-# The seed-0 graphs of every benchmark rung, at the indices the workloads
-# draw them at.
-BENCHMARK_RUNGS = [(LADDER_N2, range(2)), (LADDER_N3, range(6))] + [
-    (shape, (j, j + 3)) for j, shape in enumerate(QUERY_N3)
-]
-
 
 class TestValidation:
     def test_example_graph_valid(self):
@@ -641,3 +635,72 @@ class TestSerialization:
         subsets[0][0][0] = str(subsets[0][0][0])
         with pytest.raises(ValueError):
             MinMaxOperator.from_json({**obj, "subsets": subsets})
+
+
+def _two_vertex_graph(*edges):
+    """Min vertex 1 and Max vertex 2 with the given edges."""
+    return GameGraph((1,), (2,), (), edges)
+
+
+class TestConstructor:
+    """The constructor checks every stored id and label, so no graph it
+    accepts validates with an inexact value or writes a file that
+    `from_json` refuses."""
+
+    @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("where", ["min", "max", "random"])
+    def test_vertex_ids_are_ints(self, where, bad):
+        classes = {"min": (2,), "max": (3,), "random": (4,)}
+        classes[where] += (bad,)
+        with pytest.raises(ValueError, match="expected an integer"):
+            GameGraph(classes["min"], classes["max"], classes["random"], ())
+
+    @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("field", ["id", "tail", "head"])
+    def test_edge_ids_and_endpoints_are_ints(self, field, bad):
+        edge = replace(Edge(1, 1, 2, payoff=F(0)), **{field: bad})
+        with pytest.raises(ValueError, match="expected an integer"):
+            _two_vertex_graph(edge, Edge(2, 2, 1, payoff=F(1)))
+
+    def test_float_tail_next_to_its_int_vertex(self):
+        # 1.0 == 1, so the tail names vertex 1 to every dict lookup, and the
+        # graph would validate, answer subfixed and write a file with a tail
+        # that from_json refuses.
+        with pytest.raises(ValueError, match="expected an integer, got 1.0"):
+            _two_vertex_graph(Edge(1, 1.0, 2, payoff=F(0)), Edge(2, 2, 1, payoff=F(1)))
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=["float", "integral-float", "bool"])
+    def test_payoffs_are_exact(self, bad):
+        with pytest.raises(ValueError, match="expected an int or a Fraction"):
+            _two_vertex_graph(Edge(1, 1, 2, payoff=bad), Edge(2, 2, 1, payoff=F(1)))
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=["float", "integral-float", "bool"])
+    def test_probabilities_are_exact(self, bad):
+        # A float probability made validation itself raise AttributeError,
+        # and prob=True was read as 1.
+        edges = (
+            Edge(1, 1, 3, payoff=F(0)),
+            Edge(2, 3, 2, prob=bad),
+            Edge(3, 2, 1, payoff=F(1)),
+        )
+        with pytest.raises(ValueError, match="expected an int or a Fraction"):
+            GameGraph((1,), (2,), (3,), edges)
+
+    def test_int_labels_accepted(self):
+        g = _two_vertex_graph(Edge(1, 1, 2, payoff=0), Edge(2, 2, 1, payoff=1))
+        assert validate_graph(g).ok
+        assert GameGraph.from_json(g.to_json()).edges == g.edges
+
+    @pytest.mark.parametrize("value", [1.0, True, "1"], ids=["float", "bool", "string"])
+    def test_reader_ids_checked_by_the_constructor(self, value):
+        # from_json passes ids through as read; the constructor refuses them
+        # with the integer reader's message.
+        obj = example_graph().to_json()
+        for key in ("min", "max", "random"):
+            bad = {**obj, key: obj[key][:-1] + [value]}
+            with pytest.raises(ValueError, match="expected an integer"):
+                GameGraph.from_json(bad)
+        for field in ("id", "tail", "head"):
+            bad = {**obj, "edges": [{**obj["edges"][0], field: value}] + obj["edges"][1:]}
+            with pytest.raises(ValueError, match="expected an integer"):
+                GameGraph.from_json(bad)

@@ -89,6 +89,27 @@ class TestMembership:
         with pytest.raises(ValueError, match="no coefficient"):
             MetzlerPencil(2, 1, {(0, 0): {1: SignedTrop.pos(0)}, (0, 1): {}})
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(0, 0): {True: SignedTrop.pos(0)}},
+            {(0, 0): {1.0: SignedTrop.pos(0)}},
+            {(0.0, 0.0): {1: SignedTrop.pos(0)}},
+            {(False, 0): {1: SignedTrop.pos(0)}},
+        ],
+        ids=["bool-index", "float-index", "float-key", "bool-key"],
+    )
+    def test_keys_and_indices_are_ints(self, entries):
+        # Each of these answered membership and wrote a cell that from_json
+        # refuses, such as [0, 0, true, 1, "0/1"].
+        with pytest.raises(ValueError, match="expected an integer"):
+            MetzlerPencil(1, 1, entries)
+
+    @pytest.mark.parametrize("c", [T(0), F(0), 0, (1, T(0))], ids=["trop", "fraction", "int", "tuple"])
+    def test_coefficients_are_signed(self, c):
+        with pytest.raises(ValueError, match="not a SignedTrop"):
+            MetzlerPencil(1, 1, {(0, 0): {1: c}})
+
     def test_json_round_trip(self):
         p = synthesize_cone(pipeline(example_graph())[0])
         assert MetzlerPencil.from_json(p.to_json()).entries == p.entries

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from support import (
+    BENCHMARK_RUNGS,
     biased_graph,
     denominator_five_graph,
     fraction_absorption_rows,
@@ -18,6 +19,7 @@ from support import (
     random_valid_graph,
     sequential_pipeline,
 )
+from perfbench.instances import graph_instance
 from tropcone import graph as graph_module
 from tropcone import transforms as transforms_module
 from tropcone.errors import DimensionMismatch, NotCompliant, PreconditionViolated
@@ -498,3 +500,25 @@ class TestOnePassSplit:
         assert is_compliant(out)
         assert len(calls) == 4
         assert len({id(g) for g in calls}) == len(calls)
+
+
+class TestBuiltGraphsReadBack:
+    """Every builder's graph passes the checked constructor with ints and
+    Fractions only, so its file reads back to the same fields."""
+
+    @staticmethod
+    def _check(g):
+        for out in (zwick_paterson(g), first_transformation(g)[0], pipeline(g)[0]):
+            back = GameGraph.from_json(json.loads(json.dumps(out.to_json())))
+            for field in ("min_vertices", "max_vertices", "random_vertices", "edges"):
+                assert getattr(back, field) == getattr(out, field), field
+
+    def test_benchmark_graphs(self):
+        for shape, indices in BENCHMARK_RUNGS:
+            for index in indices:
+                self._check(graph_instance(0, shape, index).fresh())
+        self._check(example_graph())
+
+    def test_random_graphs(self):
+        for trial in range(200):
+            self._check(random_valid_graph(rng_for(331, trial)))

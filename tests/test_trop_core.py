@@ -115,6 +115,12 @@ class TestSignedTrop:
         with pytest.raises(ValueError):
             SignedTrop(sign, Trop(1))
 
+    @pytest.mark.parametrize("modulus", [Fraction(1), 1, "1", None], ids=["fraction", "int", "string", "none"])
+    def test_modulus_must_be_a_trop(self, modulus):
+        # A Fraction modulus raised AttributeError; pos and neg read values.
+        with pytest.raises(ValueError, match="modulus is a Trop"):
+            SignedTrop(1, modulus)
+
     @pytest.mark.parametrize("make", [SignedTrop.pos, SignedTrop.neg], ids=["pos", "neg"])
     def test_fixed_sign_refuses_neg_inf(self, make):
         with pytest.raises(ValueError, match="not -inf"):
