@@ -3,7 +3,8 @@ encode.
 
 A graph has three disjoint vertex classes. Edges out of Min and Max vertices
 carry rational payoffs; edges out of Random vertices carry positive rational
-probabilities summing to one per vertex (validation checks both in integers).
+probabilities summing to one per vertex (validation checks both in integers,
+the sum by `scalars.sums_to_one`, which reads each probability once).
 The encoded operator is computed from exact absorption probabilities of the
 induced Markov chain in which every Min and Max vertex is absorbing, solved
 in integers by fraction-free elimination (Bareiss 1968), one per strongly
@@ -15,13 +16,15 @@ The operator is evaluated in exact integers at points of T^n, from one
 plan built on a graph's first evaluation and kept on it next to the
 absorption table (`GameGraph.operator_plan`): a point is scaled to integers
 over D = lcm(C, its finite denominators), C the lcm of the payoff
-denominators, and every payoff and probability is an integer over its lcm.
+denominators, and every payoff and probability is an integer over its lcm
+(`scalars.integers_over` and `scalars.times`).
 A -inf coordinate is None; max, min and sums with positive weights extend
 the operator to it by continuity, so -inf is absorbing.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +33,7 @@ from typing import Optional, Sequence
 
 from .errors import NonStochastic, NotCompliant, SingularSystem, ValidationFailed
 from .scalars import exact, int_from_json, integers_over, rational, rational_from_str
-from .scalars import rational_or_none, rational_to_str, sized, times
+from .scalars import rational_or_none, rational_to_str, sized, sums_to_one, times
 
 Vector = tuple[Fraction, ...]
 
@@ -65,9 +68,10 @@ class GameGraph:
             if not (type(e.id) is type(e.tail) is type(e.head) is int):
                 for v in (e.id, e.tail, e.head):
                     int_from_json(v)
-            for p in (e.payoff, e.prob):
-                if p is not None and type(p) is not Fraction:
-                    rational(p)
+            if type(e.payoff) is not Fraction and e.payoff is not None:
+                rational(e.payoff)
+            if type(e.prob) is not Fraction and e.prob is not None:
+                rational(e.prob)
 
     @cached_property
     def kind(self) -> dict:
@@ -201,55 +205,53 @@ def validate_graph(g: GameGraph) -> ValidationReport:
     """Check structural invariants and Assumption 1 (a), (b), (c)."""
     failures = []
 
-    ids = list(g.min_vertices) + list(g.max_vertices) + list(g.random_vertices)
-    if len(set(ids)) != len(ids):
+    # `kind` holds each vertex once, so a vertex in two classes shortens it.
+    kind = g.kind
+    if len(kind) != len(g.min_vertices) + len(g.max_vertices) + len(g.random_vertices):
         failures.append(("disjoint", "vertex classes are not disjoint"))
-    edge_ids = [e.id for e in g.edges]
-    if len(set(edge_ids)) != len(edge_ids):
+    if len({e.id for e in g.edges}) != len(g.edges):
         failures.append(("edge-ids", "edge ids are not unique"))
     if not g.min_vertices or not g.max_vertices:
         failures.append(("nonempty-classes", "Min and Max vertex sets must be nonempty"))
 
     # One pass over the edges checks endpoints and labels and maps each
     # head to its Random tails, {head: [Random tails]}, for the path checks.
-    kind = g.kind
-    into = {}
+    into = defaultdict(list)
     for e in g.edges:
         tail = kind.get(e.tail)
         if tail is None or e.head not in kind:
             failures.append(("edge-endpoints", f"edge {e.id} has an unknown endpoint"))
-        elif tail != "random":
-            if e.payoff is None or e.prob is not None:
-                failures.append(("edge-labels", f"edge {e.id} out of a {tail} vertex must carry a payoff only"))
-        else:
-            into.setdefault(e.head, []).append(e.tail)
-            if e.prob is None or e.payoff is not None:
+        elif tail == "random":
+            into[e.head].append(e.tail)
+            p = e.prob
+            if p is None or e.payoff is not None:
                 failures.append(("edge-labels", f"edge {e.id} out of a Random vertex must carry a probability only"))
-            elif e.prob.numerator <= 0:
+            elif p.numerator <= 0:
                 failures.append(("edge-labels", f"edge {e.id} has nonpositive probability"))
+        elif e.payoff is None or e.prob is not None:
+            failures.append(("edge-labels", f"edge {e.id} out of a {tail} vertex must carry a payoff only"))
 
-    for v, out in g.out_edges.items():
+    out_edges = g.out_edges
+    for v, out in out_edges.items():
         if not out:
             failures.append(("out-degree", f"vertex {v} has no outgoing edge"))
 
     for v in g.random_vertices:
-        # The sum is 1 when the numerators over L, the lcm of the denominators, sum to L.
-        probs = [e.prob for e in g.out_edges[v] if e.prob is not None]
-        den, nums = integers_over(probs, 1)
-        if sum(nums) != den:
+        probs = [e.prob for e in out_edges[v] if e.prob is not None]
+        if not sums_to_one(probs):
             failures.append(("prob-sum", f"probabilities out of {v} sum to {sum(probs, Fraction(0))}"))
 
     if not failures:
         # A Max-free path from a Min vertex leaves by an out-edge into a Min
         # vertex or into a Random vertex that reaches one through Random
-        # vertices only; Max vertices likewise.
-        to_min = _reaching_randoms(into, g.min_vertices)
-        to_max = _reaching_randoms(into, g.max_vertices)
+        # vertices only; Max vertices likewise. The classes are disjoint here.
+        to_min = _reaching_randoms(into, g.min_vertices).union(g.min_vertices)
+        to_max = _reaching_randoms(into, g.max_vertices).union(g.max_vertices)
         for v in g.min_vertices:
-            if any(e.head in to_min or kind[e.head] == "min" for e in g.out_edges[v]):
+            if not to_min.isdisjoint([e.head for e in out_edges[v]]):
                 failures.append(("min-min-path", f"a Max-free path joins Min vertex {v} to a Min vertex"))
         for v in g.max_vertices:
-            if any(e.head in to_max or kind[e.head] == "max" for e in g.out_edges[v]):
+            if not to_max.isdisjoint([e.head for e in out_edges[v]]):
                 failures.append(("max-max-path", f"a Min-free path joins Max vertex {v} to a Max vertex"))
         for v in g.random_vertices:
             if v not in to_min and v not in to_max:
@@ -291,13 +293,17 @@ class _Builder:
         return v
 
     def add_edge(self, tail, head, payoff=None, prob=None) -> Edge:
-        e = Edge(self._next_edge, tail, head, payoff=payoff, prob=prob)
+        e = Edge(self._next_edge, tail, head, payoff, prob)
         self._next_edge += 1
         self.edges.append(e)
         return e
 
-    def out(self, v):
-        return [e for e in self.edges if e.tail == v]
+    def out_edges(self) -> dict:
+        """{tail: [its out-edges, in edge order]} over the edges as they are now."""
+        out = defaultdict(list)
+        for e in self.edges:
+            out[e.tail].append(e)
+        return out
 
     def freeze(self) -> GameGraph:
         """The built graph, checked: ValidationFailed if it is not valid."""
@@ -315,10 +321,8 @@ def _random_components(g: GameGraph) -> list:
     """Strongly connected components of the Random-to-Random edges, each
     listed after every component it has an edge into: Tarjan (1972) with an
     explicit stack, so no recursion depth grows with the graph."""
-    heads = {
-        v: iter([e.head for e in g.out_edges[v] if g.kind.get(e.head) == "random"])
-        for v in g.random_vertices
-    }
+    kind, out = g.kind, g.out_edges
+    heads = {v: iter([e.head for e in out[v] if kind.get(e.head) == "random"]) for v in g.random_vertices}
     index, low, stack, on_stack, comps = {}, {}, [], set(), []
     for root in g.random_vertices:
         if root in index:
@@ -379,8 +383,14 @@ def _exit_rows(g: GameGraph) -> dict:
         a = []
         for v in comp:
             # An edge inside C is -1 at its head, over 1.
-            terms = [(e.prob, *leave.get(e.id, (1, {e.head: -1}))) for e in g.out_edges[v]]
-            scale = lcm(*(p.denominator * den for p, den, _ in terms))
+            terms, scale = [], 1
+            for e in g.out_edges[v]:
+                den, xs = leave.get(e.id) or (1, {e.head: -1})
+                p = e.prob
+                m = p.denominator * den
+                if scale % m:
+                    scale = lcm(scale, m)
+                terms.append((p, den, xs))
             row = [0] * len(col)
             row[col[v]] = scale
             for p, den, xs in terms:

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Optional
 
 from .errors import PreconditionViolated
@@ -272,27 +271,29 @@ def synthesize_cone(g: GameGraph) -> MetzlerPencil:
     (-)(-r_e) (.) X_v.
     """
     require_compliant(g)
-    idx = g.min_index
+    kind, out, idx = g.kind, g.out_edges, g.min_index
     entries: dict = {}
     polynomials: dict = {}  # Max vertex -> diagonal entry; MetzlerPencil copies it per block
     row = 0
     for v in g.min_vertices:
-        for e in g.out_edges[v]:
+        for e in out[v]:
             # The Max pair absorbing the head of e: a Max head twice, else the
             # heads of the coin's two out-edges, in id order.
-            if g.kind[e.head] == "max":
+            if kind[e.head] == "max":
                 pair = (e.head, e.head)
             else:
-                pair = tuple(f.head for f in sorted(g.out_edges[e.head], key=attrgetter("id")))
+                f1, f2 = out[e.head]
+                pair = (f1.head, f2.head) if f1.id < f2.id else (f2.head, f1.head)
             i, j = row, row + 1
             row += 2
             for target, max_vertex in zip((i, j), pair):
                 if max_vertex not in polynomials:
                     # The largest payoff per Min coordinate, in out-edge order.
                     best = {}
-                    for f in g.out_edges[max_vertex]:
+                    for f in out[max_vertex]:
                         k = idx[f.head] + 1
-                        best[k] = max(best.get(k, f.payoff), f.payoff)
+                        if k not in best or f.payoff > best[k]:
+                            best[k] = f.payoff
                     polynomials[max_vertex] = {k: SignedTrop.pos(p) for k, p in best.items()}
                 entries[(target, target)] = polynomials[max_vertex]
             entries[(i, j)] = {idx[v] + 1: SignedTrop.neg(-e.payoff)}

@@ -6,14 +6,16 @@ All finite values are arbitrary-precision rationals (`fractions.Fraction`),
 never floats; a `Trop` keeps a `Fraction` it is given. The additive zero of
 the semiring is a minus-infinity element, not a numeric sentinel. The
 module holds no max-plus sum or product: each kernel computes in integers
-over a common denominator (`integers_over`, `times`).
+over a common denominator (`integers_over`, `times`), and a list of
+probabilities is checked to sum to one by `sums_to_one`, which reads each
+once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import DimensionMismatch
@@ -156,9 +158,25 @@ def integers_over(vals, scale: int) -> tuple:
     """(D, [v * D for v in vals]) for D = lcm(scale, every denominator in
     vals), so each rational becomes an integer over D; None (-inf) stays
     None. Max-plus comparisons do not change when every value is multiplied
-    by D. With `times`, the one way a rational becomes an integer."""
+    by D. With `times` and `sums_to_one`, the one way a rational becomes an
+    integer."""
     d = lcm(scale, *(v.denominator for v in vals if v is not None))
     return d, [None if v is None else v.numerator * (d // v.denominator) for v in vals]
+
+
+def sums_to_one(vals) -> bool:
+    """Do the rationals vals sum to exactly 1? One running integer sum n
+    over d, the lcm of the denominators so far, each value read once by
+    `as_integer_ratio`; d grows only when a denominator does not divide it.
+    An empty list sums to 0."""
+    n, d = 0, 1
+    for v in vals:
+        a, b = v.as_integer_ratio()
+        if d % b:
+            f = b // gcd(d, b)
+            n, d = n * f, d * f
+        n += a * (d // b)
+    return n == d
 
 
 class SignedTrop:
@@ -168,7 +186,9 @@ class SignedTrop:
     __slots__ = ("sign", "modulus")
 
     def __init__(self, sign: int, modulus: Trop):
-        if int_from_json(sign) not in (-1, 1):
+        if type(sign) is not int:
+            int_from_json(sign)
+        if sign not in (-1, 1):
             raise ValueError(f"invalid sign {sign!r}: a signed coefficient is -1 or 1")
         if not isinstance(modulus, Trop):
             raise ValueError(f"a signed coefficient's modulus is a Trop, not {modulus!r}")

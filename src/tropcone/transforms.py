@@ -163,20 +163,24 @@ def _lower_degrees(b: _Builder) -> None:
     """Split every Random vertex of out-degree above two into a first edge
     and a fresh Random vertex that takes the rest. The loop runs over the
     growing vertex list, so a fresh vertex with more than two out-edges is
-    split in its turn."""
+    split in its turn. Out-edges are read from one map, and the replaced
+    edges leave the edge list in one filter at the end."""
+    out = b.out_edges()
+    replaced = set()
     for v in b.random_vertices:
-        es = b.out(v)
+        es = out[v]
         if len(es) <= 2:
             continue
         e1, *rest = sorted(es, key=attrgetter("id"))
         q1 = e1.prob
+        q_rest = 1 - q1
         u = b.fresh_vertex()
         b.random_vertices.append(u)
-        b.edges = [f for f in b.edges if f.tail != v]
+        replaced.update(f.id for f in es)
         b.add_edge(v, e1.head, prob=q1)
-        b.add_edge(v, u, prob=1 - q1)
-        for e in rest:
-            b.add_edge(u, e.head, prob=e.prob / (1 - q1))
+        b.add_edge(v, u, prob=q_rest)
+        out[u] = [b.add_edge(u, e.head, prob=e.prob / q_rest) for e in rest]
+    b.edges = [f for f in b.edges if f.id not in replaced]
 
 
 def _bits(value: int, r: int):
@@ -191,9 +195,10 @@ def _bits(value: int, r: int):
 MAX_DENOMINATOR_BITS = 64
 
 
-def _install_gadget(b: _Builder, v: int) -> Optional[GadgetRecord]:
-    es = sorted(b.out(v), key=attrgetter("id"))
-    e1, e2 = es
+def _install_gadget(b: _Builder, v: int, es: list) -> Optional[GadgetRecord]:
+    """Replace the two out-edges es of Random vertex v, unless they are a
+    fair coin, by a gadget of fair coins; the caller drops es."""
+    e1, e2 = sorted(es, key=attrgetter("id"))
     q = e1.prob
     if q == HALF:
         return None
@@ -212,7 +217,6 @@ def _install_gadget(b: _Builder, v: int) -> Optional[GadgetRecord]:
     new_vertices = tops[1:] + bottoms
     b.random_vertices.extend(new_vertices)
 
-    b.edges = [f for f in b.edges if f.id not in (e1.id, e2.id)]
     for t in range(r + 1):
         nxt = tops[t + 1] if t + 1 <= r else v
         b.add_edge(tops[t], bottoms[t], prob=HALF)
@@ -228,11 +232,16 @@ def zwick_paterson_with_gadgets(g: GameGraph) -> tuple[GameGraph, tuple[GadgetRe
     b = _Builder(g)
     _remove_degree_one_randoms(b)
     _lower_degrees(b)
-    records = []
+    # Every Random vertex now has two out-edges, and a gadget adds edges
+    # only out of its own vertices, so one map serves the whole loop.
+    out = b.out_edges()
+    records, replaced = [], set()
     for v in list(b.random_vertices):
-        rec = _install_gadget(b, v)
+        rec = _install_gadget(b, v, out[v])
         if rec is not None:
             records.append(rec)
+            replaced.update(e.id for e in out[v])
+    b.edges = [f for f in b.edges if f.id not in replaced]
     return b.freeze(), tuple(records)
 
 

@@ -12,8 +12,9 @@ enumeration over exact square solves; the one-pass edge split of
 one dense solve over every Random vertex; pencil membership, witness lifts
 and their affine-envelope points, and the encoded operator, on finite
 points and on T^n, by boxed `Trop` and `Fraction` arithmetic in place of
-the integer plans; and the path checks of graph validation by one walk per
-vertex.
+the integer plans; the path checks of graph validation by one walk per
+vertex; and the whole of graph validation by plain loops, with the
+probability sums checked in the `integers_over` form.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from tropcone.graph import (
     require_valid,
 )
 from tropcone.pencil import TropPointSet, eval_compliant_operator, residual_coefficient, to_trop_vector
-from tropcone.scalars import NEG_INF, Trop, sized
+from tropcone.scalars import NEG_INF, Trop, integers_over, sized
 from tropcone.transforms import first_transformation, second_transformation, zwick_paterson
 
 # The seed-0 graphs of every benchmark rung, at the indices the workloads
@@ -560,6 +561,128 @@ def walk_path_failures(g: GameGraph) -> list:
         if not any(g.kind[w] in ("min", "max") for w in _random_reachable(g, v)):
             failures.append(("random-reach", f"no Min or Max vertex reachable from Random vertex {v}"))
     return failures
+
+
+def reference_validation_failures(g: GameGraph) -> list:
+    """The `validate_graph` failures of g, in its order, by plain loops: a
+    Random vertex's probabilities sum to one when their numerators over L,
+    the lcm of their denominators, sum to L (`integers_over`), and the path
+    checks are `walk_path_failures`."""
+    failures = []
+    ids = [*g.min_vertices, *g.max_vertices, *g.random_vertices]
+    if len(set(ids)) != len(ids):
+        failures.append(("disjoint", "vertex classes are not disjoint"))
+    edge_ids = [e.id for e in g.edges]
+    if len(set(edge_ids)) != len(edge_ids):
+        failures.append(("edge-ids", "edge ids are not unique"))
+    if not g.min_vertices or not g.max_vertices:
+        failures.append(("nonempty-classes", "Min and Max vertex sets must be nonempty"))
+    kind = {}
+    for cls, vertices in (("min", g.min_vertices), ("max", g.max_vertices), ("random", g.random_vertices)):
+        for v in vertices:
+            kind[v] = cls
+    for e in g.edges:
+        if e.tail not in kind or e.head not in kind:
+            failures.append(("edge-endpoints", f"edge {e.id} has an unknown endpoint"))
+        elif kind[e.tail] != "random":
+            if e.payoff is None or e.prob is not None:
+                failures.append(
+                    ("edge-labels", f"edge {e.id} out of a {kind[e.tail]} vertex must carry a payoff only")
+                )
+        elif e.prob is None or e.payoff is not None:
+            failures.append(("edge-labels", f"edge {e.id} out of a Random vertex must carry a probability only"))
+        elif e.prob <= 0:
+            failures.append(("edge-labels", f"edge {e.id} has nonpositive probability"))
+    out = {v: [e for e in g.edges if e.tail == v] for v in kind}
+    for v, es in out.items():
+        if not es:
+            failures.append(("out-degree", f"vertex {v} has no outgoing edge"))
+    for v in g.random_vertices:
+        probs = [e.prob for e in out[v] if e.prob is not None]
+        den, nums = integers_over(probs, 1)
+        if sum(nums) != den:
+            failures.append(("prob-sum", f"probabilities out of {v} sum to {sum(probs, Fraction(0))}"))
+    if not failures:
+        failures += walk_path_failures(g)
+    return failures
+
+
+# Mersenne primes of 61 and 89 bits: probabilities over them, and the one
+# over their product that completes a distribution, make the running lcm of
+# a probability sum grow at each edge.
+WIDE_DENOMINATORS = (2**61 - 1, 2**89 - 1)
+
+
+def wide_graph(rng: random.Random) -> GameGraph:
+    """A valid graph: Min 1..n -> Max -> Random -> Min, each Random vertex
+    with 8 out-edges, seven over the 61- and 89-bit `WIDE_DENOMINATORS` in
+    turn and the eighth completing the sum to one."""
+    n = rng.randint(1, 3)
+    mins = tuple(range(1, n + 1))
+    maxs = tuple(range(11, 11 + rng.randint(1, 2)))
+    randoms = tuple(range(21, 21 + rng.randint(1, 3)))
+    edges = [Edge(i, v, rng.choice(maxs), payoff=small_rational(rng)) for i, v in enumerate(mins, start=1)]
+    for w in maxs:
+        for r in rng.sample(randoms, rng.randint(1, len(randoms))):
+            edges.append(Edge(len(edges) + 1, w, r, payoff=small_rational(rng)))
+    for r in randoms:
+        probs = [Fraction(rng.randrange(1, d // 16), d) for d in (WIDE_DENOMINATORS * 4)[:7]]
+        probs.append(1 - sum(probs))
+        for p in probs:
+            edges.append(Edge(len(edges) + 1, r, rng.choice(mins), prob=p))
+    return GameGraph(mins, maxs, randoms, tuple(edges))
+
+
+def random_invalid_graph(rng: random.Random) -> GameGraph:
+    """`wide_graph` with one to three seeded defects: a zero, negative or
+    slightly wrong probability, a payoff on a Random edge, a label missing
+    or added on a Min or Max edge, a vertex left with no out-edge, an
+    unknown endpoint, a repeated edge or vertex id, a Min-Min or Max-Max
+    edge, a Random vertex that reaches only itself, or no Max vertex."""
+    g = wide_graph(rng)
+    mins, maxs, randoms = list(g.min_vertices), list(g.max_vertices), list(g.random_vertices)
+    edges = list(g.edges)
+    p, q = WIDE_DENOMINATORS
+    fresh, no_max = 100, False
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randrange(len(edges))
+        e = edges[j]
+        defect = rng.randrange(13)
+        if defect < 4 and e.prob is None:
+            defect = 4 + defect % 2
+        if defect == 0:
+            edges[j] = Edge(e.id, e.tail, e.head, prob=Fraction(0))
+        elif defect == 1:
+            edges[j] = Edge(e.id, e.tail, e.head, prob=-e.prob)
+        elif defect == 2:
+            edges[j] = Edge(e.id, e.tail, e.head, prob=e.prob + rng.choice((1, -1)) * Fraction(1, p * q))
+        elif defect == 3:
+            edges[j] = Edge(e.id, e.tail, e.head, payoff=small_rational(rng), prob=e.prob)
+        elif defect == 4:
+            edges[j] = Edge(e.id, e.tail, e.head, payoff=None if e.prob is None else Fraction(1), prob=None)
+        elif defect == 5:
+            edges[j] = Edge(e.id, e.tail, e.head, payoff=e.payoff, prob=Fraction(1, 2))
+        elif defect == 6:
+            tail = e.tail
+            edges = [f for f in edges if f.tail != tail]
+        elif defect == 7:
+            edges[j] = Edge(e.id, e.tail, 999, payoff=e.payoff, prob=e.prob)
+        elif defect == 8:
+            edges.append(Edge(e.id, e.tail, e.head, payoff=e.payoff, prob=e.prob))
+        elif defect == 9:
+            edges.append(Edge(fresh, mins[0], rng.choice(mins + maxs[:1]), payoff=Fraction(0)))
+            edges.append(Edge(fresh + 1, maxs[-1], rng.choice(maxs), payoff=Fraction(0)))
+            fresh += 2
+        elif defect == 10:
+            randoms.append(fresh)
+            edges.append(Edge(fresh + 1, fresh, fresh, prob=Fraction(1, 2)))
+            edges.append(Edge(fresh + 2, fresh, fresh, prob=Fraction(1, 2)))
+            fresh += 3
+        elif defect == 11:
+            rng.choice((mins, maxs)).append(randoms[0])
+        else:
+            no_max = True
+    return GameGraph(tuple(mins), () if no_max else tuple(maxs), tuple(randoms), tuple(edges))
 
 
 def random_sound_graph(rng: random.Random) -> GameGraph:

@@ -21,9 +21,12 @@ from support import (
     fraction_witness_rows,
     random_minmax,
     random_sound_graph,
+    random_invalid_graph,
     random_valid_graph,
+    reference_validation_failures,
     small_rational,
     walk_path_failures,
+    wide_graph,
 )
 from perfbench.instances import graph_instance
 from tropcone import graph as graph_module
@@ -177,6 +180,27 @@ class TestValidation:
             assert list(failures) == walk_path_failures(g)
             codes.update(code for code, _ in failures)
         assert codes == {"min-min-path", "max-max-path", "random-reach"}
+
+    def test_failures_match_the_reference(self):
+        # Random vertices with 8 out-edges over 61- and 89-bit denominators,
+        # seeded with defects: every failure, message and order equals the
+        # reference's, whose probability sums are `integers_over`'s.
+        codes = set()
+        for trial in range(400):
+            g = random_invalid_graph(rng_for(37, trial))
+            failures = validate_graph(g).failures
+            assert list(failures) == reference_validation_failures(g)
+            codes.update(code for code, _ in failures)
+        assert codes == {
+            "disjoint", "edge-ids", "nonempty-classes", "edge-endpoints", "edge-labels",
+            "out-degree", "prob-sum", "min-min-path", "max-max-path", "random-reach",
+        }
+
+    def test_wide_graphs_are_valid(self):
+        for trial in range(50):
+            g = wide_graph(rng_for(31, trial))
+            assert validate_graph(g).ok and reference_validation_failures(g) == []
+            assert {len(g.out_edges[v]) for v in g.random_vertices} == {8}
 
     def test_long_chain(self):
         # One reverse search per vertex class: about 5 s at this size with

@@ -47,6 +47,28 @@ def one_edge_graph(c):
     )
 
 
+def out_of_order_graph(first, second):
+    """A compliant graph listing edges out of id order: Random 21's coin
+    lists edge 10 (to Max 12) before edge 9 (to Max 11), and Max 11 reaches
+    Min 1 by edge 7 (payoff `first`) listed before edge 5 (payoff
+    `second`)."""
+    return GameGraph(
+        (1, 2), (11, 12), (21,),
+        (
+            Edge(1, 1, 21, payoff=F(0)),
+            Edge(2, 2, 11, payoff=F(1)),
+            Edge(3, 2, 21, payoff=F(-1, 2)),
+            Edge(7, 11, 1, payoff=first),
+            Edge(5, 11, 1, payoff=second),
+            Edge(6, 11, 2, payoff=F(0)),
+            Edge(8, 12, 2, payoff=F(-1)),
+            Edge(4, 12, 1, payoff=F(3, 4)),
+            Edge(10, 21, 12, prob=F(1, 2)),
+            Edge(9, 21, 11, prob=F(1, 2)),
+        ),
+    )
+
+
 def halfspace_pencil():
     """m=2, n=2 pencil whose members are exactly {x1 + x2 >= 0}."""
     return MetzlerPencil(
@@ -253,6 +275,19 @@ class TestSynthesis:
             for i in range(50):
                 x = sample_trop_vector(rng_for(163 + trial, i), g.n, 5, 6, 0.4)
                 assert pencil_member(p, x) == subfixed_extended(g, x)
+
+    @pytest.mark.parametrize("first, second", [(F(1, 3), F(2)), (F(2), F(2))], ids=["smaller-first", "equal"])
+    def test_edge_order_does_not_matter(self, first, second):
+        # A coin's Max pair is taken in id order, and a Max polynomial keeps
+        # the largest payoff per Min coordinate, whatever the list order.
+        g = out_of_order_graph(first, second)
+        by_id = GameGraph(g.min_vertices, g.max_vertices, g.random_vertices, tuple(sorted(g.edges, key=lambda e: e.id)))
+        assert g.compliant and by_id.compliant and g.edges != by_id.edges
+        cone = synthesize_cone(g)
+        assert cone.to_json() == synthesize_cone(by_id).to_json()
+        # Min 1's edge into the coin gives rows 0 and 1: Max 11 (edge 9), then Max 12.
+        assert cone.entries[(0, 0)] == {1: SignedTrop.pos(2), 2: SignedTrop.pos(0)}
+        assert cone.entries[(1, 1)] == {2: SignedTrop.pos(-1), 1: SignedTrop.pos(F(3, 4))}
 
     def test_extended_operator_absorbs_minus_inf(self):
         g = one_edge_graph(F(2))

@@ -4,6 +4,7 @@ scripts import from tropcone still resolves."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -78,10 +79,32 @@ def test_package_never_calls_vars():
     assert [path.name for path in paths if "vars(" in path.read_text()] == []
 
 
+# Reading a rational's integer pair, or multiplying its numerator: an
+# inline copy of the scaling rule.
+SCALING = re.compile(r"as_integer_ratio\(|\.numerator\s*\*|\*\s*\(?[\w.]+\.numerator\b")
+
+
 def test_only_scalars_turns_rationals_into_integers():
-    # `scalars.times` and `scalars.integers_over` are the one scaling rule.
+    # `scalars.times`, `scalars.integers_over` and `scalars.sums_to_one` are
+    # the one scaling rule.
     paths = sorted((ROOT / "src" / "tropcone").glob("*.py"))
-    assert [path.name for path in paths if ".numerator * (" in path.read_text()] == ["scalars.py"]
+    assert [path.name for path in paths if SCALING.search(path.read_text())] == ["scalars.py"]
+
+
+@pytest.mark.parametrize(
+    "line, copied",
+    [
+        ("q = p.numerator * (m // p.denominator)", True),
+        ("q = p.numerator*k", True),
+        ("q = k * p.numerator", True),
+        ("q = k * (e.prob.numerator)", True),
+        ("a, b = p.as_integer_ratio()", True),
+        ("elif p.numerator <= 0:", False),
+        ("a, b = q.numerator, q.denominator", False),
+    ],
+)
+def test_scaling_rule_pattern(line, copied):
+    assert bool(SCALING.search(line)) is copied
 
 
 def test_only_scalars_holds_the_integer_rule():

@@ -17,6 +17,7 @@ from tropcone.scalars import (
     exact,
     rational_from_str,
     rational_or_none,
+    sums_to_one,
 )
 from tropcone.transforms import pipeline
 
@@ -265,3 +266,45 @@ class TestExactReading:
             minmax_eval(example_minmax(), (0, value, 0))
         with pytest.raises(ValueError):
             exact(value)
+
+
+class TestSumsToOne:
+    """`sums_to_one` keeps one running integer sum over the lcm of the
+    denominators so far; it must agree with the `Fraction` sum."""
+
+    @pytest.mark.parametrize(
+        "vals, want",
+        [
+            ([], False),
+            ([Fraction(1)], True),
+            ([1], True),
+            ([Fraction(0), Fraction(1)], True),
+            ([Fraction(1, 2)], False),
+            ([Fraction(1, 2), Fraction(1, 2)], True),
+            ([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)], True),
+            ([Fraction(3, 2), Fraction(-1, 2)], True),
+            ([Fraction(1, 3), Fraction(1, 3), Fraction(1, 4)], False),
+        ],
+    )
+    def test_small_cases(self, vals, want):
+        assert sums_to_one(vals) is want
+
+    @pytest.mark.parametrize("exps", [(61,), (89,), (61, 89), (31, 61, 89)])
+    def test_mersenne_prime_denominators(self, exps):
+        # Coprime denominators: the running lcm grows at every value.
+        ps = [2**e - 1 for e in exps]
+        vals = [Fraction(1, p) for p in ps]
+        vals.append(1 - sum(vals))
+        assert sums_to_one(vals)
+        assert not sums_to_one(vals[:-1])
+        # One part in p * q off.
+        off = Fraction(1, ps[0] * ps[-1])
+        assert not sums_to_one([*vals[:-1], vals[-1] + off])
+        assert not sums_to_one([*vals[:-1], vals[-1] - off])
+
+    @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2**70), max_size=8))
+    def test_agrees_with_fraction_sum(self, vals):
+        assert sums_to_one(vals) is (sum(vals, Fraction(0)) == 1)
+        if vals:
+            fixed = [*vals[:-1], 1 - sum(vals[:-1], Fraction(0))]
+            assert sums_to_one(fixed)
