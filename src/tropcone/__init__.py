@@ -10,6 +10,7 @@ from .errors import (
     NotCompliant,
     PreconditionViolated,
     SingularSystem,
+    TooManyDigits,
     TropconeError,
     ValidationFailed,
 )

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import DimensionMismatch, MalformedInput, TropconeError
+from .errors import DimensionMismatch, MalformedInput, TooManyDigits, TropconeError
 from .graph import GameGraph, eval_operator, scaled_values, subfixed, subfixed_integers, validate_graph
 from .pencil import MetzlerPencil, pencil_member, synthesize_cone
 from .scalars import Trop, rational_from_str, rational_to_str, sized
@@ -60,7 +60,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True)
+    except ValueError as exc:  # a fresh id past Python's int-to-string limit
+        raise TooManyDigits("the result holds an integer with too many digits to print") from exc
+    _emit(text + "\n", out)
 
 
 def cmd_validate(args) -> int:

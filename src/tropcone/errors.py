@@ -39,3 +39,7 @@ class EmptyBelow(TropconeError):
 
 class MalformedInput(TropconeError):
     """Bad JSON or CLI arguments."""
+
+
+class TooManyDigits(TropconeError):
+    """A result has more digits than Python turns into a string."""

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .errors import NonStochastic, NotCompliant, SingularSystem, ValidationFailed
 from .scalars import exact, int_from_json, integers_over, rational, rational_from_str
-from .scalars import rational_or_none, rational_to_str, sized, sums_to_one, times
+from .scalars import rational_or_none, rational_text, rational_to_str, sized, sums_to_one, times
 
 Vector = tuple[Fraction, ...]
 
@@ -239,7 +239,8 @@ def validate_graph(g: GameGraph) -> ValidationReport:
     for v in g.random_vertices:
         probs = [e.prob for e in out_edges[v] if e.prob is not None]
         if not sums_to_one(probs):
-            failures.append(("prob-sum", f"probabilities out of {v} sum to {sum(probs, Fraction(0))}"))
+            total = rational_text(sum(probs, Fraction(0)))
+            failures.append(("prob-sum", f"probabilities out of {v} sum to {total}"))
 
     if not failures:
         # A Max-free path from a Min vertex leaves by an out-edge into a Min
@@ -599,8 +600,9 @@ def check_stochastic(op: MinMaxOperator) -> ValidationReport:
         for k, row in enumerate(mat):
             if any(v < 0 for v in row):
                 failures.append(("negative-entry", f"matrix {s} row {k} has a negative entry"))
-            if sum(row, Fraction(0)) != 1:
-                failures.append(("row-sum", f"matrix {s} row {k} sums to {sum(row, Fraction(0))}"))
+            total = sum(row, Fraction(0))
+            if total != 1:
+                failures.append(("row-sum", f"matrix {s} row {k} sums to {rational_text(total)}"))
     for k, per_k in enumerate(op.subsets):
         if not per_k:
             failures.append(("min-terms", f"coordinate {k} has no min-term"))

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, EmptyBelow
 from .graph import MinMaxOperator
-from .sampling import rng_for, sample_rational, sample_vector
+from .sampling import check_sampling, rng_for, sample_rational, sample_vector
 from .scalars import int_from_json, integers_over, rational, rational_from_str, rational_to_str
 from .scalars import sized
 
@@ -224,7 +224,9 @@ def tropical_convexity_falsifier(
     u: PolyhedralUnion, trials: int, seed: int = 0, box: int = 10, denom: int = 16
 ):
     """Sample members and tropical combinations; return a violating
-    (y1, y2, lam, mu, z) if the union is not tropically convex, else None."""
+    (y1, y2, lam, mu, z) if the union is not tropically convex, else None.
+    The arguments are checked as `verify_graph` checks its own."""
+    check_sampling("tropical_convexity_falsifier", "trials", trials, seed, box, denom)
     for t in range(trials):
         rng = rng_for(seed, t)
         try:

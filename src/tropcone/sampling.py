@@ -9,7 +9,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import NEG_INF, Trop
+from .scalars import NEG_INF, Trop, int_from_json
+
+
+def check_sampling(caller: str, count_name: str, count, seed, box, denom) -> None:
+    """Read a sampler's count, seed, box and denom by `int_from_json`
+    (ValueError for a bool, a float or a string) and refuse a negative
+    count or box and a denom below 1 with a ValueError naming the argument."""
+    int_from_json(seed)
+    for name, value, least in ((count_name, count, 0), ("box", box, 0), ("denom", denom, 1)):
+        if int_from_json(value) < least:
+            raise ValueError(f"{caller} needs {name} >= {least}, not {value}")
 
 
 def rng_for(seed: int, index: int) -> random.Random:

@@ -8,7 +8,8 @@ the semiring is a minus-infinity element, not a numeric sentinel. The
 module holds no max-plus sum or product: each kernel computes in integers
 over a common denominator (`integers_over`, `times`), and a list of
 probabilities is checked to sum to one by `sums_to_one`, which reads each
-once.
+once. A rational with more digits than Python writes is named by its size
+in a message (`rational_text`) and refused as output (`rational_to_str`).
 """
 
 from __future__ import annotations
@@ -18,11 +19,25 @@ from functools import total_ordering
 from math import gcd, lcm
 from typing import Optional
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TooManyDigits
+
+
+def rational_text(q: Fraction) -> str:
+    """q as `str` writes it, for a message, or its size when it has more
+    digits than Python turns into a string (`sys.get_int_max_str_digits`)."""
+    try:
+        return str(q)
+    except ValueError:
+        n, d = q.numerator.bit_length(), q.denominator.bit_length()
+        return f"a rational with a {n}-bit numerator and a {d}-bit denominator"
 
 
 def rational_to_str(r: Fraction) -> str:
-    return f"{r.numerator}/{r.denominator}"
+    """r as "N/D"; TooManyDigits when Python will not write N or D."""
+    try:
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError as exc:
+        raise TooManyDigits(f"{rational_text(r)} has too many digits to print") from exc
 
 
 def rational_from_str(s) -> Fraction:

@@ -6,8 +6,8 @@ vertices flip fair coins between two Max vertices:
 * `zwick_paterson`: replaces arbitrary rational distributions by chains of
   fair coin flips; preserves the encoded operator exactly. Each stage is
   one pass over the Random vertices: degree-one removal bypasses them all
-  at once, degree lowering walks the growing vertex list, and each biased
-  vertex gets one binary gadget.
+  at once, then one out-edge map serves degree lowering, which walks the
+  growing vertex list, and the binary gadget of each biased vertex.
 * `first_transformation`: inserts a Min vertex after every Max out-edge and
   a Max vertex before every Min in-edge; the subfixed set of the input is
   the projection of the output's.
@@ -15,15 +15,16 @@ vertices flip fair coins between two Max vertices:
   Max/Min pair.
 
 `pipeline` runs the first two stages and then splits every Random-to-Random
-edge in one pass that reads a single absorption table. It returns a witness map
-relating the two subfixed sets; a witness map is data, a list of rows that
-each define one new coordinate, so composing two is concatenation. A row's
-probabilities are integers over one d, as in the absorption table. The
-first `lift` on a map builds its integer plan and keeps it on the map: every
-constant over their common denominator, each row's single-term pairs folded
-into one constant. A lift then holds the point as integers over one running
-denominator, multiplied up only when a row's value needs it; `lift_integers`
-returns them as they are.
+edge in one pass. It returns a witness map relating the two subfixed sets;
+a witness map is data, a list of rows that each define one new coordinate,
+so composing two is concatenation. Both transformations build their rows by
+one rule, `_expected_rows`: the expected Max value seen from a head, over
+its absorption row, so a row's probabilities are integers over one d. The
+first `lift` on a map builds its integer plan and keeps it on the map:
+every constant over their common denominator, each row's single-term pairs
+folded into one constant and one weight per coordinate. A lift then holds
+the point as integers over one running denominator, multiplied up only
+when a row's value needs it; `lift_integers` returns them as they are.
 
 Every stage checks its input and builds its output with `graph._Builder`,
 whose `freeze` checks the built graph; a graph's validation report and
@@ -73,19 +74,20 @@ class WitnessMap:
         the lcm of every constant's denominator, and per row (d, K,
         ((N, i), ...), ((N, ((c, i), ...)), ...)), c over C: a row's
         single-term pairs fold into K, the sum of their N * c, and one
-        (N, i) each."""
+        (N, i) per coordinate i, N the sum of their N on i."""
         scale = lcm(*(c.denominator for _, row in self.rows for _, terms in row for c, _ in terms))
         rows = []
         for den, row in self.rows:
-            const, singles, multis = 0, [], []
+            const, singles, multis = 0, {}, []
             for q, terms in row:
                 scaled = tuple((times(c, scale), i) for c, i in terms)
                 if len(scaled) == 1:
-                    const += q * scaled[0][0]
-                    singles.append((q, scaled[0][1]))
+                    c, i = scaled[0]
+                    const += q * c
+                    singles[i] = singles.get(i, 0) + q
                 else:
                     multis.append((q, scaled))
-            rows.append((den, const, tuple(singles), tuple(multis)))
+            rows.append((den, const, tuple((q, i) for i, q in singles.items()), tuple(multis)))
         return scale, tuple(rows)
 
     def lift_integers(self, x) -> tuple:
@@ -159,28 +161,24 @@ def _remove_degree_one_randoms(b: _Builder) -> None:
     ]
 
 
-def _lower_degrees(b: _Builder) -> None:
+def _lower_degrees(b: _Builder, out: dict) -> set:
     """Split every Random vertex of out-degree above two into a first edge
-    and a fresh Random vertex that takes the rest. The loop runs over the
-    growing vertex list, so a fresh vertex with more than two out-edges is
-    split in its turn. Out-edges are read from one map, and the replaced
-    edges leave the edge list in one filter at the end."""
-    out = b.out_edges()
+    and a fresh Random vertex that takes the rest, over the growing vertex
+    list, so a fresh vertex is split in its turn. Out-edges are read from
+    `out`, kept current; returns the ids of the replaced edges."""
     replaced = set()
     for v in b.random_vertices:
         es = out[v]
         if len(es) <= 2:
             continue
         e1, *rest = sorted(es, key=attrgetter("id"))
-        q1 = e1.prob
-        q_rest = 1 - q1
+        q_rest = 1 - e1.prob
         u = b.fresh_vertex()
         b.random_vertices.append(u)
         replaced.update(f.id for f in es)
-        b.add_edge(v, e1.head, prob=q1)
-        b.add_edge(v, u, prob=q_rest)
+        out[v] = [b.add_edge(v, e1.head, prob=e1.prob), b.add_edge(v, u, prob=q_rest)]
         out[u] = [b.add_edge(u, e.head, prob=e.prob / q_rest) for e in rest]
-    b.edges = [f for f in b.edges if f.id not in replaced]
+    return replaced
 
 
 def _bits(value: int, r: int):
@@ -231,11 +229,10 @@ def zwick_paterson_with_gadgets(g: GameGraph) -> tuple[GameGraph, tuple[GadgetRe
     require_valid(g)
     b = _Builder(g)
     _remove_degree_one_randoms(b)
-    _lower_degrees(b)
-    # Every Random vertex now has two out-edges, and a gadget adds edges
-    # only out of its own vertices, so one map serves the whole loop.
+    # Lowering keeps `out` current; a gadget adds edges out of its own vertices only.
     out = b.out_edges()
-    records, replaced = [], set()
+    replaced = _lower_degrees(b, out)
+    records = []
     for v in list(b.random_vertices):
         rec = _install_gadget(b, v, out[v])
         if rec is not None:
@@ -251,15 +248,30 @@ def zwick_paterson(g: GameGraph) -> GameGraph:
     return zwick_paterson_with_gadgets(g)[0]
 
 
+def _expected_rows(g: GameGraph, heads) -> tuple:
+    """One witness row per head, the expected Max value seen from it:
+    (d, ((N, terms of w), ...)) over the head's absorption row (d, {w: N})
+    in `g`, whose Max out-edges head Min vertices. A Min vertex w has the
+    term (0, index of w), a Max vertex one (payoff, index of head) per
+    out-edge. The row is a fixed point of its coordinate of the target
+    operator, even when random cycles pass through the head."""
+    idx = g.min_index
+    terms = {w: ((ZERO, i),) for w, i in idx.items()}
+    for w in g.max_vertices:
+        terms[w] = tuple((e.payoff, idx[e.head]) for e in g.out_edges[w])
+    rows = map(g.absorption_row, heads)
+    return tuple((d, tuple((x, terms[w]) for w, x in xs.items())) for d, xs in rows)
+
+
 def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     """Insert Min vertices after Max out-edges and Max vertices before Min
     in-edges. The new Min coordinates are indexed by the Max out-edges, in
-    edge order, and the witness sets each to the expected value of the
-    source coordinates under the absorption distribution: the output's
-    absorption row (d, {u: N}) of the head of the edge out of the new Min
-    vertex, each Max vertex kappa[f] counted at the Min head of f. By the
-    max-max-path rule that row lies on kappa vertices only. `pipeline`'s
-    split reads the same table, cached on the output, so it solves once."""
+    edge order; the witness row of each is `_expected_rows` of the head of
+    the edge out of its Min vertex in the output. By the max-max-path rule
+    that row lies on the buffer vertices kappa[f] only, each with the term
+    (0, index of the Min head of f), which a lift's plan adds up per
+    coordinate. `pipeline`'s split reads the same table, cached on the
+    output, so it solves once."""
     require_valid(g)
     max_out = [e for e in g.edges if g.kind[e.tail] == "max"]
     min_headed = [e for e in g.edges if g.kind[e.head] == "min"]
@@ -269,11 +281,10 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     for e in max_out:
         mu[e.id] = b.fresh_vertex()
         b.min_vertices.append(mu[e.id])
-    kappa, home = {}, {}
+    kappa = {}
     for f in min_headed:
         kappa[f.id] = b.fresh_vertex()
         b.max_vertices.append(kappa[f.id])
-        home[kappa[f.id]] = f.head
 
     b.edges = []
     leaving = []  # the edge out of mu, per Max out-edge
@@ -291,40 +302,20 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
             b.add_edge(kappa[f.id], f.head, payoff=ZERO)
 
     out = b.freeze()
-    idx = g.min_index
-    rows = []
-    for e in leaving:
-        d, xs = out.absorption_row(e.head)
-        sums = Counter()
-        for w, x in xs.items():
-            sums[idx[home[w]]] += x
-        rows.append((d, tuple((sums[i], ((ZERO, i),)) for i in sorted(sums))))
-    witness = WitnessMap("t1", g.n, tuple(rows), tuple(f"t1:{e.id}" for e in max_out))
-    return out, witness
+    rows = _expected_rows(out, [e.head for e in leaving])
+    return out, WitnessMap("t1", g.n, rows, tuple(f"t1:{e.id}" for e in max_out))
 
 
 def _split(g: GameGraph, edges) -> tuple[GameGraph, WitnessMap]:
     """Split each given Random-to-Random edge with a fresh Max/Min pair, in
     the order given, checking nothing that `second_transformation` checks.
-
-    The new coordinate of a split edge is the expected Max-vertex value seen
-    from its head, (d, ((N, terms of w), ...)) over the head's absorption
-    row (d, {w: N}) in `g`. This is a fixed point of the new coordinate of
-    the target operator even when random cycles pass through the split
-    edge, and it equals what splitting the edges one at a time would give,
+    The new coordinate of a split edge is `_expected_rows` of its head in
+    `g`; this equals what splitting the edges one at a time would give,
     since a split never creates a Random-to-Random edge."""
-    absorbed = g.absorption_table
-    idx = g.min_index
-    # Every Max out-edge heads a Min vertex, so a Max vertex's value is a
-    # maximum of payoff + one coordinate.
-    terms = {w: ((ZERO, i),) for w, i in idx.items()}
-    for w in g.max_vertices:
-        terms[w] = tuple((e.payoff, idx[e.head]) for e in g.out_edges[w])
-
     b = _Builder(g)
     split = {e.id for e in edges}
     b.edges = [f for f in b.edges if f.id not in split]
-    rows, new_coords = [], []
+    new_coords = []
     for e in edges:
         new_max = b.fresh_vertex()
         new_min = b.fresh_vertex()
@@ -333,10 +324,9 @@ def _split(g: GameGraph, edges) -> tuple[GameGraph, WitnessMap]:
         b.add_edge(e.tail, new_max, prob=e.prob)
         b.add_edge(new_max, new_min, payoff=ZERO)
         b.add_edge(new_min, e.head, payoff=ZERO)
-        d, xs = absorbed[e.head]
-        rows.append((d, tuple((x, terms[w]) for w, x in xs.items())))
         new_coords.append(f"t2:{new_min}")
-    return b.freeze(), WitnessMap("t2", g.n, tuple(rows), tuple(new_coords))
+    rows = _expected_rows(g, [e.head for e in edges])
+    return b.freeze(), WitnessMap("t2", g.n, rows, tuple(new_coords))
 
 
 def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, WitnessMap]:

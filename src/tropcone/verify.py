@@ -9,8 +9,7 @@ from typing import Optional
 
 from .graph import GameGraph, subfixed
 from .pencil import MetzlerPencil, affine_envelope, pencil_member_integers, synthesize_cone
-from .sampling import rng_for, sample_vector
-from .scalars import int_from_json
+from .sampling import check_sampling, rng_for, sample_vector
 from .transforms import pipeline
 
 
@@ -65,10 +64,7 @@ def verify_graph(
     corrupted pencils are caught). A `samples`, `seed`, `box` or `denom`
     that is not an int (a bool or a float), a negative `samples` or `box`,
     or a `denom` below 1 raises ValueError before the pipeline runs."""
-    int_from_json(seed)
-    for name, value, least in (("samples", samples, 0), ("box", box, 0), ("denom", denom, 1)):
-        if int_from_json(value) < least:
-            raise ValueError(f"verify_graph needs {name} >= {least}, not {value}")
+    check_sampling("verify_graph", "samples", samples, seed, box, denom)
     start = time.monotonic()
     target, witness = pipeline(g)
     envelope = affine_envelope(synthesize_cone(target))

@@ -20,8 +20,11 @@ probability sums checked in the `integers_over` form.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from perfbench.instances import LADDER_N2, LADDER_N3, QUERY_N3
 from tropcone.errors import SingularSystem
@@ -611,6 +614,26 @@ def reference_validation_failures(g: GameGraph) -> list:
 # over their product that completes a distribution, make the running lcm of
 # a probability sum grow at each edge.
 WIDE_DENOMINATORS = (2**61 - 1, 2**89 - 1)
+
+
+# Python writes no integer of more than 4300 digits by default
+# (`sys.get_int_max_str_digits`, since 3.10.7 and 3.11); the tests of what
+# tropcone does past that limit are written for the default.
+default_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs Python's default limit of 4300 digits on int-to-string conversion",
+)
+
+
+def long_sum_graph() -> GameGraph:
+    """An invalid graph whose Random vertex 3 goes to Max 2 with probability
+    1/3^6000 and to Min 1 with 1/2^9000: each prints, but their sum, with
+    a 9510-bit numerator and an 18510-bit denominator, has more digits than
+    Python writes."""
+    return GameGraph((1,), (2,), (3,), (
+        Edge(1, 1, 3, payoff=Fraction(0)), Edge(2, 2, 1, payoff=Fraction(0)),
+        Edge(3, 3, 2, prob=Fraction(1, 3 ** 6000)), Edge(4, 3, 1, prob=Fraction(1, 2 ** 9000)),
+    ))
 
 
 def wide_graph(rng: random.Random) -> GameGraph:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from support import random_minmax
+from support import default_digit_limit, long_sum_graph, random_minmax
 from tropcone import cli
 from tropcone.cli import SECTION_MAX_CELLS, main
 from tropcone.fixtures import TWO_PI, example_graph
@@ -611,3 +611,63 @@ class TestSectionScript:
             script.main(args)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+@default_digit_limit
+class TestDigitLimit:
+    """Past Python's 4300-digit limit on writing an integer, a command
+    exits with its code and one `error:` line or a report, never a
+    traceback."""
+
+    @staticmethod
+    def _write(tmp_path, g):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(g.to_json()))
+        return str(path)
+
+    def test_validate_reports_a_long_sum(self, capsys, tmp_path):
+        code = main(["validate", self._write(tmp_path, long_sum_graph())])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        (failure,) = json.loads(captured.out)["failures"]
+        assert failure == {
+            "code": "prob-sum",
+            "message": "probabilities out of 3 sum to a rational with a 9510-bit numerator and a 18510-bit denominator",
+        }
+
+    def test_subfixed_on_a_long_sum_is_one_error_line(self, capsys, tmp_path):
+        code = main(["subfixed", self._write(tmp_path, long_sum_graph()), "--point", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: prob-sum: probabilities out of 3 sum to a rational with")
+        assert captured.err.count("\n") == 1
+
+    @staticmethod
+    def _payoff_graph(payoff):
+        # F(x) = 2 * payoff + x: Min 1 -> Max 2 -> Min 1.
+        return GameGraph((1,), (2,), (), (Edge(1, 1, 2, payoff=payoff), Edge(2, 2, 1, payoff=payoff)))
+
+    def test_eval_result_past_the_limit_is_one_error_line(self, capsys, tmp_path):
+        big = 10 ** 4300 - 1
+        code = main(["eval", self._write(tmp_path, self._payoff_graph(F(big))), "--point", str(big)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "error: a rational with a 14286-bit numerator and a 1-bit denominator has too many digits to print\n"
+        )
+
+    def test_eval_result_at_the_limit_prints(self, capsys, tmp_path):
+        half = 10 ** 4299
+        code, out = run(capsys, "eval", self._write(tmp_path, self._payoff_graph(F(half))), "--point", str(half))
+        assert code == 0
+        assert json.loads(out) == [f"{3 * half}/1"]
+
+    def test_fresh_id_past_the_limit_is_one_error_line(self, capsys, tmp_path):
+        # The first transformation numbers its new vertices from the largest
+        # id up, so one past 4300 nines has 4301 digits.
+        big = 10 ** 4300 - 1
+        g = GameGraph((1,), (big,), (), (Edge(1, 1, big, payoff=F(0)), Edge(2, big, 1, payoff=F(0))))
+        code = main(["transform", "t1", self._write(tmp_path, g)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: the result holds an integer with too many digits to print\n"

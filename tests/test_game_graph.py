@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from support import (
     BENCHMARK_RUNGS,
     biased_graph,
+    default_digit_limit,
     dense_absorption_rows,
     dense_component_graph,
     denominator_five_graph,
     fraction_absorption_rows,
     fraction_witness_rows,
+    long_sum_graph,
     random_minmax,
     random_sound_graph,
     random_invalid_graph,
@@ -294,12 +296,17 @@ class TestAbsorption:
         self._assert_matches_dense(g, fraction_absorption_rows(g))
         self._assert_matches_dense(t1, fraction_absorption_rows(t1))
         dense = self._assert_matches_dense(zp, fraction_absorption_rows(zp))
-        # The witness rows are zp's table, folded from the solve of t1's.
-        assert [
-            [(zp.min_vertices[i], p) for p, ((_, i),) in row] for row in fraction_witness_rows(witness)
-        ] == [
-            list(dense[e.id].items()) for e in zp.edges if zp.kind[e.tail] == "max"
-        ]
+        # The witness rows are zp's table, read off the solve of t1's: one
+        # zero-constant single term per buffer vertex, whose weights summed
+        # per coordinate, in coordinate order, are the dense row.
+        folded = []
+        for row in fraction_witness_rows(witness):
+            sums = {}
+            for p, ((c, i),) in row:
+                assert c == 0
+                sums[i] = sums.get(i, 0) + p
+            folded.append([(zp.min_vertices[i], p) for i, p in sorted(sums.items())])
+        assert folded == [list(dense[e.id].items()) for e in zp.edges if zp.kind[e.tail] == "max"]
 
     def test_matches_dense_solve_on_fixtures(self):
         self._check_with_stages(example_graph())
@@ -728,3 +735,31 @@ class TestConstructor:
             bad = {**obj, "edges": [{**obj["edges"][0], field: value}] + obj["edges"][1:]}
             with pytest.raises(ValueError, match="expected an integer"):
                 GameGraph.from_json(bad)
+
+
+@default_digit_limit
+class TestDigitLimit:
+    """A sum with more digits than Python writes is named by its size in a
+    failure message, so validation reports it instead of raising."""
+
+    SIZE = "a rational with a 9510-bit numerator and a 18510-bit denominator"
+
+    def test_prob_sum_past_the_limit(self):
+        g = long_sum_graph()
+        report = validate_graph(g)
+        assert report.failures == (("prob-sum", f"probabilities out of 3 sum to {self.SIZE}"),)
+        assert str(report) == f"prob-sum: probabilities out of 3 sum to {self.SIZE}"
+        with pytest.raises(ValidationFailed, match="prob-sum"):
+            subfixed(g, (0,))
+
+    def test_row_sum_past_the_limit(self):
+        op = MinMaxOperator(
+            2,
+            (((F(1, 3 ** 6000), F(1, 2 ** 9000)), (F(0), F(1))),),
+            ((F(0), F(0)),),
+            (((0,),), ((0,),)),
+        )
+        message = f"matrix 0 row 0 sums to {self.SIZE}"
+        assert check_stochastic(op).failures == (("row-sum", message),)
+        with pytest.raises(NonStochastic, match=f"row-sum: {message}"):
+            graph_from_minmax(op)

@@ -418,6 +418,32 @@ class TestFalsifier:
     def test_zero_trials_vacuous(self):
         assert tropical_convexity_falsifier(halfplane(), trials=0) is None
 
+    @staticmethod
+    def _no_sampling(monkeypatch):
+        def no_eval(u, x):
+            raise AssertionError("a sample was evaluated")
+
+        monkeypatch.setattr(lp_module, "eval_F_from_polyhedra", no_eval)
+
+    @pytest.mark.parametrize("name, value", [("trials", -1), ("box", -1), ("denom", 0), ("denom", -4)])
+    def test_meaningless_arguments_refused(self, monkeypatch, name, value):
+        # Refused before any sample is drawn, with the argument named, as
+        # `verify_graph` refuses its own.
+        self._no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match=f"tropical_convexity_falsifier needs {name} >= "):
+            tropical_convexity_falsifier(halfplane(), **{"trials": 1, name: value})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"trials": True}, {"trials": 20.0}, {"seed": 0.5}, {"seed": True}, {"box": True, "denom": True}, {"denom": 16.0}],
+        ids=["trials-bool", "trials-float", "seed-float", "seed-bool", "box-denom-bool", "denom-float"],
+    )
+    def test_non_int_arguments_refused(self, monkeypatch, kwargs):
+        # A bool is not read as 0 or 1, nor a float seed as some other seed.
+        self._no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match="expected an integer"):
+            tropical_convexity_falsifier(halfplane(), **{"trials": 1, **kwargs})
+
 
 class TestSerialization:
     def test_round_trip(self):

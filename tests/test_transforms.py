@@ -252,7 +252,8 @@ class TestFirstTransformation:
 
     def test_witness_folds_buffer_vertices_onto_min_heads(self):
         # Random 20 has two edges into Min 1, so two of the three Max
-        # buffer vertices before its Min heads fold onto coordinate 0.
+        # buffer vertices before its Min heads are single terms on
+        # coordinate 0, which the lift's plan folds into one weight.
         g = GameGraph(
             (1, 2), (10,), (20,),
             (
@@ -266,7 +267,16 @@ class TestFirstTransformation:
         )
         out, witness = first_transformation(g)
         assert validate_graph(out).ok
-        assert fraction_witness_rows(witness) == (((F(3, 4), ((F(0), 0),)), (F(1, 4), ((F(0), 1),))),)
+        (row,) = fraction_witness_rows(witness)
+        assert len(row) == 3
+        sums = {}
+        for p, ((c, i),) in row:
+            assert c == 0
+            sums[i] = sums.get(i, 0) + p
+        assert sums == {0: F(3, 4), 1: F(1, 4)}
+        ((den, const, singles, multis),) = witness._plan[1]
+        assert (den, const, multis) == (4, 0, ())
+        assert sorted(singles) == [(1, 1), (3, 0)]
         for i in range(20):
             x = sample_vector(rng_for(233, i), g.n, 5, 6)
             assert witness.lift(x) == fraction_lift(witness, x)
@@ -443,6 +453,26 @@ class TestIntegerLift:
             lifted = witness.lift(x)
             assert lifted == fraction_lift(witness, x)
             assert witness.project(lifted) == x
+
+    def test_plan_holds_one_single_term_per_coordinate(self):
+        # A row's single-term pairs on one coordinate, from buffer vertices
+        # before one Min head or Max vertices of one out-edge, add up to
+        # one weight in the plan: their N summed per coordinate.
+        graphs = [graph_instance(0, shape, index).fresh() for shape, indices in BENCHMARK_RUNGS for index in indices]
+        graphs += [random_valid_graph(rng_for(239, t)) for t in range(200)]
+        shared = 0
+        for g in graphs:
+            _, witness = pipeline(g)
+            for (_, row), (_, _, singles, _) in zip(witness.rows, witness._plan[1]):
+                coords = [i for _, i in singles]
+                assert len(coords) == len(set(coords))
+                sums = {}
+                for q, terms in row:
+                    if len(terms) == 1:
+                        sums[terms[0][1]] = sums.get(terms[0][1], 0) + q
+                assert dict((i, q) for q, i in singles) == sums
+                shared += sum(len(terms) == 1 for _, terms in row) > len(singles)
+        assert shared > 0
 
 
 class TestOnePassSplit:

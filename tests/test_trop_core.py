@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import tadd, tmul
+from support import default_digit_limit, tadd, tmul
+from tropcone.errors import TooManyDigits
 from tropcone.fixtures import example_graph, example_minmax
 from tropcone.graph import eval_operator, minmax_eval, subfixed
 from tropcone.pencil import MetzlerPencil, pencil_member
@@ -17,6 +18,8 @@ from tropcone.scalars import (
     exact,
     rational_from_str,
     rational_or_none,
+    rational_text,
+    rational_to_str,
     sums_to_one,
 )
 from tropcone.transforms import pipeline
@@ -308,3 +311,27 @@ class TestSumsToOne:
         if vals:
             fixed = [*vals[:-1], 1 - sum(vals[:-1], Fraction(0))]
             assert sums_to_one(fixed)
+
+
+@default_digit_limit
+class TestDigitLimit:
+    """Python writes no integer of more than 4300 digits: a message names a
+    longer rational by its size, and a result that long is refused with a
+    tropcone error, not a bare ValueError."""
+
+    def test_text_is_str_up_to_the_limit(self):
+        for q in (Fraction(-7, 3), Fraction(4), Fraction(10 ** 4300 - 1, 3), Fraction(1, 10 ** 4300 - 1)):
+            assert rational_text(q) == str(q)
+        assert rational_to_str(Fraction(10 ** 4300 - 1)) == "9" * 4300 + "/1"
+
+    def test_text_names_the_size_past_the_limit(self):
+        q = Fraction(1, 3 ** 6000) + Fraction(1, 2 ** 9000)
+        assert rational_text(q) == "a rational with a 9510-bit numerator and a 18510-bit denominator"
+        assert rational_text(Fraction(-(10 ** 4300))) == (
+            "a rational with a 14285-bit numerator and a 1-bit denominator"
+        )
+
+    @pytest.mark.parametrize("q", [Fraction(10 ** 4300), Fraction(1, 10 ** 4300), Fraction(-(3 ** 9100), 7)])
+    def test_to_str_refuses_past_the_limit(self, q):
+        with pytest.raises(TooManyDigits, match="too many digits to print"):
+            rational_to_str(q)
