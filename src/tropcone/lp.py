@@ -3,10 +3,14 @@
 A closed semilinear real tropical cone given as U = union of {x : Ax <= b}
 has the canonical operator F_k(x) = max over pieces of max{y_k : Ay <= b,
 y <= x}. Each inner maximum is solved exactly as its LP dual, which always
-has a feasible basis, by one phase of Bland's rule (no cycling) with
-fraction-free integer pivoting, one scaling per point (Edmonds 1967,
-Bareiss 1968); an unbounded dual means the piece has no point below x.
-The operator skips coordinates that already reach x_k and stops going
+has a feasible basis, with fraction-free integer pivoting and one scaling
+per point (Edmonds 1967, Bareiss 1968). The n duals of a piece differ only
+in their right-hand side e_k, so they share one tableau: the first
+coordinate runs Bland's primal simplex (no cycling) from the basis v, and
+each later one continues from the last optimal basis by Bland's dual
+simplex (Lemke 1954, Bland 1977). An unbounded dual means the piece has no
+point below x. The operator keeps each coordinate's best as an integer
+gap below x_k, skips coordinates that already reach x_k and stops going
 through pieces once F(x) = x. Entries and points are ints or Fractions,
 never floats: 3 * 0.1 > 0.3, so a float would give a wrong answer without
 a word.
@@ -24,8 +28,8 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch, EmptyBelow
 from .graph import MinMaxOperator
 from .sampling import check_sampling, rng_for, sample_rational, sample_vector
-from .scalars import int_from_json, integers_over, rational, rational_from_str, rational_to_str
-from .scalars import sized
+from .scalars import int_from_json, integers_over, rational, rational_from_str, rational_text
+from .scalars import rational_to_str, sized
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -120,54 +124,89 @@ def _slack(piece: tuple, scale: int, xs: list) -> list:
     return [scale * bi - sum(map(mul, row, xs)) for row, bi in zip(rows, rhs)]
 
 
-def _dual_min(piece: tuple, h: list, scale: int, xs: list, k: int) -> Optional[Fraction]:
-    """min{b.u + x.v : A^T u + v = e_k, u, v >= 0}, the dual of max{y_k :
-    Ay <= b, y <= x} and equal to it; None if the dual is unbounded, which
-    by Farkas' lemma means that no point of {Ay <= b} lies below x.
+def _bareiss(tableau: list, r: int, enter: int, d: int) -> int:
+    """Pivot on row r and column `enter`, returning the new denominator:
+    each other row becomes (T_i p - T_ic T_r) / d, d the previous pivot, an
+    exact division (Edmonds 1967, Bareiss 1968), so every stored row is d
+    times its rational value. A negative pivot negates its row first, so d
+    stays positive and every stored sign is the rational sign."""
+    row = tableau[r]
+    p = row[enter]
+    if p < 0:
+        row = tableau[r] = [-a for a in row]
+        p = -p
+    for i, line in enumerate(tableau):
+        if i != r:
+            f = line[enter]
+            tableau[i] = [(a * p - f * b) // d for a, b in zip(line, row)]
+    return p
 
-    The n rows (cols[j] | e_j | [j = k]) start on the basis v = e_k, with
-    the u columns scaled by s_i and the objective row (h | 0 | -xs_k) by
-    scale, h the slacks. Positive scalings keep the sign of every reduced
-    cost and the order of every ratio, so the pivots are those of the
-    rational tableau. Bland's rule: the lowest column with a negative
-    reduced cost enters; the minimum ratio leaves, ties to the smaller basis
-    index. Each pivot p updates every other row to (T_i p - T_ic T_r) / d,
-    d the previous pivot, an exact division (Edmonds 1967, Bareiss 1968);
-    every stored row is d times its rational value."""
+
+def _piece_gaps(piece: tuple, h: list, ks: Sequence[int]) -> Optional[list]:
+    """Per coordinate k of ks, the gap (g, d) of min{b.u + x.v : A^T u + v =
+    e_k, u, v >= 0} = max{y_k : Ay <= b, y <= x}, whose value is
+    x_k - g / (d * L), L the scale of the point; None if the dual is
+    unbounded, which by Farkas' lemma means that no point of {Ay <= b} lies
+    below x, whatever k.
+
+    One tableau serves every k: the n rows (cols[j] | e_j), the u columns
+    scaled by s_i, and the cost row (h | 0), h the slacks, start on the
+    basis v. Column m + k is B^-1 e_k, coordinate k's right-hand side, and
+    the reduced cost of v_k is its gap g. The first k runs Bland's primal
+    simplex from v: the lowest column with a negative reduced cost enters,
+    the minimum ratio leaves, ties to the smaller basis index. Each later k
+    starts from the last optimal basis, whose reduced costs stay >= 0, and
+    runs Bland's dual simplex until column m + k is >= 0: the negative row
+    of the smallest basis index leaves, the minimum ratio cost_j / -T_rj
+    enters, ties to the smaller column (Lemke 1954, Bland 1977). Positive
+    scalings keep the sign of every reduced cost and the order of every
+    ratio, so the pivots are those of the rational tableau."""
     cols = piece[2]
-    n, m = len(xs), len(h)
-    tableau = [[*cols[j], *(0,) * n, int(j == k)] for j in range(n)]
+    n, m = len(cols), len(h)
+    width = m + n
+    tableau = [[*cols[j], *(0,) * n] for j in range(n)]
     for j in range(n):
         tableau[j][m + j] = 1
-    tableau.append([*h, *(0,) * n, -xs[k]])
-    basis = list(range(m, m + n))
+    tableau.append([*h, *(0,) * n])
+    basis = list(range(m, width))
     d = 1
-    while True:
-        cost = tableau[-1]
-        enter = next((j for j in range(m + n) if cost[j] < 0), None)
-        if enter is None:
-            return Fraction(-cost[-1], d * scale)
-        r = None
-        for i in range(n):
-            q = tableau[i][enter]
-            if q > 0:
+    gaps = []
+    for k in ks:
+        rhs = m + k
+        while True:
+            cost = tableau[-1]
+            if gaps:
+                r = min((i for i in range(n) if tableau[i][rhs] < 0), key=basis.__getitem__, default=None)
                 if r is None:
-                    r = i
-                    continue
-                # rhs_i / q against rhs_r / T_r,enter, both denominators > 0
-                lhs, rhs = tableau[i][-1] * tableau[r][enter], tableau[r][-1] * q
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                    r = i
-        if r is None:
-            return None
-        pivot_row = tableau[r]
-        p = pivot_row[enter]
-        for i, line in enumerate(tableau):
-            if i != r:
-                f = line[enter]
-                tableau[i] = [(a * p - f * b) // d for a, b in zip(line, pivot_row)]
-        basis[r] = enter
-        d = p
+                    break
+                # Some T_rj < 0, since v = e_k is a feasible dual point.
+                row, enter = tableau[r], None
+                for j in range(width):
+                    q = row[j]
+                    # cost_j / -q against cost_enter / -T_r,enter
+                    if q < 0 and (enter is None or cost[j] * row[enter] > cost[enter] * q):
+                        enter = j
+            else:
+                enter = next((j for j in range(width) if cost[j] < 0), None)
+                if enter is None:
+                    break
+                r = None
+                for i in range(n):
+                    q = tableau[i][enter]
+                    if q > 0:
+                        if r is None:
+                            r = i
+                            continue
+                        # T_i,rhs / q against T_r,rhs / T_r,enter, both denominators > 0
+                        lhs, rhs_r = tableau[i][rhs] * tableau[r][enter], tableau[r][rhs] * q
+                        if lhs < rhs_r or (lhs == rhs_r and basis[i] < basis[r]):
+                            r = i
+                if r is None:
+                    return None
+            d = _bareiss(tableau, r, enter, d)
+            basis[r] = enter
+        gaps.append((tableau[-1][rhs], d))
+    return gaps
 
 
 def _point(u: PolyhedralUnion, x) -> tuple:
@@ -186,7 +225,11 @@ def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Frac
     u = PolyhedralUnion(len(x), ((a, b),))
     _, scale, xs = _point(u, x)
     piece = u.plan[0]
-    return _dual_min(piece, _slack(piece, scale, xs), scale, xs, k)
+    gaps = _piece_gaps(piece, _slack(piece, scale, xs), (k,))
+    if gaps is None:
+        return None
+    ((g, d),) = gaps
+    return Fraction(xs[k] * d - g, d * scale)
 
 
 def union_member(u: PolyhedralUnion, x: Sequence[Fraction]) -> bool:
@@ -200,24 +243,30 @@ def union_member(u: PolyhedralUnion, x: Sequence[Fraction]) -> bool:
 def eval_F_from_polyhedra(u: PolyhedralUnion, x: Sequence[Fraction]) -> Vector:
     """The canonical operator of the union: per coordinate, the largest
     value attained below x. Raises EmptyBelow when no piece is feasible
-    under y <= x."""
+    under y <= x. The best of each coordinate so far is kept as an integer
+    gap (g, d), the value x_k - g / (d * L), and gaps are compared by cross
+    multiplication: no LP value exceeds x_k, so a coordinate with g = 0 is
+    final and not passed to a later piece, and the pieces stop once every
+    g is 0."""
     x, scale, xs = _point(u, x)
     best = None
     for piece in u.plan:
-        h, values = _slack(piece, scale, xs), []
-        for k, xk in enumerate(x):
-            # No LP value exceeds x_k, so a coordinate already at x_k is final.
-            v = xk if best is not None and best[k] == xk else _dual_min(piece, h, scale, xs, k)
-            if v is None:
-                break  # the piece has no point below x
-            values.append(v)
+        ks = range(u.n) if best is None else [k for k, (g, _) in enumerate(best) if g]
+        gaps = _piece_gaps(piece, _slack(piece, scale, xs), ks)
+        if gaps is None:
+            continue  # the piece has no point below x
+        if best is None:
+            best = gaps
         else:
-            best = tuple(values if best is None else map(max, best, values))
-            if best == x:
-                break
+            for k, (g, d) in zip(ks, gaps):
+                c, e = best[k]
+                if g * e < c * d:
+                    best[k] = (g, d)
+        if not any(g for g, _ in best):
+            break
     if best is None:
-        raise EmptyBelow(f"no point of the union lies below {x}")
-    return best
+        raise EmptyBelow(f"no point of the union lies below ({', '.join(map(rational_text, x))})")
+    return tuple(Fraction(xk * d - g, d * scale) for xk, (g, d) in zip(xs, best))
 
 
 def tropical_convexity_falsifier(

@@ -671,3 +671,98 @@ class TestDigitLimit:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err == "error: the result holds an integer with too many digits to print\n"
+
+
+# Replacements for one value of a mutated file: wrong types, numbers JSON
+# allows but the formats do not, bad and oversized rational strings.
+MUTANTS = (
+    True, None, 0, -1, 1.5, 10 ** 4000, [], {}, "", "x", "1/0", "0/1", "-7/2", "-inf", "1e9",
+    "3/-4", "9" * 5000, "1/" + "7" * 80, [0, 0], {"sign": 1},
+)
+
+# The commands that read a graph, the mutated file taking the place of FILE;
+# `member` reads a mutated pencil.
+GRAPH_COMMANDS = (
+    ("validate", "FILE"),
+    ("eval", "FILE", "--point", "0,0,0"),
+    ("subfixed", "FILE", "--point=-3,0,0"),
+    ("transform", "zp", "FILE"),
+    ("transform", "t1", "FILE"),
+    ("transform", "pipeline", "FILE"),
+    ("lift", "FILE", "--point", "2,0,0"),
+    ("verify", "FILE", "--samples", "2"),
+    ("section", "FILE", "--fix", "3=0", "--lo=-1", "--hi", "1", "--step", "1"),
+)
+
+
+def _paths(obj, path=()):
+    """Every path into a JSON value, the value itself first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _at(obj, path):
+    for step in path:
+        obj = obj[step]
+    return obj
+
+
+def _write_json(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _mutate(rng, obj):
+    """A deep copy of obj with one or two values replaced, deleted or
+    duplicated at seeded paths."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(rng.randint(1, 2)):
+        paths = list(_paths(obj))[1:]
+        *head, key = rng.choice(paths)
+        parent = _at(obj, head)
+        how = rng.random()
+        if how < 0.15:
+            del parent[key]
+        elif how < 0.25 and isinstance(parent, list):
+            parent.append(parent[key])
+        elif how < 0.6:
+            # A number, string or null from elsewhere in the file:
+            # well-formed, mostly, but in the wrong place.
+            leaves = [v for v in (_at(obj, p) for p in paths) if not isinstance(v, (dict, list))]
+            parent[key] = rng.choice(leaves)
+        else:
+            parent[key] = rng.choice(MUTANTS)
+    return obj
+
+
+@default_digit_limit
+class TestFuzzGuard:
+    """Seeded mutations of the example graph and pencil files: every command
+    exits 0, 1 or 2 with at most one `error:` line and no traceback."""
+
+    def test_mutated_files(self, capsys, tmp_path):
+        graph = example_graph().to_json()
+        base = tmp_path / "pencil.json"
+        assert main(["synthesize", _write_json(tmp_path / "graph.json", graph), "--out", str(base)]) == 0
+        pencil = json.loads(base.read_text())
+        lifted = ",".join(["0"] * pencil["n"])
+        codes = {0: 0, 1: 0, 2: 0}
+        for i in range(300):
+            rng = rng_for(331, i)
+            if i % 5 == 4:
+                command, mutant = ("member", "FILE", "--point", lifted), _mutate(rng, pencil)
+            else:
+                command, mutant = GRAPH_COMMANDS[i % len(GRAPH_COMMANDS)], _mutate(rng, graph)
+            path = _write_json(tmp_path / "mutant.json", mutant)
+            argv = [path if arg == "FILE" else arg for arg in command]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in codes, (argv, code)
+            assert err.count("error:") <= 1 and "Traceback" not in err, (argv, err)
+            codes[code] += 1
+        assert all(codes.values()), codes

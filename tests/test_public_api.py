@@ -163,12 +163,15 @@ def test_trop_point_set_has_no_json():
 
 
 def test_lp_has_one_solve():
-    # Each LP is solved as its dual from the basis v = e_k, in one phase, on
-    # an integer tableau: the Fraction pivot is gone.
+    # The LPs of a piece are solved as their duals on one integer tableau
+    # from the basis v, every coordinate after the first warm-started from
+    # the last optimal basis: the per-coordinate cold solve and the Fraction
+    # pivot are gone.
     from tropcone import lp
 
-    assert hasattr(lp, "_dual_min")
-    assert [name for name in ("_phase1", "_phase2", "_simplex", "_pivot") if hasattr(lp, name)] == []
+    assert hasattr(lp, "_piece_gaps")
+    gone = ("_dual_min", "_phase1", "_phase2", "_simplex", "_pivot")
+    assert [name for name in gone if hasattr(lp, name)] == []
 
 
 def test_game_graph_has_one_operator_plan():

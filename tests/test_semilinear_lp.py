@@ -1,6 +1,7 @@
 """The polyhedral frontend: exact LP, the canonical operator of a union of
 polyhedra, and the tropical convexity falsifier."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ from math import lcm
 
 import pytest
 
-from support import lp_max_oracle, random_minmax, small_rational
+from support import default_digit_limit, lp_max_oracle, random_minmax, small_rational
 from tropcone import lp as lp_module
 from tropcone.errors import DimensionMismatch, EmptyBelow
 from tropcone.fixtures import TWO_PI, example_graph, example_minmax, example_union
@@ -112,8 +113,19 @@ class TestEvalF:
 
     def test_empty_below(self):
         u = PolyhedralUnion(1, ((((F(-1),),), (F(-3),)),))  # {y >= 3}
-        with pytest.raises(EmptyBelow):
+        with pytest.raises(EmptyBelow, match=r"below \(0\)$"):
             eval_F_from_polyhedra(u, (F(0),))
+        with pytest.raises(EmptyBelow, match=r"below \(-1/2, 3\)$"):
+            eval_F_from_polyhedra(PolyhedralUnion(2, ((((-1, 0),), (-3,)),)), (F(-1, 2), 3))
+
+    @default_digit_limit
+    def test_empty_below_past_the_digit_limit(self):
+        # A point past Python's 4300-digit int-to-string limit is named by
+        # its size: the message once formatted the point itself, and raised
+        # ValueError in place of EmptyBelow.
+        u = PolyhedralUnion(1, ((((F(-1),),), (F(-1),)),))  # {y >= 1}
+        with pytest.raises(EmptyBelow, match="a rational with a 14285-bit numerator"):
+            eval_F_from_polyhedra(u, (F(-(10 ** 4300)),))
 
     def test_agrees_with_graph_on_example(self):
         # The canonical operator returns the largest member below x, so it is
@@ -215,17 +227,21 @@ class TestDifferential:
         assert all(kinds.values()), kinds
 
     def test_lp_calls_per_piece(self, monkeypatch):
-        # Each (piece, coordinate) is one dual solve from the basis v = e_k.
-        # A piece with no point below x is known from its first solve; a
-        # coordinate that an earlier piece took to x_k is not solved again.
+        # Each piece is one warm-started solve over the coordinates still
+        # open. A piece with no point below x is known from its first
+        # coordinate; a coordinate that an earlier piece took to x_k is not
+        # passed again.
         calls = []
-        dual_min = lp_module._dual_min
+        piece_gaps = lp_module._piece_gaps
 
-        def counting(piece, h, scale, xs, k):
-            calls.append((piece, k))
-            return dual_min(piece, h, scale, xs, k)
+        def counting(piece, h, ks):
+            gaps = piece_gaps(piece, h, ks)
+            calls.append((piece, list(ks), gaps))
+            if gaps is None:
+                assert piece_gaps(piece, h, ks[:1]) is None
+            return gaps
 
-        monkeypatch.setattr(lp_module, "_dual_min", counting)
+        monkeypatch.setattr(lp_module, "_piece_gaps", counting)
         seen = {"empty": 0, "skipped": 0}
         # {y_0 >= 3} has no point below most of these x; the half-plane after
         # it then still decides F(x).
@@ -240,20 +256,82 @@ class TestDifferential:
                     pass
                 best = [None] * u.n
                 for (a, b), piece in zip(u.pieces, u.plan):
-                    ks = [k for pa, k in calls if pa is piece]
+                    solves = [(ks, gaps) for pa, ks, gaps in calls if pa is piece]
                     if best == list(x):
-                        assert ks == []
+                        assert solves == []
                         continue
+                    ((ks, gaps),) = solves
+                    assert ks == [k for k in range(u.n) if best[k] != x[k]]
                     values = [lp_max_oracle(a, b, x, k) for k in range(u.n)]
                     if values[0] is None:
-                        assert len(ks) == 1
+                        assert gaps is None
                         seen["empty"] += 1
                         continue
-                    assert len(ks) <= u.n
-                    assert ks == [k for k in range(u.n) if best[k] != x[k]]
+                    assert len(gaps) == len(ks)
                     seen["skipped"] += u.n - len(ks)
                     best = [v if c is None else max(c, v) for c, v in zip(best, values)]
         assert all(seen.values()), seen
+
+    def test_warm_start_matches_oracle(self, monkeypatch):
+        # eval_F and lp_max against the per-coordinate maxima of the vertex
+        # enumeration, n = 1..5, on pieces with repeated and scaled rows and
+        # rows tight at x. Every coordinate after a piece's first is solved
+        # from the last optimal basis by dual pivots; the test counts them,
+        # and the ratio ties that Bland's rule breaks in both phases, so that
+        # it cannot pass without them.
+        seen = Counter()
+        piece_gaps, bareiss = lp_module._piece_gaps, lp_module._bareiss
+        primal_rhs = []
+
+        def gaps(piece, h, ks):
+            # Primal pivots are those of the first coordinate, read from
+            # column m + k of the tableau.
+            primal_rhs[:] = [len(h) + ks[0]]
+            return piece_gaps(piece, h, ks)
+
+        def pivot(tableau, r, enter, d):
+            row, cost, p = tableau[r], tableau[-1], tableau[r][enter]
+            if p < 0:
+                seen["dual pivots"] += 1
+                seen["dual ties"] += any(
+                    j != enter and q < 0 and cost[j] * p == cost[enter] * q for j, q in enumerate(row)
+                )
+            else:
+                c = primal_rhs[0]
+                seen["primal ties"] += any(
+                    i != r and line[enter] > 0 and line[c] * p == row[c] * line[enter]
+                    for i, line in enumerate(tableau[:-1])
+                )
+            return bareiss(tableau, r, enter, d)
+
+        monkeypatch.setattr(lp_module, "_piece_gaps", gaps)
+        monkeypatch.setattr(lp_module, "_bareiss", pivot)
+        for trial in range(60):
+            rng = rng_for(317, trial)
+            n = 1 + trial % 5
+            x = sample_vector(rng, n, 4, 4)
+            pieces = []
+            for _ in range(rng.randint(1, 3)):
+                a = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(rng.randint(1, 5 - n // 2))]
+                b = [small_rational(rng, 4, 2) for _ in a]
+                i = rng.randrange(len(a))
+                scale = rng.choice((1, 2, F(1, 3)))
+                a.append(tuple(scale * v for v in a[i]))
+                b.append(scale * b[i])
+                if rng.random() < 0.4:
+                    j = rng.randrange(len(a))
+                    b[j] = sum(av * xv for av, xv in zip(a[j], x))
+                pieces.append((tuple(a), tuple(b)))
+            want = column_maxima(pieces, x, lp_max_oracle)
+            assert column_maxima(pieces, x, lp_max) == want
+            try:
+                fx = eval_F_from_polyhedra(PolyhedralUnion(n, tuple(pieces)), x)
+            except EmptyBelow:
+                seen["empty"] += 1
+                assert want == (None,) * n
+            else:
+                assert fx == want
+        assert len(seen) == 4 and all(seen.values()), seen
 
     def test_one_slack_per_piece(self, monkeypatch):
         # b - Ax is computed once per (piece, point), not once per coordinate.
