@@ -38,10 +38,21 @@ def _load_json(path: str) -> dict:
 
 
 def _load(path: str, form):
+    """`form.from_json` of the file; MalformedInput if the file does not
+    hold that form. A missing key reads `missing key 'tail'` and a value of
+    the wrong JSON type `wrong JSON type: ...`, not Python's bare text."""
+
+    def bad(what) -> MalformedInput:
+        return MalformedInput(f"bad {form.__name__} JSON in {path}: {what}")
+
     try:
         return form.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad {form.__name__} JSON in {path}: {exc}") from exc
+    except KeyError as exc:
+        raise bad(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise bad(f"wrong JSON type: {exc}") from exc
+    except ValueError as exc:
+        raise bad(exc) from exc
 
 
 def _parse_vector(text: str, n: int, parse=rational_from_str, kind: str = "rational"):

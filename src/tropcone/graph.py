@@ -3,8 +3,11 @@ encode.
 
 A graph has three disjoint vertex classes. Edges out of Min and Max vertices
 carry rational payoffs; edges out of Random vertices carry positive rational
-probabilities summing to one per vertex (validation checks both in integers,
-the sum by `scalars.sums_to_one`, which reads each probability once).
+probabilities summing to one per vertex. Validation checks both in integers:
+its one pass over the edges lists each Random vertex's probabilities, and
+`scalars.sums_to_one` reads each once; a fair coin is told by its integer
+pair (1, 2). An edge is a frozen, slotted `Edge` record, built by storing its
+fields through the slot descriptors.
 The encoded operator is computed from exact absorption probabilities of the
 induced Markov chain in which every Min and Max vertex is absorbing, solved
 in integers by fraction-free elimination (Bareiss 1968), one per strongly
@@ -40,13 +43,30 @@ Vector = tuple[Fraction, ...]
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
+    """A frozen, slotted edge record. Its constructor stores the fields
+    through the slot descriptors, which skips the frozen `__setattr__` that
+    a generated `__init__` goes through per field; `replace`, `fields`, eq,
+    hash, repr and `FrozenInstanceError` on assignment are the dataclass's."""
+
     id: int
     tail: int
     head: int
     payoff: Optional[Fraction] = None
     prob: Optional[Fraction] = None
+
+    def __init__(self, id, tail, head, payoff=None, prob=None):
+        _set_id(self, id)
+        _set_tail(self, tail)
+        _set_head(self, head)
+        _set_payoff(self, payoff)
+        _set_prob(self, prob)
+
+
+_set_id, _set_tail, _set_head, _set_payoff, _set_prob = (
+    Edge.__dict__[name].__set__ for name in ("id", "tail", "head", "payoff", "prob")
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +124,19 @@ class GameGraph:
     @cached_property
     def compliant(self) -> bool:
         """Valid, with every Random vertex a fair coin between two Max vertices."""
-        return self.validation.ok and all(
-            len(self.out_edges[v]) == 2
-            and all(e.prob == HALF and self.kind[e.head] == "max" for e in self.out_edges[v])
-            for v in self.random_vertices
-        )
+        # A fair coin's probability is read as its integer pair: comparing
+        # `Fraction`s goes through the `numbers.Rational` ABC.
+        if not self.validation.ok:
+            return False
+        kind, out = self.kind, self.out_edges
+        for v in self.random_vertices:
+            if len(out[v]) != 2:
+                return False
+            for e in out[v]:
+                p = e.prob
+                if p.denominator != 2 or p.numerator != 1 or kind[e.head] != "max":
+                    return False
+        return True
 
     @cached_property
     def absorption_table(self) -> dict:
@@ -214,21 +242,25 @@ def validate_graph(g: GameGraph) -> ValidationReport:
     if not g.min_vertices or not g.max_vertices:
         failures.append(("nonempty-classes", "Min and Max vertex sets must be nonempty"))
 
-    # One pass over the edges checks endpoints and labels and maps each
-    # head to its Random tails, {head: [Random tails]}, for the path checks.
+    # One pass over the edges checks endpoints and labels, maps each head to
+    # its Random tails, {head: [Random tails]}, for the path checks, and
+    # lists each Random vertex's probabilities for its sum, those of an edge
+    # with an unknown head or a payoff too included.
     into = defaultdict(list)
+    probs = {v: [] for v in g.random_vertices}
     for e in g.edges:
-        tail = kind.get(e.tail)
+        tail, p = kind.get(e.tail), e.prob
+        if tail == "random" and p is not None:
+            probs[e.tail].append(p)
         if tail is None or e.head not in kind:
             failures.append(("edge-endpoints", f"edge {e.id} has an unknown endpoint"))
         elif tail == "random":
             into[e.head].append(e.tail)
-            p = e.prob
             if p is None or e.payoff is not None:
                 failures.append(("edge-labels", f"edge {e.id} out of a Random vertex must carry a probability only"))
             elif p.numerator <= 0:
                 failures.append(("edge-labels", f"edge {e.id} has nonpositive probability"))
-        elif e.payoff is None or e.prob is not None:
+        elif e.payoff is None or p is not None:
             failures.append(("edge-labels", f"edge {e.id} out of a {tail} vertex must carry a payoff only"))
 
     out_edges = g.out_edges
@@ -237,9 +269,8 @@ def validate_graph(g: GameGraph) -> ValidationReport:
             failures.append(("out-degree", f"vertex {v} has no outgoing edge"))
 
     for v in g.random_vertices:
-        probs = [e.prob for e in out_edges[v] if e.prob is not None]
-        if not sums_to_one(probs):
-            total = rational_text(sum(probs, Fraction(0)))
+        if not sums_to_one(probs[v]):
+            total = rational_text(sum(probs[v], Fraction(0)))
             failures.append(("prob-sum", f"probabilities out of {v} sum to {total}"))
 
     if not failures:

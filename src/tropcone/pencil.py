@@ -65,15 +65,19 @@ class MetzlerPencil:
         if m < 0 or n < 0:
             raise ValueError(f"negative pencil size m = {m}, n = {n}")
         cleaned = {}
-        for (i, j), entry in entries.items():
-            if not (type(i) is type(j) is int):
-                int_from_json(i)
-                int_from_json(j)
+        # One pass per entry: a key that is a tuple of two ints is kept as
+        # it is, and whether it is off the diagonal is decided once for all
+        # its coefficients.
+        for key, entry in entries.items():
+            i, j = key
+            if not (type(key) is tuple and type(i) is type(j) is int):
+                key = (int_from_json(i), int_from_json(j))
             if not (0 <= i <= j < m):
                 raise ValueError(f"entry ({i},{j}) outside upper triangle of size {m}")
             if not entry:
                 # A file holds no cell for it, so it would not round-trip.
                 raise ValueError(f"entry ({i},{j}) has no coefficient: leave it out")
+            off = i != j
             for k, c in entry.items():
                 if type(k) is not int:
                     int_from_json(k)
@@ -81,11 +85,11 @@ class MetzlerPencil:
                     raise ValueError(f"coefficient index {k} outside 0..{n}")
                 if not isinstance(c, SignedTrop):
                     raise ValueError(f"coefficient ({i},{j},{k}) is {c!r}, not a SignedTrop")
-                if i != j and c.sign != -1:
+                if off and c.sign != -1:
                     raise ValueError(
                         f"off-diagonal entry ({i},{j}) has a nonnegative coefficient"
                     )
-            cleaned[(i, j)] = dict(entry)
+            cleaned[key] = entry.copy()
         self.entries = cleaned
 
     @cached_property

@@ -198,10 +198,10 @@ def _install_gadget(b: _Builder, v: int, es: list) -> Optional[GadgetRecord]:
     fair coin, by a gadget of fair coins; the caller drops es."""
     e1, e2 = sorted(es, key=attrgetter("id"))
     q = e1.prob
-    if q == HALF:
+    a, bden = q.numerator, q.denominator
+    if a == 1 and bden == 2:
         return None
     head_a, head_b = e1.head, e2.head
-    a, bden = q.numerator, q.denominator
     r = bden.bit_length() - 1  # 2^r <= b < 2^(r+1)
     if r >= MAX_DENOMINATOR_BITS:
         raise PreconditionViolated(

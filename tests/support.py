@@ -708,6 +708,36 @@ def random_invalid_graph(rng: random.Random) -> GameGraph:
     return GameGraph(tuple(mins), () if no_max else tuple(maxs), tuple(randoms), tuple(edges))
 
 
+def mutated_graph(rng: random.Random, g: GameGraph) -> GameGraph:
+    """g with one or two seeded defects on its Random edges and out-edges:
+    a payoff added next to the probability, a zero or negative probability,
+    a probability lowered or raised so that its vertex sums under or over
+    one, an unknown head, or every out-edge of a vertex removed."""
+    edges = list(g.edges)
+    for _ in range(rng.randint(1, 2)):
+        randoms = [j for j, e in enumerate(edges) if e.prob is not None]
+        defect = rng.randrange(7)
+        if defect == 6 or not randoms:
+            tail = rng.choice(sorted(g.kind))
+            edges = [e for e in edges if e.tail != tail]
+            continue
+        j = rng.choice(randoms)
+        e = edges[j]
+        if defect == 0:
+            edges[j] = Edge(e.id, e.tail, e.head, payoff=small_rational(rng), prob=e.prob)
+        elif defect == 1:
+            edges[j] = Edge(e.id, e.tail, e.head, prob=Fraction(0))
+        elif defect == 2:
+            edges[j] = Edge(e.id, e.tail, e.head, prob=-e.prob)
+        elif defect == 3:
+            edges[j] = Edge(e.id, e.tail, e.head, prob=e.prob * Fraction(rng.randint(1, 6), 7))
+        elif defect == 4:
+            edges[j] = Edge(e.id, e.tail, e.head, prob=e.prob + Fraction(1, rng.randint(2, 97)))
+        else:
+            edges[j] = Edge(e.id, e.tail, max(g.kind) + 1, prob=e.prob)
+    return GameGraph(g.min_vertices, g.max_vertices, g.random_vertices, tuple(edges))
+
+
 def random_sound_graph(rng: random.Random) -> GameGraph:
     """A graph that passes every structural check of validation (classes,
     labels, out-degrees, probability sums) but whose edges are otherwise

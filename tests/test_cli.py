@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -764,5 +765,24 @@ class TestFuzzGuard:
             err = capsys.readouterr().err
             assert code in codes, (argv, code)
             assert err.count("error:") <= 1 and "Traceback" not in err, (argv, err)
+            # A missing key or a wrong JSON type is named as such, not by
+            # Python's bare text, which for a KeyError is the quoted key alone.
+            assert not re.search(rf"JSON in {re.escape(path)}: '[^']*'$", err, re.MULTILINE), (argv, err)
             codes[code] += 1
         assert all(codes.values()), codes
+
+    @pytest.mark.parametrize(
+        "mutate, said",
+        [
+            (lambda obj: obj["edges"][0].pop("tail"), "missing key 'tail'"),
+            (lambda obj: obj.pop("random"), "missing key 'random'"),
+            (lambda obj: obj.update(edges=[7]), "wrong JSON type: 'int' object is not subscriptable"),
+        ],
+        ids=["edge-key", "class-key", "edge-type"],
+    )
+    def test_loader_names_the_fault(self, capsys, tmp_path, mutate, said):
+        graph = example_graph().to_json()
+        mutate(graph)
+        path = _write_json(tmp_path / "graph.json", graph)
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == f"error: bad GameGraph JSON in {path}: {said}\n"

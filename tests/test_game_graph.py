@@ -2,8 +2,10 @@
 operator, cross-checked against the min-max stochastic form."""
 
 import gc
+import hashlib
+import json
 import weakref
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from fractions import Fraction
 from math import gcd
 
@@ -21,6 +23,7 @@ from support import (
     fraction_absorption_rows,
     fraction_witness_rows,
     long_sum_graph,
+    mutated_graph,
     random_minmax,
     random_sound_graph,
     random_invalid_graph,
@@ -197,6 +200,22 @@ class TestValidation:
             "disjoint", "edge-ids", "nonempty-classes", "edge-endpoints", "edge-labels",
             "out-degree", "prob-sum", "min-min-path", "max-max-path", "random-reach",
         }
+
+    def test_reports_are_pinned(self):
+        # 300 seeded defects on the example and the seed-0 benchmark graphs:
+        # a Random edge with both labels, zero and negative probabilities,
+        # vertices summing under and over one, unknown heads and vertices
+        # with no out-edge. The reports are pinned byte for byte, so that a
+        # change in how validation reads probabilities cannot move a check or
+        # a message unseen.
+        bases = [example_graph()]
+        bases += [graph_instance(0, shape, index).fresh() for shape, indices in BENCHMARK_RUNGS for index in indices]
+        reports = [validate_graph(mutated_graph(rng_for(337, t), bases[t % len(bases)])).to_json() for t in range(300)]
+        assert {f["code"] for r in reports for f in r["failures"]} == {
+            "edge-labels", "edge-endpoints", "out-degree", "prob-sum",
+        }
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == "94d5b56b6bfa72bec85d22f39c410b455746bdc8ee4e928c14cb37a75a1c8c8c"
 
     def test_wide_graphs_are_valid(self):
         for trial in range(50):
@@ -735,6 +754,53 @@ class TestConstructor:
             bad = {**obj, "edges": [{**obj["edges"][0], field: value}] + obj["edges"][1:]}
             with pytest.raises(ValueError, match="expected an integer"):
                 GameGraph.from_json(bad)
+
+
+class TestEdge:
+    """`Edge` is a frozen, slotted dataclass with its own constructor, which
+    stores the fields through the slot descriptors: the dataclass contract
+    holds as it does for a generated constructor."""
+
+    def test_fields_and_defaults(self):
+        assert [(f.name, f.default) for f in fields(Edge(1, 2, 3))] == [
+            ("id", MISSING), ("tail", MISSING), ("head", MISSING), ("payoff", None), ("prob", None),
+        ]
+        assert Edge(id=1, tail=2, head=3, prob=F(1, 2)) == Edge(1, 2, 3, None, F(1, 2))
+        with pytest.raises(TypeError):
+            Edge(1, 2)
+
+    def test_replace(self):
+        e = Edge(1, 2, 3, prob=F(1, 2))
+        assert replace(e, head=4, prob=F(1, 3)) == Edge(1, 2, 4, prob=F(1, 3))
+        assert e == Edge(1, 2, 3, prob=F(1, 2))
+
+    def test_eq_and_hash(self):
+        a, b = Edge(1, 2, 3, payoff=F(1)), Edge(1, 2, 3, payoff=F(1))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Edge(1, 2, 3, prob=F(1))
+        assert a != (1, 2, 3, F(1), None)
+
+    def test_repr(self):
+        assert repr(Edge(1, 2, 3, prob=F(1, 2))) == "Edge(id=1, tail=2, head=3, payoff=None, prob=Fraction(1, 2))"
+
+    @pytest.mark.parametrize("name", ["id", "tail", "head", "payoff", "prob"])
+    def test_frozen(self, name):
+        e = Edge(1, 2, 3, payoff=F(1))
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, name, 5)
+        with pytest.raises(FrozenInstanceError):
+            delattr(e, name)
+        assert e == Edge(1, 2, 3, payoff=F(1))
+
+    def test_slotted(self):
+        # A name that is not a field has no slot. Python's frozen, slotted
+        # dataclass raises TypeError for it where the unslotted one raises
+        # FrozenInstanceError; either way nothing is stored.
+        e = Edge(1, 2, 3)
+        assert not hasattr(e, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            e.weight = 1
+        assert not hasattr(e, "weight")
 
 
 @default_digit_limit
