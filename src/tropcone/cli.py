@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 
 from .errors import DimensionMismatch, MalformedInput, TooManyDigits, TropconeError
-from .graph import GameGraph, eval_operator, scaled_values, subfixed, subfixed_integers, validate_graph
+from .graph import GameGraph, eval_operator, subfixed, subfixed_integers, validate_graph
 from .pencil import MetzlerPencil, pencil_member, synthesize_cone
-from .scalars import Trop, rational_from_str, rational_to_str, sized
+from .scalars import Trop, integers_over, rational_from_str, rational_to_str, sized
 from .transforms import first_transformation, pipeline, second_transformation, zwick_paterson
 from .verify import verify_graph
 
@@ -199,9 +199,9 @@ def cmd_section(args) -> int:
     ticks = section_ticks(lo, hi, step, len(free))
 
     # One scaling for the grid: the fixed values and the ticks as integers
-    # over D = lcm(C, their denominators), so each cell runs only the integer
-    # core of `subfixed` on one point list rewritten in place.
-    _, r, scaled = scaled_values(g, [*fixed.values(), *ticks])
+    # over D = lcm(C, their denominators), C = g.operator_plan[0], so each
+    # cell runs the integer core of `subfixed` on one point list it rewrites.
+    d, scaled = integers_over([*fixed.values(), *ticks], g.operator_plan[0])
     point = [0] * n
     for k, v in zip(fixed, scaled):
         point[k] = v
@@ -216,7 +216,7 @@ def cmd_section(args) -> int:
         for x in ticks if col_axis is not None else [None]:
             if col_axis is not None:
                 point[col_axis] = x
-            cells.append("1" if subfixed_integers(g, r, point) else "0")
+            cells.append("1" if subfixed_integers(g, d, point) else "0")
         rows.append(",".join(cells))
     _emit("\n".join(rows) + "\n", args.out)
     return 0

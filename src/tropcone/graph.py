@@ -17,10 +17,11 @@ rows, (d, {vertex: N}) per Random vertex, are the one form every reader takes.
 
 The operator is evaluated in exact integers at points of T^n, from one
 plan built on a graph's first evaluation and kept on it next to the
-absorption table (`GameGraph.operator_plan`): a point is scaled to integers
-over D = lcm(C, its finite denominators), C the lcm of the payoff
-denominators, and every payoff and probability is an integer over its lcm
-(`scalars.integers_over` and `scalars.times`).
+absorption table (`GameGraph.operator_plan`): a point is read by the rule
+of `tropcone.scalars` and scaled to integers over D = lcm(C, its finite
+denominators), C the lcm of the payoff denominators, and every payoff and
+probability is an integer over its lcm (`scalars.integers_over` and
+`scalars.times`).
 A -inf coordinate is None; max, min and sums with positive weights extend
 the operator to it by continuity, so -inf is absorbing.
 """
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 
 from .errors import NonStochastic, NotCompliant, SingularSystem, ValidationFailed
 from .scalars import exact, int_from_json, integers_over, rational, rational_from_str
-from .scalars import rational_or_none, rational_text, rational_to_str, sized, sums_to_one, times
+from .scalars import rational_text, rational_to_str, sized, sums_to_one, times
 
 Vector = tuple[Fraction, ...]
 
@@ -494,20 +495,6 @@ def _edge_value(a: int, terms: tuple, vals: list, r: int) -> Optional[int]:
     return v
 
 
-def scaled_values(g: GameGraph, vals) -> tuple:
-    """(D, r, y) for rationals vals (None for -inf): D = lcm(C, their
-    denominators), r = D / C and y = vals * D in integers; the one scaling
-    the operator plan reads."""
-    c = g.operator_plan[0]
-    d, y = integers_over(vals, c)
-    return d, d // c, y
-
-
-def _scaled_point(g: GameGraph, x) -> tuple:
-    """`scaled_values` of a point x of T^n."""
-    return scaled_values(g, sized([rational_or_none(v) for v in x], g.n))
-
-
 def _max_value(edges: tuple, y: list, r: int) -> Optional[int]:
     """A Max vertex's value over D * P1: the largest of its out-edges that
     have no -inf term, None when none has."""
@@ -524,8 +511,9 @@ def eval_operator(g: GameGraph, x) -> tuple:
     D * P1 * P2 (see `GameGraph.operator_plan`), extended by continuity:
     max, min and sums with positive weights, so -inf is absorbing. A
     coordinate is None (-inf) when one of its out-edges is."""
-    d, r, y = _scaled_point(g, x)
-    _, p1, p2, max_terms, min_terms = g.operator_plan
+    d, y = integers_over(sized(x, g.n), g.operator_plan[0])
+    c, p1, p2, max_terms, min_terms = g.operator_plan
+    r = d // c
     mx = [_max_value(edges, y, r) for edges in max_terms]
     den = d * p1 * p2
     result = []
@@ -541,17 +529,17 @@ _UNSET = object()  # a value not computed yet in this query
 def subfixed(g: GameGraph, x) -> bool:
     """Does x <= F(x) hold coordinatewise on T^n? A -inf coordinate always
     does."""
-    _, r, y = _scaled_point(g, x)
-    return subfixed_integers(g, r, y)
+    return subfixed_integers(g, *integers_over(sized(x, g.n), g.operator_plan[0]))
 
 
-def subfixed_integers(g: GameGraph, r: int, y: list) -> bool:
-    """`subfixed` at the point y / D, given as `_scaled_point` gives it: n
-    integers y (None for -inf) over a D that C divides, and r = D / C. A
-    finite y_k * P1 * P2 is compared with the value of each out-edge of Min
-    vertex k, stopping at the first that is -inf or smaller. A Max value is
+def subfixed_integers(g: GameGraph, d: int, y: list) -> bool:
+    """`subfixed` at the point y / d, given as `integers_over(x, C)` gives
+    it: n integers y (None for -inf) over a d that C divides. A finite
+    y_k * P1 * P2 is compared with the value of each out-edge of Min vertex
+    k, stopping at the first that is -inf or smaller. A Max value is
     computed when an out-edge first reads it."""
-    _, p1, p2, max_terms, min_terms = g.operator_plan
+    c, p1, p2, max_terms, min_terms = g.operator_plan
+    r = d // c
     mx = [_UNSET] * len(max_terms)
     for yk, edges in zip(y, min_terms):
         if yk is None:
@@ -631,9 +619,9 @@ def check_stochastic(op: MinMaxOperator) -> ValidationReport:
         for k, row in enumerate(mat):
             if any(v < 0 for v in row):
                 failures.append(("negative-entry", f"matrix {s} row {k} has a negative entry"))
-            total = sum(row, Fraction(0))
-            if total != 1:
-                failures.append(("row-sum", f"matrix {s} row {k} sums to {rational_text(total)}"))
+            if not sums_to_one(row):
+                total = rational_text(sum(row, Fraction(0)))
+                failures.append(("row-sum", f"matrix {s} row {k} sums to {total}"))
     for k, per_k in enumerate(op.subsets):
         if not per_k:
             failures.append(("min-terms", f"coordinate {k} has no min-term"))

@@ -11,9 +11,9 @@ each later one continues from the last optimal basis by Bland's dual
 simplex (Lemke 1954, Bland 1977). An unbounded dual means the piece has no
 point below x. The operator keeps each coordinate's best as an integer
 gap below x_k, skips coordinates that already reach x_k and stops going
-through pieces once F(x) = x. Entries and points are ints or Fractions,
-never floats: 3 * 0.1 > 0.3, so a float would give a wrong answer without
-a word.
+through pieces once F(x) = x. Entries are ints or Fractions, and a point
+is read by the rule of `tropcone.scalars`, with no -inf; never floats:
+3 * 0.1 > 0.3, so a float would give a wrong answer without a word.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch, EmptyBelow
 from .graph import MinMaxOperator
 from .sampling import check_sampling, rng_for, sample_rational, sample_vector
-from .scalars import int_from_json, integers_over, rational, rational_from_str, rational_text
+from .scalars import exact, int_from_json, integers_over, rational, rational_from_str, rational_text
 from .scalars import rational_to_str, sized
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -210,10 +210,12 @@ def _piece_gaps(piece: tuple, h: list, ks: Sequence[int]) -> Optional[list]:
 
 
 def _point(u: PolyhedralUnion, x) -> tuple:
-    """(x, L, xs): x as Fractions and xs = L * x as integers, L the lcm of
-    its denominators."""
-    x = sized(tuple(map(rational, x)), u.n)
-    return (x, *integers_over(x, 1))
+    """(L, xs): xs = L * x as integers, L the lcm of x's denominators. A
+    -inf coordinate raises `exact`'s ValueError."""
+    scale, xs = integers_over(sized(x, u.n), 1)
+    if None in xs:
+        exact(x[xs.index(None)])
+    return scale, xs
 
 
 def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Fraction]:
@@ -223,7 +225,7 @@ def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Frac
     if not 0 <= int_from_json(k) < len(x):
         raise DimensionMismatch(f"coordinate {k} out of range")
     u = PolyhedralUnion(len(x), ((a, b),))
-    _, scale, xs = _point(u, x)
+    scale, xs = _point(u, x)
     piece = u.plan[0]
     gaps = _piece_gaps(piece, _slack(piece, scale, xs), (k,))
     if gaps is None:
@@ -233,7 +235,7 @@ def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Frac
 
 
 def union_member(u: PolyhedralUnion, x: Sequence[Fraction]) -> bool:
-    _, scale, xs = _point(u, x)
+    scale, xs = _point(u, x)
     for piece in u.plan:
         if all(v >= 0 for v in _slack(piece, scale, xs)):
             return True
@@ -248,7 +250,7 @@ def eval_F_from_polyhedra(u: PolyhedralUnion, x: Sequence[Fraction]) -> Vector:
     multiplication: no LP value exceeds x_k, so a coordinate with g = 0 is
     final and not passed to a later piece, and the pieces stop once every
     g is 0."""
-    x, scale, xs = _point(u, x)
+    scale, xs = _point(u, x)
     best = None
     for piece in u.plan:
         ks = range(u.n) if best is None else [k for k, (g, _) in enumerate(best) if g]
@@ -265,7 +267,8 @@ def eval_F_from_polyhedra(u: PolyhedralUnion, x: Sequence[Fraction]) -> Vector:
         if not any(g for g, _ in best):
             break
     if best is None:
-        raise EmptyBelow(f"no point of the union lies below ({', '.join(map(rational_text, x))})")
+        below = ", ".join(rational_text(Fraction(v, scale)) for v in xs)
+        raise EmptyBelow(f"no point of the union lies below ({below})")
     return tuple(Fraction(xk * d - g, d * scale) for xk, (g, d) in zip(xs, best))
 
 

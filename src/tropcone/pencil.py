@@ -10,8 +10,9 @@ Membership is decided in exact integer arithmetic. The first
 `pencil_member` call on a pencil builds its plan and keeps it on the
 pencil: the lcm L of every modulus denominator, every coefficient as an
 integer over L, and each distinct diagonal row once, split by sign. A query
-scales the point to integers over D = lcm(L, its denominators); max-plus
-comparisons do not change when every value is multiplied by D.
+point is read by the rule of `tropcone.scalars` and scaled to integers over
+D = lcm(L, its denominators); max-plus comparisons do not change when every
+value is multiplied by D.
 
 The module provides membership, synthesis of a cone pencil from a compliant
 game graph, and tropical convex hulls of finitely many points, built by one
@@ -39,7 +40,7 @@ from typing import Optional
 
 from .errors import PreconditionViolated
 from .graph import _UNSET, GameGraph, eval_operator, require_compliant, subfixed
-from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, rational_or_none, sized, times
+from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, sized, times
 
 Entry = dict  # variable index (0 = constant) -> SignedTrop
 Point = tuple
@@ -170,8 +171,7 @@ def _top(terms, y: list, r: int) -> Optional[int]:
 
 def pencil_member(pencil: MetzlerPencil, x) -> bool:
     """Decide membership of x in the tropical Metzler spectrahedron."""
-    vals = [rational_or_none(v) for v in x]
-    return pencil_member_integers(pencil, *integers_over(vals, pencil._plan[0]))
+    return pencil_member_integers(pencil, *integers_over(sized(x, pencil.n), pencil._plan[0]))
 
 
 def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:

@@ -10,6 +10,12 @@ over a common denominator (`integers_over`, `times`), and a list of
 probabilities is checked to sum to one by `sums_to_one`, which reads each
 once. A rational with more digits than Python writes is named by its size
 in a message (`rational_text`) and refused as output (`rational_to_str`).
+
+A query point enters every kernel one way: `integers_over` reads each
+coordinate once, a `Fraction` as it is, a `Trop` by its value, None and a
+-inf `Trop` as None (-inf), and anything else by `exact`, so a float or a
+bool raises ValueError. A kernel that has no -inf (`lift`, the LP
+frontend) refuses a None with `exact`'s message, which names the type.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Optional
 
 from .errors import DimensionMismatch, TooManyDigits
 
@@ -155,15 +160,6 @@ class Trop:
 NEG_INF = Trop()
 
 
-def rational_or_none(v) -> Optional[Fraction]:
-    """A coordinate as a Fraction, or None for -inf (a -inf Trop or None)."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, Trop):
-        return None if v.is_neg_inf else v.finite
-    return None if v is None else exact(v)
-
-
 def times(q: Fraction, m: int) -> int:
     """q * m as an int, for an m that q's denominator divides."""
     return q.numerator * (m // q.denominator)
@@ -171,12 +167,20 @@ def times(q: Fraction, m: int) -> int:
 
 def integers_over(vals, scale: int) -> tuple:
     """(D, [v * D for v in vals]) for D = lcm(scale, every denominator in
-    vals), so each rational becomes an integer over D; None (-inf) stays
-    None. Max-plus comparisons do not change when every value is multiplied
-    by D. With `times` and `sums_to_one`, the one way a rational becomes an
-    integer."""
-    d = lcm(scale, *(v.denominator for v in vals if v is not None))
-    return d, [None if v is None else v.numerator * (d // v.denominator) for v in vals]
+    vals), -inf as None: the one reader of a query point (see the module
+    docstring). Max-plus comparisons do not change when every value is
+    multiplied by D. With `times` and `sums_to_one`, the one way a rational
+    becomes an integer."""
+    read = []
+    for v in vals:
+        if isinstance(v, Fraction) or v is None:
+            read.append(v)
+        elif isinstance(v, Trop):
+            read.append(v._v)
+        else:
+            read.append(exact(v))
+    d = lcm(scale, *(v.denominator for v in read if v is not None))
+    return d, [None if v is None else v.numerator * (d // v.denominator) for v in read]
 
 
 def sums_to_one(vals) -> bool:

@@ -22,9 +22,10 @@ one rule, `_expected_rows`: the expected Max value seen from a head, over
 its absorption row, so a row's probabilities are integers over one d. The
 first `lift` on a map builds its integer plan and keeps it on the map:
 every constant over their common denominator, each row's single-term pairs
-folded into one constant and one weight per coordinate. A lift then holds
-the point as integers over one running denominator, multiplied up only
-when a row's value needs it; `lift_integers` returns them as they are.
+folded into one constant and one weight per coordinate. A lift reads the
+point by the rule of `tropcone.scalars`, refusing -inf, then holds it as
+integers over one running denominator, multiplied up only when a row's
+value needs it; `lift_integers` returns them as they are.
 
 Every stage checks its input and builds its output with `graph._Builder`,
 whose `freeze` checks the built graph; a graph's validation report and
@@ -97,9 +98,11 @@ class WitnessMap:
         D starts as the lcm of C and x's denominators. A row gives T / d
         over D; when d does not divide T, D and every y so far are
         multiplied by d / gcd(T, d)."""
-        xs = sized([v if isinstance(v, Fraction) else exact(v) for v in x], self.source_dim)
+        sized(x, self.source_dim)
         scale, rows = self._plan
-        d, y = integers_over(xs, scale)
+        d, y = integers_over(x, scale)
+        if None in y:
+            exact(x[y.index(None)])
         r = d // scale
         for den, const, singles, multis in rows:
             total = const * r

@@ -7,6 +7,7 @@ targets; and when the plan behind them is built."""
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,14 +27,16 @@ from tropcone.errors import DimensionMismatch, NotCompliant
 from tropcone.fixtures import example_graph
 from tropcone.graph import eval_operator, graph_from_minmax, subfixed
 from tropcone.pencil import (
+    MetzlerPencil,
     affine_envelope,
     eval_compliant_operator,
+    pencil_member,
     subfixed_extended,
     synthesize_cone,
 )
 from tropcone.sampling import rng_for
 from tropcone.scalars import NEG_INF, Trop
-from tropcone.transforms import pipeline
+from tropcone.transforms import WitnessMap, pipeline
 
 F = Fraction
 DENOMS = (1, 7, 64)
@@ -168,15 +171,21 @@ def test_subfixed_computes_max_values_on_demand(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "call", [eval_operator, subfixed, eval_compliant_operator, subfixed_extended]
+    "call",
+    [eval_operator, subfixed, eval_compliant_operator, subfixed_extended, pencil_member, WitnessMap.lift_integers],
 )
 def test_dimension_checked_before_any_solve(call):
-    g = example_graph() if call in (eval_operator, subfixed) else pipeline(example_graph())[0]
-    g = type(g).from_json(g.to_json())
+    target, witness = pipeline(example_graph())
+    if call is pencil_member:
+        subject, n, plans = MetzlerPencil.from_json(synthesize_cone(target).to_json()), target.n, {"_plan"}
+    elif call is WitnessMap.lift_integers:
+        subject, n, plans = replace(witness), witness.source_dim, {"_plan"}
+    else:
+        g = example_graph() if call in (eval_operator, subfixed) else target
+        subject, n, plans = type(g).from_json(g.to_json()), g.n, {"absorption_table", "operator_plan"}
     with pytest.raises(DimensionMismatch):
-        call(g, (0,) * (g.n - 1))
-    built = {"absorption_table", "operator_plan"} & set(vars(g))
-    assert not built
+        call(subject, (0,) * (n - 1))
+    assert not plans & set(vars(subject))
 
 
 @pytest.mark.parametrize("call", [eval_compliant_operator, subfixed_extended])

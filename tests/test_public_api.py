@@ -17,8 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # membership by residuation are test oracles in tests/support.py.
 RETIRED = {
     "tropcone": ["hull_member", "cone_member"],
+    # A query point is read by `integers_over` alone.
     "tropcone.scalars": [
         "TropPolynomial", "poly_eval_pm", "tsum", "tscale", "sadd", "smul", "SZERO", "tadd", "tmul",
+        "rational_or_none",
     ],
     "tropcone.errors": ["ArityMismatch", "MixedSigns", "SupportMismatch"],
     # A singleton, a union or a stratum is `pencil_from_generators` of its
@@ -29,9 +31,11 @@ RETIRED = {
     ],
     # Min-max checks report in a `ValidationReport`; `times` is in scalars.
     # The absorption table is the solve's integer rows, read as they are,
-    # and the Max pair rule is in `synthesize_cone`'s loop.
+    # and the Max pair rule is in `synthesize_cone`'s loop. A point is
+    # scaled by `scalars.integers_over`.
     "tropcone.graph": [
         "StochasticReport", "_times", "_tabulate", "_compliant_pairs", "_absorption_rows",
+        "scaled_values", "_scaled_point",
     ],
 }
 

@@ -1,23 +1,25 @@
 """Scalar and signed scalar arithmetic, and rationals from text."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import default_digit_limit, tadd, tmul
+from support import dense_absorption_rows, default_digit_limit, tadd, tmul, trop_eval_operator, trop_pencil_member
 from tropcone.errors import TooManyDigits
-from tropcone.fixtures import example_graph, example_minmax
+from tropcone.fixtures import example_graph, example_minmax, example_union
 from tropcone.graph import eval_operator, minmax_eval, subfixed
-from tropcone.pencil import MetzlerPencil, pencil_member
+from tropcone.lp import eval_F_from_polyhedra, lp_max, union_member
+from tropcone.pencil import MetzlerPencil, pencil_member, synthesize_cone
 from tropcone.scalars import (
     NEG_INF,
     SignedTrop,
     Trop,
     exact,
+    integers_over,
     rational_from_str,
-    rational_or_none,
     rational_text,
     rational_to_str,
     sums_to_one,
@@ -188,7 +190,7 @@ class TestFloatsRefused:
         "call",
         [
             lambda: Trop(0.1),
-            lambda: rational_or_none(0.5),
+            lambda: integers_over((0.5,), 1),
             lambda: subfixed(example_graph(), (1.3, -10, 0.3)),
             lambda: eval_operator(example_graph(), (0, 0.1, 0)),
             lambda: pencil_member(MetzlerPencil(1, 1, {(0, 0): {1: SignedTrop.pos(0)}}), (0.25,)),
@@ -196,7 +198,7 @@ class TestFloatsRefused:
             lambda: pipeline(example_graph())[1].lift((0, 0, 0.1)),
             lambda: minmax_eval(example_minmax(), (0.1, 0, 0)),
         ],
-        ids=["Trop", "rational_or_none", "subfixed", "eval_operator", "pencil_member",
+        ids=["Trop", "integers_over", "subfixed", "eval_operator", "pencil_member",
              "lift_integers", "lift", "minmax_eval"],
     )
     def test_float_raises(self, call):
@@ -213,7 +215,7 @@ class TestBoolsRefused:
         "call",
         [
             lambda: Trop(True),
-            lambda: rational_or_none(False),
+            lambda: integers_over((False,), 1),
             lambda: subfixed(example_graph(), (True, 0, 0)),
             lambda: eval_operator(example_graph(), (True, 0, 0)),
             lambda: pencil_member(MetzlerPencil(1, 1, {(0, 0): {1: SignedTrop.pos(0)}}), (False,)),
@@ -221,7 +223,7 @@ class TestBoolsRefused:
             lambda: pipeline(example_graph())[1].lift((0, 0, False)),
             lambda: minmax_eval(example_minmax(), (True, 0, 0)),
         ],
-        ids=["Trop", "rational_or_none", "subfixed", "eval_operator", "pencil_member",
+        ids=["Trop", "integers_over", "subfixed", "eval_operator", "pencil_member",
              "lift_integers", "lift", "minmax_eval"],
     )
     def test_bool_raises(self, call):
@@ -269,6 +271,96 @@ class TestExactReading:
             minmax_eval(example_minmax(), (0, value, 0))
         with pytest.raises(ValueError):
             exact(value)
+
+
+def _kernels() -> dict:
+    """name: (the kernel at a point, points to read) for each kernel that
+    takes a query point."""
+    g = example_graph()
+    target, witness = pipeline(g)
+    cone = synthesize_cone(target)
+    u = example_union()
+    a, b = u.pieces[0]
+    graph_points = [(-3, 0, 0), (2, 0, 0), (Fraction(1, 3), Fraction(-5, 7), 2)]
+    cone_points = [witness.lift(x) for x in graph_points]
+    cone_points.append(tuple(math.floor(v) for v in cone_points[1]))
+    lp_points = [(5, 1, 0), (-3, 2, 1), (Fraction(1, 3), Fraction(-5, 7), 2)]
+    return {
+        "eval_operator": (lambda x: eval_operator(g, x), graph_points),
+        "subfixed": (lambda x: subfixed(g, x), graph_points),
+        "pencil_member": (lambda x: pencil_member(cone, x), cone_points),
+        "lift": (witness.lift, graph_points),
+        "union_member": (lambda x: union_member(u, x), lp_points),
+        "eval_F_from_polyhedra": (lambda x: eval_F_from_polyhedra(u, x), lp_points),
+        "lp_max": (lambda x: tuple(lp_max(a, b, x, k) for k in range(u.n)), lp_points),
+    }
+
+
+def _writings(point) -> list:
+    """The point as Fractions, strings and finite Trops, and as ints when
+    every coordinate is an integer."""
+    point = tuple(map(Fraction, point))
+    forms = [point, tuple(map(str, point)), tuple(map(Trop, point))]
+    if all(v.denominator == 1 for v in point):
+        forms.append(tuple(map(int, point)))
+    return forms
+
+
+def _with(point, k, value) -> tuple:
+    return (*point[:k], value, *point[k + 1:])
+
+
+class TestOneReader:
+    """Every kernel reads a query point by `integers_over`: a Fraction, an
+    int, a string and a finite Trop of one value give one answer, and None
+    and a -inf Trop are -inf where a kernel takes it."""
+
+    @pytest.mark.parametrize("name", list(_kernels()))
+    def test_every_writing_gives_one_answer(self, name):
+        call, points = _kernels()[name]
+        answers = set()
+        for point in points:
+            answer = call(tuple(map(Fraction, point)))
+            assert [call(form) for form in _writings(point)] == [answer] * len(_writings(point))
+            answers.add(answer)
+        assert len(answers) > 1
+
+    @pytest.mark.parametrize("value", [None, NEG_INF], ids=["none", "neg_inf"])
+    def test_graph_kernels_read_minus_infinity(self, value):
+        g = example_graph()
+        rows = dense_absorption_rows(g)
+        seen = set()
+        for point in [(0, 0, 0), (2, 0, 0), (Fraction(1, 3), Fraction(-5, 7), 2)]:
+            for k in range(g.n):
+                x = _with(point, k, value)
+                want = trop_eval_operator(g, rows, _with(point, k, NEG_INF))
+                assert tuple(NEG_INF if v is None else Trop(v) for v in eval_operator(g, x)) == want
+                holds = all(Trop(v) <= w for v, w in zip(_with(point, k, NEG_INF), want))
+                assert subfixed(g, x) is holds
+                seen.add(holds)
+        assert eval_operator(g, (value,) * g.n) == (None,) * g.n
+        assert subfixed(g, (value,) * g.n)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("value", [None, NEG_INF], ids=["none", "neg_inf"])
+    def test_pencil_member_reads_minus_infinity(self, value):
+        call, points = _kernels()["pencil_member"]
+        cone = synthesize_cone(pipeline(example_graph())[0])
+        seen = set()
+        for point in points:
+            for k in range(len(point)):
+                answer = call(_with(point, k, value))
+                assert answer is trop_pencil_member(cone, _with(point, k, NEG_INF))
+                seen.add(answer)
+        assert call((value,) * cone.n)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("value", [None, NEG_INF], ids=["none", "neg_inf"])
+    @pytest.mark.parametrize("name", ["lift", "union_member", "eval_F_from_polyhedra", "lp_max"])
+    def test_lift_and_lp_refuse_minus_infinity(self, name, value):
+        call, points = _kernels()[name]
+        with pytest.raises(ValueError, match=type(value).__name__):
+            call(_with(points[0], 1, value))
 
 
 class TestSumsToOne:
