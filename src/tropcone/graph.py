@@ -10,10 +10,9 @@ pair (1, 2). An edge is a frozen, slotted `Edge` record, built by storing its
 fields through the slot descriptors.
 The encoded operator is computed from exact absorption probabilities of the
 induced Markov chain in which every Min and Max vertex is absorbing, solved
-in integers by fraction-free elimination (Bareiss 1968), one per strongly
-connected component of the Random vertices, in which a pivot updates only
-the rows it reaches: those with a nonzero entry in its column. The solve's
-rows, (d, {vertex: N}) per Random vertex, are the one form every reader takes.
+in integers by the fraction-free `scalars.pivot`, one solve per strongly
+connected component of the Random vertices. The solve's rows,
+(d, {vertex: N}) per Random vertex, are the one form every reader takes.
 
 The operator is evaluated in exact integers at points of T^n, from one
 plan built on a graph's first evaluation and kept on it next to the
@@ -36,7 +35,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import NonStochastic, NotCompliant, SingularSystem, ValidationFailed
-from .scalars import exact, int_from_json, integers_over, rational, rational_from_str
+from .scalars import exact, int_from_json, integers_over, pivot, rational, rational_from_str
 from .scalars import rational_text, rational_to_str, sized, sums_to_one, times
 
 Vector = tuple[Fraction, ...]
@@ -387,32 +386,32 @@ def _random_components(g: GameGraph) -> list:
 
 def _exit_rows(g: GameGraph) -> dict:
     """Per Random vertex, (d, {vertex: N}): the chain leaves the Random
-    block into Min/Max vertex u with probability N / d. One fraction-free
-    Gauss-Jordan solve (Bareiss 1968) of (I - Q_C) H_C = R_C per strongly
-    connected component C, lower ones first, on rows scaled to integers.
-    A step updates only the rows with a nonzero in its pivot column (two or
-    three in a Zwick-Paterson gadget). A row keeps its base, the pivot it
-    was last brought up to, since a step that leaves it alone only scales
-    it by p_k / p_(k-1): a pivot row is first scaled to the previous pivot,
-    and an updated row becomes (p_k * row - a_ik * pivot row) / base, both
-    exact divisions. d and N are a row's base, which is its diagonal, and
-    its exit entries over their gcd. With an exit, I - Q_C is a
-    nonsingular M-matrix, so no pivot is 0."""
+    block into Min/Max vertex u with probability N / d. One Gauss-Jordan
+    solve of (I - Q_C) H_C = R_C per strongly connected component C, lower
+    ones first, on integer rows pivoted by `scalars.pivot`. C's vertices
+    are the last columns, in reverse pivot order: pivot k's column is the
+    last, passed by its nonnegative index (which CPython reads faster than
+    -1), and is then retired from every row. d and N are a row's base, its
+    diagonal, and its exit entries over their gcd. With an exit, I - Q_C
+    is a nonsingular M-matrix, so no pivot is 0."""
     hit = {}
     for comp in _random_components(g):
-        size = len(comp)
-        # Indices: C's vertices, then the Min/Max vertices C's edges out of
-        # C reach, directly or through a solved component.
-        col = {v: i for i, v in enumerate(comp)}
-        out = [e for v in comp for e in g.out_edges[v] if e.head not in col]
+        inside = set(comp)
+        # Columns: the Min/Max vertices C's edges out of C reach, directly
+        # or through a solved component, then C's vertices.
+        out = [e for v in comp for e in g.out_edges[v] if e.head not in inside]
         leave = {e.id: hit.get(e.head) or (1, {e.head: 1}) for e in out}
+        col = {}
         for _, xs in leave.values():
             for c in xs:
                 col.setdefault(c, len(col))
-        if len(col) == size:
+        if not col:
             raise SingularSystem(
                 "absorption system is singular; a Random vertex cannot reach a Min or Max vertex"
             )
+        cols = list(col)
+        for v in reversed(comp):
+            col[v] = len(col)
         a = []
         for v in comp:
             # An edge inside C is -1 at its head, over 1.
@@ -431,25 +430,12 @@ def _exit_rows(g: GameGraph) -> dict:
                 for c, x in xs.items():
                     row[col[c]] += q * x
             a.append(row)
-        base, start, prev = [1] * size, [0] * size, 1
-        for k in range(size):
-            pivot = a[k][k - start[k]:]
-            if base[k] != prev:
-                pivot = [x * prev // base[k] for x in pivot]
-            pk, rest = pivot[0], pivot[1:]
-            for i, row in enumerate(a):
-                # Row i holds its columns from start[i] on.
-                j = k - start[i]
-                aik = row[j]
-                if aik and i != k:
-                    b = base[i]
-                    a[i] = [(pk * x - aik * y) // b for x, y in zip(row[j + 1:], rest)]
-                    base[i], start[i] = pk, k + 1
-            a[k], base[k], start[k] = rest, pk, k + 1
-            prev = pk
-        cols = list(col)[size:]
-        for v, b, s, row in zip(comp, base, start, a):
-            row = row[size - s:]
+        base, prev = [1] * len(comp), 1
+        for k in range(len(comp)):
+            prev = pivot(a, base, k, len(a[k]) - 1, prev)
+            for row in a:
+                row.pop()
+        for v, b, row in zip(comp, base, a):
             d = gcd(b, *row)
             hit[v] = (b // d, {c: x // d for c, x in zip(cols, row)})
     return hit

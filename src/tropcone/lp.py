@@ -3,8 +3,8 @@
 A closed semilinear real tropical cone given as U = union of {x : Ax <= b}
 has the canonical operator F_k(x) = max over pieces of max{y_k : Ay <= b,
 y <= x}. Each inner maximum is solved exactly as its LP dual, which always
-has a feasible basis, with fraction-free integer pivoting and one scaling
-per point (Edmonds 1967, Bareiss 1968). The n duals of a piece differ only
+has a feasible basis, on integers scaled once per point and pivoted by
+the fraction-free `scalars.pivot`. The n duals of a piece differ only
 in their right-hand side e_k, so they share one tableau: the first
 coordinate runs Bland's primal simplex (no cycling) from the basis v, and
 each later one continues from the last optimal basis by Bland's dual
@@ -29,7 +29,7 @@ from .errors import DimensionMismatch, EmptyBelow
 from .graph import MinMaxOperator
 from .sampling import check_sampling, rng_for, sample_rational, sample_vector
 from .scalars import exact, int_from_json, integers_over, rational, rational_from_str, rational_text
-from .scalars import rational_to_str, sized
+from .scalars import pivot, rational_to_str, sized
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -124,24 +124,6 @@ def _slack(piece: tuple, scale: int, xs: list) -> list:
     return [scale * bi - sum(map(mul, row, xs)) for row, bi in zip(rows, rhs)]
 
 
-def _bareiss(tableau: list, r: int, enter: int, d: int) -> int:
-    """Pivot on row r and column `enter`, returning the new denominator:
-    each other row becomes (T_i p - T_ic T_r) / d, d the previous pivot, an
-    exact division (Edmonds 1967, Bareiss 1968), so every stored row is d
-    times its rational value. A negative pivot negates its row first, so d
-    stays positive and every stored sign is the rational sign."""
-    row = tableau[r]
-    p = row[enter]
-    if p < 0:
-        row = tableau[r] = [-a for a in row]
-        p = -p
-    for i, line in enumerate(tableau):
-        if i != r:
-            f = line[enter]
-            tableau[i] = [(a * p - f * b) // d for a, b in zip(line, row)]
-    return p
-
-
 def _piece_gaps(piece: tuple, h: list, ks: Sequence[int]) -> Optional[list]:
     """Per coordinate k of ks, the gap (g, d) of min{b.u + x.v : A^T u + v =
     e_k, u, v >= 0} = max{y_k : Ay <= b, y <= x}, whose value is
@@ -158,9 +140,11 @@ def _piece_gaps(piece: tuple, h: list, ks: Sequence[int]) -> Optional[list]:
     starts from the last optimal basis, whose reduced costs stay >= 0, and
     runs Bland's dual simplex until column m + k is >= 0: the negative row
     of the smallest basis index leaves, the minimum ratio cost_j / -T_rj
-    enters, ties to the smaller column (Lemke 1954, Bland 1977). Positive
-    scalings keep the sign of every reduced cost and the order of every
-    ratio, so the pivots are those of the rational tableau."""
+    enters, ties to the smaller column (Lemke 1954, Bland 1977). Each row is
+    kept over its own positive base by `scalars.pivot`, and coordinate k's
+    gap is (cost-row entry, cost-row base). A ratio or tie test multiplies
+    one entry of each of two rows, and every other test reads a sign, so
+    the pivots are those of the rational tableau."""
     cols = piece[2]
     n, m = len(cols), len(h)
     width = m + n
@@ -168,7 +152,7 @@ def _piece_gaps(piece: tuple, h: list, ks: Sequence[int]) -> Optional[list]:
     for j in range(n):
         tableau[j][m + j] = 1
     tableau.append([*h, *(0,) * n])
-    basis = list(range(m, width))
+    basis, base = list(range(m, width)), [1] * (n + 1)
     d = 1
     gaps = []
     for k in ks:
@@ -203,9 +187,9 @@ def _piece_gaps(piece: tuple, h: list, ks: Sequence[int]) -> Optional[list]:
                             r = i
                 if r is None:
                     return None
-            d = _bareiss(tableau, r, enter, d)
+            d = pivot(tableau, base, r, enter, d)
             basis[r] = enter
-        gaps.append((tableau[-1][rhs], d))
+        gaps.append((tableau[-1][rhs], base[-1]))
     return gaps
 
 

@@ -176,10 +176,9 @@ def pencil_member(pencil: MetzlerPencil, x) -> bool:
 
 def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:
     """Decide membership of the point y / d, y integers with None for -inf,
-    over D = lcm(L, d) with the constant slot 0 pinned to 0. Rows with minus
-    terms are checked first; a row's plus part is computed when an
-    off-diagonal entry first reads it."""
-    sized(y, pencil.n)
+    over D = lcm(L, d) with the constant slot 0 pinned to 0; the caller has
+    checked that y has length n. Rows with minus terms are checked first; a
+    row's plus part is computed when an off-diagonal entry first reads it."""
     scale, rows, checks, offdiag = pencil._plan
     f = scale // gcd(d, scale)
     y = [0, *y] if f == 1 else [0, *(None if v is None else v * f for v in y)]

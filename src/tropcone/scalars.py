@@ -10,6 +10,7 @@ over a common denominator (`integers_over`, `times`), and a list of
 probabilities is checked to sum to one by `sums_to_one`, which reads each
 once. A rational with more digits than Python writes is named by its size
 in a message (`rational_text`) and refused as output (`rational_to_str`).
+The absorption solve and the LP tableau update their rows by one `pivot`.
 
 A query point enters every kernel one way: `integers_over` reads each
 coordinate once, a `Fraction` as it is, a `Trop` by its value, None and a
@@ -196,6 +197,31 @@ def sums_to_one(vals) -> bool:
             n, d = n * f, d * f
         n += a * (d // b)
     return n == d
+
+
+def pivot(rows: list, base: list, r: int, c: int, d: int) -> int:
+    """The one fraction-free pivot (Edmonds 1967, Bareiss 1968), on row r
+    and column c after the pivot d (1 before the first); returns the new
+    pivot p > 0. Row i is base[i] > 0 times its rational value. Row r is
+    first brought up to d, row * d / base[r], and negated if its entry in
+    column c is negative, so p is that entry's modulus and stored signs are
+    rational signs. Each other row with a nonzero f in column c becomes
+    (p * row - f * row r) / base[i]; it and row r are then at base p, both
+    divisions exact. Every other row is left alone."""
+    row, b = rows[r], base[r]
+    if b != d:
+        row = [x * d // b for x in row]
+    if row[c] < 0:
+        row = [-x for x in row]
+    p = row[c]
+    rows[r], base[r] = row, p
+    for i, line in enumerate(rows):
+        f = line[c]
+        if f and i != r:
+            b = base[i]
+            rows[i] = [(p * x - f * y) // b for x, y in zip(line, row)]
+            base[i] = p
+    return p
 
 
 class SignedTrop:

@@ -10,6 +10,7 @@ from typing import Optional
 from .graph import GameGraph, subfixed
 from .pencil import MetzlerPencil, affine_envelope, pencil_member_integers, synthesize_cone
 from .sampling import check_sampling, rng_for, sample_vector
+from .scalars import sized
 from .transforms import pipeline
 
 
@@ -61,15 +62,18 @@ def verify_graph(
     in integers, at `samples` deterministic rational points.
 
     `pencil_override` substitutes the envelope pencil (used to confirm that
-    corrupted pencils are caught). A `samples`, `seed`, `box` or `denom`
+    corrupted pencils are caught); DimensionMismatch before any sample
+    unless its n is 2 * target.n. A `samples`, `seed`, `box` or `denom`
     that is not an int (a bool or a float), a negative `samples` or `box`,
     or a `denom` below 1 raises ValueError before the pipeline runs."""
     check_sampling("verify_graph", "samples", samples, seed, box, denom)
     start = time.monotonic()
     target, witness = pipeline(g)
-    envelope = affine_envelope(synthesize_cone(target))
-    if pencil_override is not None:
+    if pencil_override is None:
+        envelope = affine_envelope(synthesize_cone(target))
+    else:
         envelope = pencil_override
+        sized(range(envelope.n), 2 * target.n)
 
     n = g.n
     sub_count = fwd = comp_count = bwd = 0

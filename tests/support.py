@@ -7,14 +7,16 @@ rebuilt from its residuation weights and compared, where a projected
 pencil decides membership of its lift, the two sharing only
 `residual_coefficient`), themselves checked against hull membership by
 brute-force subset search; linear programming by exhaustive vertex
-enumeration over exact square solves; the one-pass edge split of
-`pipeline` by splitting one edge at a time; absorption probabilities by
-one dense solve over every Random vertex; pencil membership, witness lifts
-and their affine-envelope points, and the encoded operator, on finite
-points and on T^n, by boxed `Trop` and `Fraction` arithmetic in place of
-the integer plans; the path checks of graph validation by one walk per
-vertex; and the whole of graph validation by plain loops, with the
-probability sums checked in the `integers_over` form.
+enumeration over exact square solves; the shared fraction-free pivot by
+the dense step that puts every row over one denominator; the one-pass
+edge split of `pipeline` by splitting one edge at a time; absorption
+probabilities by one dense solve over every Random vertex; pencil
+membership, witness lifts and their affine-envelope points, and the
+encoded operator, on finite points and on T^n, by boxed `Trop` and
+`Fraction` arithmetic in place of the integer plans; the path checks of
+graph validation by one walk per vertex; and the whole of graph
+validation by plain loops, with the probability sums checked in the
+`integers_over` form.
 """
 
 from __future__ import annotations
@@ -71,6 +73,24 @@ def solve_rational(matrix, rhs_columns):
                 f = a[r][col]
                 a[r] = [v - f * w if w else v for v, w in zip(a[r], a[col])]
     return [row[n : n + width] for row in a]
+
+
+def dense_pivot(tableau: list, r: int, c: int, d: int) -> int:
+    """The dense fraction-free pivot that `scalars.pivot` replaced, as a
+    reference: every row over one denominator d, the previous pivot. Row r
+    is negated if its entry in column c is negative; every other row
+    becomes (p * row - f * row r) / d, also a row with f = 0, which this
+    only scales by p / d. Returns the new denominator p."""
+    row = tableau[r]
+    p = row[c]
+    if p < 0:
+        row = tableau[r] = [-a for a in row]
+        p = -p
+    for i, line in enumerate(tableau):
+        if i != r:
+            f = line[c]
+            tableau[i] = [(a * p - f * b) // d for a, b in zip(line, row)]
+    return p
 
 
 def small_rational(rng: random.Random, box: int = 6, denom: int = 12) -> Fraction:

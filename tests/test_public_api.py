@@ -37,6 +37,8 @@ RETIRED = {
         "StochasticReport", "_times", "_tabulate", "_compliant_pairs", "_absorption_rows",
         "scaled_values", "_scaled_point",
     ],
+    # The LP tableau and the absorption solve share `scalars.pivot`.
+    "tropcone.lp": ["_bareiss"],
 }
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 import pytest
 
@@ -206,7 +207,7 @@ class TestDifferential:
     """eval_F against the per-coordinate maxima of separate LPs, on seeded
     unions with degenerate, empty and infeasible pieces."""
 
-    def test_matches_lp_max_and_oracle(self):
+    def test_matches_lp_max_and_oracle(self, monkeypatch):
         kinds = {"empty": 0, "no rows": 0, "degenerate": 0}
         for trial in range(60):
             rng = rng_for(283, trial)
@@ -225,6 +226,31 @@ class TestDifferential:
             kinds["no rows"] += any(not a for a, _ in pieces)
             kinds["degenerate"] += any(len(set(a)) < len(a) for a, _ in pieces)
         assert all(kinds.values()), kinds
+        # One union over 64-bit denominators, each row's bound within 2 of
+        # its value at x: a pivot row that fell behind the last pivot is
+        # brought up to it on integers of hundreds of bits.
+        shared_pivot, behind = lp_module.pivot, []
+
+        def pivot(tableau, base, r, enter, d):
+            behind.append(base[r] != d)
+            return shared_pivot(tableau, base, r, enter, d)
+
+        monkeypatch.setattr(lp_module, "pivot", pivot)
+        rng = rng_for(349, 0)
+
+        def wide():
+            return F(rng.choice((0, rng.randint(-3 * 2**64, 3 * 2**64))), rng.randrange(2**63, 2**64))
+
+        x = sample_vector(rng, 3, 5, 4)
+        pieces = []
+        for _ in range(3):
+            a = tuple(tuple(wide() for _ in range(3)) for _ in range(5))
+            pieces.append((a, tuple(sum(map(mul, row, x)) + wide() / 3 for row in a)))
+        want = column_maxima(pieces, x, lp_max_oracle)
+        assert None not in want
+        assert column_maxima(pieces, x, lp_max) == want
+        assert eval_F_from_polyhedra(PolyhedralUnion(3, tuple(pieces)), x) == want
+        assert any(behind), behind
 
     def test_lp_calls_per_piece(self, monkeypatch):
         # Each piece is one warm-started solve over the coordinates still
@@ -280,7 +306,7 @@ class TestDifferential:
         # and the ratio ties that Bland's rule breaks in both phases, so that
         # it cannot pass without them.
         seen = Counter()
-        piece_gaps, bareiss = lp_module._piece_gaps, lp_module._bareiss
+        piece_gaps, shared_pivot = lp_module._piece_gaps, lp_module.pivot
         primal_rhs = []
 
         def gaps(piece, h, ks):
@@ -289,7 +315,9 @@ class TestDifferential:
             primal_rhs[:] = [len(h) + ks[0]]
             return piece_gaps(piece, h, ks)
 
-        def pivot(tableau, r, enter, d):
+        def pivot(tableau, base, r, enter, d):
+            # Each test multiplies one entry of each of two rows, so the
+            # rows' own bases leave it as it is on the rational tableau.
             row, cost, p = tableau[r], tableau[-1], tableau[r][enter]
             if p < 0:
                 seen["dual pivots"] += 1
@@ -302,10 +330,10 @@ class TestDifferential:
                     i != r and line[enter] > 0 and line[c] * p == row[c] * line[enter]
                     for i, line in enumerate(tableau[:-1])
                 )
-            return bareiss(tableau, r, enter, d)
+            return shared_pivot(tableau, base, r, enter, d)
 
         monkeypatch.setattr(lp_module, "_piece_gaps", gaps)
-        monkeypatch.setattr(lp_module, "_bareiss", pivot)
+        monkeypatch.setattr(lp_module, "pivot", pivot)
         for trial in range(60):
             rng = rng_for(317, trial)
             n = 1 + trial % 5

@@ -1,24 +1,28 @@
 """Scalar and signed scalar arithmetic, and rationals from text."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import dense_absorption_rows, default_digit_limit, tadd, tmul, trop_eval_operator, trop_pencil_member
+from support import dense_absorption_rows, dense_pivot, default_digit_limit, tadd, tmul, trop_eval_operator
+from support import trop_pencil_member
 from tropcone.errors import TooManyDigits
 from tropcone.fixtures import example_graph, example_minmax, example_union
 from tropcone.graph import eval_operator, minmax_eval, subfixed
 from tropcone.lp import eval_F_from_polyhedra, lp_max, union_member
 from tropcone.pencil import MetzlerPencil, pencil_member, synthesize_cone
+from tropcone.sampling import rng_for
 from tropcone.scalars import (
     NEG_INF,
     SignedTrop,
     Trop,
     exact,
     integers_over,
+    pivot,
     rational_from_str,
     rational_text,
     rational_to_str,
@@ -403,6 +407,42 @@ class TestSumsToOne:
         if vals:
             fixed = [*vals[:-1], 1 - sum(vals[:-1], Fraction(0))]
             assert sums_to_one(fixed)
+
+
+class TestPivot:
+    """`pivot` against the dense step it replaced (`support.dense_pivot`,
+    every row over one d) and a `Fraction` Gauss-Jordan tableau."""
+
+    def test_matches_dense_step(self):
+        seen = Counter()
+        for trial in range(150):
+            rng = rng_for(341, trial)
+            height, width = rng.randint(2, 6), rng.randint(3, 8)
+            # Most entries 0, so that a pivot column misses some rows.
+            start = [[rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(width)] for _ in range(height)]
+            rows, base, p = [list(row) for row in start], [1] * height, 1
+            dense, d = [list(row) for row in start], 1
+            fractions = [[Fraction(v) for v in row] for row in start]
+            for _ in range(rng.randint(1, 8)):
+                nonzero = [(r, c) for r in range(height) for c in range(width) if fractions[r][c]]
+                if not nonzero:
+                    break
+                r, c = rng.choice(nonzero)
+                seen["negative"] += fractions[r][c] < 0
+                seen["behind"] += base[r] != p
+                seen["left alone"] += sum(1 for i in range(height) if i != r and not fractions[i][c])
+                p = pivot(rows, base, r, c, p)
+                d = dense_pivot(dense, r, c, d)
+                q = fractions[r][c]
+                fractions[r] = [v / q for v in fractions[r]]
+                for i in range(height):
+                    f = fractions[i][c]
+                    if f and i != r:
+                        fractions[i] = [v - f * w for v, w in zip(fractions[i], fractions[r])]
+                assert p == d > 0 and min(base) > 0
+                for row, b, line, want in zip(rows, base, dense, fractions):
+                    assert [Fraction(v, b) for v in row] == [Fraction(v, d) for v in line] == want
+        assert len(seen) == 3 and all(seen.values()), seen
 
 
 @default_digit_limit

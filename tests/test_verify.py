@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from support import envelope_lift, inside_closure, random_minmax, random_valid_graph
 from tropcone import verify as verify_module
+from tropcone.errors import DimensionMismatch
 from tropcone.fixtures import example_graph
 from tropcone.graph import Edge, GameGraph, graph_from_minmax, minmax_eval, subfixed
 from tropcone.pencil import (
@@ -100,6 +101,23 @@ def test_arity_four_denominator_64_graphs_verify():
         # One row -inf >= 0, over the envelope's variables.
         reject_all = MetzlerPencil(1, 2 * pipeline(g)[0].n, {(0, 0): {0: SignedTrop.neg(0)}})
         assert not verify_graph(g, samples=20, pencil_override=reject_all).ok
+
+
+@pytest.mark.parametrize("samples", [0, 20])
+def test_override_of_the_wrong_size_raises_before_sampling(monkeypatch, samples):
+    # A query is a lift and its negation, 2 * target.n coordinates; an
+    # override of another n is refused once, before any point is drawn.
+    g = example_graph()
+    n = pipeline(g)[0].n
+
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(verify_module, "sample_vector", refuse)
+    for size in (n, 2 * n - 1, 2 * n + 1):
+        wrong = MetzlerPencil(1, size, {(0, 0): {0: SignedTrop.neg(0)}})
+        with pytest.raises(DimensionMismatch, match=f"length {size}, expected {2 * n}"):
+            verify_graph(g, samples=samples, pencil_override=wrong)
 
 
 def test_report_serialization_is_deterministic():
