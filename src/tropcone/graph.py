@@ -389,11 +389,11 @@ def _exit_rows(g: GameGraph) -> dict:
     block into Min/Max vertex u with probability N / d. One Gauss-Jordan
     solve of (I - Q_C) H_C = R_C per strongly connected component C, lower
     ones first, on integer rows pivoted by `scalars.pivot`. C's vertices
-    are the last columns, in reverse pivot order: pivot k's column is the
-    last, passed by its nonnegative index (which CPython reads faster than
-    -1), and is then retired from every row. d and N are a row's base, its
-    diagonal, and its exit entries over their gcd. With an exit, I - Q_C
-    is a nonsingular M-matrix, so no pivot is 0."""
+    are the last columns, in reverse pivot order: pivot k is on column c,
+    the last not yet retired, after row k is cut to c + 1 entries; `pivot`'s
+    zip cuts each row it rebuilds, and no retired column is read again. d
+    and N are a row's base, its diagonal, and its exit entries over their
+    gcd. With an exit, I - Q_C is a nonsingular M-matrix, so no pivot is 0."""
     hit = {}
     for comp in _random_components(g):
         inside = set(comp)
@@ -430,12 +430,12 @@ def _exit_rows(g: GameGraph) -> dict:
                 for c, x in xs.items():
                     row[col[c]] += q * x
             a.append(row)
-        base, prev = [1] * len(comp), 1
-        for k in range(len(comp)):
-            prev = pivot(a, base, k, len(a[k]) - 1, prev)
-            for row in a:
-                row.pop()
+        base, prev, exits = [1] * len(comp), 1, len(cols)
+        for k, c in enumerate(range(len(col) - 1, exits - 1, -1)):
+            del a[k][c + 1:]
+            prev = pivot(a, base, k, c, prev)
         for v, b, row in zip(comp, base, a):
+            row = row[:exits]
             d = gcd(b, *row)
             hit[v] = (b // d, {c: x // d for c, x in zip(cols, row)})
     return hit

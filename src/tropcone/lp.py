@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch, EmptyBelow
 from .graph import MinMaxOperator
 from .sampling import check_sampling, rng_for, sample_rational, sample_vector
-from .scalars import exact, int_from_json, integers_over, rational, rational_from_str, rational_text
+from .scalars import finite_integers_over, int_from_json, integers_over, rational, rational_from_str, rational_text
 from .scalars import pivot, rational_to_str, sized
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -193,15 +193,6 @@ def _piece_gaps(piece: tuple, h: list, ks: Sequence[int]) -> Optional[list]:
     return gaps
 
 
-def _point(u: PolyhedralUnion, x) -> tuple:
-    """(L, xs): xs = L * x as integers, L the lcm of x's denominators. A
-    -inf coordinate raises `exact`'s ValueError."""
-    scale, xs = integers_over(sized(x, u.n), 1)
-    if None in xs:
-        exact(x[xs.index(None)])
-    return scale, xs
-
-
 def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Fraction]:
     """max{y_k : Ay <= b, y <= x}, exactly; None if infeasible. k is an int
     (ValueError otherwise). (A, b) is checked and solved as a one-piece
@@ -209,7 +200,7 @@ def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Frac
     if not 0 <= int_from_json(k) < len(x):
         raise DimensionMismatch(f"coordinate {k} out of range")
     u = PolyhedralUnion(len(x), ((a, b),))
-    scale, xs = _point(u, x)
+    scale, xs = finite_integers_over(sized(x, u.n), 1)
     piece = u.plan[0]
     gaps = _piece_gaps(piece, _slack(piece, scale, xs), (k,))
     if gaps is None:
@@ -219,7 +210,7 @@ def lp_max(a: Matrix, b: Vector, x: Sequence[Fraction], k: int) -> Optional[Frac
 
 
 def union_member(u: PolyhedralUnion, x: Sequence[Fraction]) -> bool:
-    scale, xs = _point(u, x)
+    scale, xs = finite_integers_over(sized(x, u.n), 1)
     for piece in u.plan:
         if all(v >= 0 for v in _slack(piece, scale, xs)):
             return True
@@ -234,7 +225,7 @@ def eval_F_from_polyhedra(u: PolyhedralUnion, x: Sequence[Fraction]) -> Vector:
     multiplication: no LP value exceeds x_k, so a coordinate with g = 0 is
     final and not passed to a later piece, and the pieces stop once every
     g is 0."""
-    scale, xs = _point(u, x)
+    scale, xs = finite_integers_over(sized(x, u.n), 1)
     best = None
     for piece in u.plan:
         ks = range(u.n) if best is None else [k for k, (g, _) in enumerate(best) if g]

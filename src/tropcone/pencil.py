@@ -22,8 +22,9 @@ diagonal rows only (Develin and Sturmfels 2004). A singleton, a union or a
 stratum is the hull of its one point, of its sets' concatenated generators
 or of its generators placed on their supports with -inf elsewhere. The
 generators are a `TropPointSet`, points of T^n held as `Trop`s. A
-projected pencil lifts a point by one residuation per generator
-(`residual_coefficient`).
+projected pencil reads a point as `pencil_member` does, over G, the lcm of
+the generators' denominators, appends one integer residuation weight per
+generator, and `member` passes that lift to `pencil_member_integers`.
 Entries are stored sparsely as {variable index: signed coefficient} with
 index 0 reserved for the constant matrix Q^(0). The module holds no
 operator kernel: the operator of a compliant graph on T^n, whose subfixed
@@ -34,6 +35,7 @@ set a cone pencil realizes, is evaluated by the one operator plan of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Optional
@@ -203,17 +205,11 @@ def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:
     return True
 
 
-def to_trop_vector(x) -> Point:
-    """x as `Trop`s; a coordinate that `Trop` does not read, such as a
-    float, raises ValueError."""
-    return tuple(v if isinstance(v, Trop) else Trop(v) for v in x)
-
-
 @dataclass(frozen=True)
 class TropPointSet:
-    """Hull generators: points of T^n, each held as `Trop`s
-    (`to_trop_vector`). The dimension is read by `int_from_json`, so a
-    float or a bool raises ValueError, and so does a negative one."""
+    """Hull generators: points of T^n, each held as `Trop`s. The
+    dimension is read by `int_from_json`, so a float or a bool raises
+    ValueError, and so does a negative one."""
 
     dimension: int
     points: tuple[Point, ...]
@@ -221,47 +217,53 @@ class TropPointSet:
     def __post_init__(self):
         if int_from_json(self.dimension) < 0:
             raise ValueError(f"negative dimension {self.dimension}")
-        points = tuple(sized(to_trop_vector(p), self.dimension) for p in self.points)
+        points = tuple(sized(tuple(map(Trop, p)), self.dimension) for p in self.points)
         object.__setattr__(self, "points", points)
-
-
-def residual_coefficient(y: Point, g: Point) -> Trop:
-    """Largest lam with lam + g <= y coordinatewise; -inf-only generators
-    are inert and get coefficient -inf."""
-    lam = None
-    for yi, gi in zip(y, g):
-        if gi.is_neg_inf:
-            continue
-        if yi.is_neg_inf:
-            return NEG_INF
-        cand = Trop(yi.finite - gi.finite)
-        if lam is None or cand < lam:
-            lam = cand
-    return NEG_INF if lam is None else lam
 
 
 @dataclass(frozen=True)
 class ProjectedPencil:
     """A pencil whose first n = gens.dimension variables project onto
     tconv(gens), with one hidden variable lambda_j per generator after them;
-    `pencil_from_generators` is its one constructor."""
+    `pencil_from_generators` is its one constructor. A pencil over other
+    than n + k variables raises DimensionMismatch (`sized`)."""
 
     pencil: MetzlerPencil
     gens: TropPointSet
 
+    def __post_init__(self):
+        sized(range(self.pencil.n), self.gens.dimension + len(self.gens.points))
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The lift's integer form, built on its first call: G and, per
+        generator g_j, its finite coordinates as (i, g_ji * G)."""
+        finite = [[(i, c.finite) for i, c in enumerate(g) if not c.is_neg_inf] for g in self.gens.points]
+        scale = lcm(*(c.denominator for g in finite for _, c in g))
+        return scale, tuple(tuple((i, times(c, scale)) for i, c in g) for g in finite)
+
+    def _lift_integers(self, x) -> tuple:
+        """(D, y): `lift` in integers over D = lcm(G, x's denominators), None
+        for -inf: lambda_j = min(0, min_i (x_i - g_ji)) over finite g_ji."""
+        scale, gens = self._plan
+        d, y = integers_over(sized(x, self.gens.dimension), scale)
+        r = d // scale
+        return d, y + [
+            None if None in [y[i] for i, _ in g] else min([0, *[y[i] - c * r for i, c in g]])
+            for g in gens
+        ]
+
     def member(self, x) -> bool:
-        return pencil_member(self.pencil, self.lift(x))
+        return pencil_member_integers(self.pencil, *self._lift_integers(x))
 
     def lift(self, x) -> Point:
         """x followed by lambda*_j per generator g_j: the residuation weight
         of (0, x) over (0, g_j), the largest lambda_j with lambda_j + g_j <= x
         and lambda_j <= 0. The other rows, max_j (lambda_j + g_ji) >= x_i and
         max_j lambda_j >= 0, only get easier as lambda grows, so x is in
-        tconv(gens) iff this lift is a member.
-        """
-        x = sized(to_trop_vector(x), self.gens.dimension)
-        p = (Trop(0),) + x
-        return x + tuple(residual_coefficient(p, p[:1] + g) for g in self.gens.points)
+        tconv(gens) iff this lift is a member."""
+        d, y = self._lift_integers(x)
+        return tuple(NEG_INF if v is None else Trop(Fraction(v, d)) for v in y)
 
 
 def synthesize_cone(g: GameGraph) -> MetzlerPencil:

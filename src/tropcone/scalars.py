@@ -16,7 +16,8 @@ A query point enters every kernel one way: `integers_over` reads each
 coordinate once, a `Fraction` as it is, a `Trop` by its value, None and a
 -inf `Trop` as None (-inf), and anything else by `exact`, so a float or a
 bool raises ValueError. A kernel that has no -inf (`lift`, the LP
-frontend) refuses a None with `exact`'s message, which names the type.
+frontend) reads by `finite_integers_over`, which refuses -inf with
+`exact`'s message, naming the type.
 """
 
 from __future__ import annotations
@@ -182,6 +183,14 @@ def integers_over(vals, scale: int) -> tuple:
             read.append(exact(v))
     d = lcm(scale, *(v.denominator for v in read if v is not None))
     return d, [None if v is None else v.numerator * (d // v.denominator) for v in read]
+
+
+def finite_integers_over(vals, scale: int) -> tuple:
+    """`integers_over`, refusing None and -inf by `exact` (module docstring)."""
+    d, y = integers_over(vals, scale)
+    if None in y:
+        exact(vals[y.index(None)])
+    return d, y
 
 
 def sums_to_one(vals) -> bool:

@@ -47,7 +47,7 @@ from typing import Optional
 from .errors import PreconditionViolated
 from .graph import HALF, Edge, GameGraph, _Builder
 from .graph import require_compliant, require_valid
-from .scalars import exact, int_from_json, integers_over, sized, times
+from .scalars import finite_integers_over, int_from_json, sized, times
 
 ZERO = Fraction(0)
 
@@ -100,9 +100,7 @@ class WitnessMap:
         multiplied by d / gcd(T, d)."""
         sized(x, self.source_dim)
         scale, rows = self._plan
-        d, y = integers_over(x, scale)
-        if None in y:
-            exact(x[y.index(None)])
+        d, y = finite_integers_over(x, scale)
         r = d // scale
         for den, const, singles, multis in rows:
             total = const * r

@@ -3,10 +3,10 @@
 The oracles here deliberately avoid the code paths under test: the
 max-plus sum and product of boxed `Trop`s (`tadd`, `tmul`); cone and hull
 membership by residuation (`cone_member`, `hull_member`: the point is
-rebuilt from its residuation weights and compared, where a projected
-pencil decides membership of its lift, the two sharing only
-`residual_coefficient`), themselves checked against hull membership by
-brute-force subset search; linear programming by exhaustive vertex
+rebuilt from its boxed residuation weights, `residual_coefficient`, and
+compared, where a projected pencil decides membership of its integer
+lift, so the two share no code), themselves checked against hull
+membership by brute-force subset search; linear programming by exhaustive vertex
 enumeration over exact square solves; the shared fraction-free pivot by
 the dense step that puts every row over one denominator; the one-pass
 edge split of `pipeline` by splitting one edge at a time; absorption
@@ -38,7 +38,7 @@ from tropcone.graph import (
     is_compliant,
     require_valid,
 )
-from tropcone.pencil import TropPointSet, eval_compliant_operator, residual_coefficient, to_trop_vector
+from tropcone.pencil import TropPointSet, eval_compliant_operator
 from tropcone.scalars import NEG_INF, Trop, integers_over, sized
 from tropcone.transforms import first_transformation, second_transformation, zwick_paterson
 
@@ -373,6 +373,21 @@ def tmul(a: Trop, b: Trop) -> Trop:
     return Trop(a.finite + b.finite)
 
 
+def residual_coefficient(y, g) -> Trop:
+    """Largest lam with lam + g <= y coordinatewise, for points of `Trop`s;
+    -inf-only generators are inert and get coefficient -inf."""
+    lam = None
+    for yi, gi in zip(y, g):
+        if gi.is_neg_inf:
+            continue
+        if yi.is_neg_inf:
+            return NEG_INF
+        cand = Trop(yi.finite - gi.finite)
+        if lam is None or cand < lam:
+            lam = cand
+    return NEG_INF if lam is None else lam
+
+
 def residual_combination(y, gens) -> tuple:
     """max_k(lam_k + g_k) over the residuation coefficients lam_k of y."""
     combo = tuple(NEG_INF for _ in y)
@@ -384,7 +399,7 @@ def residual_combination(y, gens) -> tuple:
 
 def cone_member(y, generators: TropPointSet) -> bool:
     """Is y a tropical combination of the generators?"""
-    y = sized(to_trop_vector(y), generators.dimension)
+    y = sized(tuple(map(Trop, y)), generators.dimension)
     return residual_combination(y, generators.points) == y
 
 
@@ -393,7 +408,7 @@ def hull_member(y, generators: TropPointSet) -> bool:
 
     Reduces to cone membership of (0, y) over the homogenized generators.
     """
-    y = sized(to_trop_vector(y), generators.dimension)
+    y = sized(tuple(map(Trop, y)), generators.dimension)
     zero = Trop(0)
     homogenized = tuple((zero,) + tuple(p) for p in generators.points)
     cone = TropPointSet(generators.dimension + 1, homogenized)

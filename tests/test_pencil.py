@@ -13,6 +13,7 @@ from support import (
     hull_member_bruteforce,
     placed,
     random_compliant_graph,
+    residual_coefficient,
     tadd,
     tmul,
     trop_pencil_member,
@@ -667,6 +668,47 @@ class TestTropicalSum:
         assert pp.member(gens.points[499])
         for y in ((T(0), T(1), T(0)), (T(0), T(1), T(-1)), (T(1), NEG_INF, T(-1))):
             assert pp.member(y) == hull_member(y, gens)
+
+
+def _oracle_lift(gens, y) -> tuple:
+    """The boxed residuation lift: y followed by the weight of (0, y) over
+    (0, g_j) per generator, by the oracle's `residual_coefficient`."""
+    y = tuple(map(T, y))
+    return y + tuple(residual_coefficient((Z,) + y, (Z,) + g) for g in gens.points)
+
+
+class TestIntegerLift:
+    """`lift` and `member` run on one integer lift; the boxed residuation of
+    tests/support.py gives the same weights and the same answers."""
+
+    @pytest.mark.parametrize("denom", [4, 2**64], ids=["small", "64-bit"])
+    def test_matches_oracle_residuation(self, denom):
+        seen = set()
+        for trial in range(8):
+            rng = rng_for(281, trial)
+            n = 2 + trial % 3
+            # Trials 0 and 4 hull the bottom point alone, the all -inf
+            # generator, whose weight is always 0.
+            points = tuple(sample_trop_vector(rng, n, 4, denom, 0.3) for _ in range(trial % 4))
+            gens = TropPointSet(n, points + ((NEG_INF,) * n,))
+            pp = pencil_from_generators(gens)
+            ys = _hull_points(rng, gens, 20) + [sample_trop_vector(rng, n, 4, denom, 0.3) for _ in range(20)]
+            for y in ys:
+                want = _oracle_lift(gens, y)
+                assert pp.lift(y) == want
+                assert want[-1] == Z
+                inside = pp.member(y)
+                assert inside == trop_pencil_member(pp.pencil, want) == hull_member(y, gens)
+                seen.add((inside, any(v.is_neg_inf for v in y)))
+        # Inside and outside, each with and without a -inf coordinate.
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_wrong_size_pencil_refused(self):
+        gens = TropPointSet(2, ((Z, T(1)), (T(1), Z)))
+        assert ProjectedPencil(MetzlerPencil(0, 4, {}), gens).pencil.n == 4
+        for n in (3, 5):
+            with pytest.raises(DimensionMismatch):
+                ProjectedPencil(MetzlerPencil(0, n, {}), gens)
 
 
 class TestFlatPencil:

@@ -25,9 +25,12 @@ RETIRED = {
     "tropcone.errors": ["ArityMismatch", "MixedSigns", "SupportMismatch"],
     # A singleton, a union or a stratum is `pencil_from_generators` of its
     # one point, its sets' concatenated generators or its placed generators.
+    # A projected pencil lifts a point in integers; the boxed residuation
+    # weight is the hull oracle's, in tests/support.py.
     "tropcone.pencil": [
         "formal_homogenize", "dehomogenize", "empty_pencil",
         "pencil_from_point", "union_pencil", "assemble_strata", "_hull_of_pieces",
+        "to_trop_vector", "residual_coefficient",
     ],
     # Min-max checks report in a `ValidationReport`; `times` is in scalars.
     # The absorption table is the solve's integer rows, read as they are,
@@ -37,8 +40,9 @@ RETIRED = {
         "StochasticReport", "_times", "_tabulate", "_compliant_pairs", "_absorption_rows",
         "scaled_values", "_scaled_point",
     ],
-    # The LP tableau and the absorption solve share `scalars.pivot`.
-    "tropcone.lp": ["_bareiss"],
+    # The LP tableau and the absorption solve share `scalars.pivot`, and the
+    # LP frontend reads a point by `scalars.finite_integers_over`.
+    "tropcone.lp": ["_bareiss", "_point"],
 }
 
 
@@ -57,8 +61,8 @@ def test_exactlin_is_gone():
 
 
 def test_convex_is_gone():
-    # Hull generators and the residuation weight of a lift live in
-    # tropcone.pencil; cone and hull membership are test oracles in
+    # Hull generators and the lift live in tropcone.pencil; cone and hull
+    # membership and the boxed residuation weight are test oracles in
     # tests/support.py.
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("tropcone.convex")

@@ -1,6 +1,6 @@
 """Cone and hull membership by residuation, the oracles of tests/support.py,
-against a brute-force oracle, and the generator sets and residuation
-weights of `tropcone.pencil` that they read."""
+against a brute-force oracle, and the generator sets of `tropcone.pencil`
+that they read."""
 
 from fractions import Fraction
 
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import cone_member, hull_member, hull_member_bruteforce, tadd, tmul
+from support import cone_member, hull_member, hull_member_bruteforce, residual_coefficient, tadd, tmul
 from tropcone.errors import DimensionMismatch
-from tropcone.pencil import TropPointSet, residual_coefficient
+from tropcone.pencil import TropPointSet
 from tropcone.sampling import rng_for, sample_trop_vector
 from tropcone.scalars import NEG_INF, Trop
 

@@ -14,7 +14,7 @@ from tropcone.errors import TooManyDigits
 from tropcone.fixtures import example_graph, example_minmax, example_union
 from tropcone.graph import eval_operator, minmax_eval, subfixed
 from tropcone.lp import eval_F_from_polyhedra, lp_max, union_member
-from tropcone.pencil import MetzlerPencil, pencil_member, synthesize_cone
+from tropcone.pencil import MetzlerPencil, TropPointSet, pencil_from_generators, pencil_member, synthesize_cone
 from tropcone.sampling import rng_for
 from tropcone.scalars import (
     NEG_INF,
@@ -198,11 +198,12 @@ class TestFloatsRefused:
             lambda: subfixed(example_graph(), (1.3, -10, 0.3)),
             lambda: eval_operator(example_graph(), (0, 0.1, 0)),
             lambda: pencil_member(MetzlerPencil(1, 1, {(0, 0): {1: SignedTrop.pos(0)}}), (0.25,)),
+            lambda: pencil_from_generators(TropPointSet(2, ((0, None),))).member((0.25, None)),
             lambda: pipeline(example_graph())[1].lift_integers((0.1, 0, 0)),
             lambda: pipeline(example_graph())[1].lift((0, 0, 0.1)),
             lambda: minmax_eval(example_minmax(), (0.1, 0, 0)),
         ],
-        ids=["Trop", "integers_over", "subfixed", "eval_operator", "pencil_member",
+        ids=["Trop", "integers_over", "subfixed", "eval_operator", "pencil_member", "hull_pencil_member",
              "lift_integers", "lift", "minmax_eval"],
     )
     def test_float_raises(self, call):
@@ -223,11 +224,12 @@ class TestBoolsRefused:
             lambda: subfixed(example_graph(), (True, 0, 0)),
             lambda: eval_operator(example_graph(), (True, 0, 0)),
             lambda: pencil_member(MetzlerPencil(1, 1, {(0, 0): {1: SignedTrop.pos(0)}}), (False,)),
+            lambda: pencil_from_generators(TropPointSet(2, ((0, None),))).member((False, None)),
             lambda: pipeline(example_graph())[1].lift_integers((0, True, 0)),
             lambda: pipeline(example_graph())[1].lift((0, 0, False)),
             lambda: minmax_eval(example_minmax(), (True, 0, 0)),
         ],
-        ids=["Trop", "integers_over", "subfixed", "eval_operator", "pencil_member",
+        ids=["Trop", "integers_over", "subfixed", "eval_operator", "pencil_member", "hull_pencil_member",
              "lift_integers", "lift", "minmax_eval"],
     )
     def test_bool_raises(self, call):
@@ -289,11 +291,16 @@ def _kernels() -> dict:
     cone_points = [witness.lift(x) for x in graph_points]
     cone_points.append(tuple(math.floor(v) for v in cone_points[1]))
     lp_points = [(5, 1, 0), (-3, 2, 1), (Fraction(1, 3), Fraction(-5, 7), 2)]
+    hull = pencil_from_generators(TropPointSet(3, ((0, 1, None), (Fraction(-1, 2), 0, 2))))
+    hull_points = [
+        (0, 1, -4), (Fraction(-1, 3), Fraction(2, 3), 2), (Fraction(-1, 3), Fraction(5, 7), 1), (0, 0, 0),
+    ]
     return {
         "eval_operator": (lambda x: eval_operator(g, x), graph_points),
         "subfixed": (lambda x: subfixed(g, x), graph_points),
         "pencil_member": (lambda x: pencil_member(cone, x), cone_points),
         "lift": (witness.lift, graph_points),
+        "hull_pencil_member": (hull.member, hull_points),
         "union_member": (lambda x: union_member(u, x), lp_points),
         "eval_F_from_polyhedra": (lambda x: eval_F_from_polyhedra(u, x), lp_points),
         "lp_max": (lambda x: tuple(lp_max(a, b, x, k) for k in range(u.n)), lp_points),
