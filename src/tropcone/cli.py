@@ -86,14 +86,15 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     g = _load(args.graph, GameGraph)
-    value = eval_operator(g, _parse_vector(args.point, g.n))
-    _emit_json([rational_to_str(v) for v in value], args.out)
+    value = eval_operator(g, _parse_vector(args.point, g.n, Trop.from_str, "tropical"))
+    _emit_json(["-inf" if v is None else rational_to_str(v) for v in value], args.out)
     return 0
 
 
 def cmd_subfixed(args) -> int:
     g = _load(args.graph, GameGraph)
-    _emit_json({"subfixed": subfixed(g, _parse_vector(args.point, g.n))}, args.out)
+    point = _parse_vector(args.point, g.n, Trop.from_str, "tropical")
+    _emit_json({"subfixed": subfixed(g, point)}, args.out)
     return 0
 
 
@@ -236,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the encoded operator")
     p.add_argument("graph")
-    p.add_argument("--point", required=True, help="comma-separated rationals")
+    p.add_argument("--point", required=True, help="comma-separated rationals or -inf")
     common(p)
     p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("subfixed", help="test x <= F(x)")
     p.add_argument("graph")
-    p.add_argument("--point", required=True)
+    p.add_argument("--point", required=True, help="comma-separated rationals or -inf")
     common(p)
     p.set_defaults(run=cmd_subfixed)
 

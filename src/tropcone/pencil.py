@@ -9,10 +9,13 @@ Q_ij(X) = Q^(0)_ij (+) Q^(1)_ij (.) X_1 (+) ... (+) Q^(n)_ij (.) X_n.
 Membership is decided in exact integer arithmetic. The first
 `pencil_member` call on a pencil builds its plan and keeps it on the
 pencil: the lcm L of every modulus denominator, every coefficient as an
-integer over L, and each distinct diagonal row once, split by sign. A query
-point is read by the rule of `tropcone.scalars` and scaled to integers over
-D = lcm(L, its denominators); max-plus comparisons do not change when every
-value is multiplied by D.
+integer over L, the rows with minus terms and one minor per off-diagonal
+term: the 2x2 minor rule holds for a tropical sum exactly when it holds for
+each term (Allamigeon, Gaubert and Skomra 2018), so with each row's plus
+part a slot of the lifted point, each minor is one integer comparison. A
+query point is read by the rule of `tropcone.scalars` and scaled to
+integers over D = lcm(L, its denominators); max-plus comparisons do not
+change when every value is multiplied by D.
 
 The module provides membership, synthesis of a cone pencil from a compliant
 game graph, and tropical convex hulls of finitely many points, built by one
@@ -41,7 +44,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import PreconditionViolated
-from .graph import _UNSET, GameGraph, eval_operator, require_compliant, subfixed
+from .graph import GameGraph, eval_operator, require_compliant, subfixed
 from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, sized, times
 
 Entry = dict  # variable index (0 = constant) -> SignedTrop
@@ -98,27 +101,35 @@ class MetzlerPencil:
     @cached_property
     def _plan(self) -> tuple:
         """The integer form `pencil_member` evaluates, built on its first
-        call: L, the lcm of every modulus denominator; the plus terms of
-        each distinct diagonal row, as (variable, modulus * L); (slot,
-        minus terms) per distinct row with minus terms; per off-diagonal
-        entry (a, b, terms), a and b the slots of its rows. A row with no
-        diagonal entry is -inf and holds; its slot is one past the last."""
+        call: (L, extra, checks, minors) over the slots of the point, slot 0
+        the constant. L is the lcm of every modulus denominator, and terms
+        are (variable, modulus * L). A row whose plus part is one term
+        (k, c) is slot k with constant c; any other row that an off-diagonal
+        reads, a row with no diagonal entry among them, gets one appended
+        slot per distinct plus part, in `extra`, with constant 0. `checks`
+        holds (plus, minus) per distinct row with minus terms. Each term
+        (k, c) of an off-diagonal entry between rows at (a, c_a) and
+        (b, c_b) is one minor (a, b, k, 2c - c_a - c_b)."""
         scale = lcm(
             *(c.modulus.finite.denominator for entry in self.entries.values() for c in entry.values())
         )
-        distinct, slot = {}, {}
+        rows, checks, extra, minors = {}, {}, {}, []
         for (i, j), entry in self.entries.items():
             if i == j:
-                key = (_scaled_terms(entry, 1, scale), _scaled_terms(entry, -1, scale))
-                slot[i] = distinct.setdefault(key, len(distinct))
-        plus = tuple(pos for pos, _ in distinct)
-        checks = tuple((k, neg) for (_, neg), k in distinct.items() if neg)
-        offdiag = tuple(
-            (slot.get(i, len(plus)), slot.get(j, len(plus)), _scaled_terms(entry, -1, scale))
-            for (i, j), entry in self.entries.items()
-            if i != j
-        )
-        return scale, plus, checks, offdiag
+                plus, minus = _scaled_terms(entry, 1, scale), _scaled_terms(entry, -1, scale)
+                rows[i] = plus
+                if minus:
+                    checks[plus, minus] = None
+
+        def slot(i):
+            plus = rows.get(i, ())
+            return plus[0] if len(plus) == 1 else (self.n + 1 + extra.setdefault(plus, len(extra)), 0)
+
+        for (i, j), entry in self.entries.items():
+            if i != j:
+                (a, ca), (b, cb) = slot(i), slot(j)
+                minors += [(a, b, k, 2 * c - ca - cb) for k, c in _scaled_terms(entry, -1, scale)]
+        return scale, tuple(extra), tuple(checks), tuple(minors)
 
     @property
     def is_cone(self) -> bool:
@@ -179,29 +190,25 @@ def pencil_member(pencil: MetzlerPencil, x) -> bool:
 def pencil_member_integers(pencil: MetzlerPencil, d: int, y: list) -> bool:
     """Decide membership of the point y / d, y integers with None for -inf,
     over D = lcm(L, d) with the constant slot 0 pinned to 0; the caller has
-    checked that y has length n. Rows with minus terms are checked first; a
-    row's plus part is computed when an off-diagonal entry first reads it."""
-    scale, rows, checks, offdiag = pencil._plan
+    checked that y has length n. The extra slots of the plan are appended
+    and the rows with minus terms checked; then each minor (a, b, k, K) is
+    one test: skipped when y[k] is -inf, else y[a] + y[b] >= 2 y[k] + K r,
+    with -inf at a or b a rejection."""
+    scale, extra, checks, minors = pencil._plan
     f = scale // gcd(d, scale)
     y = [0, *y] if f == 1 else [0, *(None if v is None else v * f for v in y)]
     r = d * f // scale
-    plus = [_UNSET] * len(rows) + [None]
-    for k, neg in checks:
-        p = plus[k] = _top(rows[k], y, r)
-        m_ = _top(neg, y, r)
+    y += [_top(terms, y, r) for terms in extra]
+    for plus, minus in checks:
+        p, m_ = _top(plus, y, r), _top(minus, y, r)
         if m_ is not None and (p is None or p < m_):
             return False
-    for i, j, terms in offdiag:
-        v = _top(terms, y, r)
-        if v is None:
-            continue
-        if plus[i] is _UNSET:
-            plus[i] = _top(rows[i], y, r)
-        if plus[j] is _UNSET:
-            plus[j] = _top(rows[j], y, r)
-        a, b = plus[i], plus[j]
-        if a is None or b is None or a + b < 2 * v:
-            return False
+    for a, b, k, c in minors:
+        v = y[k]
+        if v is not None:
+            u, w = y[a], y[b]
+            if u is None or w is None or u + w < 2 * v + c * r:
+                return False
     return True
 
 

@@ -13,11 +13,12 @@ in a message (`rational_text`) and refused as output (`rational_to_str`).
 The absorption solve and the LP tableau update their rows by one `pivot`.
 
 A query point enters every kernel one way: `integers_over` reads each
-coordinate once, a `Fraction` as it is, a `Trop` by its value, None and a
--inf `Trop` as None (-inf), and anything else by `exact`, so a float or a
-bool raises ValueError. A kernel that has no -inf (`lift`, the LP
-frontend) reads by `finite_integers_over`, which refuses -inf with
-`exact`'s message, naming the type.
+coordinate once, a `Fraction` (by its exact type) by `as_integer_ratio`, a
+`Trop` by its value, None and a -inf `Trop` as None (-inf), and anything
+else by `exact`, so a float or a bool raises ValueError; the common
+denominator grows by an lcm only when a denominator does not divide it. A
+kernel that has no -inf (`lift`, the LP frontend) reads by
+`finite_integers_over`, which refuses -inf with `exact`'s message.
 """
 
 from __future__ import annotations
@@ -173,16 +174,15 @@ def integers_over(vals, scale: int) -> tuple:
     docstring). Max-plus comparisons do not change when every value is
     multiplied by D. With `times` and `sums_to_one`, the one way a rational
     becomes an integer."""
-    read = []
+    d, read = scale, []
     for v in vals:
-        if isinstance(v, Fraction) or v is None:
-            read.append(v)
-        elif isinstance(v, Trop):
-            read.append(v._v)
-        else:
-            read.append(exact(v))
-    d = lcm(scale, *(v.denominator for v in read if v is not None))
-    return d, [None if v is None else v.numerator * (d // v.denominator) for v in read]
+        if type(v) is not Fraction and v is not None:
+            v = v._v if isinstance(v, Trop) else exact(v)
+        q = None if v is None else v.as_integer_ratio()
+        if q and d % q[1]:
+            d = lcm(d, q[1])
+        read.append(q)
+    return d, [None if q is None else q[0] * (d // q[1]) for q in read]
 
 
 def finite_integers_over(vals, scale: int) -> tuple:

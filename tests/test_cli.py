@@ -13,10 +13,10 @@ from support import default_digit_limit, long_sum_graph, random_minmax
 from tropcone import cli
 from tropcone.cli import SECTION_MAX_CELLS, main
 from tropcone.fixtures import TWO_PI, example_graph
-from tropcone.graph import Edge, GameGraph, graph_from_minmax, subfixed
+from tropcone.graph import Edge, GameGraph, eval_operator, graph_from_minmax, subfixed
 from tropcone.pencil import MetzlerPencil, synthesize_cone
 from tropcone.sampling import rng_for
-from tropcone.scalars import rational_to_str
+from tropcone.scalars import Trop, rational_to_str
 from tropcone.transforms import first_transformation, pipeline, second_transformation, zwick_paterson
 from tropcone.verify import verify_graph
 
@@ -253,6 +253,23 @@ class TestCommands:
         assert json.loads(run(capsys, "subfixed", graph_file, "--point", "2,0,0")[1]) == {
             "subfixed": False
         }
+
+    def test_subfixed_and_eval_read_minus_infinity(self, capsys, graph_file):
+        # --point is read as `member` reads it: -inf is a coordinate, and a
+        # -inf coordinate of F(x) is written "-inf".
+        g, answers, written = example_graph(), set(), set()
+        for point in ("0,0,0", "2,0,0", "0,-inf,0", "2,-inf,0", "-1/3,-inf,5/2", "-inf,-inf,-inf", "-inf,1,0"):
+            x = tuple(Trop.from_str(v) for v in point.split(","))
+            code, out = run(capsys, "eval", graph_file, "--point=" + point)
+            want = ["-inf" if v is None else rational_to_str(v) for v in eval_operator(g, x)]
+            assert (code, json.loads(out)) == (0, want), point
+            code, out = run(capsys, "subfixed", graph_file, "--point=" + point)
+            assert (code, json.loads(out)) == (0, {"subfixed": subfixed(g, x)}), point
+            answers.add(subfixed(g, x))
+            written.update(want)
+        assert answers == {True, False} and "-inf" in written
+        assert run(capsys, "subfixed", graph_file, "--point=0,-inf,0")[1] == '{\n  "subfixed": true\n}\n'
+        assert run(capsys, "subfixed", graph_file, "--point=2,-inf,0")[1] == '{\n  "subfixed": false\n}\n'
 
     def test_transform_pipeline(self, capsys, graph_file):
         code, out = run(capsys, "transform", "pipeline", graph_file)

@@ -411,10 +411,11 @@ def _grid(n):
 
 
 class TestDistinctRowPlan:
-    """The plan keeps each distinct diagonal row once, checks the rows with
-    minus terms on every query and computes any other row's plus part when
-    an off-diagonal first reads it; each case against `trop_pencil_member`,
-    at points with -inf coordinates among them."""
+    """The plan: a row with a one-term plus part is read from the point's
+    own slot, any other row an off-diagonal reads gets one appended slot per
+    distinct plus part, the rows with minus terms are checked on every
+    query, and each off-diagonal term is one minor; each case against
+    `trop_pencil_member`, at points with -inf coordinates among them."""
 
     def _check(self, pencil, points):
         answers = set()
@@ -426,19 +427,22 @@ class TestDistinctRowPlan:
 
     def test_duplicate_rows_under_different_off_diagonals(self):
         # Rows 0 and 2 are both x1 (+) 1 x2 and rows 1 and 3 both x3; the
-        # two off-diagonals bound them by x1 and by x2 - 1/3.
+        # two off-diagonals bound them by x1 and by x2 - 1/3. The two-term
+        # row has one appended slot, 4, which both minors read.
         row, other = {1: SignedTrop.pos(0), 2: SignedTrop.pos(1)}, {3: SignedTrop.pos(0)}
         pencil = MetzlerPencil(4, 3, {
             (0, 0): row, (1, 1): other, (2, 2): dict(row), (3, 3): dict(other),
             (0, 1): {1: SignedTrop.neg(0)}, (2, 3): {2: SignedTrop.neg(F(-1, 3))},
         })
-        assert len(pencil._plan[1]) == 2
+        _, extra, _, minors = pencil._plan
+        assert len(extra) == 1 and sorted(a for a, _, _, _ in minors) == [4, 4]
         self._check(pencil, _grid(3))
 
     def test_minus_rows_no_off_diagonal_reads_still_reject(self):
         # A singleton and a union are generator pencils, with no off-diagonal
-        # at all, so none reads a row with minus terms. Lowering a visible
-        # coordinate of a member breaks only such rows.
+        # at all, so no minor reads a row with minus terms and no row gets
+        # an appended slot. Lowering a visible coordinate of a member breaks
+        # only such rows.
         single = (T(F(3, 4)), NEG_INF, T(-2))
         point = pencil_from_generators(TropPointSet(3, (single,)))
         union = pencil_from_generators(TropPointSet(3, (single, (Z, Z, T(1)))))
@@ -450,9 +454,8 @@ class TestDistinctRowPlan:
             if not y[k].is_neg_inf
         ]
         for pp in (point, union):
-            _, _, checks, offdiag = pp.pencil._plan
-            read = {slot for i, j, _ in offdiag for slot in (i, j)}
-            assert any(k not in read for k, _ in checks)
+            _, extra, checks, minors = pp.pencil._plan
+            assert checks and extra == minors == ()
         self._check(point.pencil, [point.lift(y) for y in [*_grid(3), *point.gens.points]])
         self._check(union.pencil, members + lowered)
         assert not any(pencil_member(union.pencil, y) for y in lowered)
@@ -470,9 +473,82 @@ class TestDistinctRowPlan:
         assert not pencil_member(pencil, (Z, Z))
 
     def test_example_envelope_rows(self):
+        # Every envelope row and all but three distinct cone rows have a
+        # one-term plus part; no row has minus terms; one minor per
+        # off-diagonal term, 24 of the cone and 24 of the envelope.
         env = affine_envelope(synthesize_cone(pipeline(example_graph())[0]))
-        _, rows, checks, _ = env._plan
-        assert (env.m, len(rows), checks) == (96, 51, ())
+        _, extra, checks, minors = env._plan
+        assert (env.m, len(extra), checks, len(minors)) == (96, 3, (), 48)
+        assert all(len(terms) == 2 for terms in extra)
+
+
+B64 = 2 ** 64 - 59
+
+# Hand-built pencils in the file form, one per shape the plan treats
+# apart; the CI step "Pencil answers" pins their answers over the same grid.
+KERNEL_PENCILS = {
+    # max(x1, x2 - 1/2) x3 >= max(x1 - 1, x2 + 1/3, x3)^2: three minors.
+    "multi_term_off_diagonal": {"m": 2, "n": 3, "entries": [
+        [0, 0, 1, 1, "0"], [0, 0, 2, 1, "-1/2"], [0, 1, 1, -1, "-1"], [0, 1, 2, -1, "1/3"],
+        [0, 1, 3, -1, "0"], [1, 1, 3, 1, "0"],
+    ]},
+    # Row 2 has no diagonal entry and row 3 only a minus term, so both are
+    # -inf: members have x2 = -inf.
+    "row_without_diagonal": {"m": 4, "n": 3, "entries": [
+        [0, 0, 1, 1, "0"], [0, 1, 3, -1, "1/2"], [0, 2, 2, -1, "0"], [0, 3, 2, -1, "-2"],
+        [1, 1, 0, 1, "-1"], [1, 1, 3, 1, "0"], [3, 3, 2, -1, "0"],
+    ]},
+    # Row 0, max(x1, x2 + 1) >= x3, is checked and read by the minor.
+    "plus_and_minus_row": {"m": 2, "n": 3, "entries": [
+        [0, 0, 1, 1, "0"], [0, 0, 2, 1, "1"], [0, 0, 3, -1, "0"], [0, 1, 2, -1, "0"],
+        [1, 1, 3, 1, "0"],
+    ]},
+    # Row 0 is the constant 1, read from slot 0, and row 1 is x2 + 1, read
+    # from slot 2 with its constant; (0, 1) and (1, 2) have constant terms.
+    "constant_terms": {"m": 3, "n": 3, "entries": [
+        [0, 0, 0, 1, "1"], [0, 1, 0, -1, "-1/2"], [0, 1, 1, -1, "0"], [1, 1, 2, 1, "1"],
+        [1, 2, 0, -1, "1"], [2, 2, 0, 1, "-1"], [2, 2, 3, 1, "0"],
+    ]},
+    # Rows 0 and 2 are both max(x1, x2 + 1): one appended slot.
+    "shared_multi_term_row": {"m": 4, "n": 3, "entries": [
+        [0, 0, 1, 1, "0"], [0, 0, 2, 1, "1"], [0, 1, 1, -1, "0"], [1, 1, 3, 1, "0"],
+        [2, 2, 1, 1, "0"], [2, 2, 2, 1, "1"], [2, 3, 3, -1, "-1/3"], [3, 3, 2, 1, "0"],
+    ]},
+    "modulus_64_bit": {"m": 2, "n": 3, "entries": [
+        [0, 0, 1, 1, f"1/{B64}"], [0, 1, 3, -1, f"{B64 - 1}/{B64}"], [1, 1, 2, 1, f"-1/{B64}"],
+        [1, 1, 3, 1, "0"],
+    ]},
+}
+
+# The plan of each: L, the appended plus parts, the (plus, minus) checks
+# and the minors (a, b, k, K).
+KERNEL_PLANS = {
+    "multi_term_off_diagonal": (6, (((1, 0), (2, -3)),), (), ((4, 3, 1, -12), (4, 3, 2, 4), (4, 3, 3, 0))),
+    "row_without_diagonal": (
+        2, (((0, -2), (3, 0)), ()), (((), ((2, 0),)),), ((1, 4, 3, 2), (1, 5, 2, 0), (1, 5, 2, -8)),
+    ),
+    "plus_and_minus_row": (1, (((1, 0), (2, 1)),), ((((1, 0), (2, 1)), ((3, 0),)),), ((4, 3, 2, 0),)),
+    "constant_terms": (2, (((0, -2), (3, 0)),), (), ((0, 2, 0, -6), (0, 2, 1, -4), (2, 4, 0, 2))),
+    "shared_multi_term_row": (3, (((1, 0), (2, 3)),), (), ((4, 3, 1, 0), (4, 2, 3, -2))),
+    "modulus_64_bit": (B64, (((2, -1), (3, 0)),), (), ((1, 4, 3, 2 * (B64 - 1) - 1),)),
+}
+
+
+class TestFlatKernel:
+    """The minor loop against `trop_pencil_member` on hand-built pencils,
+    over every point of {-inf, -1, 0, 1/2, 1/B, 2}^3 with B a 64-bit
+    prime: both answers are seen on each."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_PENCILS))
+    def test_matches_trop_evaluation(self, name):
+        pencil = MetzlerPencil.from_json(json.loads(json.dumps(KERNEL_PENCILS[name])))
+        assert pencil._plan == KERNEL_PLANS[name]
+        answers = set()
+        for x in product((None, -1, 0, F(1, 2), F(1, B64), 2), repeat=3):
+            want = trop_pencil_member(pencil, x)
+            assert pencil_member(pencil, x) == want, x
+            answers.add(want)
+        assert answers == {True, False}
 
 
 class TestEnvelope:

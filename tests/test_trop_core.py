@@ -336,6 +336,31 @@ class TestOneReader:
             answers.add(answer)
         assert len(answers) > 1
 
+    def test_mixed_list_over_the_lcm(self):
+        # Each coordinate is read once; D is lcm(scale, denominators) and
+        # each finite value is scaled to an integer over it.
+        class Sub(Fraction):
+            pass
+
+        vals = [Fraction(3, 4), Sub(-5, 6), 7, "-2/9", Trop(Fraction(1, 10)), NEG_INF, None]
+        finite = [Fraction(3, 4), Fraction(-5, 6), Fraction(7), Fraction(-2, 9), Fraction(1, 10)]
+        d = math.lcm(8, *(q.denominator for q in finite))
+        assert d == 360
+        assert integers_over(vals, 8) == (d, [int(q * d) for q in finite] + [None, None])
+        assert integers_over([Fraction(1, 3)] * 3, 6) == (6, [2, 2, 2])
+        assert integers_over([], 5) == (5, [])
+
+    @pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+    def test_mixed_list_refuses_float_and_bool(self, value):
+        # The message is `exact`'s, after a Fraction, a Trop and None read.
+        message = (
+            f"{value!r} is a {type(value).__name__}, not an exact number: "
+            "pass a Fraction, an int, a string or a finite Trop"
+        )
+        with pytest.raises(ValueError) as info:
+            integers_over([Fraction(1, 2), Trop(1), None, value, 0.25], 1)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("value", [None, NEG_INF], ids=["none", "neg_inf"])
     def test_graph_kernels_read_minus_infinity(self, value):
         g = example_graph()
