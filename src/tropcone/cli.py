@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, MalformedInput, TooManyDigits, TropconeError
 from .graph import GameGraph, eval_operator, subfixed, subfixed_integers, validate_graph
 from .pencil import MetzlerPencil, pencil_member, synthesize_cone
-from .scalars import Trop, integers_over, rational_from_str, rational_to_str, sized
+from .scalars import Trop, integers_over, rational_from_str, sized
 from .transforms import first_transformation, pipeline, second_transformation, zwick_paterson
 from .verify import verify_graph
 
@@ -55,11 +55,11 @@ def _load(path: str, form):
         raise bad(exc) from exc
 
 
-def _parse_vector(text: str, n: int, parse=rational_from_str, kind: str = "rational"):
+def _parse_vector(text: str, n: int):
     try:
-        return sized(tuple(parse(part.strip()) for part in text.split(",")), n)
+        return sized(tuple(Trop.from_str(part.strip()) for part in text.split(",")), n)
     except (ValueError, DimensionMismatch) as exc:
-        raise MalformedInput(f"bad {kind} vector {text!r}: {exc}") from exc
+        raise MalformedInput(f"bad tropical vector {text!r}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -86,14 +86,13 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     g = _load(args.graph, GameGraph)
-    value = eval_operator(g, _parse_vector(args.point, g.n, Trop.from_str, "tropical"))
-    _emit_json(["-inf" if v is None else rational_to_str(v) for v in value], args.out)
+    _emit_json([Trop(v).to_str() for v in eval_operator(g, _parse_vector(args.point, g.n))], args.out)
     return 0
 
 
 def cmd_subfixed(args) -> int:
     g = _load(args.graph, GameGraph)
-    point = _parse_vector(args.point, g.n, Trop.from_str, "tropical")
+    point = _parse_vector(args.point, g.n)
     _emit_json({"subfixed": subfixed(g, point)}, args.out)
     return 0
 
@@ -133,7 +132,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_member(args) -> int:
     pencil = _load(args.pencil, MetzlerPencil)
-    point = _parse_vector(args.point, pencil.n, Trop.from_str, "tropical")
+    point = _parse_vector(args.point, pencil.n)
     _emit_json({"member": pencil_member(pencil, point)}, args.out)
     return 0
 
@@ -141,8 +140,7 @@ def cmd_member(args) -> int:
 def cmd_lift(args) -> int:
     g = _load(args.graph, GameGraph)
     _, witness = pipeline(g)
-    lifted = witness.lift(_parse_vector(args.point, g.n))
-    _emit_json([rational_to_str(v) for v in lifted], args.out)
+    _emit_json([Trop(v).to_str() for v in witness.lift(_parse_vector(args.point, g.n))], args.out)
     return 0
 
 
@@ -184,7 +182,7 @@ def cmd_section(args) -> int:
     for item in args.fix or []:
         try:
             coord, value = item.split("=", 1)
-            k, value = int(coord) - 1, rational_from_str(value)
+            k, value = int(coord) - 1, Trop.from_str(value.strip())
         except ValueError as exc:
             raise MalformedInput(f"bad --fix value {item!r}: {exc}") from exc
         if not 0 <= k < n or k in fixed:
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="lift a point through the pipeline witness")
     p.add_argument("graph")
-    p.add_argument("--point", required=True)
+    p.add_argument("--point", required=True, help="comma-separated rationals or -inf")
     common(p)
     p.set_defaults(run=cmd_lift)
 
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("section", help="CSV membership grid over a 2d slice")
     p.add_argument("graph")
-    p.add_argument("--fix", action="append", help="coordinate=value, 1-based, repeatable")
+    p.add_argument("--fix", action="append", help="coordinate=value, 1-based, repeatable; value a rational or -inf")
     p.add_argument("--lo", required=True)
     p.add_argument("--hi", required=True)
     p.add_argument("--step", required=True)

@@ -481,6 +481,21 @@ def _edge_value(a: int, terms: tuple, vals: list, r: int) -> Optional[int]:
     return v
 
 
+def _top(terms, y: list, r: int) -> Optional[int]:
+    """max over (k, c) in terms of c * r + y[k], None for -inf; membership and the lift call it."""
+    if len(terms) == 1:
+        (k, c), = terms
+        return None if y[k] is None else y[k] + c * r
+    best = None
+    for k, c in terms:
+        v = y[k]
+        if v is not None:
+            v += c * r
+            if best is None or v > best:
+                best = v
+    return best
+
+
 def _max_value(edges: tuple, y: list, r: int) -> Optional[int]:
     """A Max vertex's value over D * P1: the largest of its out-edges that
     have no -inf term, None when none has."""

@@ -41,10 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional
 
 from .errors import PreconditionViolated
-from .graph import GameGraph, eval_operator, require_compliant, subfixed
+from .graph import GameGraph, _top, eval_operator, require_compliant, subfixed
 from .scalars import NEG_INF, SignedTrop, Trop, int_from_json, integers_over, sized, times
 
 Entry = dict  # variable index (0 = constant) -> SignedTrop
@@ -165,21 +164,6 @@ class MetzlerPencil:
                 raise ValueError(f"coefficient ({i},{j},{k}) given twice")
             entry[k] = c
         return cls(obj["m"], obj["n"], entries)
-
-
-def _top(terms, y: list, r: int) -> Optional[int]:
-    """max over (k, c) in terms of c * r + y[k], None for -inf."""
-    if len(terms) == 1:
-        (k, c), = terms
-        return None if y[k] is None else y[k] + c * r
-    best = None
-    for k, c in terms:
-        v = y[k]
-        if v is not None:
-            v += c * r
-            if best is None or v > best:
-                best = v
-    return best
 
 
 def pencil_member(pencil: MetzlerPencil, x) -> bool:

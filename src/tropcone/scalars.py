@@ -16,8 +16,8 @@ A query point enters every kernel one way: `integers_over` reads each
 coordinate once, a `Fraction` (by its exact type) by `as_integer_ratio`, a
 `Trop` by its value, None and a -inf `Trop` as None (-inf), and anything
 else by `exact`, so a float or a bool raises ValueError; the common
-denominator grows by an lcm only when a denominator does not divide it. A
-kernel that has no -inf (`lift`, the LP frontend) reads by
+denominator grows by an lcm only when a denominator does not divide it.
+Only the LP frontend, whose polyhedra live in R^n, reads by
 `finite_integers_over`, which refuses -inf with `exact`'s message.
 """
 

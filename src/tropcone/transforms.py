@@ -22,9 +22,9 @@ one rule, `_expected_rows`: the expected Max value seen from a head, over
 its absorption row, so a row's probabilities are integers over one d. The
 first `lift` on a map builds its integer plan and keeps it on the map:
 every constant over their common denominator, each row's single-term pairs
-folded into one constant and one weight per coordinate. A lift reads the
-point by the rule of `tropcone.scalars`, refusing -inf, then holds it as
-integers over one running denominator, multiplied up only when a row's
+folded into one constant and one weight per coordinate. A lift reads a
+point of T^n by the rule of `tropcone.scalars`, -inf as None, and holds it
+as integers over one running denominator, multiplied up only when a row's
 value needs it; `lift_integers` returns them as they are.
 
 Every stage checks its input and builds its output with `graph._Builder`,
@@ -45,9 +45,9 @@ from operator import attrgetter
 from typing import Optional
 
 from .errors import PreconditionViolated
-from .graph import HALF, Edge, GameGraph, _Builder
+from .graph import HALF, Edge, GameGraph, _Builder, _top
 from .graph import require_compliant, require_valid
-from .scalars import finite_integers_over, int_from_json, sized, times
+from .scalars import int_from_json, integers_over, sized, times
 
 ZERO = Fraction(0)
 
@@ -73,7 +73,7 @@ class WitnessMap:
     def _plan(self) -> tuple:
         """The integer form `lift` evaluates, built on its first call: C,
         the lcm of every constant's denominator, and per row (d, K,
-        ((N, i), ...), ((N, ((c, i), ...)), ...)), c over C: a row's
+        ((N, i), ...), ((N, ((i, c), ...)), ...)), c over C: a row's
         single-term pairs fold into K, the sum of their N * c, and one
         (N, i) per coordinate i, N the sum of their N on i."""
         scale = lcm(*(c.denominator for _, row in self.rows for _, terms in row for c, _ in terms))
@@ -81,9 +81,9 @@ class WitnessMap:
         for den, row in self.rows:
             const, singles, multis = 0, {}, []
             for q, terms in row:
-                scaled = tuple((times(c, scale), i) for c, i in terms)
+                scaled = tuple((i, times(c, scale)) for c, i in terms)
                 if len(scaled) == 1:
-                    c, i = scaled[0]
+                    i, c = scaled[0]
                     const += q * c
                     singles[i] = singles.get(i, 0) + q
                 else:
@@ -92,34 +92,37 @@ class WitnessMap:
         return scale, tuple(rows)
 
     def lift_integers(self, x) -> tuple:
-        """(D, y): the lift of the rational point x as integers y over one
-        denominator D, the source point followed by every new coordinate.
-
-        D starts as the lcm of C and x's denominators. A row gives T / d
-        over D; when d does not divide T, D and every y so far are
-        multiplied by d / gcd(T, d)."""
-        sized(x, self.source_dim)
+        """(D, y): the lift of the point x of T^n as integers y over one
+        denominator D, None for -inf, the source point followed by every
+        new coordinate. D starts as the lcm of C and x's denominators. A
+        row gives T / d over D; when d does not divide T, D and every y so
+        far are multiplied by d / gcd(T, d). Every N is positive, so a row
+        is -inf when a single-term pair or a whole max (`graph._top`) is."""
+        d, y = integers_over(sized(x, self.source_dim), self._plan[0])
         scale, rows = self._plan
-        d, y = finite_integers_over(x, scale)
         r = d // scale
         for den, const, singles, multis in rows:
-            total = const * r
-            for q, i in singles:
-                total += q * y[i]
-            for q, terms in multis:
-                total += q * max(c * r + y[i] for c, i in terms)
+            try:
+                total = const * r
+                for q, i in singles:
+                    total += q * y[i]
+                for q, terms in multis:
+                    total += q * _top(terms, y, r)
+            except TypeError:  # q * None: a -inf term, so the row is -inf
+                y.append(None)
+                continue
             g = gcd(total, den)
             if g != den:
                 f = den // g
                 d, r = d * f, r * f
-                y = [v * f for v in y]
+                y = [v if v is None else v * f for v in y]
             y.append(total // g)
         return d, y
 
     def lift(self, x) -> tuple:
-        """The source point x followed by every new coordinate, as Fractions."""
+        """x followed by every new coordinate, as Fractions, None for -inf."""
         d, y = self.lift_integers(x)
-        return tuple(Fraction(v, d) for v in y)
+        return tuple(v if v is None else Fraction(v, d) for v in y)
 
     def project(self, xp):
         return tuple(xp[: self.source_dim])

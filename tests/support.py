@@ -11,8 +11,8 @@ enumeration over exact square solves; the shared fraction-free pivot by
 the dense step that puts every row over one denominator; the one-pass
 edge split of `pipeline` by splitting one edge at a time; absorption
 probabilities by one dense solve over every Random vertex; pencil
-membership, witness lifts and their affine-envelope points, and the
-encoded operator, on finite points and on T^n, by boxed `Trop` and
+membership, witness lifts (on T^n too) and their affine-envelope points,
+and the encoded operator, on finite points and on T^n, by boxed `Trop` and
 `Fraction` arithmetic in place of the integer plans; the path checks of
 graph validation by one walk per vertex; and the whole of graph
 validation by plain loops, with the probability sums checked in the
@@ -560,6 +560,26 @@ def fraction_lift(witness, x) -> tuple:
     assert len(y) == witness.source_dim
     for row in fraction_witness_rows(witness):
         y.append(sum((p * max(c + y[i] for c, i in terms) for p, terms in row), Fraction(0)))
+    return tuple(y)
+
+
+def trop_lift(witness, x) -> tuple:
+    """A witness lift on T^n in boxed `Trop` values, row by row: each
+    pair's max of c + y[i] by `tadd` and `tmul`, then the N / d-weighted sum
+    of the maxima, -inf when one of them is, since every N is positive."""
+    y = [v if isinstance(v, Trop) else Trop(v) for v in x]
+    assert len(y) == witness.source_dim
+    for row in fraction_witness_rows(witness):
+        tops = []
+        for p, terms in row:
+            top = NEG_INF
+            for c, i in terms:
+                top = tadd(top, tmul(Trop(c), y[i]))
+            tops.append((p, top))
+        if any(top.is_neg_inf for _, top in tops):
+            y.append(NEG_INF)
+        else:
+            y.append(Trop(sum((p * top.finite for p, top in tops), Fraction(0))))
     return tuple(y)
 
 

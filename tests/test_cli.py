@@ -329,6 +329,34 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == {"member": member}
 
+    def test_lift_reads_minus_infinity(self, capsys, graph_file):
+        # --point is read as `member` reads it, and the lift writes "-inf"
+        # exactly where the Python lift is None.
+        witness, written = pipeline(example_graph())[1], set()
+        for point in ("0,-inf,0", "-inf,0,0", "2,-inf,-1/3", "-inf,-inf,5/2", "-inf,-inf,-inf"):
+            lifted = witness.lift(tuple(Trop.from_str(v) for v in point.split(",")))
+            code, out = run(capsys, "lift", graph_file, "--point=" + point)
+            want = ["-inf" if v is None else rational_to_str(v) for v in lifted]
+            assert (code, json.loads(out)) == (0, want), point
+            written.update(v == "-inf" for v in want[3:])
+        assert written == {True, False}
+
+    def test_lift_refuses_plus_infinity(self, capsys, graph_file):
+        code = main(["lift", graph_file, "--point=0,inf,0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_eval_and_lift_finite_output_unchanged(self, capsys, graph_file):
+        # At finite points each coordinate is written "N/D" by
+        # `rational_to_str`, in the JSON layout of `_emit_json`.
+        g, witness = example_graph(), pipeline(example_graph())[1]
+        for point in ("0,0,0", "2,0,0", "-1/3,5/7,5/2"):
+            x = tuple(F(v) for v in point.split(","))
+            for command, value in (("eval", eval_operator(g, x)), ("lift", witness.lift(x))):
+                want = json.dumps([rational_to_str(v) for v in value], indent=2, sort_keys=True) + "\n"
+                assert run(capsys, command, graph_file, "--point=" + point) == (0, want)
+
     def test_lift(self, capsys, graph_file):
         code, out = run(capsys, "lift", graph_file, "--point", "1,0,-2")
         assert code == 0
@@ -435,6 +463,13 @@ class TestSectionCommand:
         rows = [line.split(",") for line in out.strip().split("\n")]
         assert len(rows) == 1 and len(rows[0]) == 1
 
+    def test_fix_value_read_as_a_point_coordinate(self, capsys, graph_file):
+        # A --fix value is read as a --point coordinate, spaces around it too.
+        grid = ("--fix", "3=0", "--lo=-2", "--hi", "2", "--step", "1")
+        want = run(capsys, "section", graph_file, "--fix", "1=-inf", *grid)
+        assert want[0] == 0
+        assert run(capsys, "section", graph_file, "--fix", "1= -inf ", *grid) == want
+
     def test_bad_fix_exits_two(self, capsys, graph_file):
         code, _ = run(
             capsys, "section", graph_file,
@@ -507,7 +542,7 @@ class TestSectionDifferential:
     def grid(self, capsys, tmp_path, g, fixed, lo, hi, step):
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(g.to_json()))
-        fixes = [arg for k, v in fixed.items() for arg in ("--fix", f"{k + 1}={rational_to_str(v)}")]
+        fixes = [arg for k, v in fixed.items() for arg in ("--fix", f"{k + 1}={Trop(v).to_str()}")]
         code, out = run(capsys, "section", str(path), *fixes, f"--lo={rational_to_str(lo)}",
                         f"--hi={rational_to_str(hi)}", f"--step={rational_to_str(step)}")
         assert code == 0
@@ -539,6 +574,26 @@ class TestSectionDifferential:
             assert len(one_free.split(",")) == 49
             self.grid(capsys, tmp_path, g, {0: F(1, 9), 1: F(5, 11), 2: F(-3, 7)}, F(0), F(0), F(1))
         assert two_sided >= 3
+
+    def test_minus_infinity_fixed(self, capsys, tmp_path):
+        # --fix 1=-inf is read as `subfixed` reads a -inf coordinate (None
+        # in the oracle's point), on two free axes and on one.
+        bits = set()
+        graphs = [example_graph()] + [graph_from_minmax(random_minmax(rng_for(73, s), n=3, denom=12)) for s in range(4)]
+        for g in graphs:
+            bits.update(self.grid(capsys, tmp_path, g, {0: None}, F(-5), F(5), F(1, 2)))
+            bits.update(self.grid(capsys, tmp_path, g, {0: None, 2: F(1, 3)}, F(-5), F(5), F(1, 4)))
+        assert {"0", "1"} <= bits
+
+
+def test_help_says_where_minus_infinity_is_read():
+    # Every command that reads a point reads it by `Trop.from_str`, and so
+    # does `section --fix`; the help says so.
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    helps = {(name, a.dest): a.help for name, p in sub.choices.items() for a in p._actions}
+    points = {key: text for key, text in helps.items() if key[1] == "point"}
+    assert points == {(c, "point"): "comma-separated rationals or -inf" for c in ("eval", "subfixed", "member", "lift")}
+    assert helps[("section", "fix")].endswith("a rational or -inf")
 
 
 class TestParserReuse:

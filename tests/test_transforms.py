@@ -18,6 +18,7 @@ from support import (
     random_minmax,
     random_valid_graph,
     sequential_pipeline,
+    trop_lift,
 )
 from perfbench.instances import graph_instance
 from tropcone import graph as graph_module
@@ -33,7 +34,9 @@ from tropcone.graph import (
     subfixed,
     validate_graph,
 )
-from tropcone.sampling import rng_for, sample_vector
+from tropcone.pencil import pencil_member, synthesize_cone
+from tropcone.sampling import rng_for, sample_trop_vector, sample_vector
+from tropcone.scalars import NEG_INF, Trop
 from tropcone.transforms import (
     WitnessMap,
     first_transformation,
@@ -91,6 +94,18 @@ def fan_graph():
             Edge(12, 6, 2, prob=F(4, 7)),
         ),
     )
+
+
+def multi_term_graph():
+    """A Random edge into Max vertex 3 of two out-edges, so that the split
+    gives witness rows whose pairs take the max of two terms."""
+    return GameGraph((1, 2), (3, 4), (5, 6), (
+        Edge(1, 1, 5, payoff=F(0)), Edge(2, 2, 4, payoff=F(1, 2)),
+        Edge(3, 3, 1, payoff=F(0)), Edge(4, 3, 2, payoff=F(1)),
+        Edge(5, 4, 1, payoff=F(2)), Edge(6, 4, 2, payoff=F(-1)),
+        Edge(7, 5, 6, prob=HALF), Edge(8, 5, 3, prob=HALF),
+        Edge(9, 6, 3, prob=F(1, 3)), Edge(10, 6, 4, prob=F(2, 3)),
+    ))
 
 
 class TestZwickPaterson:
@@ -439,14 +454,7 @@ class TestIntegerLift:
         # A Random edge into Max vertex 3 of two out-edges: splitting the
         # Random-to-Random edges gives rows whose pairs take the max of two
         # terms, which no generated Tier-1 graph has.
-        g = GameGraph((1, 2), (3, 4), (5, 6), (
-            Edge(1, 1, 5, payoff=F(0)), Edge(2, 2, 4, payoff=F(1, 2)),
-            Edge(3, 3, 1, payoff=F(0)), Edge(4, 3, 2, payoff=F(1)),
-            Edge(5, 4, 1, payoff=F(2)), Edge(6, 4, 2, payoff=F(-1)),
-            Edge(7, 5, 6, prob=HALF), Edge(8, 5, 3, prob=HALF),
-            Edge(9, 6, 3, prob=F(1, 3)), Edge(10, 6, 4, prob=F(2, 3)),
-        ))
-        _, witness = pipeline(g)
+        _, witness = pipeline(multi_term_graph())
         assert any(len(terms) > 1 for _, row in witness.rows for _, terms in row)
         for i in range(40):
             x = sample_vector(rng_for(227, i), 2, 6, 8)
@@ -473,6 +481,51 @@ class TestIntegerLift:
                 assert dict((i, q) for q, i in singles) == sums
                 shared += sum(len(terms) == 1 for _, terms in row) > len(singles)
         assert shared > 0
+
+
+def _boxed(point) -> tuple:
+    return tuple(NEG_INF if v is None else Trop(v) for v in point)
+
+
+class TestLiftOnTn:
+    """The lift on T^n: a -inf coordinate lifts as None, a row is -inf when
+    a single-term pair or a whole max is, and the lift keeps membership:
+    subfixed(g, x) == subfixed(target, lift(x)) == pencil_member(cone,
+    lift(x)) on the example, the multi-term graph and seeded random graphs,
+    at points with -inf coordinates."""
+
+    def _cases(self):
+        graphs = [example_graph(), multi_term_graph()]
+        graphs += [random_valid_graph(rng_for(777, t)) for t in range(40)]
+        for t, g in enumerate(graphs):
+            target, witness = pipeline(g)
+            points = [sample_trop_vector(rng_for(787 + t, i), g.n, 5, 6, 0.35) for i in range(20)]
+            yield g, target, witness, points
+
+    def test_matches_boxed_lift(self):
+        partial = 0  # rows that stay finite with a max over some -inf terms
+        for g, _, witness, points in self._cases():
+            for x in points + [(NEG_INF,) * g.n]:
+                lifted = witness.lift(x)
+                assert _boxed(lifted) == trop_lift(witness, x)
+                for (_, row), v in zip(witness.rows, lifted[g.n:]):
+                    tops = [[lifted[i] is None for _, i in terms] for _, terms in row if len(terms) > 1]
+                    partial += v is not None and any(any(t) and not all(t) for t in tops)
+            assert witness.lift((None,) * g.n) == (None,) * (g.n + len(witness.rows))
+        assert partial > 0
+
+    def test_keeps_membership(self):
+        seen = set()
+        for g, target, witness, points in self._cases():
+            cone = synthesize_cone(target)
+            for x in points:
+                lifted = witness.lift(x)
+                inside = subfixed(g, x)
+                assert subfixed(target, lifted) is inside
+                assert pencil_member(cone, lifted) is inside
+                if any(v.is_neg_inf for v in x):
+                    seen.add((inside, any(not v.is_neg_inf for v in x)))
+        assert seen == {(True, True), (False, True), (True, False)}
 
 
 class TestOnePassSplit:

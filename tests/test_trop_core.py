@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from support import dense_absorption_rows, dense_pivot, default_digit_limit, tadd, tmul, trop_eval_operator
-from support import trop_pencil_member
+from support import trop_lift, trop_pencil_member
 from tropcone.errors import TooManyDigits
 from tropcone.fixtures import example_graph, example_minmax, example_union
 from tropcone.graph import eval_operator, minmax_eval, subfixed
@@ -246,7 +246,8 @@ class TestBoolsRefused:
 class TestExactReading:
     """`exact` reads a string by `rational_from_str`, so exponent notation is
     refused on every path that takes a point, and a finite `Trop` by its
-    value; -inf and None have none and raise ValueError."""
+    value; -inf and None have none and raise ValueError where no -inf is
+    taken (the lift takes it: `TestOneReader`)."""
 
     def test_exponent_notation_refused(self):
         with pytest.raises(ValueError, match="exponent"):
@@ -271,8 +272,6 @@ class TestExactReading:
 
     @pytest.mark.parametrize("value", [NEG_INF, None], ids=["neg_inf", "none"])
     def test_no_finite_value_refused(self, value):
-        with pytest.raises(ValueError, match=type(value).__name__):
-            pipeline(example_graph())[1].lift((value, 0, 0))
         with pytest.raises(ValueError):
             minmax_eval(example_minmax(), (0, value, 0))
         with pytest.raises(ValueError):
@@ -392,7 +391,26 @@ class TestOneReader:
         assert seen == {True, False}
 
     @pytest.mark.parametrize("value", [None, NEG_INF], ids=["none", "neg_inf"])
-    @pytest.mark.parametrize("name", ["lift", "union_member", "eval_F_from_polyhedra", "lp_max"])
+    def test_lift_reads_minus_infinity(self, value):
+        # A -inf coordinate lifts as the boxed rows give it, None where a
+        # row is -inf, as `eval_operator` writes -inf.
+        call, points = _kernels()["lift"]
+        witness = pipeline(example_graph())[1]
+        seen = set()
+        for point in points:
+            for k in range(len(point)):
+                lifted = call(_with(point, k, value))
+                want = trop_lift(witness, _with(point, k, NEG_INF))
+                assert tuple(NEG_INF if v is None else Trop(v) for v in lifted) == want
+                assert lifted[k] is None
+                seen.update(v is None for v in lifted[len(point):])
+        assert call((value,) * len(points[0])) == (None,) * (witness.source_dim + len(witness.rows))
+        assert seen == {True, False}
+
+    # Only the LP frontend refuses -inf, since its polyhedra live in R^n;
+    # the lift reads it (`test_lift_reads_minus_infinity`).
+    @pytest.mark.parametrize("value", [None, NEG_INF], ids=["none", "neg_inf"])
+    @pytest.mark.parametrize("name", ["union_member", "eval_F_from_polyhedra", "lp_max"])
     def test_lift_and_lp_refuse_minus_infinity(self, name, value):
         call, points = _kernels()[name]
         with pytest.raises(ValueError, match=type(value).__name__):
