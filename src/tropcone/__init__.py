@@ -9,7 +9,6 @@ from .errors import (
     NonStochastic,
     NotCompliant,
     PreconditionViolated,
-    SingularSystem,
     TooManyDigits,
     TropconeError,
     ValidationFailed,

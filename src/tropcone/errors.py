@@ -17,10 +17,6 @@ class ValidationFailed(TropconeError):
         self.report = report
 
 
-class SingularSystem(TropconeError):
-    pass
-
-
 class NonStochastic(TropconeError):
     pass
 

@@ -20,7 +20,8 @@ absorption table (`GameGraph.operator_plan`): a point is read by the rule
 of `tropcone.scalars` and scaled to integers over D = lcm(C, its finite
 denominators), C the lcm of the payoff denominators, and every payoff and
 probability is an integer over its lcm (`scalars.integers_over` and
-`scalars.times`).
+`scalars.times`). `eval_operator` and `subfixed` share one kernel, which
+computes a Max value only when a Min out-edge first reads it.
 A -inf coordinate is None; max, min and sums with positive weights extend
 the operator to it by continuity, so -inf is absorbing.
 """
@@ -34,7 +35,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import NonStochastic, NotCompliant, SingularSystem, ValidationFailed
+from .errors import NonStochastic, NotCompliant, ValidationFailed
 from .scalars import exact, int_from_json, integers_over, pivot, rational, rational_from_str
 from .scalars import rational_text, rational_to_str, sized, sums_to_one, times
 
@@ -163,7 +164,8 @@ class GameGraph:
         ((N * P1 / d, Min index), ...)) per out-edge; per Min vertex, one
         (payoff * C * P1 * P2, ((N * P2 / d, Max index), ...)) per out-edge.
         Max values are then integers over D * P1 and Min values over
-        D * P1 * P2, for a point scaled to integers over D."""
+        D * P1 * P2, for a point scaled to integers over D. Both callers
+        run one kernel on it, which reads the Max values lazily."""
         return _operator_plan(self)
 
     @property
@@ -393,7 +395,8 @@ def _exit_rows(g: GameGraph) -> dict:
     the last not yet retired, after row k is cut to c + 1 entries; `pivot`'s
     zip cuts each row it rebuilds, and no retired column is read again. d
     and N are a row's base, its diagonal, and its exit entries over their
-    gcd. With an exit, I - Q_C is a nonsingular M-matrix, so no pivot is 0."""
+    gcd. Validation's `random-reach` check gives C an exit, so I - Q_C is a
+    nonsingular M-matrix and no pivot is 0."""
     hit = {}
     for comp in _random_components(g):
         inside = set(comp)
@@ -405,10 +408,6 @@ def _exit_rows(g: GameGraph) -> dict:
         for _, xs in leave.values():
             for c in xs:
                 col.setdefault(c, len(col))
-        if not col:
-            raise SingularSystem(
-                "absorption system is singular; a Random vertex cannot reach a Min or Max vertex"
-            )
         cols = list(col)
         for v in reversed(comp):
             col[v] = len(col)
@@ -469,23 +468,8 @@ def _operator_plan(g: GameGraph) -> tuple:
     return scale, p1, p2, max_terms, min_terms
 
 
-def _edge_value(a: int, terms: tuple, vals: list, r: int) -> Optional[int]:
-    """a * r + the sum of q * vals[i] over the (q, i) terms of an edge;
-    None (-inf) when a term meets a None value, as every q > 0."""
-    v = a * r
-    for q, i in terms:
-        u = vals[i]
-        if u is None:
-            return None
-        v += q * u
-    return v
-
-
 def _top(terms, y: list, r: int) -> Optional[int]:
     """max over (k, c) in terms of c * r + y[k], None for -inf; membership and the lift call it."""
-    if len(terms) == 1:
-        (k, c), = terms
-        return None if y[k] is None else y[k] + c * r
     best = None
     for k, c in terms:
         v = y[k]
@@ -501,8 +485,37 @@ def _max_value(edges: tuple, y: list, r: int) -> Optional[int]:
     have no -inf term, None when none has."""
     best = None
     for a, terms in edges:
-        v = _edge_value(a, terms, y, r)
-        if v is not None and (best is None or v > best):
+        v = a * r
+        for q, i in terms:
+            u = y[i]
+            if u is None:
+                break
+            v += q * u
+        else:
+            if best is None or v > best:
+                best = v
+    return best
+
+
+_UNSET = object()  # a Max value not computed yet in this query
+
+
+def _min_value(edges: tuple, mx: list, max_terms: tuple, r: int, y: list) -> Optional[int]:
+    """A Min vertex's value over D * P1 * P2: the smallest of its out-edges,
+    None (-inf) as soon as one reads a -inf Max value. Max value i is
+    computed by `_max_value` when an edge first reads it and kept in mx,
+    which starts as `_UNSET`s, for every Min vertex of the query."""
+    best = None
+    for b, terms in edges:
+        v = b * r
+        for q, i in terms:
+            u = mx[i]
+            if u is _UNSET:
+                u = mx[i] = _max_value(max_terms[i], y, r)
+            if u is None:
+                return None
+            v += q * u
+        if best is None or v < best:
             best = v
     return best
 
@@ -515,16 +528,9 @@ def eval_operator(g: GameGraph, x) -> tuple:
     d, y = integers_over(sized(x, g.n), g.operator_plan[0])
     c, p1, p2, max_terms, min_terms = g.operator_plan
     r = d // c
-    mx = [_max_value(edges, y, r) for edges in max_terms]
-    den = d * p1 * p2
-    result = []
-    for edges in min_terms:
-        values = [_edge_value(b, terms, mx, r) for b, terms in edges]
-        result.append(None if None in values else Fraction(min(values), den))
-    return tuple(result)
-
-
-_UNSET = object()  # a value not computed yet in this query
+    mx, den = [_UNSET] * len(max_terms), d * p1 * p2
+    values = [_min_value(edges, mx, max_terms, r, y) for edges in min_terms]
+    return tuple(None if v is None else Fraction(v, den) for v in values)
 
 
 def subfixed(g: GameGraph, x) -> bool:
@@ -535,27 +541,16 @@ def subfixed(g: GameGraph, x) -> bool:
 
 def subfixed_integers(g: GameGraph, d: int, y: list) -> bool:
     """`subfixed` at the point y / d, given as `integers_over(x, C)` gives
-    it: n integers y (None for -inf) over a d that C divides. A finite
-    y_k * P1 * P2 is compared with the value of each out-edge of Min vertex
-    k, stopping at the first that is -inf or smaller. A Max value is
-    computed when an out-edge first reads it."""
+    it: n integers y (None for -inf) over a d that C divides. Each finite
+    y_k * P1 * P2 is compared with the value of Min vertex k, stopping at
+    the first coordinate that is -inf or smaller."""
     c, p1, p2, max_terms, min_terms = g.operator_plan
     r = d // c
     mx = [_UNSET] * len(max_terms)
     for yk, edges in zip(y, min_terms):
-        if yk is None:
-            continue
-        target = yk * p1 * p2
-        for b, terms in edges:
-            v = b * r
-            for q, i in terms:
-                u = mx[i]
-                if u is _UNSET:
-                    u = mx[i] = _max_value(max_terms[i], y, r)
-                if u is None:
-                    return False
-                v += q * u
-            if target > v:
+        if yk is not None:
+            v = _min_value(edges, mx, max_terms, r, y)
+            if v is None or yk * p1 * p2 > v:
                 return False
     return True
 

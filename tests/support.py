@@ -29,7 +29,6 @@ from itertools import combinations
 import pytest
 
 from perfbench.instances import LADDER_N2, LADDER_N3, QUERY_N3
-from tropcone.errors import SingularSystem
 from tropcone.graph import (
     Edge,
     GameGraph,
@@ -49,13 +48,17 @@ BENCHMARK_RUNGS = [(LADDER_N2, range(2)), (LADDER_N3, range(6))] + [
 ]
 
 
+class SingularMatrix(Exception):
+    """`solve_rational` found no pivot: the matrix is singular."""
+
+
 def solve_rational(matrix, rhs_columns):
     """Solve M X = B exactly by `Fraction` Gaussian elimination with pivot
     search.
 
     `matrix` is a list of rows of Fractions (square), `rhs_columns` a list of
     rows (same height as `matrix`, any width). Returns the solution as a list
-    of rows. Raises SingularSystem if M is singular.
+    of rows. Raises SingularMatrix if M is singular.
     """
     n = len(matrix)
     width = len(rhs_columns[0]) if n else 0
@@ -63,7 +66,7 @@ def solve_rational(matrix, rhs_columns):
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            raise SingularSystem(f"no pivot in column {col}")
+            raise SingularMatrix(f"no pivot in column {col}")
         a[col], a[pivot] = a[pivot], a[col]
         inv = Fraction(1) / a[col][col]
         # Zero entries are skipped: v * inv and v - f * 0 would give v back.
@@ -482,7 +485,7 @@ def lp_max_oracle(a, b, x, k):
         rhs = [[rows[i][1]] for i in subset]
         try:
             sol = solve_rational(mat, rhs)
-        except SingularSystem:
+        except SingularMatrix:
             continue
         y = tuple(sol[i][0] for i in range(n))
         if all(

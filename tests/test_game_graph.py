@@ -35,7 +35,7 @@ from support import (
 )
 from perfbench.instances import graph_instance
 from tropcone import graph as graph_module
-from tropcone.errors import DimensionMismatch, NonStochastic, SingularSystem, ValidationFailed
+from tropcone.errors import DimensionMismatch, NonStochastic, ValidationFailed
 from tropcone.fixtures import TWO_PI, example_graph, example_minmax
 from tropcone.graph import (
     Edge,
@@ -395,7 +395,8 @@ class TestAbsorption:
                 assert zp_rows[edge_id] == g_rows[edge_id]
 
     def test_closed_component_raises(self):
-        # Random 3 <-> 4 is a closed 2-cycle: no Min or Max vertex is reachable.
+        # Random 3 <-> 4 is a closed 2-cycle: no Min or Max vertex is
+        # reachable, and validation refuses the graph before any solve.
         closed = GameGraph(
             (1,), (2,), (3, 4),
             (
@@ -406,8 +407,9 @@ class TestAbsorption:
                 Edge(5, 4, 3, prob=F(1)),
             ),
         )
-        with pytest.raises(SingularSystem, match="cannot reach a Min or Max vertex"):
-            graph_module._exit_rows(closed)
+        with pytest.raises(ValidationFailed, match="random-reach") as info:
+            closed.absorption_table
+        assert {code for code, _ in info.value.report.failures} == {"random-reach"}
 
     def test_component_exiting_only_into_another(self):
         # {3, 4} leaves only through 5, whose component {5, 6} exits to the

@@ -3,7 +3,8 @@
 points and against `trop_eval_operator` at points of T^n, and
 `eval_compliant_operator`/`subfixed_extended` against
 `trop_eval_compliant_operator`, on source graphs and their pipeline
-targets; and when the plan behind them is built."""
+targets; which Max values the shared Min-value kernel computes; and when
+the plan behind them is built."""
 
 import random
 from collections import Counter
@@ -20,12 +21,14 @@ from support import (
     inside_closure,
     random_minmax,
     random_valid_graph,
+    small_rational,
+    stochastic_row,
     trop_eval_compliant_operator,
     trop_eval_operator,
 )
 from tropcone.errors import DimensionMismatch, NotCompliant
 from tropcone.fixtures import example_graph
-from tropcone.graph import eval_operator, graph_from_minmax, subfixed
+from tropcone.graph import Edge, GameGraph, MinMaxOperator, eval_operator, graph_from_minmax, subfixed
 from tropcone.pencil import (
     MetzlerPencil,
     affine_envelope,
@@ -168,6 +171,92 @@ def test_subfixed_computes_max_values_on_demand(monkeypatch):
                 seen["-inf" if NEG_INF in p else "finite", all(holds)] += 1
     assert all(seen[kind, answer] for kind in ("-inf", "finite") for answer in (True, False)), seen
     assert seen["first fails", True] > 0, seen
+
+
+def test_eval_operator_computes_only_the_max_values_its_min_edges_read(monkeypatch):
+    """Min 1 reads Max 3, then Max 4; Min 2 reads Max 3; Max 5 heads Min 1
+    and no edge reaches it. Min 1's first edge reads -inf at (-inf, 0), so
+    Max 4 is never computed there, and Max 5 is never computed at all."""
+    g = GameGraph(
+        (1, 2), (3, 4, 5), (),
+        (
+            Edge(1, 1, 3, payoff=F(0)),
+            Edge(2, 1, 4, payoff=F(1)),
+            Edge(3, 2, 3, payoff=F(-1, 2)),
+            Edge(4, 3, 1, payoff=F(0)),
+            Edge(5, 4, 2, payoff=F(0)),
+            Edge(6, 5, 1, payoff=F(2)),
+        ),
+    )
+    computed = []
+    value = graph_module._max_value
+    monkeypatch.setattr(
+        graph_module, "_max_value", lambda edges, y, r: computed.append(id(edges)) or value(edges, y, r)
+    )
+    ids = [id(edges) for edges in g.operator_plan[3]]
+    for x, want, reads in (((NEG_INF, 0), (None, None), ids[:1]), ((0, 0), (F(0), F(-1, 2)), ids[:2])):
+        computed.clear()
+        assert eval_operator(g, x) == want
+        assert computed == reads
+
+
+def _several_term_operator(rng: random.Random) -> MinMaxOperator:
+    """A stochastic min-max form of arity 2 or 3 over three matrices whose
+    every coordinate has two or three min-terms."""
+    n = rng.randint(2, 3)
+    matrices = tuple(tuple(stochastic_row(rng, n) for _ in range(n)) for _ in range(3))
+    offsets = tuple(tuple(small_rational(rng) for _ in range(n)) for _ in range(3))
+    terms = (((0,), (1,)), ((0, 1), (2,)), ((2,), (0, 1)), ((0,), (1,), (2,)))
+    return MinMaxOperator(n, matrices, offsets, tuple(rng.choice(terms) for _ in range(n)))
+
+
+def _term_values(op: MinMaxOperator, k: int, x) -> list:
+    """Per min-term of coordinate k, the largest b^(s)_k + A^(s)_k x over
+    its matrices s that meet no -inf x_l at a positive entry; None (-inf)
+    when every s does."""
+    x = [Trop(v) for v in x]
+    values = []
+    for s_ki in op.subsets[k]:
+        best = None
+        for s in s_ki:
+            row = op.matrices[s][k]
+            if not any(p and x[l].is_neg_inf for l, p in enumerate(row)):
+                v = op.offsets[s][k] + sum(p * x[l].finite for l, p in enumerate(row) if p)
+                best = v if best is None else max(best, v)
+        values.append(best)
+    return values
+
+
+def test_kernels_match_oracle_where_min_vertices_have_several_edges():
+    """`eval_operator` and `subfixed` against `trop_eval_operator` on graphs
+    whose every Min vertex has two or three out-edges, one per min-term of
+    the form: a coordinate is -inf when one edge is, even beside a finite
+    edge, and a finite one is the smallest of its edges."""
+    seen = Counter()
+    for trial in range(150):
+        rng = rng_for(337, trial)
+        op = _several_term_operator(rng)
+        g = graph_from_minmax(op)
+        assert all(len(g.out_edges[v]) >= 2 for v in g.min_vertices)
+        rows = dense_absorption_rows(g)
+        for x in _points(rng, g.n):
+            for p in (x, _mixed(rng, x)):
+                want = trop_eval_operator(g, rows, p)
+                got = eval_operator(g, p)
+                assert tuple(NEG_INF if v is None else Trop(v) for v in got) == want
+                inside = all(Trop(a) <= b for a, b in zip(p, want))
+                assert subfixed(g, p) == inside
+                seen["subfixed", inside] += 1
+                for k, v in enumerate(got):
+                    values = _term_values(op, k, p)
+                    if None in values:
+                        assert v is None
+                        seen["-inf beside finite"] += values.count(None) < len(values)
+                    else:
+                        assert v == min(values)
+                        seen["finite, smallest not first"] += values.index(v) > 0
+    kinds = ("-inf beside finite", "finite, smallest not first", ("subfixed", True), ("subfixed", False))
+    assert all(seen[kind] for kind in kinds), seen
 
 
 @pytest.mark.parametrize(
