@@ -22,10 +22,13 @@ one rule, `_expected_rows`: the expected Max value seen from a head, over
 its absorption row, so a row's probabilities are integers over one d. The
 first `lift` on a map builds its integer plan and keeps it on the map:
 every constant over their common denominator, each row's single-term pairs
-folded into one constant and one weight per coordinate. A lift reads a
-point of T^n by the rule of `tropcone.scalars`, -inf as None, and holds it
-as integers over one running denominator, multiplied up only when a row's
-value needs it; `lift_integers` returns them as they are.
+folded into one constant and one weight per coordinate, and one slot per
+coordinate: a row equal to an earlier one, or a copy of one coordinate,
+shares that slot, so a lift evaluates each distinct row once and `lift`
+builds one `Fraction` per slot. A lift reads a point of T^n by the rule of
+`tropcone.scalars`, -inf as None, and holds it as integers over one running
+denominator, multiplied up only when a row's value needs it, which a
+shared row's never does again; `lift_integers` returns them as they are.
 
 Every stage checks its input and builds its output with `graph._Builder`,
 whose `freeze` checks the built graph; a graph's validation report and
@@ -71,35 +74,40 @@ class WitnessMap:
 
     @cached_property
     def _plan(self) -> tuple:
-        """The integer form `lift` evaluates, built on its first call: C,
-        the lcm of every constant's denominator, and per row (d, K,
-        ((N, i), ...), ((N, ((i, c), ...)), ...)), c over C: a row's
-        single-term pairs fold into K, the sum of their N * c, and one
-        (N, i) per coordinate i, N the sum of their N on i."""
+        """(C, rows, slots): C, the lcm of every constant's denominator;
+        per distinct row (d, K, ((N, i), ...), ((N, ((i, c), ...)), ...)),
+        c over C, its single-term pairs folded into K, the sum of their
+        N * c, and one (N, i) per slot i; per coordinate its slot. A copy
+        (d, 0, ((d, i),), ()) takes slot i."""
         scale = lcm(*(c.denominator for _, row in self.rows for _, terms in row for c, _ in terms))
-        rows = []
+        slots = list(range(self.source_dim))
+        distinct = {}
         for den, row in self.rows:
             const, singles, multis = 0, {}, []
             for q, terms in row:
-                scaled = tuple((i, times(c, scale)) for c, i in terms)
+                scaled = tuple((slots[i], times(c, scale)) for c, i in terms)
                 if len(scaled) == 1:
                     i, c = scaled[0]
                     const += q * c
                     singles[i] = singles.get(i, 0) + q
                 else:
                     multis.append((q, scaled))
-            rows.append((den, const, tuple((q, i) for i, q in singles.items()), tuple(multis)))
-        return scale, tuple(rows)
+            if const == 0 and not multis and list(singles.values()) == [den]:
+                slots.extend(singles)  # a copy: its one coordinate's slot
+            else:
+                key = (den, const, tuple((q, i) for i, q in sorted(singles.items())), tuple(multis))
+                slots.append(distinct.setdefault(key, self.source_dim + len(distinct)))
+        return scale, tuple(distinct), tuple(slots)
 
-    def lift_integers(self, x) -> tuple:
-        """(D, y): the lift of the point x of T^n as integers y over one
-        denominator D, None for -inf, the source point followed by every
-        new coordinate. D starts as the lcm of C and x's denominators. A
-        row gives T / d over D; when d does not divide T, D and every y so
-        far are multiplied by d / gcd(T, d). Every N is positive, so a row
-        is -inf when a single-term pair or a whole max (`graph._top`) is."""
+    def _lift_compact(self, x) -> tuple:
+        """(D, c): x followed by the value of each distinct row, as
+        integers over one denominator D, None for -inf. D starts as the lcm
+        of C and x's denominators. A row gives T / d over D; when d does not
+        divide T, D and every c so far are multiplied by d / gcd(T, d).
+        Every N is positive, so a row is -inf when a single-term pair or a
+        whole max (`graph._top`) is."""
         d, y = integers_over(sized(x, self.source_dim), self._plan[0])
-        scale, rows = self._plan
+        scale, rows, _ = self._plan
         r = d // scale
         for den, const, singles, multis in rows:
             try:
@@ -119,10 +127,16 @@ class WitnessMap:
             y.append(total // g)
         return d, y
 
+    def lift_integers(self, x) -> tuple:
+        """(D, y): the lift of x as integers over D, None for -inf."""
+        d, c = self._lift_compact(x)
+        return d, [c[s] for s in self._plan[2]]
+
     def lift(self, x) -> tuple:
-        """x followed by every new coordinate, as Fractions, None for -inf."""
-        d, y = self.lift_integers(x)
-        return tuple(v if v is None else Fraction(v, d) for v in y)
+        """x and every new coordinate, one Fraction per slot, None for -inf."""
+        d, c = self._lift_compact(x)
+        c = [v if v is None else Fraction(v, d) for v in c]
+        return tuple(c[s] for s in self._plan[2])
 
     def project(self, xp):
         return tuple(xp[: self.source_dim])

@@ -25,6 +25,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -584,6 +585,49 @@ def trop_lift(witness, x) -> tuple:
         else:
             y.append(Trop(sum((p * top.finite for p, top in tops), Fraction(0))))
     return tuple(y)
+
+
+def row_by_row_lift_integers(witness, x) -> tuple:
+    """A witness lift in integers with every row evaluated in order, none
+    shared: (D, y), D starting as the lcm of the constants' denominators
+    and x's, y[i] None for -inf. A row's total T is the N-weighted sum of
+    its pairs' maxima of c * D + y[i] over its finite terms, and a pair
+    with none makes the row -inf; when its d does not divide T, D and
+    every y so far are multiplied by d / gcd(T, d)."""
+    scale = lcm(*(c.denominator for _, row in witness.rows for _, terms in row for c, _ in terms))
+    d, y = integers_over(sized(x, witness.source_dim), scale)
+    for den, row in witness.rows:
+        total = 0
+        for q, terms in row:
+            tops = [int(c * d) + y[i] for c, i in terms if y[i] is not None]
+            if not tops:
+                total = None
+                break
+            total += q * max(tops)
+        if total is None:
+            y.append(None)
+            continue
+        f = den // gcd(total, den)
+        if f > 1:
+            d, y = d * f, [v if v is None else v * f for v in y]
+        y.append(total * f // den)
+    return d, y
+
+
+def deep_operator(rng: random.Random, den: int) -> MinMaxOperator:
+    """A min-max operator on two coordinates whose matrix rows are all
+    over `den`, so each biased probability becomes one deep gadget."""
+
+    def row():
+        a = rng.randint(1, den - 1)
+        return (Fraction(a, den), Fraction(den - a, den))
+
+    return MinMaxOperator(
+        n=2,
+        matrices=((row(), row()), (row(), row())),
+        offsets=tuple(tuple(Fraction(rng.randint(-6, 6)) for _ in range(2)) for _ in range(2)),
+        subsets=(((0, 1),), ((0,), (1,))),
+    )
 
 
 def envelope_lift(witness, x) -> tuple:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from support import (
     BENCHMARK_RUNGS,
     biased_graph,
+    deep_operator,
     default_digit_limit,
     dense_absorption_rows,
     dense_component_graph,
@@ -362,27 +363,13 @@ class TestAbsorption:
                 self._assert_lowest_terms(g)
                 self._assert_lowest_terms(zwick_paterson(g))
 
-    @staticmethod
-    def _deep_operator(rng, den):
-        # Two coordinates, both rows of both matrices over `den`.
-        def row():
-            a = rng.randint(1, den - 1)
-            return (F(a, den), F(den - a, den))
-
-        return MinMaxOperator(
-            n=2,
-            matrices=((row(), row()), (row(), row())),
-            offsets=tuple(tuple(F(rng.randint(-6, 6)) for _ in range(2)) for _ in range(2)),
-            subsets=(((0, 1),), ((0,), (1,))),
-        )
-
     @pytest.mark.parametrize("bits", [16, 40, 63])
     def test_deep_gadgets_keep_the_source_rows(self, bits):
         # A b-bit probability becomes one gadget, a component of about 2b
         # fair coins. Seen from every Max out-edge that Zwick-Paterson
         # keeps, the gadgets absorb as the source graph's biased coins do.
         den = 2**63 - 25 if bits == 63 else 2**bits
-        graphs = [graph_from_minmax(self._deep_operator(rng_for(311, bits), den))]
+        graphs = [graph_from_minmax(deep_operator(rng_for(311, bits), den))]
         if bits == 63:
             graphs.append(biased_graph(F(1, 2**64 - 159)))
         for g in graphs:

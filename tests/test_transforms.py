@@ -10,6 +10,7 @@ import pytest
 from support import (
     BENCHMARK_RUNGS,
     biased_graph,
+    deep_operator,
     denominator_five_graph,
     fraction_absorption_rows,
     fraction_lift,
@@ -17,6 +18,7 @@ from support import (
     gadget_exit_probability,
     random_minmax,
     random_valid_graph,
+    row_by_row_lift_integers,
     sequential_pipeline,
     trop_lift,
 )
@@ -465,22 +467,119 @@ class TestIntegerLift:
     def test_plan_holds_one_single_term_per_coordinate(self):
         # A row's single-term pairs on one coordinate, from buffer vertices
         # before one Min head or Max vertices of one out-edge, add up to
-        # one weight in the plan: their N summed per coordinate.
+        # one weight in the plan: their N summed per slot of the coordinate
+        # they read. Each new coordinate reaches its plan row by its slot; a
+        # copy row has none and reads its one coordinate's slot.
         graphs = [graph_instance(0, shape, index).fresh() for shape, indices in BENCHMARK_RUNGS for index in indices]
         graphs += [random_valid_graph(rng_for(239, t)) for t in range(200)]
         shared = 0
         for g in graphs:
             _, witness = pipeline(g)
-            for (_, row), (_, _, singles, _) in zip(witness.rows, witness._plan[1]):
-                coords = [i for _, i in singles]
-                assert len(coords) == len(set(coords))
+            _, rows, slots = witness._plan
+            for j, (den, row) in enumerate(witness.rows, g.n):
                 sums = {}
                 for q, terms in row:
                     if len(terms) == 1:
-                        sums[terms[0][1]] = sums.get(terms[0][1], 0) + q
+                        sums[slots[terms[0][1]]] = sums.get(slots[terms[0][1]], 0) + q
+                copied = _copied_slot(den, row, slots)
+                if copied is not None:
+                    assert slots[j] == copied
+                    continue
+                d, _, singles, _ = rows[slots[j] - g.n]
+                coords = [i for _, i in singles]
+                assert d == den and len(coords) == len(set(coords))
                 assert dict((i, q) for q, i in singles) == sums
                 shared += sum(len(terms) == 1 for _, terms in row) > len(singles)
         assert shared > 0
+
+
+class TestDistinctWitnessRows:
+    """The witness plan evaluates each distinct row once: a row equal to
+    an earlier one, read through the slots, takes its slot, and a copy
+    (d, 0, ((d, i),), ()) takes slot i. `lift_integers` equals the
+    row-by-row lift of `support`, D included, and `lift` builds one
+    `Fraction` per slot."""
+
+    @staticmethod
+    def _maps(deep=True):
+        # The 63-bit operator's lift is checked against the integer
+        # reference only: its boxed `Trop` lift takes seconds.
+        graphs = [example_graph(), multi_term_graph()]
+        graphs += [graph_from_minmax(deep_operator(rng_for(311, 63), 2**63 - 25))] * deep
+        graphs += [random_valid_graph(rng_for(777, t)) for t in range(40)]
+        graphs += [graph_instance(0, shape, index).fresh() for shape, indices in BENCHMARK_RUNGS for index in indices]
+        maps = [(g.n, pipeline(g)[1]) for g in graphs]
+        # Hand-built rows: two that differ in d alone, a weight-d single
+        # term with a constant (not a copy), one of weight below d (not a
+        # copy), a copy, and a repeat of an earlier row after D has grown.
+        maps.append((2, WitnessMap("test", 2, (
+            (2, ((1, ((F(0), 0),)), (1, ((F(0), 1),)))),
+            (4, ((1, ((F(0), 0),)), (1, ((F(0), 1),)))),
+            (3, ((3, ((F(1, 2), 0),)),)),
+            (3, ((2, ((F(0), 1),)),)),
+            (5, ((5, ((F(0), 3),)),)),
+            (7, ((3, ((F(0), 0), (F(1), 1))), (4, ((F(0), 2),)))),
+            (2, ((1, ((F(0), 0),)), (1, ((F(0), 1),)))),
+        ))))
+        return maps
+
+    def _points(self, n, t):
+        for i in range(12):
+            yield sample_trop_vector(rng_for(811 + t, i), n, 5, 6, 0.35 if i % 2 else 0.0)
+        yield (NEG_INF,) * n
+
+    def test_plan_rows_are_distinct_and_no_copy(self):
+        for n, witness in self._maps():
+            _, rows, slots = witness._plan
+            assert len(set(rows)) == len(rows)
+            assert slots[:n] == tuple(range(n)) and len(slots) == n + len(witness.rows)
+            assert set(slots[n:]) <= set(range(n + len(rows)))
+            for den, const, singles, multis in rows:
+                assert not (const == 0 and not multis and len(singles) == 1 and singles[0][0] == den)
+
+    def test_example_plan(self):
+        _, witness = pipeline(example_graph())
+        assert (len(witness.rows), len(witness._plan[1])) == (21, 8)
+
+    def test_matches_row_by_row_reference(self):
+        seen = set()
+        for t, (n, witness) in enumerate(self._maps()):
+            _, rows, slots = witness._plan
+            if any(multis for *_, multis in rows):
+                seen.add("multi-term row")
+            for j, (den, row) in enumerate(witness.rows, n):
+                if _copied_slot(den, row, slots) is not None:
+                    seen.add("copy row")
+                elif slots[j] >= n and slots[j] in slots[n:j]:
+                    seen.add("repeated row")
+            for x in self._points(n, t):
+                d, y = witness.lift_integers(x)
+                assert (d, y) == row_by_row_lift_integers(witness, x)
+                if None in y[n:] and any(v is not None for v in y[:n]):
+                    seen.add("-inf row")
+        assert seen == {"multi-term row", "-inf row", "repeated row", "copy row"}
+
+    def test_lift_shares_one_fraction_per_slot(self):
+        shared = 0
+        for t, (n, witness) in enumerate(self._maps(deep=False)):
+            slots = witness._plan[2]
+            for x in self._points(n, t):
+                lifted = witness.lift(x)
+                assert _boxed(lifted) == trop_lift(witness, x)
+                first = {}
+                for s, v in zip(slots, lifted):
+                    assert v is first.setdefault(s, v)
+                shared += len(first) < len(lifted) and any(v is not None for v in lifted[n:])
+        assert shared > 0
+
+
+def _copied_slot(den, row, slots):
+    """The slot a witness row copies, or None: a row of single terms whose
+    constants add up to 0 and that read one slot, with N adding up to d."""
+    if any(len(terms) > 1 for _, terms in row) or sum(q * terms[0][0] for q, terms in row):
+        return None
+    read = {slots[terms[0][1]] for _, terms in row}
+    return read.pop() if len(read) == 1 and sum(q for q, _ in row) == den else None
 
 
 def _boxed(point) -> tuple:
