@@ -16,11 +16,14 @@ vertices flip fair coins between two Max vertices:
 
 `pipeline` runs the first two stages and then splits every Random-to-Random
 edge in one pass. It returns a witness map relating the two subfixed sets;
-a witness map is data, a list of rows that each define one new coordinate,
-so composing two is concatenation. Both transformations build their rows by
-one rule, `_expected_rows`: the expected Max value seen from a head, over
-its absorption row, so a row's probabilities are integers over one d. The
-first `lift` on a map builds its integer plan and keeps it on the map:
+a witness map is data, a list of parts (graph, heads) that give one row
+per head, each defining one new coordinate, so composing two is
+concatenation. Both transformations build their rows by one rule,
+`_expected_rows`: the expected Max value seen from a head, over its
+absorption row, so a row's probabilities are integers over one d. A map
+reads its rows off its parts on the first `lift`, and so solves the
+absorption system then, once; the first `lift` also builds its integer
+plan and keeps it on the map:
 every constant over their common denominator, each row's single-term pairs
 folded into one constant and one weight per coordinate, and one slot per
 coordinate: a row equal to an earlier one, or a copy of one coordinate,
@@ -33,14 +36,15 @@ shared row's never does again; `lift_integers` returns them as they are.
 Every stage checks its input and builds its output with `graph._Builder`,
 whose `freeze` checks the built graph; a graph's validation report and
 absorption table are cached on the graph, so no stage repeats them. The
-first transformation reads its witness off its output's table, and the
-split reads the same table, so `pipeline` solves once.
+witness parts of the first transformation and of the split are both on its
+output, so a `pipeline` map solves once, on its first lift, and `pipeline`,
+`transform` and `synthesize` solve nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -60,17 +64,25 @@ class WitnessMap:
     """Explicit lift from source coordinates to target coordinates, stored
     as data.
 
-    Each row (d, ((N, terms), ...)) defines one new coordinate, appended in
+    Each part (graph, heads) stands for the rows `_expected_rows(graph,
+    heads)`, read off the graph's absorption table on the first read of
+    `rows`, which a lift makes: a map solves on its first lift, once. Each
+    row (d, ((N, terms), ...)) defines one new coordinate, appended in
     order, as the sum of N / d * max over (c, i) in terms of (c + y[i]),
     where y is the source point followed by the new coordinates so far.
-    Composing two maps concatenates their rows. `project` drops the new
+    Composing two maps concatenates their parts. `project` drops the new
     coordinates, so project(lift(x)) == x.
     """
 
     kind: str
     source_dim: int
-    rows: tuple = ()
+    parts: tuple = field(default=(), repr=False, compare=False)
     new_coords: tuple = ()
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The rows of every part, in order."""
+        return tuple(row for g, heads in self.parts for row in _expected_rows(g, heads))
 
     @cached_property
     def _plan(self) -> tuple:
@@ -288,8 +300,9 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     the edge out of its Min vertex in the output. By the max-max-path rule
     that row lies on the buffer vertices kappa[f] only, each with the term
     (0, index of the Min head of f), which a lift's plan adds up per
-    coordinate. `pipeline`'s split reads the same table, cached on the
-    output, so it solves once."""
+    coordinate. The witness holds the output and those heads as its one
+    part and solves nothing until its first lift; `pipeline`'s split part
+    is on the same output, so its map solves once."""
     require_valid(g)
     max_out = [e for e in g.edges if g.kind[e.tail] == "max"]
     min_headed = [e for e in g.edges if g.kind[e.head] == "min"]
@@ -320,8 +333,8 @@ def first_transformation(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
             b.add_edge(kappa[f.id], f.head, payoff=ZERO)
 
     out = b.freeze()
-    rows = _expected_rows(out, [e.head for e in leaving])
-    return out, WitnessMap("t1", g.n, rows, tuple(f"t1:{e.id}" for e in max_out))
+    heads = tuple(e.head for e in leaving)
+    return out, WitnessMap("t1", g.n, ((out, heads),), tuple(f"t1:{e.id}" for e in max_out))
 
 
 def _split(g: GameGraph, edges) -> tuple[GameGraph, WitnessMap]:
@@ -329,7 +342,9 @@ def _split(g: GameGraph, edges) -> tuple[GameGraph, WitnessMap]:
     the order given, checking nothing that `second_transformation` checks.
     The new coordinate of a split edge is `_expected_rows` of its head in
     `g`; this equals what splitting the edges one at a time would give,
-    since a split never creates a Random-to-Random edge."""
+    since a split never creates a Random-to-Random edge. The witness holds
+    `g` and the heads as its one part, so `g` is solved on the first lift,
+    not here."""
     b = _Builder(g)
     split = {e.id for e in edges}
     b.edges = [f for f in b.edges if f.id not in split]
@@ -343,8 +358,8 @@ def _split(g: GameGraph, edges) -> tuple[GameGraph, WitnessMap]:
         b.add_edge(new_max, new_min, payoff=ZERO)
         b.add_edge(new_min, e.head, payoff=ZERO)
         new_coords.append(f"t2:{new_min}")
-    rows = _expected_rows(g, [e.head for e in edges])
-    return b.freeze(), WitnessMap("t2", g.n, rows, tuple(new_coords))
+    heads = tuple(e.head for e in edges)
+    return b.freeze(), WitnessMap("t2", g.n, ((g, heads),), tuple(new_coords))
 
 
 def second_transformation(g: GameGraph, edge_id: int) -> tuple[GameGraph, WitnessMap]:
@@ -374,4 +389,4 @@ def pipeline(g: GameGraph) -> tuple[GameGraph, WitnessMap]:
     rr = sorted((e for e in t1.edges if kind[e.tail] == kind[e.head] == "random"), key=attrgetter("id"))
     out, w2 = _split(t1, rr)
     require_compliant(out)
-    return out, WitnessMap("pipeline", g.n, w1.rows + w2.rows, w1.new_coords + w2.new_coords)
+    return out, WitnessMap("pipeline", g.n, w1.parts + w2.parts, w1.new_coords + w2.new_coords)

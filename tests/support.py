@@ -40,7 +40,7 @@ from tropcone.graph import (
 )
 from tropcone.pencil import TropPointSet, eval_compliant_operator
 from tropcone.scalars import NEG_INF, Trop, integers_over, sized
-from tropcone.transforms import first_transformation, second_transformation, zwick_paterson
+from tropcone.transforms import WitnessMap, first_transformation, second_transformation, zwick_paterson
 
 # The seed-0 graphs of every benchmark rung, at the indices the workloads
 # draw them at (`perfbench.instances.graph_instance(0, shape, index)`).
@@ -270,6 +270,15 @@ def fraction_absorption_rows(g: GameGraph) -> dict:
         d, xs = g.absorption_row(e.head)
         rows[e.id] = {u: Fraction(x, d) for u, x in xs.items()}
     return rows
+
+
+def witness_from_rows(source_dim: int, rows, kind: str = "test") -> WitnessMap:
+    """A witness map with no parts whose `rows` are the given rows
+    (d, ((N, terms), ...)), seeded where the map caches them, so a lift
+    reads them as it reads rows solved off a graph."""
+    witness = WitnessMap(kind, source_dim)
+    witness.__dict__["rows"] = tuple(rows)
+    return witness
 
 
 def fraction_witness_rows(witness) -> tuple:

@@ -310,8 +310,11 @@ class TestAbsorption:
     def _check_with_stages(self, g):
         zp = zwick_paterson(g)
         t1, witness = first_transformation(zp)
-        # The first transformation reads its witness off t1's own table, so
-        # the table is cached on t1; the dense oracle solves t1 from scratch.
+        # The first transformation solves nothing: its witness reads its
+        # rows off t1's own table on their first read, which caches the
+        # table on t1; the dense oracle solves t1 from scratch.
+        assert "absorption_table" not in vars(t1)
+        witness.rows
         assert "absorption_table" in vars(t1)
         self._assert_matches_dense(g, fraction_absorption_rows(g))
         self._assert_matches_dense(t1, fraction_absorption_rows(t1))

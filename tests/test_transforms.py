@@ -21,10 +21,12 @@ from support import (
     row_by_row_lift_integers,
     sequential_pipeline,
     trop_lift,
+    witness_from_rows,
 )
 from perfbench.instances import graph_instance
 from tropcone import graph as graph_module
 from tropcone import transforms as transforms_module
+from tropcone.cli import main
 from tropcone.errors import DimensionMismatch, NotCompliant, PreconditionViolated
 from tropcone.fixtures import example_graph
 from tropcone.graph import (
@@ -40,7 +42,6 @@ from tropcone.pencil import pencil_member, synthesize_cone
 from tropcone.sampling import rng_for, sample_trop_vector, sample_vector
 from tropcone.scalars import NEG_INF, Trop
 from tropcone.transforms import (
-    WitnessMap,
     first_transformation,
     pipeline,
     second_transformation,
@@ -411,7 +412,7 @@ class TestPipeline:
     def test_output_not_compliant_raises(self, monkeypatch):
         # The check on pipeline's output is a raise, not an assert, so it
         # holds under python -O.
-        monkeypatch.setattr(transforms_module, "_split", lambda g, ids: (g, WitnessMap("t2", g.n)))
+        monkeypatch.setattr(transforms_module, "_split", lambda g, ids: (g, witness_from_rows(g.n, (), "t2")))
         with pytest.raises(NotCompliant):
             pipeline(example_graph())
 
@@ -442,7 +443,7 @@ class TestIntegerLift:
         # y2 = x0 / 3 + 2/3 max(x0 + 1/2, x1 - 4) and
         # y3 = (y2 + 1/2) / 5 + 4/5 (y2 - 1): at 0 the running denominator
         # goes from 2 to 6 to 30. Integer and Fraction inputs mix.
-        witness = WitnessMap("test", 2, (
+        witness = witness_from_rows(2, (
             (3, ((1, ((F(0), 0),)), (2, ((F(1, 2), 0), (F(-4), 1))))),
             (5, ((1, ((F(1, 2), 2),)), (4, ((F(-1), 2),)))),
         ))
@@ -512,7 +513,7 @@ class TestDistinctWitnessRows:
         # Hand-built rows: two that differ in d alone, a weight-d single
         # term with a constant (not a copy), one of weight below d (not a
         # copy), a copy, and a repeat of an earlier row after D has grown.
-        maps.append((2, WitnessMap("test", 2, (
+        maps.append((2, witness_from_rows(2, (
             (2, ((1, ((F(0), 0),)), (1, ((F(0), 1),)))),
             (4, ((1, ((F(0), 0),)), (1, ((F(0), 1),)))),
             (3, ((3, ((F(1, 2), 0),)),)),
@@ -650,10 +651,13 @@ class TestOnePassSplit:
     def test_denominator_five_graph(self):
         self._check(denominator_five_graph(), 173)
 
-    def test_one_absorption_solve(self, monkeypatch):
-        # Each solve finds the Random components once; the first
-        # transformation and the split both read the table of the first
-        # transformation's output, computed on it.
+    def test_one_absorption_solve(self, monkeypatch, tmp_path, capsys):
+        # Each solve finds the Random components once. A witness map solves
+        # on the first read of its rows, which a lift makes, and never
+        # again: the stages, synthesis and the `transform` and `synthesize`
+        # commands solve nothing. Both parts of a `pipeline` map, and the
+        # maps of the first transformation and a split of its output, read
+        # one table, cached on the first transformation's output.
         calls = []
         components = graph_module._random_components
 
@@ -662,11 +666,43 @@ class TestOnePassSplit:
             return components(g)
 
         monkeypatch.setattr(graph_module, "_random_components", counting)
+        reads = (lambda w, x: w.lift(x), lambda w, x: w.lift_integers(x), lambda w, x: w.rows)
         for g in (example_graph(), denominator_five_graph(), random_valid_graph(rng_for(157, 0))):
+            x = sample_vector(rng_for(167, g.n), g.n, 5, 6)
+            for read in reads:
+                out, witness = pipeline(g)
+                synthesize_cone(out)
+                assert is_compliant(out) and calls == []
+                read(witness, x)
+                assert len(calls) == 1
+                witness.lift(x)
+                witness.lift_integers(x)
+                assert len(calls) == 1
+                calls.clear()
+            t1, w1 = first_transformation(zwick_paterson(g))
+            rr = [e for e in t1.edges if t1.kind[e.tail] == t1.kind[e.head] == "random"]
+            assert rr
+            _, w2 = second_transformation(t1, rr[0].id)
+            assert calls == []
+            w2.rows
+            assert calls == [t1]
+            w1.lift(x)
+            assert calls == [t1]
             calls.clear()
-            out, _ = pipeline(g)
-            assert is_compliant(out)
-            assert len(calls) == 1
+
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps(g.to_json()))
+            t1_path = tmp_path / "t1.json"
+            t1_path.write_text(json.dumps(t1.to_json()))
+            for argv in (
+                ["transform", "pipeline", str(path)],
+                ["transform", "t1", str(path)],
+                ["transform", "t2", str(t1_path), "--edge", str(rr[0].id)],
+                ["synthesize", str(path)],
+            ):
+                assert main(argv) == 0
+                assert calls == [], argv
+            capsys.readouterr()
 
     def test_each_graph_validated_once(self, monkeypatch):
         # The input, the Zwick-Paterson graph, the t1 graph and the output.
