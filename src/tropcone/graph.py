@@ -3,11 +3,13 @@ encode.
 
 A graph has three disjoint vertex classes. Edges out of Min and Max vertices
 carry rational payoffs; edges out of Random vertices carry positive rational
-probabilities summing to one per vertex. Validation checks both in integers:
-its one pass over the edges lists each Random vertex's probabilities, and
-`scalars.sums_to_one` reads each once; a fair coin is told by its integer
-pair (1, 2). An edge is a frozen, slotted `Edge` record, built by storing its
-fields through the slot descriptors.
+probabilities summing to one per vertex. A graph's constructor is its one
+walk: it reads each id and label, files each edge under its tail, checks the
+edges and then the whole graph, and tells whether the graph is compliant,
+keeping the report on the graph for `validate_graph` to return. It checks
+probabilities in integers: `scalars.sums_to_one` reads each once, and a fair
+coin is told by its denominator. An edge is a frozen, slotted `Edge`
+record, built by storing its fields through the slot descriptors.
 The encoded operator is computed from exact absorption probabilities of the
 induced Markov chain in which every Min and Max vertex is absorbing, solved
 in integers by the fraction-free `scalars.pivot`, one solve per strongly
@@ -73,8 +75,14 @@ _set_id, _set_tail, _set_head, _set_payoff, _set_prob = (
 @dataclass(frozen=True, eq=False)
 class GameGraph:
     """Immutable game graph. Min-vertex list order fixes the coordinate
-    order of the encoded operator. The constructor checks every stored id
-    and label, for `from_json` and the builders alike."""
+    order of the encoded operator. The constructor is the one walk of a
+    graph, for `from_json` and the builders alike: it checks every stored
+    id and label, raising the `ValueError` of `int_from_json` or `rational`
+    on the first it refuses, whatever the report holds, and stores `kind`
+    ({vertex: "min" | "max" | "random"}), `out_edges` ({vertex: [its
+    out-edges, in edge order]}), `validation` (the `ValidationReport` that
+    `validate_graph` returns) and `compliant` (valid, with every Random
+    vertex a fair coin between two Max vertices) as plain attributes."""
 
     min_vertices: tuple[int, ...]
     max_vertices: tuple[int, ...]
@@ -82,62 +90,97 @@ class GameGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        for v in (*self.min_vertices, *self.max_vertices, *self.random_vertices):
-            if type(v) is not int:
-                int_from_json(v)
+        kind = {}
+        for cls, vertices in (("min", self.min_vertices), ("max", self.max_vertices), ("random", self.random_vertices)):
+            for v in vertices:
+                if type(v) is not int:
+                    int_from_json(v)
+                kind[v] = cls
+        out = {v: [] for v in kind}
+
+        # Each edge is read, filed under its tail and checked, its endpoint
+        # and label failures kept in edge order. On a valid graph the
+        # probabilities are positive and sum to one per Random vertex, so
+        # one over 2 is 1/2, and a vertex whose edges are all 1/2 has two:
+        # a fair coin is told by its denominator, since comparing
+        # `Fraction`s goes through the `numbers.Rational` ABC.
+        ids, edge_failures, coins = set(), [], True
         for e in self.edges:
             if not (type(e.id) is type(e.tail) is type(e.head) is int):
                 for v in (e.id, e.tail, e.head):
                     int_from_json(v)
-            if type(e.payoff) is not Fraction and e.payoff is not None:
-                rational(e.payoff)
-            if type(e.prob) is not Fraction and e.prob is not None:
-                rational(e.prob)
-
-    @cached_property
-    def kind(self) -> dict:
-        kinds = {}
-        for v in self.min_vertices:
-            kinds[v] = "min"
-        for v in self.max_vertices:
-            kinds[v] = "max"
-        for v in self.random_vertices:
-            kinds[v] = "random"
-        return kinds
-
-    @cached_property
-    def out_edges(self) -> dict:
-        out = {v: [] for v in self.kind}
-        for e in self.edges:
-            if e.tail in out:
+            payoff, p = e.payoff, e.prob
+            if type(payoff) is not Fraction and payoff is not None:
+                rational(payoff)
+            if type(p) is not Fraction and p is not None:
+                rational(p)
+            ids.add(e.id)
+            tail = kind.get(e.tail)
+            if tail is not None:
                 out[e.tail].append(e)
-        return out
+            if tail is None or e.head not in kind:
+                edge_failures.append(("edge-endpoints", f"edge {e.id} has an unknown endpoint"))
+            elif tail == "random":
+                if p is None or payoff is not None:
+                    edge_failures.append(
+                        ("edge-labels", f"edge {e.id} out of a Random vertex must carry a probability only")
+                    )
+                elif p.numerator <= 0:
+                    edge_failures.append(("edge-labels", f"edge {e.id} has nonpositive probability"))
+                elif p.denominator != 2 or kind[e.head] != "max":
+                    coins = False
+            elif payoff is None or p is not None:
+                edge_failures.append(("edge-labels", f"edge {e.id} out of a {tail} vertex must carry a payoff only"))
+
+        # `kind` holds each vertex once, so a vertex in two classes shortens it.
+        failures = []
+        if len(kind) != len(self.min_vertices) + len(self.max_vertices) + len(self.random_vertices):
+            failures.append(("disjoint", "vertex classes are not disjoint"))
+        if len(ids) != len(self.edges):
+            failures.append(("edge-ids", "edge ids are not unique"))
+        if not self.min_vertices or not self.max_vertices:
+            failures.append(("nonempty-classes", "Min and Max vertex sets must be nonempty"))
+        failures += edge_failures
+        for v, es in out.items():
+            if not es:
+                failures.append(("out-degree", f"vertex {v} has no outgoing edge"))
+        # A Random vertex's probabilities are those of all its out-edges, an
+        # edge with an unknown head or a payoff too included.
+        for v in self.random_vertices:
+            probs = [e.prob for e in out[v] if e.prob is not None]
+            if not sums_to_one(probs):
+                total = rational_text(sum(probs, Fraction(0)))
+                failures.append(("prob-sum", f"probabilities out of {v} sum to {total}"))
+
+        if not failures:
+            # A Max-free path from a Min vertex leaves by an out-edge into a
+            # Min vertex or into a Random vertex that reaches one through
+            # Random vertices only; Max vertices likewise. The classes are
+            # disjoint and every head is known here.
+            into = defaultdict(list)
+            for v in self.random_vertices:
+                for e in out[v]:
+                    into[e.head].append(v)
+            to_min = _reaching_randoms(into, self.min_vertices).union(self.min_vertices)
+            to_max = _reaching_randoms(into, self.max_vertices).union(self.max_vertices)
+            for v in self.min_vertices:
+                if not to_min.isdisjoint([e.head for e in out[v]]):
+                    failures.append(("min-min-path", f"a Max-free path joins Min vertex {v} to a Min vertex"))
+            for v in self.max_vertices:
+                if not to_max.isdisjoint([e.head for e in out[v]]):
+                    failures.append(("max-max-path", f"a Min-free path joins Max vertex {v} to a Max vertex"))
+            for v in self.random_vertices:
+                if v not in to_min and v not in to_max:
+                    failures.append(("random-reach", f"no Min or Max vertex reachable from Random vertex {v}"))
+
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "out_edges", out)
+        object.__setattr__(self, "validation", ValidationReport(tuple(failures)))
+        object.__setattr__(self, "compliant", coins and not failures)
 
     @cached_property
     def min_index(self) -> dict:
         return {v: i for i, v in enumerate(self.min_vertices)}
-
-    @cached_property
-    def validation(self) -> "ValidationReport":
-        """The `validate_graph` report, computed once per graph."""
-        return validate_graph(self)
-
-    @cached_property
-    def compliant(self) -> bool:
-        """Valid, with every Random vertex a fair coin between two Max vertices."""
-        # A fair coin's probability is read as its integer pair: comparing
-        # `Fraction`s goes through the `numbers.Rational` ABC.
-        if not self.validation.ok:
-            return False
-        kind, out = self.kind, self.out_edges
-        for v in self.random_vertices:
-            if len(out[v]) != 2:
-                return False
-            for e in out[v]:
-                p = e.prob
-                if p.denominator != 2 or p.numerator != 1 or kind[e.head] != "max":
-                    return False
-        return True
 
     @cached_property
     def absorption_table(self) -> dict:
@@ -232,66 +275,9 @@ def _reaching_randoms(into: dict, targets) -> set:
 
 
 def validate_graph(g: GameGraph) -> ValidationReport:
-    """Check structural invariants and Assumption 1 (a), (b), (c)."""
-    failures = []
-
-    # `kind` holds each vertex once, so a vertex in two classes shortens it.
-    kind = g.kind
-    if len(kind) != len(g.min_vertices) + len(g.max_vertices) + len(g.random_vertices):
-        failures.append(("disjoint", "vertex classes are not disjoint"))
-    if len({e.id for e in g.edges}) != len(g.edges):
-        failures.append(("edge-ids", "edge ids are not unique"))
-    if not g.min_vertices or not g.max_vertices:
-        failures.append(("nonempty-classes", "Min and Max vertex sets must be nonempty"))
-
-    # One pass over the edges checks endpoints and labels, maps each head to
-    # its Random tails, {head: [Random tails]}, for the path checks, and
-    # lists each Random vertex's probabilities for its sum, those of an edge
-    # with an unknown head or a payoff too included.
-    into = defaultdict(list)
-    probs = {v: [] for v in g.random_vertices}
-    for e in g.edges:
-        tail, p = kind.get(e.tail), e.prob
-        if tail == "random" and p is not None:
-            probs[e.tail].append(p)
-        if tail is None or e.head not in kind:
-            failures.append(("edge-endpoints", f"edge {e.id} has an unknown endpoint"))
-        elif tail == "random":
-            into[e.head].append(e.tail)
-            if p is None or e.payoff is not None:
-                failures.append(("edge-labels", f"edge {e.id} out of a Random vertex must carry a probability only"))
-            elif p.numerator <= 0:
-                failures.append(("edge-labels", f"edge {e.id} has nonpositive probability"))
-        elif e.payoff is None or p is not None:
-            failures.append(("edge-labels", f"edge {e.id} out of a {tail} vertex must carry a payoff only"))
-
-    out_edges = g.out_edges
-    for v, out in out_edges.items():
-        if not out:
-            failures.append(("out-degree", f"vertex {v} has no outgoing edge"))
-
-    for v in g.random_vertices:
-        if not sums_to_one(probs[v]):
-            total = rational_text(sum(probs[v], Fraction(0)))
-            failures.append(("prob-sum", f"probabilities out of {v} sum to {total}"))
-
-    if not failures:
-        # A Max-free path from a Min vertex leaves by an out-edge into a Min
-        # vertex or into a Random vertex that reaches one through Random
-        # vertices only; Max vertices likewise. The classes are disjoint here.
-        to_min = _reaching_randoms(into, g.min_vertices).union(g.min_vertices)
-        to_max = _reaching_randoms(into, g.max_vertices).union(g.max_vertices)
-        for v in g.min_vertices:
-            if not to_min.isdisjoint([e.head for e in out_edges[v]]):
-                failures.append(("min-min-path", f"a Max-free path joins Min vertex {v} to a Min vertex"))
-        for v in g.max_vertices:
-            if not to_max.isdisjoint([e.head for e in out_edges[v]]):
-                failures.append(("max-max-path", f"a Min-free path joins Max vertex {v} to a Max vertex"))
-        for v in g.random_vertices:
-            if v not in to_min and v not in to_max:
-                failures.append(("random-reach", f"no Min or Max vertex reachable from Random vertex {v}"))
-
-    return ValidationReport(tuple(failures))
+    """The report of the structural checks and Assumption 1 (a), (b), (c),
+    made once by the graph's constructor."""
+    return g.validation
 
 
 def require_valid(g: GameGraph) -> None:

@@ -34,11 +34,11 @@ denominator, multiplied up only when a row's value needs it, which a
 shared row's never does again; `lift_integers` returns them as they are.
 
 Every stage checks its input and builds its output with `graph._Builder`,
-whose `freeze` checks the built graph; a graph's validation report and
-absorption table are cached on the graph, so no stage repeats them. The
-witness parts of the first transformation and of the split are both on its
-output, so a `pipeline` map solves once, on its first lift, and `pipeline`,
-`transform` and `synthesize` solve nothing.
+whose `freeze` checks the built graph; a graph's validation report is made
+by its constructor and its absorption table cached on it, so no stage
+repeats them. The witness parts of the first transformation and of the
+split are both on its output, so a `pipeline` map solves once, on its first
+lift, and `pipeline`, `transform` and `synthesize` solve nothing.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ probabilities by one dense solve over every Random vertex; pencil
 membership, witness lifts (on T^n too) and their affine-envelope points,
 and the encoded operator, on finite points and on T^n, by boxed `Trop` and
 `Fraction` arithmetic in place of the integer plans; the path checks of
-graph validation by one walk per vertex; and the whole of graph
+graph validation by one walk per vertex; the whole of graph
 validation by plain loops, with the probability sums checked in the
-`integers_over` form.
+`integers_over` form; and compliance by plain loops over that report.
 """
 
 from __future__ import annotations
@@ -719,6 +719,19 @@ def reference_validation_failures(g: GameGraph) -> list:
     if not failures:
         failures += walk_path_failures(g)
     return failures
+
+
+def reference_compliant(g: GameGraph) -> bool:
+    """Is g compliant, by plain loops: valid by `reference_validation_failures`,
+    and every Random vertex has exactly two out-edges, each of probability
+    1/2, compared as a `Fraction`, into a Max vertex."""
+    if reference_validation_failures(g):
+        return False
+    for v in g.random_vertices:
+        out = [e for e in g.edges if e.tail == v]
+        if len(out) != 2 or any(e.prob != Fraction(1, 2) or e.head not in g.max_vertices for e in out):
+            return False
+    return True
 
 
 # Mersenne primes of 61 and 89 bits: probabilities over them, and the one

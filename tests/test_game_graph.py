@@ -25,10 +25,12 @@ from support import (
     fraction_witness_rows,
     long_sum_graph,
     mutated_graph,
+    random_compliant_graph,
     random_minmax,
     random_sound_graph,
     random_invalid_graph,
     random_valid_graph,
+    reference_compliant,
     reference_validation_failures,
     small_rational,
     walk_path_failures,
@@ -53,9 +55,10 @@ from tropcone.graph import (
     validate_graph,
 )
 from tropcone.sampling import rng_for, sample_vector
-from tropcone.transforms import first_transformation, zwick_paterson
+from tropcone.transforms import first_transformation, pipeline, zwick_paterson
 
 F = Fraction
+HALF = F(1, 2)
 
 class TestValidation:
     def test_example_graph_valid(self):
@@ -127,6 +130,8 @@ class TestValidation:
         assert validate_graph(coin_graph(*probs)).ok
 
     def test_builds_no_fraction(self, monkeypatch):
+        # The report is made by the constructor, so the graph is built
+        # under the count.
         g = example_graph()
         built = []
         new = Fraction.__new__
@@ -136,7 +141,7 @@ class TestValidation:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-        assert validate_graph(g).ok
+        assert validate_graph(GameGraph(g.min_vertices, g.max_vertices, g.random_vertices, g.edges)).ok
         assert built == []
 
     def test_missing_out_edge_fails(self):
@@ -746,6 +751,91 @@ class TestConstructor:
             bad = {**obj, "edges": [{**obj["edges"][0], field: value}] + obj["edges"][1:]}
             with pytest.raises(ValueError, match="expected an integer"):
                 GameGraph.from_json(bad)
+
+    @pytest.mark.parametrize(
+        "late, message",
+        [
+            (Edge(3, 2, 1, payoff=0.5), "expected an int or a Fraction"),
+            (Edge(True, 2, 1, payoff=F(1)), "expected an integer"),
+        ],
+        ids=["float-payoff", "bool-id"],
+    )
+    def test_a_reader_error_wins_over_the_report(self, late, message):
+        # The first edge's unknown head is a report failure; a later edge's
+        # value the readers refuse still raises.
+        with pytest.raises(ValueError, match=message):
+            _two_vertex_graph(Edge(1, 1, 9, payoff=F(0)), Edge(2, 2, 1, payoff=F(1)), late)
+
+    def test_edge_failures_are_reported_in_edge_order(self):
+        g = GameGraph((1,), (2,), (3,), (
+            Edge(1, 1, 9, payoff=F(0)), Edge(2, 2, 3, prob=F(1, 2)), Edge(3, 3, 1, payoff=F(0), prob=F(1)),
+            Edge(4, 7, 1, payoff=F(0)), Edge(5, 1, 2),
+        ))
+        assert g.validation.failures == (
+            ("edge-endpoints", "edge 1 has an unknown endpoint"),
+            ("edge-labels", "edge 2 out of a max vertex must carry a payoff only"),
+            ("edge-labels", "edge 3 out of a Random vertex must carry a probability only"),
+            ("edge-endpoints", "edge 4 has an unknown endpoint"),
+            ("edge-labels", "edge 5 out of a min vertex must carry a payoff only"),
+        )
+        assert list(g.validation.failures) == reference_validation_failures(g)
+        assert validate_graph(g) is g.validation and not g.compliant
+
+
+def coin_flip_graph(*edges, randoms=(3,), maxs=(2, 4)):
+    """Min 1 -> Random 3, Max 2 -> Min 1 and Max 4 -> Min 1, edge ids 1, 4
+    and 5, with the given edges."""
+    base = (Edge(1, 1, 3, payoff=F(0)), Edge(4, 2, 1, payoff=F(1)), Edge(5, 4, 1, payoff=F(0)))
+    return GameGraph((1,), maxs, randoms, base + edges)
+
+
+class TestCompliance:
+    """`GameGraph.compliant` against the plain-loop `reference_compliant`."""
+
+    def test_random_graphs(self):
+        seen = set()
+        for trial in range(150):
+            for g in (
+                random_invalid_graph(rng_for(353, trial)),
+                random_sound_graph(rng_for(359, trial)),
+                random_compliant_graph(rng_for(367, trial)),
+            ):
+                assert g.compliant == reference_compliant(g)
+                seen.add(g.compliant)
+        assert seen == {True, False}
+
+    def test_pipeline_targets(self):
+        graphs = [example_graph(), denominator_five_graph()]
+        graphs += [random_valid_graph(rng_for(373, trial)) for trial in range(10)]
+        for g in graphs:
+            out, _ = pipeline(g)
+            assert out.compliant and reference_compliant(out)
+            assert g.compliant == reference_compliant(g)
+
+    @pytest.mark.parametrize(
+        "g, valid, compliant",
+        [
+            (coin_flip_graph(Edge(2, 3, 2, prob=HALF), Edge(3, 3, 4, prob=HALF)), True, True),
+            (coin_flip_graph(
+                Edge(2, 3, 2, prob=HALF), Edge(3, 3, 4, prob=F(1, 4)), Edge(6, 3, 2, prob=F(1, 4)),
+            ), True, False),
+            (coin_flip_graph(
+                Edge(2, 3, 2, prob=HALF), Edge(3, 3, 4, prob=HALF),
+                Edge(6, 2, 7, payoff=F(0)), Edge(7, 7, 1, prob=HALF), Edge(8, 7, 1, prob=HALF), randoms=(3, 7),
+            ), True, False),
+            (coin_flip_graph(
+                Edge(2, 3, 2, prob=HALF), Edge(3, 3, 7, prob=HALF),
+                Edge(7, 7, 2, prob=HALF), Edge(8, 7, 4, prob=HALF), randoms=(3, 7),
+            ), True, False),
+            (coin_flip_graph(Edge(2, 3, 2, prob=F(1, 3)), Edge(3, 3, 4, prob=F(2, 3))), True, False),
+            (coin_flip_graph(Edge(2, 3, 2, prob=1)), True, False),
+            (coin_flip_graph(Edge(2, 3, 2, prob=HALF), Edge(3, 3, 4, prob=HALF), maxs=(2, 4, 6)), False, False),
+        ],
+        ids=["fair", "three-edges", "into-min", "into-random", "third", "int-one", "invalid"],
+    )
+    def test_near_misses(self, g, valid, compliant):
+        assert g.validation.ok == valid
+        assert g.compliant == reference_compliant(g) == compliant
 
 
 class TestEdge:

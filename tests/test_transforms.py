@@ -705,19 +705,29 @@ class TestOnePassSplit:
             capsys.readouterr()
 
     def test_each_graph_validated_once(self, monkeypatch):
-        # The input, the Zwick-Paterson graph, the t1 graph and the output.
-        calls = []
-        validate = graph_module.validate_graph
+        # A pipeline builds three graphs, the Zwick-Paterson graph, the t1
+        # graph and the output; each makes its report once, in its
+        # constructor, and `validate_graph` returns that report.
+        g = example_graph()
+        built, reports = [], []
+        construct, report = GameGraph.__post_init__, graph_module.ValidationReport
 
-        def counting(g):
-            calls.append(g)
-            return validate(g)
+        def constructing(graph):
+            built.append(graph)
+            construct(graph)
 
-        monkeypatch.setattr(graph_module, "validate_graph", counting)
-        out, _ = pipeline(example_graph())
+        def reporting(failures):
+            reports.append(report(failures))
+            return reports[-1]
+
+        monkeypatch.setattr(GameGraph, "__post_init__", constructing)
+        monkeypatch.setattr(graph_module, "ValidationReport", reporting)
+        out, _ = pipeline(g)
         assert is_compliant(out)
-        assert len(calls) == 4
-        assert len({id(g) for g in calls}) == len(calls)
+        assert len(built) == len(reports) == 3 and built[-1] is out
+        assert all(graph.validation is r for graph, r in zip(built, reports))
+        assert all(validate_graph(graph) is graph.validation for graph in (g, *built))
+        assert len(reports) == 3
 
 
 class TestBuiltGraphsReadBack:
